@@ -1,14 +1,13 @@
 """Clifford-algebra Moebius geometry and Cauchy-kernel verification on
 glued-sphere manifolds."""
 
-from .algebra import Multivector, geometric_product, reversion
+from .algebra import Multivector, reversion
 from .moebius import INFINITY, VahlenMap, apply, cayley, compose, inverse, weight_J
 from .manifold import GluedManifold, ManifoldPoint, plane_sphere, two_spheres
 from .kernel import KernelValue, kernel_CM
 
 __all__ = [
     "Multivector",
-    "geometric_product",
     "reversion",
     "INFINITY",
     "VahlenMap",

@@ -47,12 +47,6 @@ def _sign_table(dim: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _xor_table(dim: int) -> np.ndarray:
-    idx = np.arange(1 << dim)
-    return idx[:, None] ^ idx[None, :]
-
-
-@lru_cache(maxsize=None)
 def _product_tensor(dim: int) -> np.ndarray:
     """T[i, j, k] with e_i e_j = T[i,j,i^j] e_{i^j}, for batched products."""
     if dim > 8:
@@ -194,20 +188,8 @@ class Multivector:
 
 # -- operations ------------------------------------------------------------
 
-def geometric_product(a: Multivector, b: Multivector) -> Multivector:
-    return a * b
-
-
 def reversion(a: Multivector) -> Multivector:
     return Multivector(a.dim, a.coeffs * _reversion_signs(a.dim))
-
-
-def norm(a: Multivector) -> float:
-    return a.norm()
-
-
-def grade_projection(a: Multivector, r: int) -> Multivector:
-    return a.grade(r)
 
 
 def kelvin_inverse(x: np.ndarray) -> np.ndarray:

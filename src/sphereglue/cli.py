@@ -14,8 +14,8 @@ import sys
 
 import numpy as np
 
-from .algebra import Multivector, clifford_group_inverse, geometric_product, reversion
-from .fields import dirac_left_fd, g_translate, moebius_pullback
+from .algebra import Multivector, reversion
+from .fields import DomainError, constant_field, dirac_left_fd, g_translate, moebius_pullback
 from .integration import (
     cauchy_integral,
     chart_circle,
@@ -24,19 +24,16 @@ from .integration import (
     section_from_germ,
 )
 from .kernel import DiagonalError, kernel_CM, overlap_consistency_residual
-from .manifold import (
-    NECK,
-    ManifoldPoint,
-    classify,
-    plane_sphere,
-    two_spheres,
-)
+from .manifold import ManifoldPoint, embed, plane_sphere, two_spheres
 from .moebius import (
+    VahlenError,
     VahlenMap,
+    apply,
     cauchy_kernel_G,
     cayley,
     compose,
     covariance_residual,
+    is_infinity,
     neck_inversion,
     translation_map,
 )
@@ -62,6 +59,7 @@ class RunConfig:
 
 _INT_KEYS = {"n", "seed", "order", "break_weight", "break_normal", "corrupt_vahlen"}
 _FLOAT_KEYS = {"r", "scale1", "scale2"}
+_KINDS = ("two_spheres", "plane_sphere")
 
 
 def parse_config_file(path: str) -> dict:
@@ -100,18 +98,28 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         cfg.order = args.order
     if args.out is not None:
         cfg.out = args.out
+    if cfg.kind not in _KINDS:
+        raise ValueError(f"kind must be one of {', '.join(_KINDS)}, got {cfg.kind!r}")
     if cfg.n not in (2, 3):
         raise ValueError("n must be 2 or 3")
-    if cfg.r <= 1.0:
+    if not cfg.r > 1.0:
         raise ValueError("r must exceed 1")
+    for key in ("scale1", "scale2"):
+        if not getattr(cfg, key) > 0.0:
+            raise ValueError(f"{key} must be > 0")
+    if cfg.order < 1:
+        raise ValueError("order must be >= 1")
+    if cfg.n + cfg.break_weight < 1:
+        raise ValueError("break_weight must exceed -n")
     return cfg
 
 
 def make_manifold(cfg: RunConfig):
+    """The configured manifold; break_weight shifts every chart-map weight."""
     if cfg.kind == "two_spheres":
-        return two_spheres(cfg.n, cfg.r, (cfg.scale1, cfg.scale2))
+        return two_spheres(cfg.n, cfg.r, (cfg.scale1, cfg.scale2), cfg.break_weight)
     if cfg.kind == "plane_sphere":
-        return plane_sphere(cfg.n, cfg.r, cfg.scale2)
+        return plane_sphere(cfg.n, cfg.r, cfg.scale2, cfg.break_weight)
     raise ValueError(f"unknown manifold kind {cfg.kind!r}")
 
 
@@ -202,8 +210,6 @@ def _random_maps(rng, n: int, count: int, corrupt: bool = False):
 
 def _admissible_pair(rng, psi, n):
     """Two points where the map and the weight are well away from singular."""
-    from .moebius import apply, is_infinity
-
     while True:
         x = rng.uniform(-2.0, 2.0, n)
         y = rng.uniform(-2.0, 2.0, n)
@@ -260,7 +266,7 @@ def cmd_verify_algebra(cfg: RunConfig) -> tuple[str, int]:
             try:
                 x, y = _admissible_pair(rng, psi, cfg.n)
                 res = covariance_residual(psi, x, y)
-            except Exception:
+            except VahlenError:
                 # a corrupted map fails the grade-1 validity check outright
                 rep.add("kernel-covariance", float("inf"), 1e-9, cfg)
                 return rep.finish()
@@ -286,7 +292,7 @@ def cmd_verify_algebra(cfg: RunConfig) -> tuple[str, int]:
                 continue
             try:
                 resid = dirac_left_fd(pb, x, 1e-4).norm()
-            except Exception:
+            except (DomainError, VahlenError):
                 continue
             worst_fd = max(worst_fd, resid)
             checked += 1
@@ -307,9 +313,6 @@ def cmd_verify_kernel(cfg: RunConfig) -> tuple[str, int]:
 
     # overlap consistency; residual relative to the direct evaluation norm so
     # the bound is meaningful for thin necks where the kernel is large
-    from .manifold import embed as _embed
-    from .moebius import cauchy_kernel_G as _G
-
     worst = 0.0
     count = 0
     while count < 200:
@@ -319,7 +322,7 @@ def cmd_verify_kernel(cfg: RunConfig) -> tuple[str, int]:
         px = ManifoldPoint(2, x2)
         py = ManifoldPoint(2, y2)
         res = overlap_consistency_residual(m, px, py)
-        ref = _G(_embed(m, px) - _embed(m, py), m.n, m.n + 1).norm()
+        ref = cauchy_kernel_G(embed(m, px) - embed(m, py), m.n, m.n + 1).norm()
         worst = max(worst, res / max(ref, 1e-30))
         count += 1
     rep.add("overlap-consistency", worst, 1e-9, cfg)
@@ -347,9 +350,7 @@ def cmd_verify_kernel(cfg: RunConfig) -> tuple[str, int]:
     base_pt = 3.0 * direction
     for eps in (1e-2, 1e-3):
         y = ManifoldPoint(1, base_pt + eps * direction)
-        from .manifold import embed as _embed
-
-        d = np.linalg.norm(_embed(m, ManifoldPoint(1, base_pt)) - _embed(m, y))
+        d = np.linalg.norm(embed(m, ManifoldPoint(1, base_pt)) - embed(m, y))
         val = kernel_CM(m, ManifoldPoint(1, base_pt), y).value.norm()
         worst_blow = max(worst_blow, abs(val * d ** (m.n - 1) - 1.0))
     rep.add("diagonal-blowup-strength", worst_blow, 1e-3, cfg)
@@ -360,13 +361,12 @@ def cmd_verify_cauchy(cfg: RunConfig) -> tuple[str, int]:
     rng = np.random.default_rng(cfg.seed)
     rep = Report("verify-cauchy report", cfg)
     m = make_manifold(cfg)
-    shift = cfg.break_weight
     nsign = -1.0 if not cfg.break_normal else 1.0
 
     pole = np.zeros(m.n)
     pole[0] = 4.0
     germ = g_translate(pole, n=m.n, dim_alg=m.n + 1)
-    sec = section_from_germ(m, germ, weight_exponent_shift=shift)
+    sec = section_from_germ(m, germ)
     interior = ManifoldPoint(1, _pad([0.6], m.n))
 
     def circle(radius, order):
@@ -379,19 +379,13 @@ def cmd_verify_cauchy(cfg: RunConfig) -> tuple[str, int]:
 
     # same-chart reproduction
     y_same = ManifoldPoint(1, _pad([1.2, 0.4], m.n))
-    res = cauchy_integral(m, surf, sec, y_same, order=order_same,
-                          weight_exponent_shift=shift, normal_sign=nsign)
+    res = cauchy_integral(m, surf, sec, y_same, order=order_same, normal_sign=nsign)
     err_same = (res.value - sec.value_at(y_same)).norm()
     rep.add("same-chart-reproduction", err_same, 1e-6, cfg)
 
     # constant-germ section reproduction
-    from .algebra import Multivector as MV
-    from .fields import constant_field
-
-    csec = section_from_germ(m, constant_field(MV.scalar(1.0, m.n + 1), m.n),
-                             weight_exponent_shift=shift)
-    res_c = cauchy_integral(m, surf, csec, y_same, order=order_same,
-                            weight_exponent_shift=shift, normal_sign=nsign)
+    csec = section_from_germ(m, constant_field(Multivector.scalar(1.0, m.n + 1), m.n))
+    res_c = cauchy_integral(m, surf, csec, y_same, order=order_same, normal_sign=nsign)
     rep.add("constant-germ-reproduction", (res_c.value - csec.value_at(y_same)).norm(), 1e-8, cfg)
 
     # cross-glue reproduction with convergence table
@@ -402,8 +396,7 @@ def cmd_verify_cauchy(cfg: RunConfig) -> tuple[str, int]:
     errs = []
     for od in orders:
         s_od = circle(3.0, od)
-        r_od = cauchy_integral(m, s_od, sec, y_cross, order=od,
-                               weight_exponent_shift=shift, normal_sign=nsign)
+        r_od = cauchy_integral(m, s_od, sec, y_cross, order=od, normal_sign=nsign)
         e = (r_od.value - exact).norm()
         errs.append(e)
         rows.append(f"{od},{e:.6e},{r_od.estimated_error:.6e},{r_od.nodes_used}")
@@ -425,10 +418,8 @@ def cmd_verify_cauchy(cfg: RunConfig) -> tuple[str, int]:
     y_mid = ManifoldPoint(1, _pad([1.2, 0.4], m.n))
     s_a = circle(3.0, order_same)
     s_b = circle(2.4, order_same)
-    r_a = cauchy_integral(m, s_a, sec, y_mid, order=order_same,
-                          weight_exponent_shift=shift, normal_sign=nsign)
-    r_b = cauchy_integral(m, s_b, sec, y_mid, order=order_same,
-                          weight_exponent_shift=shift, normal_sign=nsign)
+    r_a = cauchy_integral(m, s_a, sec, y_mid, order=order_same, normal_sign=nsign)
+    r_b = cauchy_integral(m, s_b, sec, y_mid, order=order_same, normal_sign=nsign)
     combined = 2.0 * (r_a.estimated_error + r_b.estimated_error) + 1e-12
     rep.add(
         "contour-independence",

@@ -13,25 +13,27 @@ normal so that the formula returns +f(y).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from math import gamma, pi
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebra import Multivector
-from .fields import CliffordField
+from .algebra import Multivector, clifford_group_inverse
+from .fields import CliffordField, constant_field
 from .kernel import kernel_CM
 from .manifold import (
     GluedManifold,
     ManifoldError,
     ManifoldPoint,
     apply_transition,
+    chart_map,
     chart_transfer,
     classify,
     embed,
     embed_jacobian,
 )
-from .moebius import cayley, inverse, weight_J
+from .moebius import inverse, is_infinity, weight_J
 
 REPRODUCING_NORMAL_SIGN = -1.0
 
@@ -42,8 +44,6 @@ class SurfaceError(ValueError):
 
 def unit_sphere_area(n: int) -> float:
     """omega_n: surface area of the unit (n-1)-sphere in R^n."""
-    from math import gamma, pi
-
     return 2.0 * pi ** (n / 2.0) / gamma(n / 2.0)
 
 
@@ -138,9 +138,7 @@ def _interior_in_chart(m: GluedManifold, s: Hypersurface, chart: int) -> np.ndar
         coord = p.coord
     else:
         coord = apply_transition(m, p.coord)
-    from .moebius import is_infinity as _isinf
-
-    if _isinf(coord):
+    if is_infinity(coord):
         raise SurfaceError("interior point maps to infinity in the surface chart")
     return np.asarray(coord, dtype=np.float64)
 
@@ -245,35 +243,25 @@ class Section:
         return self.rep(p.chart, p.coord)
 
 
-def section_from_germ(
-    m: GluedManifold, germ: CliffordField, weight_exponent_shift: int = 0
-) -> Section:
+def section_from_germ(m: GluedManifold, germ: CliffordField) -> Section:
     """Build the section whose chart-1 pullback to the coordinate plane is
     the given field (values in Cl_{n+1}).
 
-    Chart 1: the Cayley-weighted lift of the germ. Chart 2: the additional
-    transfer-weighted pullback through the continued transition, so the two
-    representatives agree on the neck under the bundle identification.
+    Chart 1: the germ lifted with the weight of the inverse chart-1 map.
+    Chart 2: the additional transfer-weighted pullback through the continued
+    transition, so the two representatives agree on the neck under the
+    bundle identification.
     """
     if germ.dim_alg != m.n + 1:
         raise ValueError("germ must take values in Cl_{n+1}")
-    cay_inv = inverse(cayley(m.n))
+    chart1_inv = inverse(chart_map(m, 1))
     trans21 = chart_transfer(m, 1, 2)  # sphere-2 -> sphere-1 picture
-    if weight_exponent_shift:
-        import dataclasses
-
-        cay_inv = dataclasses.replace(
-            cay_inv, kernel_exponent=cay_inv.kernel_exponent + weight_exponent_shift
-        )
-        trans21 = dataclasses.replace(
-            trans21, kernel_exponent=trans21.kernel_exponent + weight_exponent_shift
-        )
 
     def rep(chart: int, coord) -> Multivector:
         if chart == 1:
             u = embed(m, ManifoldPoint(1, coord))
             if m.chart(1).has_sphere:
-                return weight_J(cay_inv, u) * germ(coord)
+                return weight_J(chart1_inv, u) * germ(coord)
             return germ(coord)
         y1 = apply_transition(m, coord)
         u2 = embed(m, ManifoldPoint(2, coord))
@@ -288,21 +276,20 @@ def cauchy_integral(
     f: Section,
     y: ManifoldPoint,
     order: int | None = None,
-    weight_exponent_shift: int = 0,
     normal_sign: float = REPRODUCING_NORMAL_SIGN,
 ) -> QuadratureReport:
     """(1/omega_n) * integral of C_M(x, y) n(x) f(x) over S; converges to the
     representative f(y) in y's chart for y inside the bounded subdomain.
 
-    weight_exponent_shift and normal_sign are falsification controls; leave
-    them at the defaults for verification runs.
+    normal_sign is a falsification control; leave it at the default for
+    verification runs.
     """
     if classify(m, y) == "inadmissible":
         raise ManifoldError("evaluation point is inadmissible")
     wn = unit_sphere_area(m.n)
 
     def integrand(pt: ManifoldPoint, u: np.ndarray, nrm: np.ndarray) -> Multivector:
-        kv = kernel_CM(m, pt, y, weight_exponent_shift=weight_exponent_shift)
+        kv = kernel_CM(m, pt, y)
         n_mv = Multivector.vector(normal_sign * nrm, m.n + 1)
         return kv.value * n_mv * f.value_at(pt)
 
@@ -338,8 +325,6 @@ def plemelj_projections(
     smooth and periodic, so the trapezoid rule is spectrally accurate once the
     removable diagonal value is filled in from the FFT derivative of the data.
     """
-    from .fields import constant_field
-
     if m.n != 2:
         raise SurfaceError("Plemelj projections are implemented for n = 2 curves")
     if not s.closed or len(s.patches) != 1:
@@ -374,8 +359,6 @@ def plemelj_projections(
     # section with germ c, evaluated at node j
     unit_sec = section_from_germ(m, constant_field(Multivector.scalar(1.0, dim), m.n))
     wsec = [unit_sec.value_at(p) for p in pts]
-    from .algebra import clifford_group_inverse
-
     winv = [clifford_group_inverse(wv) for wv in wsec]
     nhat = [Multivector.vector(REPRODUCING_NORMAL_SIGN * nr, dim) for nr in nrms]
 

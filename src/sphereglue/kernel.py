@@ -27,7 +27,7 @@ from .manifold import (
     embed,
     equivalent,
 )
-from .moebius import cauchy_kernel_G, is_infinity, weight_J
+from .moebius import cauchy_kernel_G, weight_J
 
 SAME_CHART = "same-chart"
 OVERLAP_REP = "overlap-rep"
@@ -44,17 +44,8 @@ class KernelValue:
     case_tag: str
 
 
-def kernel_CM(
-    m: GluedManifold,
-    x: ManifoldPoint,
-    y: ManifoldPoint,
-    weight_exponent_shift: int = 0,
-) -> KernelValue:
-    """C_M(x, y) for non-equivalent admissible points.
-
-    weight_exponent_shift perturbs the conformal-weight exponent of the
-    cross-chart branch; nonzero values are falsification controls only.
-    """
+def kernel_CM(m: GluedManifold, x: ManifoldPoint, y: ManifoldPoint) -> KernelValue:
+    """C_M(x, y) for non-equivalent admissible points."""
     for p in (x, y):
         if classify(m, p) == "inadmissible":
             raise ManifoldError("inadmissible point")
@@ -66,24 +57,15 @@ def kernel_CM(
         tag = SAME_CHART
         y_in_j = y.coord
     else:
+        # y may map to the far pole of chart j (INFINITY); embed handles it
         tag = OVERLAP_REP if classify(m, y) == NECK else CROSS_GLUE
         y_in_j = apply_transition(m, y.coord)
-        if is_infinity(y_in_j):
-            # y maps to the far pole of chart j; fall through via embed
-            pass
     xs = embed(m, x)
     ys = embed(m, ManifoldPoint(j, y_in_j))
     base = cauchy_kernel_G(xs - ys, m.n, m.n + 1)
     if j == k:
         return KernelValue(base, tag)
-    trans = chart_transfer(m, j, k)
-    if weight_exponent_shift:
-        import dataclasses
-
-        trans = dataclasses.replace(
-            trans, kernel_exponent=trans.kernel_exponent + weight_exponent_shift
-        )
-    w = weight_J(trans, embed(m, y))
+    w = weight_J(chart_transfer(m, j, k), embed(m, y))
     return KernelValue(w * base, tag)
 
 

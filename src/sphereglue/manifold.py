@@ -10,19 +10,19 @@ is shared between the charts through the involution x -> -x^{-1}.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 
 import numpy as np
 
-from . import moebius
+from .algebra import Multivector
 from .moebius import (
     INFINITY,
     VahlenMap,
-    apply,
     cayley,
     cayley_embed,
     cayley_embed_jacobian,
     compose,
+    identity_map,
     inverse,
     is_infinity,
     neck_inversion,
@@ -52,9 +52,11 @@ class GluedManifold:
     kind: str
     r: float
     charts: tuple[Chart, ...]
+    # falsification control: added to the weight exponent of every chart map
+    weight_shift: int = 0
 
     def __post_init__(self):
-        if self.r <= 1.0:
+        if not self.r > 1.0:
             raise ManifoldError("gluing radius r must exceed 1")
         if self.kind not in (TWO_SPHERES, PLANE_SPHERE):
             raise ManifoldError(f"unknown manifold kind {self.kind!r}")
@@ -64,13 +66,41 @@ class GluedManifold:
     def chart(self, j: int) -> Chart:
         return self.charts[j - 1]
 
+    @cached_property
+    def _vahlen_maps(self) -> dict:
+        """The manifold's Vahlen maps in Cl_{n+1}, built on first use: chart
+        maps keyed by chart, transfers keyed by (to_chart, from_chart). Every
+        map has weight exponent n + weight_shift; each inverse is checked
+        pointwise by moebius.inverse."""
+        k, exponent = self.n + 1, self.n + self.weight_shift
+        maps = {}
+        for j, ch in enumerate(self.charts, start=1):
+            if not ch.has_sphere:
+                maps[j] = identity_map(k, exponent)
+                continue
+            maps[j] = cay = cayley(self.n, exponent)
+            if ch.scale != 1.0:
+                zero = Multivector.zero(k)
+                one = Multivector.scalar(1.0, k)
+                dilation = VahlenMap(Multivector.scalar(ch.scale, k), zero, zero, one, k, exponent)
+                maps[j] = compose(dilation, cay)
+        maps[1, 1] = maps[2, 2] = identity_map(k, exponent)
+        maps[1, 2] = compose(maps[1], compose(neck_inversion(k, exponent), inverse(maps[2])))
+        maps[2, 1] = inverse(maps[1, 2])
+        return maps
 
-def two_spheres(n: int, r: float, scales: tuple[float, float] = (1.0, 1.0)) -> GluedManifold:
-    return GluedManifold(n, TWO_SPHERES, r, (Chart(True, scales[0]), Chart(True, scales[1])))
+
+def two_spheres(
+    n: int, r: float, scales: tuple[float, float] = (1.0, 1.0), weight_shift: int = 0
+) -> GluedManifold:
+    charts = (Chart(True, scales[0]), Chart(True, scales[1]))
+    return GluedManifold(n, TWO_SPHERES, r, charts, weight_shift)
 
 
-def plane_sphere(n: int, r: float, sphere_scale: float = 1.0) -> GluedManifold:
-    return GluedManifold(n, PLANE_SPHERE, r, (Chart(False), Chart(True, sphere_scale)))
+def plane_sphere(
+    n: int, r: float, sphere_scale: float = 1.0, weight_shift: int = 0
+) -> GluedManifold:
+    return GluedManifold(n, PLANE_SPHERE, r, (Chart(False), Chart(True, sphere_scale)), weight_shift)
 
 
 @dataclass(frozen=True)
@@ -109,28 +139,16 @@ def transition_psi12(m: GluedManifold) -> VahlenMap:
     return neck_inversion(m.n)
 
 
-def continuation_Psi12(m: GluedManifold) -> VahlenMap:
-    """Same coefficients as transition_psi12 but admitted on all of
-    ||x|| < r (the unique Moebius continuation; 0 maps to infinity)."""
-    return neck_inversion(m.n)
-
-
-def _neck_image(coord):
-    if is_infinity(coord):
-        return np.zeros(0)  # unused; neck points are finite
-    n2 = float(coord @ coord)
-    return coord / n2
-
-
 def apply_transition(m: GluedManifold, coord):
     """Evaluate the (continued) transition at a chart coordinate, total on
     the compactified plane."""
     if is_infinity(coord):
         return np.zeros(m.n)
     coord = np.asarray(coord, dtype=np.float64)
-    if float(coord @ coord) == 0.0:
+    n2 = float(coord @ coord)
+    if n2 == 0.0:
         return INFINITY
-    return _neck_image(coord)
+    return coord / n2
 
 
 def equivalent(m: GluedManifold, p: ManifoldPoint, q: ManifoldPoint, rtol: float = 1e-10) -> bool:
@@ -190,43 +208,16 @@ def to_sphere(m: GluedManifold, p: ManifoldPoint) -> np.ndarray:
     return embed(m, p)
 
 
-@lru_cache(maxsize=None)
-def _chart_maps(n: int, kind: str, scales: tuple[float, ...]) -> dict:
-    """Embedding maps of each chart as Vahlen matrices in Cl_{n+1}."""
-    k = n + 1
-    maps = {}
-    cay = cayley(n)
-    for j, (has_sphere, scale) in enumerate(
-        [(kind == TWO_SPHERES, scales[0]), (True, scales[1])], start=1
-    ):
-        if has_sphere:
-            if scale != 1.0:
-                s = moebius.VahlenMap(
-                    moebius.Multivector.scalar(scale, k),
-                    moebius.Multivector.zero(k),
-                    moebius.Multivector.zero(k),
-                    moebius.Multivector.scalar(1.0, k),
-                    k,
-                    n,
-                )
-                maps[j] = compose(s, cay)
-            else:
-                maps[j] = cay
-        else:
-            maps[j] = moebius.identity_map(k, n)
-    return maps
+def chart_map(m: GluedManifold, j: int) -> VahlenMap:
+    """Chart j's coordinate plane onto its embedded picture, as a Cl_{n+1}
+    matrix: the scaled Cayley map for a sphere chart, the identity for the
+    plane chart. Agrees pointwise with embed."""
+    return m._vahlen_maps[j]
 
 
 def chart_transfer(m: GluedManifold, to_chart: int, from_chart: int) -> VahlenMap:
     """Sphere-level Vahlen map carrying the embedded picture of from_chart
-    onto that of to_chart (c_to o psi' o c_from^{-1}), as a Cl_{n+1} matrix
-    with weight exponent n. transfer(1<-2) and transfer(2<-1) are exact
-    matrix inverses of each other."""
-    if to_chart == from_chart:
-        return moebius.identity_map(m.n + 1, m.n)
-    scales = tuple(c.scale for c in m.charts)
-    maps = _chart_maps(m.n, m.kind, scales)
-    t12 = compose(maps[1], compose(neck_inversion(m.n + 1, m.n), inverse(maps[2])))
-    if (to_chart, from_chart) == (1, 2):
-        return t12
-    return inverse(t12)
+    onto that of to_chart (c_to o psi' o c_from^{-1}), as a Cl_{n+1} matrix.
+    transfer(1<-2) and transfer(2<-1) are exact matrix inverses of each
+    other."""
+    return m._vahlen_maps[to_chart, from_chart]

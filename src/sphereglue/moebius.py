@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (
-    AlgebraError,
     Multivector,
     NotInvertibleError,
     clifford_group_inverse,
@@ -91,15 +90,16 @@ def neck_inversion(k: int, m: int | None = None) -> VahlenMap:
     return VahlenMap(zero, -one, one, zero, k, m if m is not None else k)
 
 
-def cayley(n: int) -> VahlenMap:
+def cayley(n: int, m: int | None = None) -> VahlenMap:
     """(e_{n+1} x + 1)(x + e_{n+1})^{-1}: R^n onto the unit sphere of R^{n+1}
-    minus e_{n+1}. Lives in Cl_{n+1} with weight exponent n."""
+    minus e_{n+1}. Lives in Cl_{n+1} with weight exponent n unless m is
+    given."""
     if n < 1:
         raise VahlenError("n must be >= 1")
     k = n + 1
     ep = Multivector.basis_vector(n, k)
     one = Multivector.scalar(1.0, k)
-    return VahlenMap(ep, one, one, ep, k, n)
+    return VahlenMap(ep, one, one, ep, k, m if m is not None else n)
 
 
 def _as_vector_mv(x, k: int) -> Multivector:
@@ -183,7 +183,7 @@ def pseudo_determinant(psi: VahlenMap) -> float:
     return s
 
 
-def inverse(psi: VahlenMap, validate: bool = True) -> VahlenMap:
+def inverse(psi: VahlenMap) -> VahlenMap:
     """Exact matrix inverse (~d, -~b; -~c, ~a)/(a~d - b~c), validated
     pointwise on sample vectors."""
     delta = pseudo_determinant(psi)
@@ -197,20 +197,19 @@ def inverse(psi: VahlenMap, validate: bool = True) -> VahlenMap:
         psi.ambient_dim,
         psi.kernel_exponent,
     )
-    if validate:
-        rng = np.random.default_rng(7)
-        checked = 0
-        while checked < 4:
-            x = rng.uniform(-1.5, 1.5, psi.ambient_dim)
-            y = apply(psi, x)
-            if is_infinity(y):
-                continue
-            back = apply(inv, y)
-            if is_infinity(back):
-                continue
-            if np.linalg.norm(back - x) > 1e-8 * max(1.0, np.linalg.norm(x)):
-                raise VahlenError("block-rearranged inverse failed pointwise validation")
-            checked += 1
+    rng = np.random.default_rng(7)
+    checked = 0
+    while checked < 4:
+        x = rng.uniform(-1.5, 1.5, psi.ambient_dim)
+        y = apply(psi, x)
+        if is_infinity(y):
+            continue
+        back = apply(inv, y)
+        if is_infinity(back):
+            continue
+        if np.linalg.norm(back - x) > 1e-8 * max(1.0, np.linalg.norm(x)):
+            raise VahlenError("block-rearranged inverse failed pointwise validation")
+        checked += 1
     return inv
 
 

@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from sphereglue.algebra import Multivector, geometric_product, reversion
+from sphereglue.algebra import Multivector, reversion
 from sphereglue.fields import dirac_left_fd, g_translate, moebius_pullback
 from sphereglue.integration import (
     cauchy_integral,
@@ -80,7 +80,7 @@ def test_criterion_1_algebra_laws():
             ca[i] = 1.0
             cb = np.zeros(2**dim)
             cb[j] = 1.0
-            got = geometric_product(Multivector(dim, ca), Multivector(dim, cb))
+            got = Multivector(dim, ca) * Multivector(dim, cb)
             idx, sign = _oracle_blade_product(i, j, dim)
             want = np.zeros(2**dim)
             want[idx] = sign
@@ -220,9 +220,9 @@ def test_criterion_4_overlap_consistency():
 # -- 5, 6, 7: Cauchy integral formula ----------------------------------------
 
 
-def _setup_cauchy(m, shift=0):
+def _setup_cauchy(m):
     pole = np.array([4.0, 0.0])
-    sec = section_from_germ(m, g_translate(pole, n=2, dim_alg=3), weight_exponent_shift=shift)
+    sec = section_from_germ(m, g_translate(pole, n=2, dim_alg=3))
     interior = ManifoldPoint(1, np.array([0.6, 0.0]))
     return sec, interior
 
@@ -360,11 +360,11 @@ def test_criterion_9_negative_controls():
     y5 = ManifoldPoint(1, np.array([1.2, 0.4]))
     y6 = ManifoldPoint(2, np.array([2.5, 1.0]))
 
-    bad_sec = _setup_cauchy(m, shift=1)[0]
+    m_bad = two_spheres(2, 2.0, weight_shift=1)
+    bad_sec = _setup_cauchy(m_bad)[0]
     for y, tol, label in ((y5, 1e-6, "same-chart"), (y6, 1e-4, "cross-glue")):
         err_w = (
-            cauchy_integral(m, surf, bad_sec, y, weight_exponent_shift=1).value
-            - bad_sec.value_at(y)
+            cauchy_integral(m_bad, surf, bad_sec, y).value - bad_sec.value_at(y)
         ).norm()
         err_n = (
             cauchy_integral(m, surf, sec, y, normal_sign=1.0).value - sec.value_at(y)

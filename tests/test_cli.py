@@ -97,8 +97,34 @@ def test_negative_control_corrupt_vahlen(tmp_path):
     assert "kernel-covariance" in text
 
 
-def test_bad_config_exit_code(tmp_path):
+BAD_CONFIGS = [
+    ("verify-algebra", "n=5\n", "n"),
+    ("verify-kernel", "kind=torus\n", "kind"),
+    ("verify-cauchy", "order=0\n", "order"),
+    ("hardy", "order=0\n", "order"),
+    ("verify-kernel", "scale1=0\n", "scale1"),
+    ("verify-cauchy", "scale1=0\n", "scale1"),
+    ("hardy", "scale1=0\n", "scale1"),
+    ("verify-cauchy", "kind=plane_sphere\nscale2=-1\n", "scale2"),
+    ("verify-kernel", "r=nan\n", "r"),
+    ("verify-cauchy", "break_weight=-2\n", "break_weight"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, text, key", BAD_CONFIGS, ids=[f"{c}-{k}" for c, _, k in BAD_CONFIGS]
+)
+def test_bad_config_exit_code(tmp_path, capsys, command, text, key):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("n=5\n")
-    status = main(["verify-algebra", "--config", str(cfg)])
+    cfg.write_text(text)
+    status = main([command, "--config", str(cfg)])
     assert status == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.split()[2] == key, err
+
+
+def test_verify_cauchy_scaled_chart1(tmp_path):
+    cfg = tmp_path / "scaled.cfg"
+    cfg.write_text("scale1=1.5\n")
+    status, text = run(tmp_path, "verify-cauchy", "--config", str(cfg), "--order", "64")
+    assert status == 0, text

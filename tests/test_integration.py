@@ -216,10 +216,10 @@ def test_negative_controls_break_reproduction(m2):
     s = _surf(m2, 3.0, 64)
     y = ManifoldPoint(2, np.array([2.5, 1.0]))
     good = (cauchy_integral(m2, s, sec, y).value - sec.value_at(y)).norm()
-    bad_sec = section_from_germ(m2, _germ(m2), weight_exponent_shift=1)
+    m_bad = two_spheres(2, 2.0, weight_shift=1)
+    bad_sec = section_from_germ(m_bad, _germ(m_bad))
     bad_w = (
-        cauchy_integral(m2, s, bad_sec, y, weight_exponent_shift=1).value
-        - bad_sec.value_at(y)
+        cauchy_integral(m_bad, s, bad_sec, y).value - bad_sec.value_at(y)
     ).norm()
     bad_n = (cauchy_integral(m2, s, sec, y, normal_sign=1.0).value - sec.value_at(y)).norm()
     assert bad_w >= 100 * max(good, 1e-6)

@@ -14,8 +14,8 @@ from sphereglue.manifold import (
     apply_transition,
     canonical,
     chart_transfer,
+    chart_map,
     classify,
-    continuation_Psi12,
     embed,
     embed_jacobian,
     equivalent,
@@ -85,7 +85,7 @@ def test_transition_involution(m2):
 
 
 def test_continuation_extends_to_cap(m2):
-    psi = continuation_Psi12(m2)
+    psi = transition_psi12(m2)
     assert np.allclose(apply(psi, e1(0.25, 0.0)), [4.0, 0.0])
     assert is_infinity(apply_transition(m2, np.zeros(2)))
     assert np.allclose(apply_transition(m2, INFINITY), np.zeros(2))
@@ -224,3 +224,42 @@ def test_chart_transfer_plane_sphere():
         u2 = embed(mp, ManifoldPoint(2, x2))
         u1 = embed(mp, ManifoldPoint(1, apply_transition(mp, x2)))
         assert np.allclose(apply(t12, u2), u1, atol=1e-10)
+
+
+# -- chart maps ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda n: two_spheres(n, 2.0),
+        lambda n: two_spheres(n, 2.0, (1.5, 0.7)),
+        lambda n: plane_sphere(n, 2.0),
+        lambda n: plane_sphere(n, 2.0, 1.8),
+    ],
+)
+def test_chart_map_matches_embed(make, n):
+    m = make(n)
+    rng = np.random.default_rng(8)
+    for j in (1, 2):
+        psi = chart_map(m, j)
+        for _ in range(20):
+            x = rng.uniform(-3.0, 3.0, n)
+            assert np.allclose(apply(psi, x), embed(m, ManifoldPoint(j, x)), atol=1e-12)
+        if m.chart(j).has_sphere:
+            assert np.allclose(apply(psi, INFINITY), embed(m, ManifoldPoint(j, INFINITY)))
+
+
+def test_vahlen_maps_built_once(m2):
+    assert chart_transfer(m2, 1, 2) is chart_transfer(m2, 1, 2)
+    assert chart_map(m2, 1) is chart_map(m2, 1)
+
+
+def test_weight_shift_reaches_every_map():
+    m = plane_sphere(2, 2.0, weight_shift=1)
+    maps = [chart_map(m, 1), chart_map(m, 2)] + [
+        chart_transfer(m, a, b) for a in (1, 2) for b in (1, 2)
+    ]
+    assert {psi.kernel_exponent for psi in maps} == {3}
+    assert chart_map(two_spheres(2, 2.0), 1).kernel_exponent == 2
