@@ -47,20 +47,6 @@ def _sign_table(dim: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _product_tensor(dim: int) -> np.ndarray:
-    """T[i, j, k] with e_i e_j = T[i,j,i^j] e_{i^j}, for batched products."""
-    if dim > 8:
-        raise AlgebraError("batched products supported up to dim 8")
-    n = 1 << dim
-    t = np.zeros((n, n, n))
-    signs = _sign_table(dim)
-    for i in range(n):
-        for j in range(n):
-            t[i, j, i ^ j] = signs[i, j]
-    return t
-
-
-@lru_cache(maxsize=None)
 def _reversion_signs(dim: int) -> np.ndarray:
     grades = np.array([i.bit_count() for i in range(1 << dim)])
     return np.where((grades * (grades - 1) // 2) % 2 == 0, 1.0, -1.0)
@@ -215,5 +201,14 @@ def clifford_group_inverse(a: Multivector, rtol: float = DEFAULT_RTOL) -> Multiv
 
 
 def gp_batch(dim: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Batched geometric product of coefficient arrays of shape (..., 2^dim)."""
-    return np.einsum("...i,...j,ijk->...k", a, b, _product_tensor(dim))
+    """Batched geometric product of coefficient arrays of shape (..., 2^dim),
+    broadcast over the leading axes; the sign/xor scatter of
+    Multivector.__mul__ applied to every row at once."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    out = np.zeros(np.broadcast_shapes(a.shape, b.shape))
+    signs = _sign_table(dim)
+    idx = np.arange(1 << dim)
+    for i in range(1 << dim):
+        out[..., i ^ idx] += a[..., i, None] * (signs[i] * b)
+    return out

@@ -15,11 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gamma, pi
-from typing import Callable, Sequence
+from itertools import permutations
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .algebra import Multivector, clifford_group_inverse
+from .algebra import Multivector, clifford_group_inverse, gp_batch
 from .fields import CliffordField, constant_field
 from .kernel import kernel_CM
 from .manifold import (
@@ -52,22 +53,20 @@ class SurfacePatch:
     """One parametrized piece of a hypersurface, in a single chart.
 
     param maps a parameter point (length n-1) to chart coordinates (length n);
-    param_jac optionally supplies the analytic (n x n-1) Jacobian, otherwise a
-    fourth-order finite difference is used.
+    param_jac supplies its analytic (n x n-1) Jacobian.
     """
 
     chart: int
     bounds: tuple[tuple[float, float], ...]
     param: Callable[[np.ndarray], np.ndarray]
-    param_jac: Callable[[np.ndarray], np.ndarray] | None = None
-    orientation: float = 1.0
+    param_jac: Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
 class Hypersurface:
     patches: tuple[SurfacePatch, ...]
     quad_order: int
-    interior_point: ManifoldPoint | None = None
+    interior_point: ManifoldPoint
     closed: bool = False
 
 
@@ -78,22 +77,16 @@ class QuadratureReport:
     nodes_used: int
 
 
-def _param_jacobian(patch: SurfacePatch, t: np.ndarray) -> np.ndarray:
-    if patch.param_jac is not None:
-        return np.asarray(patch.param_jac(t), dtype=np.float64)
-    # fourth-order central differences
-    d = t.size
-    x0 = patch.param(t)
-    jac = np.zeros((np.asarray(x0).size, d))
-    h = 1e-3
-    for j in range(d):
-        e = np.zeros(d)
-        e[j] = h
-        jac[:, j] = (
-            8.0 * (patch.param(t + e) - patch.param(t - e))
-            - (patch.param(t + 2 * e) - patch.param(t - 2 * e))
-        ) / (12.0 * h)
-    return jac
+class NodeGeometry(NamedTuple):
+    """What a quadrature node needs: the chart point, its embedding, the
+    sqrt-Gram weight, the outward unit normal and the embedded tangents (one
+    column per surface parameter)."""
+
+    point: ManifoldPoint
+    embedded: np.ndarray
+    weight: float
+    normal: np.ndarray
+    tangents: np.ndarray
 
 
 def _generalized_cross(rows: np.ndarray) -> np.ndarray:
@@ -104,32 +97,6 @@ def _generalized_cross(rows: np.ndarray) -> np.ndarray:
         sub = np.delete(rows, i, axis=1)
         out[i] = (-1.0) ** i * np.linalg.det(sub)
     return out
-
-
-def _patch_geometry(m: GluedManifold, patch: SurfacePatch, t: np.ndarray):
-    """Embedded point, sqrt-Gram weight, and the normal fixed by the patch
-    orientation (not yet referenced to an interior point)."""
-    x = patch.param(t)
-    pt = ManifoldPoint(patch.chart, x)
-    u = embed(m, pt)
-    jac_chart = _param_jacobian(patch, t)
-    ju = embed_jacobian(m, patch.chart, np.asarray(x, dtype=np.float64)) @ jac_chart
-    gram = ju.T @ ju
-    w = float(np.sqrt(max(np.linalg.det(gram), 0.0)))
-    # the normal is orthogonal to the surface tangents and to the sphere
-    # radius (or the plane's vertical axis for a plane chart)
-    if m.chart(patch.chart).has_sphere:
-        axis = u
-    else:
-        axis = np.zeros(m.n + 1)
-        axis[m.n] = 1.0
-    rows = np.column_stack([axis] + [ju[:, j] for j in range(ju.shape[1])])
-    nrm = _generalized_cross(rows.T)
-    norm = np.linalg.norm(nrm)
-    if norm <= 1e-13:
-        raise SurfaceError("degenerate tangent frame at a quadrature node")
-    nrm = patch.orientation * nrm / norm
-    return pt, u, w, nrm, jac_chart
 
 
 def _interior_in_chart(m: GluedManifold, s: Hypersurface, chart: int) -> np.ndarray:
@@ -143,31 +110,28 @@ def _interior_in_chart(m: GluedManifold, s: Hypersurface, chart: int) -> np.ndar
     return np.asarray(coord, dtype=np.float64)
 
 
-def _outward_sign(m, s, patch, t, x, nrm, jac_chart) -> float:
-    """Sign making the given embedded normal point away from the bounded
-    subdomain: decided in flat chart coordinates (valid for surfaces that are
-    star-shaped around the interior point) and carried to the embedding via
-    the conformal chart map, which preserves orthogonality."""
-    if s.interior_point is None:
-        return 1.0
+def node_geometry(m: GluedManifold, s: Hypersurface, patch: SurfacePatch, t: np.ndarray) -> NodeGeometry:
+    """Geometry of the surface node at parameter t.
+
+    The chart normal is oriented away from the bounded subdomain in flat
+    chart coordinates (valid for surfaces star-shaped around the interior
+    point). The chart maps are conformal, so embed_jacobian carries it to a
+    vector tangent to the embedded manifold and orthogonal to the embedded
+    surface tangents: the embedded normal.
+    """
+    x = np.asarray(patch.param(t), dtype=np.float64)
+    pt = ManifoldPoint(patch.chart, x)
+    jac_chart = np.asarray(patch.param_jac(t), dtype=np.float64)
     nc = _generalized_cross(jac_chart.T)
-    ncn = np.linalg.norm(nc)
-    if ncn <= 1e-13:
-        raise SurfaceError("degenerate chart tangent frame")
-    nc = nc / ncn
-    p = _interior_in_chart(m, s, patch.chart)
-    chart_out = 1.0 if nc @ (np.asarray(x) - p) > 0 else -1.0
-    nc_embedded = embed_jacobian(m, patch.chart, np.asarray(x, dtype=np.float64)) @ nc
-    carry = 1.0 if nc_embedded @ nrm > 0 else -1.0
-    return chart_out * carry
-
-
-def outward_normal(m: GluedManifold, s: Hypersurface, patch: SurfacePatch, t: np.ndarray) -> np.ndarray:
-    """Unit normal at the surface point, tangent to the embedded manifold,
-    orthogonal to the surface tangents, pointing away from the bounded
-    subdomain (s.interior_point when given, else the patch orientation)."""
-    pt, u, _, nrm, jac_chart = _patch_geometry(m, patch, t)
-    return _outward_sign(m, s, patch, t, pt.coord, nrm, jac_chart) * nrm
+    if np.linalg.norm(nc) <= 1e-13:
+        raise SurfaceError("degenerate tangent frame at a quadrature node")
+    if nc @ (x - _interior_in_chart(m, s, patch.chart)) <= 0:
+        nc = -nc
+    ejac = embed_jacobian(m, patch.chart, x)
+    tangents = ejac @ jac_chart
+    weight = float(np.sqrt(max(np.linalg.det(tangents.T @ tangents), 0.0)))
+    normal = ejac @ nc
+    return NodeGeometry(pt, embed(m, pt), weight, normal / np.linalg.norm(normal), tangents)
 
 
 def _gauss_nodes(bounds, order):
@@ -199,12 +163,6 @@ def surface_quadrature(
     return QuadratureReport(v_full, err, nodes)
 
 
-def _oriented_geometry(m, s, patch, t):
-    pt, u, w, nrm, jac_chart = _patch_geometry(m, patch, t)
-    sign = _outward_sign(m, s, patch, t, pt.coord, nrm, jac_chart)
-    return pt, u, w, sign * nrm
-
-
 def _quad_once(m, s, integrand, order):
     total = None
     nodes = 0
@@ -216,9 +174,9 @@ def _quad_once(m, s, integrand, order):
         wflat = np.prod([w.ravel() for w in wgrids], axis=0)
         for i in range(flat[0].size):
             t = np.array([f[i] for f in flat])
-            pt, u, w, nrm = _oriented_geometry(m, s, patch, t)
-            val = integrand(pt, u, nrm)
-            contrib = val * (w * wflat[i])
+            geo = node_geometry(m, s, patch, t)
+            val = integrand(geo.point, geo.embedded, geo.normal)
+            contrib = val * (geo.weight * wflat[i])
             total = contrib if total is None else total + contrib
             nodes += 1
     return total, nodes
@@ -302,11 +260,26 @@ def cauchy_integral(
 
 @dataclass(frozen=True)
 class PlemeljResult:
-    nodes_param: np.ndarray
     points: tuple[ManifoldPoint, ...]
     g_plus: tuple[Multivector, ...]
     g_minus: tuple[Multivector, ...]
     g: tuple[Multivector, ...]
+
+
+def _vectors(rows: np.ndarray, dim: int) -> np.ndarray:
+    """Coefficient arrays of the grade-1 elements with the given components."""
+    out = np.zeros((rows.shape[0], 1 << dim))
+    out[:, 1 << np.arange(rows.shape[1])] = rows
+    return out
+
+
+def _fft_derivative(values: np.ndarray, period: float) -> np.ndarray:
+    """Spectral derivative along axis 0 of equispaced periodic samples."""
+    nn = values.shape[0]
+    freqs = np.fft.fftfreq(nn, d=1.0 / nn) * (2.0 * np.pi / period)
+    if nn % 2 == 0:
+        freqs[nn // 2] = 0.0
+    return np.real(np.fft.ifft(1j * freqs[:, None] * np.fft.fft(values, axis=0), axis=0))
 
 
 def plemelj_projections(
@@ -317,13 +290,21 @@ def plemelj_projections(
 ) -> PlemeljResult:
     """Discrete Hardy-space splitting g = g_plus + g_minus on a smooth closed
     curve (n = 2), with g_plus the approximate trace of the interior Cauchy
-    extension.
+    extension: P_pm = (I pm C_S) / 2.
 
-    The singular integral is regularized by subtracting, per target node, the
-    constant-germ holomorphic section matching g there: its principal value is
-    known exactly from the jump relation, and the remaining integrand is
-    smooth and periodic, so the trapezoid rule is spectrally accurate once the
-    removable diagonal value is filled in from the FFT derivative of the data.
+    The singular integral C_S is regularized at each target node i by
+    subtracting the constant-germ section W c_i that matches g there
+    (c_i = W_i^{-1} g_i): its principal value is known exactly from the jump
+    relation, and the remaining integrand is smooth and periodic, so the
+    trapezoid rule is spectrally accurate once the removable diagonal value
+    is filled in from the FFT derivative of the data. The regularized sum is
+    linear in c_i, so every target shares one kernel matrix and two FFT
+    derivatives:
+
+        C_S g = g + (2h / omega_n) [A g - (A W) c + B (g' - W' c)]
+
+    with A_ij = C_M(x_j, x_i) n_j |u'_j| off the diagonal and zero on it, and
+    B_i = u'_i n_i / |u'_i| the diagonal limit (G ~ u'/(s |u'|^2), data ~ s d').
     """
     if m.n != 2:
         raise SurfaceError("Plemelj projections are implemented for n = 2 curves")
@@ -334,19 +315,9 @@ def plemelj_projections(
     period = b - a
     nn = n_nodes or s.quad_order
     h = period / nn
-    ts = a + (np.arange(nn) + 0.5) * h
     dim = m.n + 1
-
-    pts, us, wg, nrms, tangents = [], [], [], [], []
-    for t in ts:
-        pt, u, w, nrm, jac_chart = _patch_geometry(m, patch, np.array([t]))
-        sign = _outward_sign(m, s, patch, np.array([t]), pt.coord, nrm, jac_chart)
-        ju = embed_jacobian(m, patch.chart, np.asarray(pt.coord, dtype=np.float64)) @ jac_chart
-        pts.append(pt)
-        us.append(u)
-        wg.append(w)
-        nrms.append(sign * nrm)
-        tangents.append(ju[:, 0])
+    geos = [node_geometry(m, s, patch, np.array([a + (i + 0.5) * h])) for i in range(nn)]
+    pts = [geo.point for geo in geos]
 
     if callable(g):
         gvals = [g(p) for p in pts]
@@ -355,37 +326,32 @@ def plemelj_projections(
         if len(gvals) != nn:
             raise SurfaceError("boundary data length must match the node count")
 
-    # node values of the unit-germ section: W_j c is the constant-germ
-    # section with germ c, evaluated at node j
+    # W_j c is the constant-germ section with germ c, evaluated at node j
     unit_sec = section_from_germ(m, constant_field(Multivector.scalar(1.0, dim), m.n))
     wsec = [unit_sec.value_at(p) for p in pts]
-    winv = [clifford_group_inverse(wv) for wv in wsec]
-    nhat = [Multivector.vector(REPRODUCING_NORMAL_SIGN * nr, dim) for nr in nrms]
+    gc = np.array([v.coeffs for v in gvals])
+    wc = np.array([v.coeffs for v in wsec])
+    c = gp_batch(dim, np.array([clifford_group_inverse(v).coeffs for v in wsec]), gc)
 
-    freqs = np.fft.fftfreq(nn, d=1.0 / nn) * (2.0 * np.pi / period)
-    if nn % 2 == 0:
-        freqs[nn // 2] = 0.0
+    weights = np.array([geo.weight for geo in geos])
+    normals = np.array([REPRODUCING_NORMAL_SIGN * geo.normal for geo in geos])
+    nw = _vectors(normals * weights[:, None], dim)
+    kern = np.zeros((nn, nn, 1 << dim))
+    for i, j in permutations(range(nn), 2):
+        kern[i, j] = kernel_CM(m, pts[j], pts[i]).value.coeffs
+    amat = gp_batch(dim, kern, nw[None])
+    tvec = _vectors(np.array([geo.tangents[:, 0] for geo in geos]) / weights[:, None] ** 2, dim)
+    bvec = gp_batch(dim, tvec, nw)
 
-    wn = unit_sphere_area(m.n)
-    gp, gm = [], []
-    for i in range(nn):
-        ci = winv[i] * gvals[i]
-        dvals = [gvals[j] - wsec[j] * ci for j in range(nn)]
-        coeff = np.array([d.coeffs for d in dvals])
-        dprime = np.real(np.fft.ifft(1j * freqs[:, None] * np.fft.fft(coeff, axis=0), axis=0))
-        acc = Multivector.zero(dim)
-        for j in range(nn):
-            if j == i:
-                # removable-singularity limit: G ~ u'/(s |u'|^2), data ~ s d'
-                tvec = Multivector.vector(tangents[i] / wg[i] ** 2, dim)
-                acc = acc + tvec * nhat[i] * Multivector(dim, dprime[i]) * wg[i]
-                continue
-            kv = kernel_CM(m, pts[j], pts[i])
-            acc = acc + kv.value * nhat[j] * dvals[j] * wg[j]
-        cs = acc * (2.0 * h / wn) + gvals[i]
-        gp.append((gvals[i] + cs) * 0.5)
-        gm.append((gvals[i] - cs) * 0.5)
-    return PlemeljResult(ts, tuple(pts), tuple(gp), tuple(gm), tuple(gvals))
+    a_g = gp_batch(dim, amat, gc[None]).sum(axis=1)
+    a_w = gp_batch(dim, amat, wc[None]).sum(axis=1)
+    d_prime = _fft_derivative(gc, period) - gp_batch(dim, _fft_derivative(wc, period), c)
+    cs = gc + (2.0 * h / unit_sphere_area(m.n)) * (
+        a_g - gp_batch(dim, a_w, c) + gp_batch(dim, bvec, d_prime)
+    )
+    g_plus = tuple(Multivector(dim, v) for v in (gc + cs) * 0.5)
+    g_minus = tuple(Multivector(dim, v) for v in (gc - cs) * 0.5)
+    return PlemeljResult(tuple(pts), g_plus, g_minus, tuple(gvals))
 
 
 # -- built-in surface families ----------------------------------------------

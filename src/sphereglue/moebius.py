@@ -256,9 +256,10 @@ def covariance_residual(psi: VahlenMap, x, y, weight_exponent_shift: int = 0) ->
     return (lhs - sgn * rhs).norm()
 
 
-def _pad(x: np.ndarray, k: int) -> np.ndarray:
+def _pad(x, k: int) -> np.ndarray:
+    """The first len(x) components of a length-k zero vector set to x."""
     out = np.zeros(k)
-    out[: x.size] = x
+    out[: len(x)] = x
     return out
 
 

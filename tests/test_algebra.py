@@ -12,6 +12,7 @@ from sphereglue.algebra import (
     Multivector,
     NotInvertibleError,
     clifford_group_inverse,
+    gp_batch,
     kelvin_inverse,
     reversion,
 )
@@ -64,6 +65,21 @@ def test_product_matches_rewrite_table(dim):
         want = np.zeros(2**dim)
         want[idx] = sign
         assert np.array_equal(got.coeffs, want), (i, j)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+def test_gp_batch_matches_product(dim):
+    """Rows of (3, 1, 2^k) times (4, 2^k) broadcast to (3, 4, 2^k); each row
+    is the scalar product of its operands, computed in the same order."""
+    rng = np.random.default_rng(dim)
+    a = rng.uniform(-1.0, 1.0, (3, 1, 2**dim))
+    b = rng.uniform(-1.0, 1.0, (4, 2**dim))
+    a[0, 0, 1] = 0.0  # a zero coefficient, which the scalar product skips
+    got = gp_batch(dim, a, b)
+    assert got.shape == (3, 4, 2**dim)
+    for p, q in itertools.product(range(3), range(4)):
+        want = Multivector(dim, a[p, 0]) * Multivector(dim, b[q])
+        assert np.array_equal(got[p, q], want.coeffs), (p, q)
 
 
 # -- defining relations ------------------------------------------------------

@@ -3,8 +3,11 @@ report stored in tests/golden/<name>.txt.
 
 After an intended report change, regenerate the files with
     PYTHONPATH=src python tests/test_golden.py
-and say in the change log which reports moved and why.
+which prints, per file, whether it changed and the old (-) and new (+) text
+of every line that differs; say in the change log which reports moved and
+why.
 """
+import difflib
 from pathlib import Path
 
 import pytest
@@ -50,5 +53,12 @@ if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         for case in sorted(CASES):
-            (GOLDEN / f"{case}.txt").write_text(run_case(case, Path(tmp)))
-            print("wrote", case)
+            path = GOLDEN / f"{case}.txt"
+            old = path.read_text() if path.exists() else ""
+            new = run_case(case, Path(tmp))
+            path.write_text(new)
+            print("changed" if new != old else "unchanged", case)
+            diff = difflib.unified_diff(old.splitlines(), new.splitlines(), lineterm="", n=0)
+            for line in diff:
+                if not line.startswith(("---", "+++", "@@")):
+                    print("   ", line)

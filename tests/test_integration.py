@@ -12,13 +12,14 @@ from sphereglue.integration import (
     cauchy_integral,
     chart_circle,
     chart_sphere,
-    outward_normal,
+    node_geometry,
     plemelj_projections,
     section_from_germ,
     surface_quadrature,
     unit_sphere_area,
 )
-from sphereglue.manifold import ManifoldPoint, embed, two_spheres
+from sphereglue.kernel import kernel_CM
+from sphereglue.manifold import ManifoldPoint, embed, plane_sphere, two_spheres
 from sphereglue.moebius import cauchy_kernel_G, cayley, weight_J
 
 
@@ -93,19 +94,27 @@ def test_equator_normal_bounding_south_cap(m2):
     t = np.array([np.pi])
     u = embed(m2, ManifoldPoint(1, patch.param(t)))
     assert np.allclose(u, [1, 0, 0], atol=1e-12)
-    nrm = outward_normal(m2, s, patch, t)
+    nrm = node_geometry(m2, s, patch, t).normal
     assert np.allclose(nrm, [0, 0, 1], atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "m2",
+    [two_spheres(2, 2.0), two_spheres(2, 2.0, (1.5, 1.0)), plane_sphere(2, 2.0)],
+    ids=["two_spheres", "scale1", "plane_sphere"],
+)
 def test_normal_orthogonality(m2):
     s = chart_circle(m2, 1, np.array([0.2, -0.1]), 2.5, 16, interior=ManifoldPoint(1, np.zeros(2)))
     patch = s.patches[0]
     for t in np.linspace(0, 2 * np.pi, 9)[:-1]:
         tv = np.array([t])
-        nrm = outward_normal(m2, s, patch, tv)
+        nrm = node_geometry(m2, s, patch, tv).normal
         u = embed(m2, ManifoldPoint(1, patch.param(tv)))
+        # the embedded chart-1 picture is a sphere about the origin or the
+        # coordinate plane x_{n+1} = 0
+        axis = u if m2.chart(1).has_sphere else np.array([0.0, 0.0, 1.0])
         assert abs(np.linalg.norm(nrm) - 1.0) <= 1e-12
-        assert abs(nrm @ u) <= 1e-12  # tangent to the sphere
+        assert abs(nrm @ axis) <= 1e-12  # tangent to the embedded manifold
         h = 1e-6
         du = (
             embed(m2, ManifoldPoint(1, patch.param(tv + h)))
@@ -292,15 +301,15 @@ def test_plemelj_defect_halves(m2):
     assert d[128] <= 0.5 * d[64]
 
 
+def _mixed_data(p):
+    c = np.asarray(p.coord)
+    return Multivector.vector([np.sin(c[0]), np.cos(c[1]), 0.1], 3)
+
+
 def test_plemelj_mixed_data_partition(m2):
     """Arbitrary (non-monogenic) data still splits exactly."""
     s = _surf(m2, 3.0, 64)
-
-    def g(p):
-        c = np.asarray(p.coord)
-        return Multivector.vector([np.sin(c[0]), np.cos(c[1]), 0.1], 3)
-
-    res = plemelj_projections(m2, s, g, n_nodes=64)
+    res = plemelj_projections(m2, s, _mixed_data, n_nodes=64)
     assert max(
         (res.g_plus[i] + res.g_minus[i] - res.g[i]).norm() for i in range(64)
     ) <= 1e-14
@@ -311,8 +320,56 @@ def test_plemelj_mixed_data_partition(m2):
     assert second <= 2.0 * first + 1e-10
 
 
+def _plemelj_g_minus_per_target(m, s, g, nn):
+    """Reference: the regularized singular integral summed separately for
+    each target node, with its own FFT derivative of the subtracted data."""
+    patch = s.patches[0]
+    (a, b) = patch.bounds[0]
+    h = (b - a) / nn
+    geos = [node_geometry(m, s, patch, np.array([a + (i + 0.5) * h])) for i in range(nn)]
+    pts = [geo.point for geo in geos]
+    gvals = [g(p) for p in pts]
+    unit_sec = section_from_germ(m, constant_field(Multivector.scalar(1.0, 3), 2))
+    wsec = [unit_sec.value_at(p) for p in pts]
+    nhat = [Multivector.vector(-geo.normal, 3) for geo in geos]
+    freqs = np.fft.fftfreq(nn, d=1.0 / nn) * (2.0 * np.pi / (b - a))
+    freqs[nn // 2] = 0.0
+    out = []
+    for i in range(nn):
+        ci = clifford_group_inverse(wsec[i]) * gvals[i]
+        dvals = [gvals[j] - wsec[j] * ci for j in range(nn)]
+        coeff = np.array([d.coeffs for d in dvals])
+        dprime = np.real(np.fft.ifft(1j * freqs[:, None] * np.fft.fft(coeff, axis=0), axis=0))
+        acc = Multivector.zero(3)
+        for j in range(nn):
+            wj = geos[j].weight
+            if j == i:
+                tvec = Multivector.vector(geos[i].tangents[:, 0] / wj**2, 3)
+                acc = acc + tvec * nhat[i] * Multivector(3, dprime[i]) * wj
+            else:
+                acc = acc + kernel_CM(m, pts[j], pts[i]).value * nhat[j] * dvals[j] * wj
+        cs = acc * (2.0 * h / unit_sphere_area(2)) + gvals[i]
+        out.append((gvals[i] - cs) * 0.5)
+    return out
+
+
+@pytest.mark.parametrize("nn", [16, 32])
+@pytest.mark.parametrize("data", ["section", "mixed"])
+def test_plemelj_matches_per_target_sum(m2, nn, data):
+    g = section_from_germ(m2, _germ(m2)).value_at if data == "section" else _mixed_data
+    s = _surf(m2, 3.0, nn)
+    res = plemelj_projections(m2, s, g, n_nodes=nn)
+    ref = _plemelj_g_minus_per_target(m2, s, g, nn)
+    assert max((res.g_minus[i] - ref[i]).norm() for i in range(nn)) <= 1e-13
+
+
 def test_plemelj_requires_closed_curve(m2):
-    patch = SurfacePatch(1, ((0.0, np.pi),), lambda t: 3.0 * np.array([np.cos(t[0]), np.sin(t[0])]))
+    patch = SurfacePatch(
+        1,
+        ((0.0, np.pi),),
+        lambda t: 3.0 * np.array([np.cos(t[0]), np.sin(t[0])]),
+        lambda t: 3.0 * np.array([[-np.sin(t[0])], [np.cos(t[0])]]),
+    )
     s = Hypersurface((patch,), 32, ManifoldPoint(1, np.zeros(2)), closed=False)
     with pytest.raises(SurfaceError):
         plemelj_projections(m2, s, lambda p: Multivector.scalar(1.0, 3))
