@@ -54,8 +54,6 @@ class RunConfig:
     break_weight: int = 0
     break_normal: int = 0
     corrupt_vahlen: int = 0
-    # tolerance overrides keyed by property name
-    tolerances: dict = dataclasses.field(default_factory=dict)
 
 
 _INT_KEYS = {"n", "seed", "order", "break_weight", "break_normal", "corrupt_vahlen"}
@@ -89,8 +87,6 @@ def build_config(args: argparse.Namespace) -> RunConfig:
                 cfg.kind = val
             elif key == "out":
                 cfg.out = val
-            elif key.startswith("tol_"):
-                cfg.tolerances[key[4:]] = float(val)
             else:
                 raise ValueError(f"unknown config key {key!r}")
     if args.seed is not None:
@@ -108,8 +104,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     for key in ("scale1", "scale2"):
         if not getattr(cfg, key) > 0.0:
             raise ValueError(f"{key} must be > 0")
-    if cfg.order < 1:
-        raise ValueError("order must be >= 1")
+    if cfg.order < 4:
+        raise ValueError("order must be >= 4")
     if cfg.n + cfg.break_weight < 1:
         raise ValueError("break_weight must exceed -n")
     return cfg
@@ -155,8 +151,7 @@ class Report:
         ]
         self.records: list[Record] = []
 
-    def add(self, name: str, residual: float, threshold: float, cfg: RunConfig):
-        threshold = cfg.tolerances.get(name, threshold)
+    def add(self, name: str, residual: float, threshold: float):
         rec = Record(name, residual, threshold)
         self.records.append(rec)
         self.lines.append(rec.line())
@@ -197,9 +192,11 @@ def _random_maps(rng, n: int, count: int, corrupt: bool = False):
             m3 = translation_map(rng.uniform(-2.0, 2.0, n), n, n)
             maps.append(compose(m3, compose(m2, m1)))
     if corrupt and maps:
+        # a bivector in `a` leaves no map of the pool a valid Vahlen matrix
         bad = maps[0]
+        k = bad.ambient_dim
         maps[0] = VahlenMap(
-            bad.a + Multivector.scalar(0.25, bad.ambient_dim),
+            bad.a + 0.25 * Multivector.basis_vector(0, k) * Multivector.basis_vector(1, k),
             bad.b,
             bad.c,
             bad.d,
@@ -224,7 +221,7 @@ def _admissible_pair(rng, psi, n):
         den_x = (psi.c * Multivector.vector(_pad(x, psi.ambient_dim), psi.ambient_dim) + psi.d).norm()
         if den_x < 0.1:
             continue
-        return x, y
+        return x, y, px, py
 
 
 def cmd_verify_algebra(cfg: RunConfig) -> tuple[str, int]:
@@ -249,9 +246,9 @@ def cmd_verify_algebra(cfg: RunConfig) -> tuple[str, int]:
             (v * v + Multivector.scalar(float(v.vector_part() @ v.vector_part()), dim)).norm()
             / max(v.norm() ** 2, 1e-30),
         )
-    rep.add("associativity", worst_assoc, 1e-10, cfg)
-    rep.add("reversion-antiautomorphism", worst_rev, 1e-10, cfg)
-    rep.add("vector-square", worst_sq, 1e-10, cfg)
+    rep.add("associativity", worst_assoc, 1e-10)
+    rep.add("reversion-antiautomorphism", worst_rev, 1e-10)
+    rep.add("vector-square", worst_sq, 1e-10)
 
     # covariance suite
     maps = _random_maps(rng, cfg.n, 40, corrupt=bool(cfg.corrupt_vahlen))
@@ -259,15 +256,15 @@ def cmd_verify_algebra(cfg: RunConfig) -> tuple[str, int]:
     for psi in maps:
         for _ in range(5):
             try:
-                x, y = _admissible_pair(rng, psi, cfg.n)
-                res = covariance_residual(psi, x, y)
+                x, y, px, py = _admissible_pair(rng, psi, cfg.n)
+                res = covariance_residual(psi, x, y, px, py)
             except VahlenError:
                 # a corrupted map fails the grade-1 validity check outright
-                rep.add("kernel-covariance", float("inf"), 1e-9, cfg)
+                rep.add("kernel-covariance", float("inf"), 1e-9)
                 return rep.finish()
             base = cauchy_kernel_G(_pad(x, psi.ambient_dim) - _pad(y, psi.ambient_dim), psi.kernel_exponent, psi.ambient_dim).norm()
             worst_cov = max(worst_cov, res / max(base, 1e-30))
-    rep.add("kernel-covariance", worst_cov, 1e-9, cfg)
+    rep.add("kernel-covariance", worst_cov, 1e-9)
 
     # pullback monogenicity suite: each map is used as a Moebius map of its
     # full ambient space (flat-Dirac covariance holds with exponent = ambient
@@ -291,7 +288,7 @@ def cmd_verify_algebra(cfg: RunConfig) -> tuple[str, int]:
                 continue
             worst_fd = max(worst_fd, resid)
             checked += 1
-    rep.add("pullback-monogenicity-fd", worst_fd, 1e-5, cfg)
+    rep.add("pullback-monogenicity-fd", worst_fd, 1e-5)
     return rep.finish()
 
 
@@ -320,7 +317,7 @@ def cmd_verify_kernel(cfg: RunConfig) -> tuple[str, int]:
         ref = cauchy_kernel_G(embed(m, px) - embed(m, py), m.n, m.n + 1).norm()
         worst = max(worst, res / max(ref, 1e-30))
         count += 1
-    rep.add("overlap-consistency", worst, 1e-9, cfg)
+    rep.add("overlap-consistency", worst, 1e-9)
 
     # case coherence: the kernel is continuous where y crosses from neck to
     # chart-2 body (the overlap-rep / cross-glue branches agree at the seam)
@@ -330,7 +327,7 @@ def cmd_verify_kernel(cfg: RunConfig) -> tuple[str, int]:
     eps = 1e-7
     v_in = kernel_CM(m, x, ManifoldPoint(2, (m.r - eps) * direction)).value
     v_out = kernel_CM(m, x, ManifoldPoint(2, (m.r + eps) * direction)).value
-    rep.add("case-coherence-seam-jump", (v_in - v_out).norm(), 1e-6, cfg)
+    rep.add("case-coherence-seam-jump", (v_in - v_out).norm(), 1e-6)
 
     # diagonal request surfaces a structured error
     try:
@@ -338,7 +335,7 @@ def cmd_verify_kernel(cfg: RunConfig) -> tuple[str, int]:
         diag = 1.0
     except DiagonalError:
         diag = 0.0
-    rep.add("diagonal-error-surfaced", diag, 0.0, cfg)
+    rep.add("diagonal-error-surfaced", diag, 0.0)
 
     # diagonal blow-up strength
     worst_blow = 0.0
@@ -348,7 +345,7 @@ def cmd_verify_kernel(cfg: RunConfig) -> tuple[str, int]:
         d = np.linalg.norm(embed(m, ManifoldPoint(1, base_pt)) - embed(m, y))
         val = kernel_CM(m, ManifoldPoint(1, base_pt), y).value.norm()
         worst_blow = max(worst_blow, abs(val * d ** (m.n - 1) - 1.0))
-    rep.add("diagonal-blowup-strength", worst_blow, 1e-3, cfg)
+    rep.add("diagonal-blowup-strength", worst_blow, 1e-3)
     return rep.finish()
 
 
@@ -376,12 +373,12 @@ def cmd_verify_cauchy(cfg: RunConfig) -> tuple[str, int]:
     y_same = ManifoldPoint(1, _pad([1.2, 0.4], m.n))
     res = cauchy_integral(m, surf, sec, y_same, order=order_same, normal_sign=nsign)
     err_same = (res.value - sec.value_at(y_same)).norm()
-    rep.add("same-chart-reproduction", err_same, 1e-6, cfg)
+    rep.add("same-chart-reproduction", err_same, 1e-6)
 
     # constant-germ section reproduction
     csec = section_from_germ(m, constant_field(Multivector.scalar(1.0, m.n + 1), m.n))
     res_c = cauchy_integral(m, surf, csec, y_same, order=order_same, normal_sign=nsign)
-    rep.add("constant-germ-reproduction", (res_c.value - csec.value_at(y_same)).norm(), 1e-8, cfg)
+    rep.add("constant-germ-reproduction", (res_c.value - csec.value_at(y_same)).norm(), 1e-8)
 
     # cross-glue reproduction with convergence table
     y_cross = ManifoldPoint(2, _pad([2.5, 1.0], m.n))
@@ -396,7 +393,7 @@ def cmd_verify_cauchy(cfg: RunConfig) -> tuple[str, int]:
         e = (r_od.value - exact).norm()
         errs.append(e)
         rows.append(f"{od},{e:.6e},{r_od.estimated_error:.6e},{r_od.nodes_used}")
-    rep.add("cross-glue-reproduction", errs[orders.index(final)], 1e-4, cfg)
+    rep.add("cross-glue-reproduction", errs[orders.index(final)], 1e-4)
     # monotone decay until the rounding plateau
     plateau = 1e-12
     mono = max(
@@ -407,7 +404,7 @@ def cmd_verify_cauchy(cfg: RunConfig) -> tuple[str, int]:
         ),
         default=0.0,
     )
-    rep.add("cross-glue-monotone-decay", 0.0 if mono < 1.0 else mono, 1.0, cfg)
+    rep.add("cross-glue-monotone-decay", 0.0 if mono < 1.0 else mono, 1.0)
     rep.add_csv("cross-glue-convergence", "order,error,estimated_error,nodes", rows)
 
     # contour independence: the same-chart integral above against a contour
@@ -418,7 +415,6 @@ def cmd_verify_cauchy(cfg: RunConfig) -> tuple[str, int]:
         "contour-independence",
         (res.value - r_b.value).norm() / combined,
         1.0,
-        cfg,
     )
     return rep.finish()
 
@@ -427,7 +423,7 @@ def cmd_hardy(cfg: RunConfig) -> tuple[str, int]:
     rep = Report("hardy report", cfg)
     if cfg.n != 2:
         rep.add_note("note hardy suite requires n=2")
-        rep.add("hardy-requires-n2", 1.0, 0.0, cfg)
+        rep.add("hardy-requires-n2", 1.0, 0.0)
         return rep.finish()
     m = make_manifold(cfg)
     pole = np.array([4.0, 0.0])
@@ -441,15 +437,15 @@ def cmd_hardy(cfg: RunConfig) -> tuple[str, int]:
     part = max(
         (res.g_plus[i] + res.g_minus[i] - res.g[i]).norm() for i in range(nn)
     )
-    rep.add("monogenic-trace-defect", defect, 1e-3, cfg)
-    rep.add("exact-partition", part, 1e-14, cfg)
+    rep.add("monogenic-trace-defect", defect, 1e-3)
+    rep.add("exact-partition", part, 1e-14)
 
     res_half = plemelj_projections(m, surf, lambda p: sec.value_at(p), n_nodes=nn // 2)
     defect_half = max(v.norm() for v in res_half.g_minus)
     ratio = defect / max(defect_half, 1e-30)
     # doubling must at least halve the defect, unless already at rounding
     ok = ratio <= 0.5 or defect <= 1e-12
-    rep.add("defect-halving-on-doubling", 0.0 if ok else ratio, 0.5, cfg)
+    rep.add("defect-halving-on-doubling", 0.0 if ok else ratio, 0.5)
     return rep.finish()
 
 

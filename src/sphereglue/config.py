@@ -1,7 +1,7 @@
 """Central numeric tolerances.
 
 All residual checks in the library are relative and default to this single
-knob; verification suites may override per property.
+knob.
 """
 
 DEFAULT_RTOL = 1e-10

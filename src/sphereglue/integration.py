@@ -313,7 +313,9 @@ def plemelj_projections(
     patch = s.patches[0]
     (a, b) = patch.bounds[0]
     period = b - a
-    nn = n_nodes or s.quad_order
+    nn = s.quad_order if n_nodes is None else n_nodes
+    if nn < 2:
+        raise SurfaceError(f"Plemelj projections need at least 2 nodes, got {nn}")
     h = period / nn
     dim = m.n + 1
     geos = [node_geometry(m, s, patch, np.array([a + (i + 0.5) * h])) for i in range(nn)]

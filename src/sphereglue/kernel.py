@@ -16,7 +16,6 @@ import numpy as np
 
 from .algebra import Multivector
 from .manifold import (
-    BODY,
     NECK,
     GluedManifold,
     ManifoldPoint,
@@ -27,7 +26,7 @@ from .manifold import (
     embed,
     equivalent,
 )
-from .moebius import cauchy_kernel_G, weight_J
+from .moebius import cauchy_kernel_G, covariance_residual, weight_J
 
 SAME_CHART = "same-chart"
 OVERLAP_REP = "overlap-rep"
@@ -46,9 +45,6 @@ class KernelValue:
 
 def kernel_CM(m: GluedManifold, x: ManifoldPoint, y: ManifoldPoint) -> KernelValue:
     """C_M(x, y) for non-equivalent admissible points."""
-    for p in (x, y):
-        if classify(m, p) == "inadmissible":
-            raise ManifoldError("inadmissible point")
     if equivalent(m, x, y):
         raise DiagonalError("Cauchy kernel undefined on the diagonal")
 
@@ -70,24 +66,13 @@ def kernel_CM(m: GluedManifold, x: ManifoldPoint, y: ManifoldPoint) -> KernelVal
 
 
 def overlap_consistency_residual(m: GluedManifold, x: ManifoldPoint, y: ManifoldPoint) -> float:
-    """Both points in the neck: difference between the direct chart-2
-    evaluation and the chart-1 evaluation conjugated by the transfer weights
-    (the sphere-level kernel covariance identity)."""
+    """Both points in the neck: the kernel covariance residual of the
+    chart-2 -> chart-1 transfer between the points' chart-2 and chart-1
+    embeddings. Each point is read in chart 1 first (a chart-2 point through
+    the transition, as kernel_CM reads it), then carried to chart 2."""
     if classify(m, x) != NECK or classify(m, y) != NECK:
         raise ManifoldError("overlap consistency needs both points in the neck")
-    x1 = x.coord if x.chart == 1 else apply_transition(m, x.coord)
-    y1 = y.coord if y.chart == 1 else apply_transition(m, y.coord)
-    x2 = apply_transition(m, x1)
-    y2 = apply_transition(m, y1)
-
-    e1x = embed(m, ManifoldPoint(1, x1))
-    e1y = embed(m, ManifoldPoint(1, y1))
-    e2x = embed(m, ManifoldPoint(2, x2))
-    e2y = embed(m, ManifoldPoint(2, y2))
-
-    trans = chart_transfer(m, 1, 2)  # sphere-2 picture -> sphere-1 picture
-    wx = weight_J(trans, e2x)
-    wy = weight_J(trans, e2y)
-    lhs = wy * cauchy_kernel_G(e1x - e1y, m.n, m.n + 1) * wx
-    rhs = cauchy_kernel_G(e2x - e2y, m.n, m.n + 1)
-    return (lhs - rhs).norm()
+    x1, y1 = (p.coord if p.chart == 1 else apply_transition(m, p.coord) for p in (x, y))
+    e1x, e1y = (embed(m, ManifoldPoint(1, c)) for c in (x1, y1))
+    e2x, e2y = (embed(m, ManifoldPoint(2, apply_transition(m, c))) for c in (x1, y1))
+    return covariance_residual(chart_transfer(m, 1, 2), e2x, e2y, e1x, e1y)

@@ -117,10 +117,6 @@ class ManifoldPoint:
             object.__setattr__(self, "coord", c)
 
 
-def point(chart: int, coord) -> ManifoldPoint:
-    return ManifoldPoint(chart, coord)
-
-
 def classify(m: GluedManifold, p: ManifoldPoint) -> str:
     """body / neck / inadmissible for the point's own chart coordinates."""
     ch = m.chart(p.chart)

@@ -10,6 +10,7 @@ of the manifold the map serves, also when the algebra is Cl_{n+1}.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -66,6 +67,15 @@ class VahlenMap:
             raise VahlenError("coefficient algebra dims must equal ambient_dim")
         if self.kernel_exponent < 1:
             raise VahlenError("kernel_exponent must be positive")
+
+    @cached_property
+    def pseudo_determinant(self) -> float:
+        """The scalar a~d - b~c, computed once per map."""
+        delta = self.a * reversion(self.d) - self.b * reversion(self.c)
+        s = delta.scalar_part()
+        if delta.max_grade_deviation(0) > DEFAULT_RTOL * max(abs(s), 1.0):
+            raise VahlenError("a~d - b~c is not scalar: not a valid Vahlen matrix")
+        return s
 
 
 def identity_map(k: int, m: int | None = None) -> VahlenMap:
@@ -150,7 +160,7 @@ def weight_J(psi: VahlenMap, x) -> Multivector:
     """
     if is_infinity(x):
         raise SingularPointError("weight undefined at infinity")
-    nu = abs(pseudo_determinant(psi)) ** 0.5
+    nu = abs(psi.pseudo_determinant) ** 0.5
     xm = _as_vector_mv(x, psi.ambient_dim)
     den = (psi.c * xm + psi.d) / nu
     s = den.norm()
@@ -174,19 +184,10 @@ def compose(psi2: VahlenMap, psi1: VahlenMap) -> VahlenMap:
     return VahlenMap(a, b, c, d, psi1.ambient_dim, psi1.kernel_exponent)
 
 
-def pseudo_determinant(psi: VahlenMap) -> float:
-    """The scalar a~d - b~c of a Vahlen matrix."""
-    delta = psi.a * reversion(psi.d) - psi.b * reversion(psi.c)
-    s = delta.scalar_part()
-    if delta.max_grade_deviation(0) > DEFAULT_RTOL * max(abs(s), 1.0):
-        raise VahlenError("a~d - b~c is not scalar: not a valid Vahlen matrix")
-    return s
-
-
 def inverse(psi: VahlenMap) -> VahlenMap:
     """Exact matrix inverse (~d, -~b; -~c, ~a)/(a~d - b~c), validated
     pointwise on sample vectors."""
-    delta = pseudo_determinant(psi)
+    delta = psi.pseudo_determinant
     if abs(delta) <= 1e-14:
         raise VahlenError("Vahlen matrix has vanishing pseudo-determinant")
     inv = VahlenMap(
@@ -223,12 +224,15 @@ def cauchy_kernel_G(x, n: int, dim: int | None = None) -> Multivector:
     return Multivector.vector(x / r**n, dim if dim is not None else x.size)
 
 
-def covariance_residual(psi: VahlenMap, x, y, weight_exponent_shift: int = 0) -> float:
-    """|| G(psi(x)-psi(y)) - sgn * ~J(psi,y)^{-1} G(x-y) J(psi,x)^{-1} ||.
+def covariance_residual(psi: VahlenMap, x, y, px, py, weight_exponent_shift: int = 0) -> float:
+    """|| G(px - py) - sgn * J(psi,y)^{-1} G(x-y) (~J(psi,x))^{-1} || with
+    px = psi(x), py = psi(y): the Moebius covariance of the Cauchy kernel.
 
     sgn is the sign of the pseudo-determinant a~d - b~c: matrices with
     negative pseudo-determinant (e.g. the Cayley transform) satisfy the
-    kernel-covariance identity with an overall minus sign.
+    identity with an overall minus sign. The reversion sits on the weight at
+    x; on maps whose weights have grade <= 1 either placement holds, on
+    compositions with even-grade weights only this one does.
 
     weight_exponent_shift perturbs only the exponent inside the J factors
     (leaving the kernel exponent alone); nonzero values are falsification
@@ -236,12 +240,6 @@ def covariance_residual(psi: VahlenMap, x, y, weight_exponent_shift: int = 0) ->
     """
     import dataclasses as _dc
 
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    px = apply(psi, x)
-    py = apply(psi, y)
-    if is_infinity(px) or is_infinity(py):
-        raise SingularPointError("map is singular at an evaluation point")
     m = psi.kernel_exponent
     k = psi.ambient_dim
     lhs = cauchy_kernel_G(px - py, m, k)
@@ -251,8 +249,8 @@ def covariance_residual(psi: VahlenMap, x, y, weight_exponent_shift: int = 0) ->
     jy = weight_J(psi_w, y)
     jx = weight_J(psi_w, x)
     mid = cauchy_kernel_G(_pad(x, k) - _pad(y, k), m, k)
-    sgn = 1.0 if pseudo_determinant(psi) > 0 else -1.0
-    rhs = clifford_group_inverse(reversion(jy)) * mid * clifford_group_inverse(jx)
+    sgn = 1.0 if psi.pseudo_determinant > 0 else -1.0
+    rhs = clifford_group_inverse(jy) * mid * clifford_group_inverse(reversion(jx))
     return (lhs - sgn * rhs).norm()
 
 

@@ -133,7 +133,7 @@ def _covariance_worst(rng, n, triples, shift=0):
         gx = np.zeros(k)
         gx[:n] = x - y
         base = cauchy_kernel_G(gx, psi.kernel_exponent, k).norm()
-        res = covariance_residual(psi, x, y, weight_exponent_shift=shift)
+        res = covariance_residual(psi, x, y, px, py, weight_exponent_shift=shift)
         worst = max(worst, res / max(base, 1e-30))
         done += 1
     return worst

@@ -14,7 +14,7 @@ def run(tmp_path, *argv):
 
 def test_config_parsing(tmp_path):
     cfg_file = tmp_path / "run.cfg"
-    cfg_file.write_text("# comment\nkind=two_spheres\nn=2\nr=2.5\nseed=7\ntol_overlap-consistency=1e-8\n")
+    cfg_file.write_text("# comment\nkind=two_spheres\nn=2\nr=2.5\nseed=7\n")
     values = parse_config_file(str(cfg_file))
     assert values["r"] == "2.5"
 
@@ -23,12 +23,12 @@ def test_config_parsing(tmp_path):
     ns = argparse.Namespace(config=str(cfg_file), seed=None, order=None, out=None)
     cfg = build_config(ns)
     assert cfg.r == 2.5 and cfg.seed == 7
-    assert cfg.tolerances["overlap-consistency"] == 1e-8
 
 
-def test_config_rejects_bad_key(tmp_path):
+@pytest.mark.parametrize("line", ["bogus=1", "tol_overlap-consistency=1e-8"])
+def test_config_rejects_bad_key(tmp_path, line):
     cfg_file = tmp_path / "run.cfg"
-    cfg_file.write_text("bogus=1\n")
+    cfg_file.write_text(line + "\n")
     import argparse
 
     ns = argparse.Namespace(config=str(cfg_file), seed=None, order=None, out=None)
@@ -97,11 +97,25 @@ def test_negative_control_corrupt_vahlen(tmp_path):
     assert "kernel-covariance" in text
 
 
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("seed", [2, 11])
+def test_corrupt_vahlen_fails_at_every_seed(tmp_path, n, seed):
+    """The corrupted map is invalid whatever kind the first random map is;
+    a scalar added to `a` left translations and the neck inversion valid."""
+    cfg = tmp_path / "cv.cfg"
+    cfg.write_text(f"corrupt_vahlen=1\nn={n}\n")
+    status, text = run(tmp_path, "verify-algebra", "--config", str(cfg), "--seed", str(seed))
+    assert status != 0
+    assert "property=kernel-covariance" in text and "verdict=fail" in text
+
+
 BAD_CONFIGS = [
     ("verify-algebra", "n=5\n", "n"),
     ("verify-kernel", "kind=torus\n", "kind"),
     ("verify-cauchy", "order=0\n", "order"),
     ("hardy", "order=0\n", "order"),
+    ("hardy", "order=1\n", "order"),
+    ("verify-cauchy", "order=3\n", "order"),
     ("verify-kernel", "scale1=0\n", "scale1"),
     ("verify-cauchy", "scale1=0\n", "scale1"),
     ("hardy", "scale1=0\n", "scale1"),
@@ -111,9 +125,13 @@ BAD_CONFIGS = [
 ]
 
 
-@pytest.mark.parametrize(
-    "command, text, key", BAD_CONFIGS, ids=[f"{c}-{k}" for c, _, k in BAD_CONFIGS]
-)
+# ids are command-key, or command-line where that pair is already taken
+BAD_CONFIG_IDS = []
+for _c, _t, _k in BAD_CONFIGS:
+    BAD_CONFIG_IDS.append(f"{_c}-{_k}" if f"{_c}-{_k}" not in BAD_CONFIG_IDS else f"{_c}-{_t.strip()}")
+
+
+@pytest.mark.parametrize("command, text, key", BAD_CONFIGS, ids=BAD_CONFIG_IDS)
 def test_bad_config_exit_code(tmp_path, capsys, command, text, key):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(text)

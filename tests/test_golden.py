@@ -22,7 +22,6 @@ CASES = {
     "algebra-n3": ("verify-algebra", {"n": 3}, ["--seed", "0"]),
     "kernel-two_spheres-n2": ("verify-kernel", {"kind": "two_spheres", "n": 2}, []),
     "kernel-two_spheres-n3": ("verify-kernel", {"kind": "two_spheres", "n": 3}, []),
-    # pins the known plane_sphere overlap-consistency failure
     "kernel-plane_sphere-n2": ("verify-kernel", {"kind": "plane_sphere", "n": 2}, []),
     "kernel-plane_sphere-n3": ("verify-kernel", {"kind": "plane_sphere", "n": 3}, []),
     "cauchy-two_spheres": ("verify-cauchy", {"kind": "two_spheres"}, ["--order", "32"]),

@@ -375,6 +375,15 @@ def test_plemelj_requires_closed_curve(m2):
         plemelj_projections(m2, s, lambda p: Multivector.scalar(1.0, 3))
 
 
+def test_plemelj_needs_two_nodes(m2):
+    """With one node the kernel matrix is empty and g_minus vanishes for any
+    data, so fewer than two nodes are refused, also when asked for 0."""
+    data = lambda p: Multivector.scalar(1.0, 3)
+    for s, nodes in ((_surf(m2, 3.0, 1), None), (_surf(m2, 3.0, 64), 1), (_surf(m2, 3.0, 64), 0)):
+        with pytest.raises(SurfaceError):
+            plemelj_projections(m2, s, data, n_nodes=nodes)
+
+
 def test_plemelj_requires_n2(m3):
     s = _surf(m3, 3.0, 8)
     with pytest.raises(SurfaceError):

@@ -18,6 +18,7 @@ from sphereglue.manifold import (
     ManifoldPoint,
     apply_transition,
     embed,
+    plane_sphere,
     two_spheres,
 )
 from sphereglue.moebius import cayley, weight_J
@@ -110,7 +111,16 @@ def test_diagonal_blowup_strength(m2):
 # -- overlap consistency -----------------------------------------------------
 
 
-def test_overlap_consistency_random_pairs(m2):
+OVERLAP_MANIFOLDS = {
+    "two_spheres": lambda: two_spheres(2, 2.0),
+    "scale1=1.5": lambda: two_spheres(2, 2.0, (1.5, 1.0)),
+    "plane_sphere": lambda: plane_sphere(2, 2.0),
+}
+
+
+@pytest.mark.parametrize("kind", OVERLAP_MANIFOLDS)
+def test_overlap_consistency_random_pairs(kind):
+    m = OVERLAP_MANIFOLDS[kind]()
     rng = np.random.default_rng(0)
     count = 0
     while count < 100:
@@ -119,7 +129,7 @@ def test_overlap_consistency_random_pairs(m2):
         if np.linalg.norm(x2 - y2) < 0.05:
             continue
         res = overlap_consistency_residual(
-            m2, ManifoldPoint(2, x2), ManifoldPoint(2, y2)
+            m, ManifoldPoint(2, x2), ManifoldPoint(2, y2)
         )
         assert res <= 1e-9
         count += 1

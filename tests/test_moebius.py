@@ -22,10 +22,10 @@ from sphereglue.moebius import (
     inverse,
     is_infinity,
     neck_inversion,
-    pseudo_determinant,
     translation_map,
     weight_J,
 )
+from sphereglue.manifold import chart_transfer, plane_sphere
 
 
 # -- apply -------------------------------------------------------------------
@@ -79,7 +79,7 @@ def test_weight_norm_scaling():
     """For a unimodular map, ||J(psi, x)|| = ||cx+d||^(1-m)."""
     rng = np.random.default_rng(1)
     psi = compose(translation_map(np.array([0.4, -0.2])), neck_inversion(2))
-    assert abs(abs(pseudo_determinant(psi)) - 1.0) <= 1e-12
+    assert abs(abs(psi.pseudo_determinant) - 1.0) <= 1e-12
     for _ in range(20):
         x = rng.uniform(0.3, 2.0, 2)
         den = psi.c * Multivector.vector(x, 2) + psi.d
@@ -229,13 +229,20 @@ def test_kernel_singularity():
 # -- covariance --------------------------------------------------------------
 
 
+def _covariance(psi, x, y, weight_exponent_shift=0):
+    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    return covariance_residual(
+        psi, x, y, apply(psi, x), apply(psi, y), weight_exponent_shift=weight_exponent_shift
+    )
+
+
 def test_covariance_identity_map():
-    assert covariance_residual(identity_map(2), [1.0, 0.0], [0.0, 1.0]) <= 1e-14
+    assert _covariance(identity_map(2), [1.0, 0.0], [0.0, 1.0]) <= 1e-14
 
 
 def test_covariance_translation():
     psi = translation_map(np.array([0.7, -0.1]))
-    assert covariance_residual(psi, [1.0, 0.2], [-0.3, 1.1]) <= 1e-14
+    assert _covariance(psi, [1.0, 0.2], [-0.3, 1.1]) <= 1e-14
 
 
 def test_covariance_neck_inversion():
@@ -245,7 +252,7 @@ def test_covariance_neck_inversion():
         y = rng.uniform(0.6, 1.8, 2) * rng.choice([-1, 1], 2)
         if np.linalg.norm(x - y) < 0.1:
             continue
-        assert covariance_residual(neck_inversion(2), x, y) <= 1e-10
+        assert _covariance(neck_inversion(2), x, y) <= 1e-10
 
 
 def test_covariance_cayley():
@@ -255,7 +262,51 @@ def test_covariance_cayley():
         y = rng.uniform(-1.5, 1.5, 2)
         if np.linalg.norm(x - y) < 0.1:
             continue
-        assert covariance_residual(cayley(2), x, y) <= 1e-10
+        assert _covariance(cayley(2), x, y) <= 1e-10
+
+
+def _even_weight_maps(n):
+    """Maps whose weights cx+d carry a bivector part, so the side of the
+    reversion matters: compositions with the Cayley map and the
+    plane_sphere chart transfers."""
+    k = n + 1
+    cay, neck = cayley(n), neck_inversion(k, n)
+    shift = translation_map(np.array([0.3, -0.4, 0.2, 0.0][:k]), k, n)
+    m = plane_sphere(n, 2.0)
+    return {
+        "cayley.cayley": compose(cay, cay),
+        "neck.inverse(cayley)": compose(neck, inverse(cay)),
+        "cayley.neck": compose(cay, neck),
+        "translation.cayley": compose(shift, cay),
+        "plane_sphere 1<-2": chart_transfer(m, 1, 2),
+        "plane_sphere 2<-1": chart_transfer(m, 2, 1),
+    }
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_covariance_even_weight_maps(n):
+    """G(psi x - psi y) = sgn J(psi,y)^{-1} G(x-y) (~J(psi,x))^{-1} to
+    rounding, relative to ||G(psi x - psi y)||, where the weights are not
+    reversion-invariant."""
+    rng = np.random.default_rng(13)
+    for name, psi in _even_weight_maps(n).items():
+        k = psi.ambient_dim
+        worst, done = 0.0, 0
+        while done < 20:
+            x = rng.uniform(-1.5, 1.5, k)
+            y = rng.uniform(-1.5, 1.5, k)
+            px, py = apply(psi, x), apply(psi, y)
+            if np.linalg.norm(x - y) < 0.2 or is_infinity(px) or is_infinity(py):
+                continue
+            if np.linalg.norm(px - py) < 1e-3:
+                continue
+            try:
+                res = covariance_residual(psi, x, y, px, py)
+            except SingularPointError:
+                continue
+            worst = max(worst, res / cauchy_kernel_G(px - py, psi.kernel_exponent, k).norm())
+            done += 1
+        assert worst <= 1e-12, f"{name}: {worst:.3e}"
 
 
 def test_covariance_detects_wrong_weight_exponent():
@@ -269,16 +320,14 @@ def test_covariance_detects_wrong_weight_exponent():
             y = rng.uniform(-1.5, 1.5, 2)
             if np.linalg.norm(x - y) < 0.3:
                 continue
-            worst = max(
-                worst, covariance_residual(cayley(2), x, y, weight_exponent_shift=shift)
-            )
+            worst = max(worst, _covariance(cayley(2), x, y, weight_exponent_shift=shift))
         assert worst > 1e-7
 
 
 def test_pseudo_determinant_values():
-    assert pseudo_determinant(identity_map(2)) == 1.0
-    assert pseudo_determinant(neck_inversion(2)) == 1.0
-    assert pseudo_determinant(cayley(2)) == -2.0
+    assert identity_map(2).pseudo_determinant == 1.0
+    assert neck_inversion(2).pseudo_determinant == 1.0
+    assert cayley(2).pseudo_determinant == -2.0
 
 
 def test_grade1_purity_enforced():
