@@ -37,13 +37,13 @@ def _reorder_sign(i: int, j: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _sign_table(dim: int) -> np.ndarray:
+def _product_tables(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """perm[i, l] = i ^ l and sign[i, l], the sign of blade i times blade
+    i ^ l, so that (a b)[l] = sum_i sign[i, l] a[i] b[i ^ l]."""
     n = 1 << dim
-    table = np.empty((n, n), dtype=np.int8)
-    for i in range(n):
-        for j in range(n):
-            table[i, j] = _reorder_sign(i, j)
-    return table
+    perm = np.arange(n)[:, None] ^ np.arange(n)[None, :]
+    sign = np.array([[_reorder_sign(i, i ^ l) for l in range(n)] for i in range(n)], dtype=np.float64)
+    return perm, sign
 
 
 @lru_cache(maxsize=None)
@@ -93,14 +93,8 @@ class Multivector:
         """Embed a Euclidean vector as a grade-1 element; pads if dim exceeds
         the component count."""
         x = np.asarray(components, dtype=np.float64)
-        if dim is None:
-            dim = x.size
-        if x.size > dim:
-            raise AlgebraError("vector has more components than algebra generators")
-        c = np.zeros(1 << dim)
-        for j in range(x.size):
-            c[1 << j] = x[j]
-        return Multivector(dim, c)
+        dim = x.size if dim is None else dim
+        return Multivector(dim, vectors(x, dim))
 
     # -- queries -----------------------------------------------------------
     def scalar_part(self) -> float:
@@ -154,12 +148,7 @@ class Multivector:
         if isinstance(other, (int, float)):
             return Multivector(self.dim, self.coeffs * other)
         self._check_dim(other)
-        out = np.zeros_like(self.coeffs)
-        signs = _sign_table(self.dim)
-        idx = np.arange(out.size)
-        for i in np.nonzero(self.coeffs)[0]:
-            out[i ^ idx] += self.coeffs[i] * (signs[i] * other.coeffs)
-        return Multivector(self.dim, out)
+        return Multivector(self.dim, gp_batch(self.dim, self.coeffs, other.coeffs))
 
     def __rmul__(self, other):
         if isinstance(other, (int, float)):
@@ -175,7 +164,12 @@ class Multivector:
 # -- operations ------------------------------------------------------------
 
 def reversion(a: Multivector) -> Multivector:
-    return Multivector(a.dim, a.coeffs * _reversion_signs(a.dim))
+    return Multivector(a.dim, reversion_batch(a.dim, a.coeffs))
+
+
+def reversion_batch(dim: int, a: np.ndarray) -> np.ndarray:
+    """Reversion of every row of a coefficient array (..., 2^dim)."""
+    return np.asarray(a, dtype=np.float64) * _reversion_signs(dim)
 
 
 def kelvin_inverse(x: np.ndarray) -> np.ndarray:
@@ -189,26 +183,43 @@ def kelvin_inverse(x: np.ndarray) -> np.ndarray:
 
 def clifford_group_inverse(a: Multivector, rtol: float = DEFAULT_RTOL) -> Multivector:
     """Inverse of an element with a * ~a equal to a nonzero scalar."""
-    ar = reversion(a)
-    p = a * ar
-    s = p.scalar_part()
-    scale = a.norm() ** 2
-    if scale == 0.0 or abs(s) <= rtol * scale:
+    return Multivector(a.dim, clifford_group_inverse_batch(a.dim, a.coeffs, rtol))
+
+
+def clifford_group_inverse_batch(dim: int, a: np.ndarray, rtol: float = DEFAULT_RTOL) -> np.ndarray:
+    """clifford_group_inverse of each row of (..., 2^dim) coefficients; raises if any fails."""
+    a = np.asarray(a, dtype=np.float64)
+    ar = reversion_batch(dim, a)
+    p = gp_batch(dim, a, ar)
+    s, scale = p[..., 0], (a * a).sum(-1)
+    if ((scale == 0.0) | (abs(s) <= rtol * scale)).any():
         raise NotInvertibleError("not invertible in Clifford group: a~a scalar too small")
-    if p.max_grade_deviation(0) > rtol * max(abs(s), scale):
+    if (np.sqrt((p[..., 1:] ** 2).sum(-1)) > rtol * np.maximum(abs(s), scale)).any():
         raise NotInvertibleError("not invertible in Clifford group: a~a is not a scalar")
-    return ar / s
+    return ar / s[..., None]
+
+
+def vectors(x, dim: int) -> np.ndarray:
+    """Coefficient arrays (..., 2^dim) of the grade-1 elements with components
+    x of shape (..., m), m <= dim; missing components are zero."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape[-1] > dim:
+        raise AlgebraError("vector has more components than algebra generators")
+    out = np.zeros(x.shape[:-1] + (1 << dim,))
+    for j in range(x.shape[-1]):
+        out[..., 1 << j] = x[..., j]
+    return out
 
 
 def gp_batch(dim: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Batched geometric product of coefficient arrays of shape (..., 2^dim),
-    broadcast over the leading axes; the sign/xor scatter of
-    Multivector.__mul__ applied to every row at once."""
+    """Geometric product of coefficient arrays of shape (..., 2^dim),
+    broadcast over the leading axes: the one product of the package, which
+    Multivector.__mul__ applies to single elements. Blades of a that are zero
+    in every row are skipped."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    out = np.zeros(np.broadcast_shapes(a.shape, b.shape))
-    signs = _sign_table(dim)
-    idx = np.arange(1 << dim)
-    for i in range(1 << dim):
-        out[..., i ^ idx] += a[..., i, None] * (signs[i] * b)
+    perm, sign = _product_tables(dim)
+    out = np.zeros(np.broadcast(a, b).shape)
+    for i in a.reshape(-1, 1 << dim).any(axis=0).nonzero()[0]:
+        out += a[..., i, None] * (sign[i] * b[..., perm[i]])
     return out

@@ -9,7 +9,7 @@ import numpy as np
 
 from .algebra import Multivector
 from .config import DEFAULT_FD_STEP
-from .moebius import VahlenMap, apply, cauchy_kernel_G, is_infinity, weight_J
+from .moebius import VahlenMap, apply, cauchy_kernel_G_batch, is_infinity, weight_J
 
 
 class DomainError(ValueError):
@@ -19,25 +19,34 @@ class DomainError(ValueError):
 @dataclass(frozen=True)
 class CliffordField:
     """A pure map from R^dim_in to Cl_{dim_alg} with an explicit domain
-    predicate (stencil safety for finite differences)."""
+    predicate (stencil safety for finite differences). func and domain take
+    a point (dim_in,) or a point array (..., dim_in); func returns coefficient
+    arrays (..., 2^dim_alg) and domain a boolean per point."""
 
     dim_in: int
     dim_alg: int
-    func: Callable[[np.ndarray], Multivector]
-    domain: Callable[[np.ndarray], bool] = field(default=lambda x: True)
+    func: Callable[[np.ndarray], np.ndarray]
+    domain: Callable[[np.ndarray], object] = field(default=lambda x: True)
 
-    def __call__(self, x) -> Multivector:
+    def values(self, x) -> np.ndarray:
+        """The field's coefficients at every point of x; raises if any point
+        lies outside the domain."""
         x = np.asarray(x, dtype=np.float64)
-        if not self.domain(x):
-            raise DomainError(f"point {x} outside field domain")
+        inside = np.asarray(self.domain(x))
+        if not inside.all():
+            bad = x[~np.broadcast_to(inside, x.shape[:-1])][0]
+            raise DomainError(f"point {bad} outside field domain")
         return self.func(x)
 
+    def __call__(self, x) -> Multivector:
+        return Multivector(self.dim_alg, self.values(x))
+
     def in_domain(self, x) -> bool:
-        return self.domain(np.asarray(x, dtype=np.float64))
+        return bool(np.asarray(self.domain(np.asarray(x, dtype=np.float64))).all())
 
 
 def constant_field(a: Multivector, dim_in: int) -> CliffordField:
-    return CliffordField(dim_in, a.dim, lambda x: a)
+    return CliffordField(dim_in, a.dim, lambda x: np.broadcast_to(a.coeffs, x.shape[:-1] + (1 << a.dim,)))
 
 
 def g_translate(a: np.ndarray, n: int | None = None, dim_alg: int | None = None) -> CliffordField:
@@ -50,49 +59,33 @@ def g_translate(a: np.ndarray, n: int | None = None, dim_alg: int | None = None)
     return CliffordField(
         a.size,
         dim_alg,
-        lambda x: cauchy_kernel_G(x - a, n, dim_alg),
-        domain=lambda x: bool(np.linalg.norm(x - a) > 1e-12),
+        lambda x: cauchy_kernel_G_batch(x - a, n, dim_alg),
+        domain=lambda x: np.sqrt(((x - a) ** 2).sum(-1)) > 1e-12,
     )
-
-
-def _stencil_ok(f: CliffordField, x: np.ndarray, h: float) -> bool:
-    for j in range(f.dim_in):
-        step = np.zeros(f.dim_in)
-        step[j] = h
-        if not (f.in_domain(x + step) and f.in_domain(x - step)):
-            return False
-    return True
 
 
 def dirac_left_fd(f: CliffordField, x, h: float = DEFAULT_FD_STEP) -> Multivector:
     """Central-difference Dirac operator sum_j e_j d f / dx_j; O(h^2)."""
-    x = np.asarray(x, dtype=np.float64)
-    if h <= 0:
-        raise ValueError("step must be positive")
-    if not _stencil_ok(f, x, h):
-        raise DomainError("finite-difference stencil exits the field domain")
-    out = Multivector.zero(f.dim_alg)
-    for j in range(f.dim_in):
-        step = np.zeros(f.dim_in)
-        step[j] = h
-        diff = (f(x + step) - f(x - step)) / (2.0 * h)
-        out = out + Multivector.basis_vector(j, f.dim_alg) * diff
-    return out
+    return _dirac_fd(f, x, h, left=True)
 
 
 def dirac_right_fd(f: CliffordField, x, h: float = DEFAULT_FD_STEP) -> Multivector:
     """Central-difference right Dirac operator sum_j (d f / dx_j) e_j."""
+    return _dirac_fd(f, x, h, left=False)
+
+
+def _dirac_fd(f: CliffordField, x, h: float, left: bool) -> Multivector:
     x = np.asarray(x, dtype=np.float64)
     if h <= 0:
         raise ValueError("step must be positive")
-    if not _stencil_ok(f, x, h):
+    steps = h * np.eye(f.dim_in)
+    if not all(f.in_domain(x + step) and f.in_domain(x - step) for step in steps):
         raise DomainError("finite-difference stencil exits the field domain")
     out = Multivector.zero(f.dim_alg)
-    for j in range(f.dim_in):
-        step = np.zeros(f.dim_in)
-        step[j] = h
+    for j, step in enumerate(steps):
         diff = (f(x + step) - f(x - step)) / (2.0 * h)
-        out = out + diff * Multivector.basis_vector(j, f.dim_alg)
+        e_j = Multivector.basis_vector(j, f.dim_alg)
+        out = out + (e_j * diff if left else diff * e_j)
     return out
 
 
@@ -101,6 +94,7 @@ def moebius_pullback(psi: VahlenMap, f: CliffordField, dim_in: int | None = None
 
     dim_in defaults to the field's input dimension capped by the map's ambient
     dimension; for a Cayley map acting on R^n inside Cl_{n+1} pass dim_in=n.
+    The pullback takes one point at a time: apply has no array form.
     """
     if f.dim_alg != psi.ambient_dim:
         raise ValueError("field algebra dim must match the map's ambient dim")
@@ -113,10 +107,10 @@ def moebius_pullback(psi: VahlenMap, f: CliffordField, dim_in: int | None = None
             return False
         return f.in_domain(y[: f.dim_in])
 
-    def ev(x: np.ndarray) -> Multivector:
+    def ev(x: np.ndarray) -> np.ndarray:
         y = apply(psi, x)
         if is_infinity(y):
             raise DomainError("pullback evaluated at a singular point of the map")
-        return weight_J(psi, x) * f(y[: f.dim_in])
+        return (weight_J(psi, x) * f(y[: f.dim_in])).coeffs
 
     return CliffordField(dim_in, psi.ambient_dim, ev, dom)

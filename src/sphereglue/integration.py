@@ -7,6 +7,13 @@ the surface measure taken from the Gram determinant of the embedded
 parametrization. Normals are unit vectors tangent to the embedded manifold
 and orthogonal to the surface, oriented outward from the bounded subdomain.
 
+Everything is evaluated over whole node arrays: a patch's parametrization,
+node geometry, sections, germs and the kernel take arrays of shape (N, ...)
+and return coefficient arrays (N, 2^(n+1)), which the rule sums at once. The
+Plemelj kernel matrix is filled by one kernel call over all off-diagonal
+node pairs. Every check of the one-point path (diagonal, admissibility,
+germ domain, degenerate frame, singular weight) applies to every node.
+
 Sign convention: with e_j^2 = -1 the reproducing pairing uses the inward
 normal; cauchy_integral applies REPRODUCING_NORMAL_SIGN to the outward
 normal so that the formula returns +f(y).
@@ -14,16 +21,17 @@ normal so that the formula returns +f(y).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gamma, pi
-from itertools import permutations
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .algebra import Multivector, clifford_group_inverse, gp_batch
+from .algebra import Multivector, clifford_group_inverse_batch, gp_batch, vectors
 from .fields import CliffordField, constant_field
-from .kernel import kernel_CM
+from .kernel import kernel_CM_batch
 from .manifold import (
+    INADMISSIBLE,
     GluedManifold,
     ManifoldError,
     ManifoldPoint,
@@ -34,7 +42,7 @@ from .manifold import (
     embed,
     embed_jacobian,
 )
-from .moebius import inverse, is_infinity, weight_J
+from .moebius import inverse, is_infinity, weight_J_batch
 
 REPRODUCING_NORMAL_SIGN = -1.0
 
@@ -52,8 +60,8 @@ def unit_sphere_area(n: int) -> float:
 class SurfacePatch:
     """One parametrized piece of a hypersurface, in a single chart.
 
-    param maps a parameter point (length n-1) to chart coordinates (length n);
-    param_jac supplies its analytic (n x n-1) Jacobian.
+    param maps parameter arrays (N, n-1) to chart coordinates (N, n);
+    param_jac supplies their analytic Jacobians (N, n, n-1).
     """
 
     chart: int
@@ -78,40 +86,37 @@ class QuadratureReport:
 
 
 class NodeGeometry(NamedTuple):
-    """What a quadrature node needs: the chart point, its embedding, the
-    sqrt-Gram weight, the outward unit normal and the embedded tangents (one
-    column per surface parameter)."""
+    """What the nodes of a patch need, one row per node: the chart point
+    array, the embeddings (N, n+1), the sqrt-Gram weights (N,), the outward
+    unit normals (N, n+1) and the embedded tangents (N, n+1, n-1), one column
+    per surface parameter."""
 
     point: ManifoldPoint
     embedded: np.ndarray
-    weight: float
+    weight: np.ndarray
     normal: np.ndarray
     tangents: np.ndarray
 
 
 def _generalized_cross(rows: np.ndarray) -> np.ndarray:
-    """Vector in R^m orthogonal to the m-1 given rows (cofactor expansion)."""
-    m = rows.shape[1]
-    out = np.zeros(m)
-    for i in range(m):
-        sub = np.delete(rows, i, axis=1)
-        out[i] = (-1.0) ** i * np.linalg.det(sub)
-    return out
+    """Vectors in R^m orthogonal to the m-1 rows of each (..., m-1, m) stack
+    (cofactor expansion)."""
+    m = rows.shape[-1]
+    return np.stack(
+        [(-1.0) ** i * np.linalg.det(np.delete(rows, i, axis=-1)) for i in range(m)], axis=-1
+    )
 
 
 def _interior_in_chart(m: GluedManifold, s: Hypersurface, chart: int) -> np.ndarray:
     p = s.interior_point
-    if p.chart == chart:
-        coord = p.coord
-    else:
-        coord = apply_transition(m, p.coord)
+    coord = p.coord if p.chart == chart else apply_transition(m, p.coord)
     if is_infinity(coord):
         raise SurfaceError("interior point maps to infinity in the surface chart")
     return np.asarray(coord, dtype=np.float64)
 
 
 def node_geometry(m: GluedManifold, s: Hypersurface, patch: SurfacePatch, t: np.ndarray) -> NodeGeometry:
-    """Geometry of the surface node at parameter t.
+    """Geometry of the surface nodes at parameters t of shape (N, n-1).
 
     The chart normal is oriented away from the bounded subdomain in flat
     chart coordinates (valid for surfaces star-shaped around the interior
@@ -122,63 +127,62 @@ def node_geometry(m: GluedManifold, s: Hypersurface, patch: SurfacePatch, t: np.
     x = np.asarray(patch.param(t), dtype=np.float64)
     pt = ManifoldPoint(patch.chart, x)
     jac_chart = np.asarray(patch.param_jac(t), dtype=np.float64)
-    nc = _generalized_cross(jac_chart.T)
-    if np.linalg.norm(nc) <= 1e-13:
+    nc = _generalized_cross(np.swapaxes(jac_chart, -1, -2))
+    if np.any(np.linalg.norm(nc, axis=-1) <= 1e-13):
         raise SurfaceError("degenerate tangent frame at a quadrature node")
-    if nc @ (x - _interior_in_chart(m, s, patch.chart)) <= 0:
-        nc = -nc
+    inward = np.sum(nc * (x - _interior_in_chart(m, s, patch.chart)), axis=-1) <= 0
+    nc = np.where(inward[..., None], -nc, nc)
     ejac = embed_jacobian(m, patch.chart, x)
     tangents = ejac @ jac_chart
-    weight = float(np.sqrt(max(np.linalg.det(tangents.T @ tangents), 0.0)))
-    normal = ejac @ nc
-    return NodeGeometry(pt, embed(m, pt), weight, normal / np.linalg.norm(normal), tangents)
+    gram = np.linalg.det(np.swapaxes(tangents, -1, -2) @ tangents)
+    normal = (ejac @ nc[..., None])[..., 0]
+    normal = normal / np.linalg.norm(normal, axis=-1, keepdims=True)
+    return NodeGeometry(pt, embed(m, pt), np.sqrt(np.maximum(gram, 0.0)), normal, tangents)
 
 
-def _gauss_nodes(bounds, order):
-    xs, ws = np.polynomial.legendre.leggauss(order)
-    axes = []
-    for a, b in bounds:
-        axes.append(((b - a) / 2.0 * xs + (a + b) / 2.0, (b - a) / 2.0 * ws))
-    return axes
+@lru_cache(maxsize=None)
+def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per order, read-only."""
+    rule = np.polynomial.legendre.leggauss(order)
+    for arr in rule:
+        arr.setflags(write=False)
+    return rule
+
+
+def _gauss_nodes(bounds, order) -> tuple[np.ndarray, np.ndarray]:
+    """Tensor-product Gauss nodes (N, len(bounds)) and weights (N,) on a box."""
+    xs, ws = _leggauss(order)
+    axes = [((b - a) / 2.0 * xs + (a + b) / 2.0, (b - a) / 2.0 * ws) for a, b in bounds]
+    grids = np.meshgrid(*[ax[0] for ax in axes], indexing="ij")
+    wgrids = np.meshgrid(*[ax[1] for ax in axes], indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=-1), np.prod([w.ravel() for w in wgrids], axis=0)
 
 
 def surface_quadrature(
     m: GluedManifold,
     s: Hypersurface,
-    integrand: Callable[[ManifoldPoint, np.ndarray, np.ndarray], Multivector | float],
+    integrand: Callable[[ManifoldPoint, np.ndarray, np.ndarray], np.ndarray],
     order: int | None = None,
 ) -> QuadratureReport:
-    """Integrate over the hypersurface; the integrand receives the manifold
-    point, its embedding, and the outward unit normal. Two refinement levels
-    give the error estimate."""
+    """Integrate over the hypersurface. The integrand receives a patch's
+    node point array, the embeddings (N, n+1) and the outward unit normals
+    (N, n+1), and returns scalars (N,) or coefficient arrays (N, 2^(n+1)).
+    Two refinement levels give the error estimate."""
     order = order or s.quad_order
-    coarse = max(order // 2, 1)
     v_full, nodes = _quad_once(m, s, integrand, order)
-    v_half, _ = _quad_once(m, s, integrand, coarse)
-    if isinstance(v_full, Multivector):
-        err = (v_full - v_half).norm()
-    else:
-        err = abs(v_full - v_half)
-        v_full = Multivector.scalar(v_full, m.n + 1)
-    return QuadratureReport(v_full, err, nodes)
+    v_half, _ = _quad_once(m, s, integrand, max(order // 2, 1))
+    value = Multivector(m.n + 1, v_full) if v_full.ndim else Multivector.scalar(float(v_full), m.n + 1)
+    return QuadratureReport(value, float(np.linalg.norm(v_full - v_half)), nodes)
 
 
 def _quad_once(m, s, integrand, order):
-    total = None
-    nodes = 0
+    total, nodes = 0.0, 0
     for patch in s.patches:
-        axes = _gauss_nodes(patch.bounds, order)
-        grids = np.meshgrid(*[a[0] for a in axes], indexing="ij")
-        wgrids = np.meshgrid(*[a[1] for a in axes], indexing="ij")
-        flat = [g.ravel() for g in grids]
-        wflat = np.prod([w.ravel() for w in wgrids], axis=0)
-        for i in range(flat[0].size):
-            t = np.array([f[i] for f in flat])
-            geo = node_geometry(m, s, patch, t)
-            val = integrand(geo.point, geo.embedded, geo.normal)
-            contrib = val * (geo.weight * wflat[i])
-            total = contrib if total is None else total + contrib
-            nodes += 1
+        t, w = _gauss_nodes(patch.bounds, order)
+        geo = node_geometry(m, s, patch, t)
+        val = np.asarray(integrand(geo.point, geo.embedded, geo.normal), dtype=np.float64)
+        total = total + np.tensordot(geo.weight * w, val, axes=1)
+        nodes += w.size
     return total, nodes
 
 
@@ -189,16 +193,20 @@ def _quad_once(m, s, integrand, order):
 class Section:
     """A left Clifford holomorphic section in per-chart representatives.
 
-    rep(chart, coord) returns the Cl_{n+1} value of the representative of the
-    section at the given chart coordinate; on the neck the two representatives
-    are related by the conformal weight of the chart transfer map.
+    rep(chart, coord) returns the Cl_{n+1} coefficients (..., 2^(n+1)) of the
+    representative at chart coordinates (..., n); on the neck the two
+    representatives are related by the conformal weight of the chart
+    transfer map.
     """
 
     manifold: GluedManifold
-    rep: Callable[[int, np.ndarray], Multivector]
+    rep: Callable[[int, np.ndarray], np.ndarray]
 
-    def value_at(self, p: ManifoldPoint) -> Multivector:
-        return self.rep(p.chart, p.coord)
+    def value_at(self, p: ManifoldPoint):
+        """The section at p: a Multivector for one point, the coefficient
+        array (..., 2^(n+1)) for a point array."""
+        v = self.rep(p.chart, p.coord)
+        return Multivector(self.manifold.n + 1, v) if v.ndim == 1 else v
 
 
 def section_from_germ(m: GluedManifold, germ: CliffordField) -> Section:
@@ -212,18 +220,18 @@ def section_from_germ(m: GluedManifold, germ: CliffordField) -> Section:
     """
     if germ.dim_alg != m.n + 1:
         raise ValueError("germ must take values in Cl_{n+1}")
+    dim = germ.dim_alg
     chart1_inv = inverse(chart_map(m, 1))
     trans21 = chart_transfer(m, 1, 2)  # sphere-2 -> sphere-1 picture
 
-    def rep(chart: int, coord) -> Multivector:
+    def rep(chart: int, coord) -> np.ndarray:
         if chart == 1:
             u = embed(m, ManifoldPoint(1, coord))
             if m.chart(1).has_sphere:
-                return weight_J(chart1_inv, u) * germ(coord)
-            return germ(coord)
-        y1 = apply_transition(m, coord)
+                return gp_batch(dim, weight_J_batch(chart1_inv, u), germ.values(coord))
+            return germ.values(coord)
         u2 = embed(m, ManifoldPoint(2, coord))
-        return weight_J(trans21, u2) * rep(1, y1)
+        return gp_batch(dim, weight_J_batch(trans21, u2), rep(1, apply_transition(m, coord)))
 
     return Section(m, rep)
 
@@ -242,14 +250,14 @@ def cauchy_integral(
     normal_sign is a falsification control; leave it at the default for
     verification runs.
     """
-    if classify(m, y) == "inadmissible":
+    if classify(m, y) == INADMISSIBLE:
         raise ManifoldError("evaluation point is inadmissible")
     wn = unit_sphere_area(m.n)
+    dim = m.n + 1
 
-    def integrand(pt: ManifoldPoint, u: np.ndarray, nrm: np.ndarray) -> Multivector:
-        kv = kernel_CM(m, pt, y)
-        n_mv = Multivector.vector(normal_sign * nrm, m.n + 1)
-        return kv.value * n_mv * f.value_at(pt)
+    def integrand(pt: ManifoldPoint, u: np.ndarray, nrm: np.ndarray) -> np.ndarray:
+        kern, _ = kernel_CM_batch(m, pt, y)
+        return gp_batch(dim, gp_batch(dim, kern, vectors(normal_sign * nrm, dim)), f.value_at(pt))
 
     rep = surface_quadrature(m, s, integrand, order)
     return QuadratureReport(rep.value / wn, rep.estimated_error / wn, rep.nodes_used)
@@ -260,17 +268,10 @@ def cauchy_integral(
 
 @dataclass(frozen=True)
 class PlemeljResult:
-    points: tuple[ManifoldPoint, ...]
+    points: ManifoldPoint
     g_plus: tuple[Multivector, ...]
     g_minus: tuple[Multivector, ...]
     g: tuple[Multivector, ...]
-
-
-def _vectors(rows: np.ndarray, dim: int) -> np.ndarray:
-    """Coefficient arrays of the grade-1 elements with the given components."""
-    out = np.zeros((rows.shape[0], 1 << dim))
-    out[:, 1 << np.arange(rows.shape[1])] = rows
-    return out
 
 
 def _fft_derivative(values: np.ndarray, period: float) -> np.ndarray:
@@ -285,12 +286,14 @@ def _fft_derivative(values: np.ndarray, period: float) -> np.ndarray:
 def plemelj_projections(
     m: GluedManifold,
     s: Hypersurface,
-    g: Sequence[Multivector] | Callable[[ManifoldPoint], Multivector],
+    g: Sequence[Multivector] | Callable[[ManifoldPoint], np.ndarray],
     n_nodes: int | None = None,
 ) -> PlemeljResult:
     """Discrete Hardy-space splitting g = g_plus + g_minus on a smooth closed
     curve (n = 2), with g_plus the approximate trace of the interior Cauchy
-    extension: P_pm = (I pm C_S) / 2.
+    extension: P_pm = (I pm C_S) / 2. The data g is one Multivector per node
+    or a callable taking the node point array and returning coefficients
+    (N, 2^(n+1)), such as Section.value_at.
 
     The singular integral C_S is regularized at each target node i by
     subtracting the constant-germ section W c_i that matches g there
@@ -318,32 +321,27 @@ def plemelj_projections(
         raise SurfaceError(f"Plemelj projections need at least 2 nodes, got {nn}")
     h = period / nn
     dim = m.n + 1
-    geos = [node_geometry(m, s, patch, np.array([a + (i + 0.5) * h])) for i in range(nn)]
-    pts = [geo.point for geo in geos]
+    geo = node_geometry(m, s, patch, a + (np.arange(nn)[:, None] + 0.5) * h)
+    pts = geo.point
 
-    if callable(g):
-        gvals = [g(p) for p in pts]
-    else:
-        gvals = list(g)
-        if len(gvals) != nn:
-            raise SurfaceError("boundary data length must match the node count")
+    data = g(pts) if callable(g) else [v.coeffs for v in g]
+    if isinstance(data, Multivector):
+        raise SurfaceError("boundary data callable must return coefficients for the node array")
+    gc = np.asarray(data, dtype=np.float64)
+    if gc.shape != (nn, 1 << dim):
+        raise SurfaceError("boundary data length must match the node count")
 
     # W_j c is the constant-germ section with germ c, evaluated at node j
-    unit_sec = section_from_germ(m, constant_field(Multivector.scalar(1.0, dim), m.n))
-    wsec = [unit_sec.value_at(p) for p in pts]
-    gc = np.array([v.coeffs for v in gvals])
-    wc = np.array([v.coeffs for v in wsec])
-    c = gp_batch(dim, np.array([clifford_group_inverse(v).coeffs for v in wsec]), gc)
+    wc = section_from_germ(m, constant_field(Multivector.scalar(1.0, dim), m.n)).value_at(pts)
+    c = gp_batch(dim, clifford_group_inverse_batch(dim, wc), gc)
 
-    weights = np.array([geo.weight for geo in geos])
-    normals = np.array([REPRODUCING_NORMAL_SIGN * geo.normal for geo in geos])
-    nw = _vectors(normals * weights[:, None], dim)
+    nw = vectors(REPRODUCING_NORMAL_SIGN * geo.normal * geo.weight[:, None], dim)
+    i, j = np.nonzero(~np.eye(nn, dtype=bool))
     kern = np.zeros((nn, nn, 1 << dim))
-    for i, j in permutations(range(nn), 2):
-        kern[i, j] = kernel_CM(m, pts[j], pts[i]).value.coeffs
+    sources, targets = (ManifoldPoint(patch.chart, pts.coord[idx]) for idx in (j, i))
+    kern[i, j], _ = kernel_CM_batch(m, sources, targets)
     amat = gp_batch(dim, kern, nw[None])
-    tvec = _vectors(np.array([geo.tangents[:, 0] for geo in geos]) / weights[:, None] ** 2, dim)
-    bvec = gp_batch(dim, tvec, nw)
+    bvec = gp_batch(dim, vectors(geo.tangents[:, :, 0] / geo.weight[:, None] ** 2, dim), nw)
 
     a_g = gp_batch(dim, amat, gc[None]).sum(axis=1)
     a_w = gp_batch(dim, amat, wc[None]).sum(axis=1)
@@ -351,9 +349,8 @@ def plemelj_projections(
     cs = gc + (2.0 * h / unit_sphere_area(m.n)) * (
         a_g - gp_batch(dim, a_w, c) + gp_batch(dim, bvec, d_prime)
     )
-    g_plus = tuple(Multivector(dim, v) for v in (gc + cs) * 0.5)
-    g_minus = tuple(Multivector(dim, v) for v in (gc - cs) * 0.5)
-    return PlemeljResult(tuple(pts), g_plus, g_minus, tuple(gvals))
+    parts = ((gc + cs) * 0.5, (gc - cs) * 0.5, gc)
+    return PlemeljResult(pts, *(tuple(Multivector(dim, v) for v in arr) for arr in parts))
 
 
 # -- built-in surface families ----------------------------------------------
@@ -373,10 +370,10 @@ def chart_circle(
     center = np.asarray(center, dtype=np.float64)
 
     def param(t):
-        return center + radius * np.array([np.cos(t[0]), np.sin(t[0])])
+        return center + radius * np.stack([np.cos(t[..., 0]), np.sin(t[..., 0])], axis=-1)
 
     def jac(t):
-        return radius * np.array([[-np.sin(t[0])], [np.cos(t[0])]])
+        return radius * np.stack([-np.sin(t[..., 0]), np.cos(t[..., 0])], axis=-1)[..., None]
 
     patch = SurfacePatch(chart, ((0.0, 2.0 * np.pi),), param, jac)
     if interior is None:
@@ -398,20 +395,19 @@ def chart_sphere(
     center = np.asarray(center, dtype=np.float64)
 
     def param(t):
-        th, ph = t
-        return center + radius * np.array(
-            [np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)]
+        th, ph = t[..., 0], t[..., 1]
+        return center + radius * np.stack(
+            [np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)], axis=-1
         )
 
     def jac(t):
-        th, ph = t
-        return radius * np.array(
-            [
-                [np.cos(th) * np.cos(ph), -np.sin(th) * np.sin(ph)],
-                [np.cos(th) * np.sin(ph), np.sin(th) * np.cos(ph)],
-                [-np.sin(th), 0.0],
-            ]
+        th, ph = t[..., 0], t[..., 1]
+        rows = (
+            [np.cos(th) * np.cos(ph), -np.sin(th) * np.sin(ph)],
+            [np.cos(th) * np.sin(ph), np.sin(th) * np.cos(ph)],
+            [-np.sin(th), np.zeros_like(th)],
         )
+        return radius * np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
 
     eps = 1e-9  # keep clear of the polar parametrization degeneracy
     patch = SurfacePatch(chart, ((eps, np.pi - eps), (0.0, 2.0 * np.pi)), param, jac)

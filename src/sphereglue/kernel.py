@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Multivector
+from .algebra import Multivector, gp_batch
 from .manifold import (
     NECK,
     GluedManifold,
@@ -26,7 +26,7 @@ from .manifold import (
     embed,
     equivalent,
 )
-from .moebius import cauchy_kernel_G, covariance_residual, weight_J
+from .moebius import cauchy_kernel_G_batch, covariance_residual, weight_J_batch
 
 SAME_CHART = "same-chart"
 OVERLAP_REP = "overlap-rep"
@@ -44,33 +44,42 @@ class KernelValue:
 
 
 def kernel_CM(m: GluedManifold, x: ManifoldPoint, y: ManifoldPoint) -> KernelValue:
-    """C_M(x, y) for non-equivalent admissible points."""
-    if equivalent(m, x, y):
-        raise DiagonalError("Cauchy kernel undefined on the diagonal")
+    """C_M(x, y) for two non-equivalent admissible points: the one-point view
+    of kernel_CM_batch."""
+    value, tag = kernel_CM_batch(m, x, y)
+    return KernelValue(Multivector(m.n + 1, value), str(tag))
 
+
+def kernel_CM_batch(m: GluedManifold, x: ManifoldPoint, y: ManifoldPoint):
+    """C_M(x, y) over point arrays x and y, broadcast against each other.
+
+    Returns the coefficient array (..., 2^(n+1)) and the case tag, an array
+    over y's shape when the charts differ. Raises DiagonalError if any pair
+    is equivalent and ManifoldError if any point is inadmissible.
+    """
+    if np.any(equivalent(m, x, y)):
+        raise DiagonalError(f"Cauchy kernel undefined on the diagonal (charts {x.chart}, {y.chart})")
     j, k = x.chart, y.chart
     if j == k:
-        tag = SAME_CHART
-        y_in_j = y.coord
+        tag, y_in_j = SAME_CHART, y.coord
     else:
         # y may map to the far pole of chart j (INFINITY); embed handles it
-        tag = OVERLAP_REP if classify(m, y) == NECK else CROSS_GLUE
+        tag = np.where(classify(m, y) == NECK, OVERLAP_REP, CROSS_GLUE)
         y_in_j = apply_transition(m, y.coord)
-    xs = embed(m, x)
-    ys = embed(m, ManifoldPoint(j, y_in_j))
-    base = cauchy_kernel_G(xs - ys, m.n, m.n + 1)
+    base = cauchy_kernel_G_batch(embed(m, x) - embed(m, ManifoldPoint(j, y_in_j)), m.n, m.n + 1)
     if j == k:
-        return KernelValue(base, tag)
-    w = weight_J(chart_transfer(m, j, k), embed(m, y))
-    return KernelValue(w * base, tag)
+        return base, tag
+    w = weight_J_batch(chart_transfer(m, j, k), embed(m, y))
+    return gp_batch(m.n + 1, w, base), tag
 
 
-def overlap_consistency_residual(m: GluedManifold, x: ManifoldPoint, y: ManifoldPoint) -> float:
+def overlap_consistency_residual(m: GluedManifold, x: ManifoldPoint, y: ManifoldPoint):
     """Both points in the neck: the kernel covariance residual of the
     chart-2 -> chart-1 transfer between the points' chart-2 and chart-1
-    embeddings. Each point is read in chart 1 first (a chart-2 point through
-    the transition, as kernel_CM reads it), then carried to chart 2."""
-    if classify(m, x) != NECK or classify(m, y) != NECK:
+    embeddings, one per pair for point arrays. Each point is read in chart 1
+    first (a chart-2 point through the transition, as kernel_CM reads it),
+    then carried to chart 2."""
+    if np.any(classify(m, x) != NECK) or np.any(classify(m, y) != NECK):
         raise ManifoldError("overlap consistency needs both points in the neck")
     x1, y1 = (p.coord if p.chart == 1 else apply_transition(m, p.coord) for p in (x, y))
     e1x, e1y = (embed(m, ManifoldPoint(1, c)) for c in (x1, y1))

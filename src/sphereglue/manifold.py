@@ -106,7 +106,7 @@ def plane_sphere(
 @dataclass(frozen=True)
 class ManifoldPoint:
     chart: int
-    coord: object  # np.ndarray or INFINITY
+    coord: object  # coordinates (n,), a point array (..., n), or INFINITY
 
     def __post_init__(self):
         if self.chart not in (1, 2):
@@ -117,17 +117,13 @@ class ManifoldPoint:
             object.__setattr__(self, "coord", c)
 
 
-def classify(m: GluedManifold, p: ManifoldPoint) -> str:
-    """body / neck / inadmissible for the point's own chart coordinates."""
-    ch = m.chart(p.chart)
+def classify(m: GluedManifold, p: ManifoldPoint):
+    """body / neck / inadmissible for the point's chart coordinates (an array for a point array)."""
     if is_infinity(p.coord):
-        return BODY if ch.has_sphere else INADMISSIBLE
-    rho = float(np.linalg.norm(p.coord))
-    if rho >= m.r:
-        return BODY
-    if rho > 1.0 / m.r:
-        return NECK
-    return INADMISSIBLE
+        return BODY if m.chart(p.chart).has_sphere else INADMISSIBLE
+    rho = np.sqrt((p.coord * p.coord).sum(-1))
+    out = np.where(rho >= m.r, BODY, np.where(rho > 1.0 / m.r, NECK, INADMISSIBLE))
+    return out if out.ndim else str(out)
 
 
 def transition_psi12(m: GluedManifold) -> VahlenMap:
@@ -136,32 +132,35 @@ def transition_psi12(m: GluedManifold) -> VahlenMap:
 
 
 def apply_transition(m: GluedManifold, coord):
-    """Evaluate the (continued) transition at a chart coordinate, total on
-    the compactified plane."""
+    """Evaluate the (continued) transition at chart coordinates (n,) or
+    (..., n), total on the compactified plane for one point."""
     if is_infinity(coord):
         return np.zeros(m.n)
     coord = np.asarray(coord, dtype=np.float64)
-    n2 = float(coord @ coord)
-    if n2 == 0.0:
+    n2 = (coord * coord).sum(-1, keepdims=True)
+    if coord.ndim == 1 and n2[0] == 0.0:
         return INFINITY
     return coord / n2
 
 
-def equivalent(m: GluedManifold, p: ManifoldPoint, q: ManifoldPoint, rtol: float = 1e-10) -> bool:
+def equivalent(m: GluedManifold, p: ManifoldPoint, q: ManifoldPoint, rtol: float = 1e-10):
+    """Whether p and q are the same manifold point; for point arrays, an
+    array over their broadcast shape. Raises on any inadmissible point."""
     for pt in (p, q):
-        if classify(m, pt) == INADMISSIBLE:
-            raise ManifoldError("inadmissible point")
+        if np.any(classify(m, pt) == INADMISSIBLE):
+            raise ManifoldError(f"inadmissible point in chart {pt.chart}")
     if p.chart == q.chart:
         if is_infinity(p.coord) or is_infinity(q.coord):
             return is_infinity(p.coord) and is_infinity(q.coord)
-        return bool(
-            np.linalg.norm(p.coord - q.coord)
-            <= rtol * max(1.0, float(np.linalg.norm(p.coord)))
-        )
-    if classify(m, p) != NECK or classify(m, q) != NECK:
-        return False
-    img = apply_transition(m, p.coord)
-    return bool(np.linalg.norm(img - q.coord) <= rtol * max(1.0, float(np.linalg.norm(img))))
+        img, both_neck = p.coord, True
+    else:
+        img = apply_transition(m, p.coord)
+        both_neck = (classify(m, p) == NECK) & (classify(m, q) == NECK)
+        if not np.any(both_neck):
+            return False
+    dist, size = (np.sqrt((v * v).sum(-1)) for v in (img - q.coord, img))
+    out = both_neck & (dist <= rtol * np.maximum(1.0, size))
+    return out if np.ndim(out) else bool(out)
 
 
 def canonical(m: GluedManifold, p: ManifoldPoint) -> ManifoldPoint:
@@ -175,25 +174,23 @@ def canonical(m: GluedManifold, p: ManifoldPoint) -> ManifoldPoint:
 
 
 def embed(m: GluedManifold, p: ManifoldPoint) -> np.ndarray:
-    """Embedding of the point into R^{n+1}: the (scaled) Cayley image for
-    sphere charts, the coordinate plane (last component 0) for plane charts."""
+    """Embedding of the point (array) into R^{n+1}: the (scaled) Cayley image
+    for sphere charts, the coordinate plane (last component 0) for plane
+    charts."""
     ch = m.chart(p.chart)
     if ch.has_sphere:
         return ch.scale * cayley_embed(p.coord, m.n)
     if is_infinity(p.coord):
         raise ManifoldError("plane chart has no point at infinity")
-    out = np.zeros(m.n + 1)
-    out[: m.n] = p.coord
-    return out
+    return np.concatenate((p.coord, np.zeros_like(p.coord[..., :1])), axis=-1)
 
 
 def embed_jacobian(m: GluedManifold, chart: int, coord: np.ndarray) -> np.ndarray:
+    """(..., n+1, n) Jacobians of the chart embedding at coordinates (..., n)."""
     ch = m.chart(chart)
     if ch.has_sphere:
         return ch.scale * cayley_embed_jacobian(coord)
-    jac = np.zeros((m.n + 1, m.n))
-    jac[: m.n, :] = np.eye(m.n)
-    return jac
+    return np.broadcast_to(np.eye(m.n + 1, m.n), np.shape(coord)[:-1] + (m.n + 1, m.n))
 
 
 def to_sphere(m: GluedManifold, p: ManifoldPoint) -> np.ndarray:

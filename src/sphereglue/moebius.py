@@ -9,6 +9,7 @@ of the manifold the map serves, also when the algebra is Cl_{n+1}.
 """
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -18,7 +19,11 @@ from .algebra import (
     Multivector,
     NotInvertibleError,
     clifford_group_inverse,
+    clifford_group_inverse_batch,
+    gp_batch,
     reversion,
+    reversion_batch,
+    vectors,
 )
 from .config import DEFAULT_RTOL
 
@@ -112,11 +117,12 @@ def cayley(n: int, m: int | None = None) -> VahlenMap:
     return VahlenMap(ep, one, one, ep, k, m if m is not None else n)
 
 
-def _as_vector_mv(x, k: int) -> Multivector:
+def _points(x, k: int) -> np.ndarray:
+    """x as a float array of points (..., m) with m <= k."""
     x = np.asarray(x, dtype=np.float64)
-    if x.size > k:
-        raise VahlenError(f"point of dim {x.size} exceeds ambient dim {k}")
-    return Multivector.vector(x, k)
+    if x.shape[-1] > k:
+        raise VahlenError(f"point of dim {x.shape[-1]} exceeds ambient dim {k}")
+    return x
 
 
 def apply(psi: VahlenMap, x, rtol: float = DEFAULT_RTOL):
@@ -130,7 +136,7 @@ def apply(psi: VahlenMap, x, rtol: float = DEFAULT_RTOL):
             return INFINITY
         res = psi.a * cinv
         return _grade1_or_raise(res, rtol)
-    xm = _as_vector_mv(x, k)
+    xm = Multivector.vector(_points(x, k), k)
     den = psi.c * xm + psi.d
     scale = max(psi.c.norm() * xm.norm() + psi.d.norm(), 1.0)
     if den.norm() <= 1e-12 * scale:
@@ -153,21 +159,30 @@ def _grade1_or_raise(res: Multivector, rtol: float) -> np.ndarray:
 
 
 def weight_J(psi: VahlenMap, x) -> Multivector:
-    """~(cx+d)/||cx+d||^m with m the map's kernel exponent.
+    """~(cx+d)/||cx+d||^m with m the map's kernel exponent: the one-point
+    view of weight_J_batch."""
+    if is_infinity(x):
+        raise SingularPointError("weight undefined at infinity")
+    return Multivector(psi.ambient_dim, weight_J_batch(psi, x))
+
+
+def weight_J_batch(psi: VahlenMap, x) -> np.ndarray:
+    """The weight at every point of an array (..., m), m <= ambient_dim, as
+    coefficient arrays (..., 2^ambient_dim); raises if it is singular at any.
 
     The coefficients are first rescaled so that |a~d - b~c| = 1; the weight is
     then independent of the (projective) scale of the stored matrix.
     """
-    if is_infinity(x):
-        raise SingularPointError("weight undefined at infinity")
+    k = psi.ambient_dim
+    x = _points(x, k)
     nu = abs(psi.pseudo_determinant) ** 0.5
-    xm = _as_vector_mv(x, psi.ambient_dim)
-    den = (psi.c * xm + psi.d) / nu
-    s = den.norm()
-    scale = max((psi.c.norm() * xm.norm() + psi.d.norm()) / nu, 1.0)
-    if s <= 1e-12 * scale:
+    den = (gp_batch(k, psi.c.coeffs, vectors(x, k)) + psi.d.coeffs) / nu
+    s = np.sqrt((den * den).sum(-1, keepdims=True))
+    xnorm = np.sqrt((x * x).sum(-1, keepdims=True))
+    scale = np.maximum((psi.c.norm() * xnorm + psi.d.norm()) / nu, 1.0)
+    if (s <= 1e-12 * scale).any():
         raise SingularPointError("cx+d vanishes: conformal weight singular here")
-    return reversion(den) / s**psi.kernel_exponent
+    return reversion_batch(k, den) / s**psi.kernel_exponent
 
 
 def compose(psi2: VahlenMap, psi1: VahlenMap) -> VahlenMap:
@@ -216,17 +231,25 @@ def inverse(psi: VahlenMap) -> VahlenMap:
 
 def cauchy_kernel_G(x, n: int, dim: int | None = None) -> Multivector:
     """x / ||x||^n as a grade-1 multivector (Cl of the vector's dim unless
-    dim is given)."""
+    dim is given): the one-point view of cauchy_kernel_G_batch."""
     x = np.asarray(x, dtype=np.float64)
-    r = float(np.linalg.norm(x))
-    if r == 0.0:
+    return Multivector(dim if dim is not None else x.size, cauchy_kernel_G_batch(x, n, dim))
+
+
+def cauchy_kernel_G_batch(x, n: int, dim: int | None = None) -> np.ndarray:
+    """x / ||x||^n for every vector of an array (..., m), as coefficient
+    arrays in Cl_dim (dim = m unless given); raises if any vector is zero."""
+    x = np.asarray(x, dtype=np.float64)
+    r = np.sqrt((x * x).sum(-1, keepdims=True))
+    if (r == 0.0).any():
         raise SingularPointError("Cauchy kernel singular at the origin")
-    return Multivector.vector(x / r**n, dim if dim is not None else x.size)
+    return vectors(x / r**n, dim if dim is not None else x.shape[-1])
 
 
-def covariance_residual(psi: VahlenMap, x, y, px, py, weight_exponent_shift: int = 0) -> float:
+def covariance_residual(psi: VahlenMap, x, y, px, py, weight_exponent_shift: int = 0):
     """|| G(px - py) - sgn * J(psi,y)^{-1} G(x-y) (~J(psi,x))^{-1} || with
-    px = psi(x), py = psi(y): the Moebius covariance of the Cauchy kernel.
+    px = psi(x), py = psi(y): the Moebius covariance of the Cauchy kernel,
+    one residual per pair for point arrays (..., k).
 
     sgn is the sign of the pseudo-determinant a~d - b~c: matrices with
     negative pseudo-determinant (e.g. the Cayley transform) satisfy the
@@ -238,33 +261,24 @@ def covariance_residual(psi: VahlenMap, x, y, px, py, weight_exponent_shift: int
     (leaving the kernel exponent alone); nonzero values are falsification
     controls and must make the residual large.
     """
-    import dataclasses as _dc
-
     m = psi.kernel_exponent
     k = psi.ambient_dim
-    lhs = cauchy_kernel_G(px - py, m, k)
+    lhs = cauchy_kernel_G_batch(np.subtract(px, py), m, k)
     psi_w = psi
     if weight_exponent_shift:
-        psi_w = _dc.replace(psi, kernel_exponent=m + weight_exponent_shift)
-    jy = weight_J(psi_w, y)
-    jx = weight_J(psi_w, x)
-    mid = cauchy_kernel_G(_pad(x, k) - _pad(y, k), m, k)
+        psi_w = dataclasses.replace(psi, kernel_exponent=m + weight_exponent_shift)
+    jy_inv = clifford_group_inverse_batch(k, weight_J_batch(psi_w, y))
+    jx_inv = clifford_group_inverse_batch(k, reversion_batch(k, weight_J_batch(psi_w, x)))
+    mid = cauchy_kernel_G_batch(np.subtract(x, y), m, k)
     sgn = 1.0 if psi.pseudo_determinant > 0 else -1.0
-    rhs = clifford_group_inverse(jy) * mid * clifford_group_inverse(reversion(jx))
-    return (lhs - sgn * rhs).norm()
-
-
-def _pad(x, k: int) -> np.ndarray:
-    """The first len(x) components of a length-k zero vector set to x."""
-    out = np.zeros(k)
-    out[: len(x)] = x
-    return out
+    diff = lhs - sgn * gp_batch(k, gp_batch(k, jy_inv, mid), jx_inv)
+    return np.sqrt((diff * diff).sum(-1))
 
 
 def cayley_embed(x, n: int | None = None) -> np.ndarray:
-    """Closed form of the Cayley image of x in R^n: the unit-sphere point
-    (-2x + (||x||^2 - 1) e_{n+1}) / (||x||^2 + 1). Agrees with
-    apply(cayley(n), x); INFINITY maps to e_{n+1}."""
+    """Closed form of the Cayley image of points x of shape (..., n): the
+    unit-sphere points (-2x + (||x||^2 - 1) e_{n+1}) / (||x||^2 + 1). Agrees
+    with apply(cayley(n), x); INFINITY maps to e_{n+1} (pass n for it)."""
     if is_infinity(x):
         if n is None:
             raise VahlenError("n required to embed the point at infinity")
@@ -272,28 +286,17 @@ def cayley_embed(x, n: int | None = None) -> np.ndarray:
         out[n] = 1.0
         return out
     x = np.asarray(x, dtype=np.float64)
-    if n is None:
-        n = x.size
-    rho2 = float(x @ x)
-    out = np.zeros(n + 1)
-    out[: x.size] = -2.0 * x / (rho2 + 1.0)
-    out[n] = (rho2 - 1.0) / (rho2 + 1.0)
-    return out
+    rho2 = (x * x).sum(-1, keepdims=True)
+    return np.concatenate((-2.0 * x, rho2 - 1.0), axis=-1) / (rho2 + 1.0)
 
 
 def cayley_embed_jacobian(x) -> np.ndarray:
-    """(n+1) x n Jacobian of cayley_embed at a finite point."""
+    """(..., n+1, n) Jacobians of cayley_embed at finite points (..., n)."""
     x = np.asarray(x, dtype=np.float64)
-    n = x.size
-    rho2 = float(x @ x)
-    den = rho2 + 1.0
-    jac = np.zeros((n + 1, n))
-    num = np.zeros(n + 1)
-    num[:n] = -2.0 * x
-    num[n] = rho2 - 1.0
-    for j in range(n):
-        dnum = np.zeros(n + 1)
-        dnum[j] = -2.0
-        dnum[n] = 2.0 * x[j]
-        jac[:, j] = dnum / den - num * (2.0 * x[j]) / den**2
-    return jac
+    n = x.shape[-1]
+    rho2 = (x * x).sum(-1)[..., None, None]
+    num = np.concatenate((-2.0 * x, rho2[..., 0] - 1.0), axis=-1)
+    dnum = np.concatenate(
+        (np.broadcast_to(-2.0 * np.eye(n), x.shape[:-1] + (n, n)), 2.0 * x[..., None, :]), axis=-2
+    )
+    return dnum / (rho2 + 1.0) - num[..., :, None] * (2.0 * x[..., None, :]) / (rho2 + 1.0) ** 2

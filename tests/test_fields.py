@@ -27,7 +27,7 @@ def test_constant_field_dirac_zero():
 def test_identity_field_dirac():
     """D applied to x gives sum_j e_j e_j = -n."""
     for n in (2, 3):
-        f = CliffordField(n, n, lambda x, n=n: Multivector.vector(x, n))
+        f = CliffordField(n, n, lambda x, n=n: Multivector.vector(x, n).coeffs)
         got = dirac_left_fd(f, np.full(n, 0.3))
         assert np.allclose(got.coeffs[0], -n, atol=1e-9)
         assert got.max_grade_deviation(0) <= 1e-9

@@ -25,6 +25,7 @@ CASES = {
     "kernel-plane_sphere-n2": ("verify-kernel", {"kind": "plane_sphere", "n": 2}, []),
     "kernel-plane_sphere-n3": ("verify-kernel", {"kind": "plane_sphere", "n": 3}, []),
     "cauchy-two_spheres": ("verify-cauchy", {"kind": "two_spheres"}, ["--order", "32"]),
+    "cauchy-two_spheres-n3": ("verify-cauchy", {"kind": "two_spheres", "n": 3}, []),
     "cauchy-plane_sphere": ("verify-cauchy", {"kind": "plane_sphere"}, ["--order", "32"]),
     "cauchy-break_weight": ("verify-cauchy", {"break_weight": 1}, ["--order", "32"]),
     "cauchy-break_normal": ("verify-cauchy", {"break_normal": 1}, ["--order", "32"]),

@@ -3,7 +3,7 @@ Plemelj projections."""
 import numpy as np
 import pytest
 
-from sphereglue.algebra import Multivector, clifford_group_inverse
+from sphereglue.algebra import Multivector, clifford_group_inverse, vectors
 from sphereglue.fields import CliffordField, constant_field, dirac_left_fd, g_translate
 from sphereglue.integration import (
     Hypersurface,
@@ -34,7 +34,7 @@ def m3():
 
 
 def one(pt, u, nrm):
-    return 1.0
+    return np.ones(len(u))
 
 
 # -- measure oracles ---------------------------------------------------------
@@ -71,7 +71,7 @@ def test_sphere_measure(m3):
 def test_constant_scaling(m2):
     s = chart_circle(m2, 1, np.zeros(2), 1.0, 16)
     r1 = surface_quadrature(m2, s, one)
-    r3 = surface_quadrature(m2, s, lambda p, u, n: 3.0)
+    r3 = surface_quadrature(m2, s, lambda p, u, n: np.full(len(u), 3.0))
     assert abs(r3.value.scalar_part() - 3 * r1.value.scalar_part()) <= 1e-12
 
 
@@ -91,10 +91,10 @@ def test_equator_normal_bounding_south_cap(m2):
     s = chart_circle(m2, 1, np.zeros(2), 1.0, 16, interior=ManifoldPoint(1, np.zeros(2)))
     patch = s.patches[0]
     # chart coordinate (-1, 0) embeds to (1, 0, 0)
-    t = np.array([np.pi])
-    u = embed(m2, ManifoldPoint(1, patch.param(t)))
+    t = np.array([[np.pi]])
+    u = embed(m2, ManifoldPoint(1, patch.param(t)[0]))
     assert np.allclose(u, [1, 0, 0], atol=1e-12)
-    nrm = node_geometry(m2, s, patch, t).normal
+    nrm = node_geometry(m2, s, patch, t).normal[0]
     assert np.allclose(nrm, [0, 0, 1], atol=1e-12)
 
 
@@ -107,9 +107,9 @@ def test_normal_orthogonality(m2):
     s = chart_circle(m2, 1, np.array([0.2, -0.1]), 2.5, 16, interior=ManifoldPoint(1, np.zeros(2)))
     patch = s.patches[0]
     for t in np.linspace(0, 2 * np.pi, 9)[:-1]:
-        tv = np.array([t])
-        nrm = node_geometry(m2, s, patch, tv).normal
-        u = embed(m2, ManifoldPoint(1, patch.param(tv)))
+        tv = np.array([[t]])
+        nrm = node_geometry(m2, s, patch, tv).normal[0]
+        u = embed(m2, ManifoldPoint(1, patch.param(tv)[0]))
         # the embedded chart-1 picture is a sphere about the origin or the
         # coordinate plane x_{n+1} = 0
         axis = u if m2.chart(1).has_sphere else np.array([0.0, 0.0, 1.0])
@@ -117,8 +117,8 @@ def test_normal_orthogonality(m2):
         assert abs(nrm @ axis) <= 1e-12  # tangent to the embedded manifold
         h = 1e-6
         du = (
-            embed(m2, ManifoldPoint(1, patch.param(tv + h)))
-            - embed(m2, ManifoldPoint(1, patch.param(tv - h)))
+            embed(m2, ManifoldPoint(1, patch.param(tv + h)[0]))
+            - embed(m2, ManifoldPoint(1, patch.param(tv - h)[0]))
         ) / (2 * h)
         assert abs(nrm @ du / np.linalg.norm(du)) <= 1e-9
 
@@ -242,7 +242,7 @@ def test_section_chart2_representative_monogenic(m2):
     """J(cayley, y2) * rep(2, y2) is flat monogenic in the chart-2 plane."""
     sec = section_from_germ(m2, _germ(m2))
     cay = cayley(2)
-    f = CliffordField(2, 3, lambda yc: weight_J(cay, yc) * sec.rep(2, yc))
+    f = CliffordField(2, 3, lambda yc: (weight_J(cay, yc) * sec.value_at(ManifoldPoint(2, yc))).coeffs)
     rng = np.random.default_rng(0)
     for _ in range(5):
         y = rng.uniform(1.2, 2.8, 2)
@@ -261,8 +261,8 @@ def test_section_neck_agreement(m2):
         y2 = rng.uniform(0.6, 1.8, 2) * rng.choice([-1, 1], 2)
         y1 = apply_transition(m2, y2)
         w = weight_J(trans, embed(m2, ManifoldPoint(2, y2)))
-        lhs = sec.rep(2, y2)
-        rhs = w * sec.rep(1, y1)
+        lhs = sec.value_at(ManifoldPoint(2, y2))
+        rhs = w * sec.value_at(ManifoldPoint(1, y1))
         assert (lhs - rhs).norm() <= 1e-10
 
 
@@ -302,8 +302,8 @@ def test_plemelj_defect_halves(m2):
 
 
 def _mixed_data(p):
-    c = np.asarray(p.coord)
-    return Multivector.vector([np.sin(c[0]), np.cos(c[1]), 0.1], 3)
+    c = p.coord
+    return vectors(np.stack([np.sin(c[..., 0]), np.cos(c[..., 1]), np.full(c.shape[:-1], 0.1)], axis=-1), 3)
 
 
 def test_plemelj_mixed_data_partition(m2):
@@ -326,12 +326,12 @@ def _plemelj_g_minus_per_target(m, s, g, nn):
     patch = s.patches[0]
     (a, b) = patch.bounds[0]
     h = (b - a) / nn
-    geos = [node_geometry(m, s, patch, np.array([a + (i + 0.5) * h])) for i in range(nn)]
-    pts = [geo.point for geo in geos]
-    gvals = [g(p) for p in pts]
+    geo = node_geometry(m, s, patch, a + (np.arange(nn)[:, None] + 0.5) * h)
+    pts = [ManifoldPoint(patch.chart, c) for c in geo.point.coord]
+    gvals = [Multivector(3, v) for v in g(geo.point)]
     unit_sec = section_from_germ(m, constant_field(Multivector.scalar(1.0, 3), 2))
     wsec = [unit_sec.value_at(p) for p in pts]
-    nhat = [Multivector.vector(-geo.normal, 3) for geo in geos]
+    nhat = [Multivector.vector(-nrm, 3) for nrm in geo.normal]
     freqs = np.fft.fftfreq(nn, d=1.0 / nn) * (2.0 * np.pi / (b - a))
     freqs[nn // 2] = 0.0
     out = []
@@ -342,9 +342,9 @@ def _plemelj_g_minus_per_target(m, s, g, nn):
         dprime = np.real(np.fft.ifft(1j * freqs[:, None] * np.fft.fft(coeff, axis=0), axis=0))
         acc = Multivector.zero(3)
         for j in range(nn):
-            wj = geos[j].weight
+            wj = geo.weight[j]
             if j == i:
-                tvec = Multivector.vector(geos[i].tangents[:, 0] / wj**2, 3)
+                tvec = Multivector.vector(geo.tangents[i, :, 0] / wj**2, 3)
                 acc = acc + tvec * nhat[i] * Multivector(3, dprime[i]) * wj
             else:
                 acc = acc + kernel_CM(m, pts[j], pts[i]).value * nhat[j] * dvals[j] * wj
@@ -382,6 +382,12 @@ def test_plemelj_needs_two_nodes(m2):
     for s, nodes in ((_surf(m2, 3.0, 1), None), (_surf(m2, 3.0, 64), 1), (_surf(m2, 3.0, 64), 0)):
         with pytest.raises(SurfaceError):
             plemelj_projections(m2, s, data, n_nodes=nodes)
+
+
+def test_plemelj_rejects_per_point_data(m2):
+    """The data callable receives the whole node point array at once."""
+    with pytest.raises(SurfaceError):
+        plemelj_projections(m2, _surf(m2, 3.0, 16), lambda p: Multivector.scalar(1.0, 3))
 
 
 def test_plemelj_requires_n2(m3):

@@ -11,6 +11,7 @@ from sphereglue.kernel import (
     SAME_CHART,
     DiagonalError,
     kernel_CM,
+    kernel_CM_batch,
     overlap_consistency_residual,
 )
 from sphereglue.manifold import (
@@ -83,6 +84,24 @@ def test_cross_glue_path_continuity(m2):
         - kernel_CM(m2, x, ManifoldPoint(2, (2.0 + eps) * direction)).value
     ).norm()
     assert jump <= 1e-6
+
+
+def test_batch_rows_are_single_point_kernels(m2):
+    """Each row of the array kernel is the kernel of its pair, with the case
+    tag of its own target, for targets on both sides of the neck seam."""
+    x = pt(1, 3.0, 0.5)
+    ys = np.array([[1.0, 0.5], [2.5, 1.0], [0.9, -0.6], [3.0, 0.0]])
+    values, tags = kernel_CM_batch(m2, x, ManifoldPoint(2, ys))
+    assert list(tags) == [OVERLAP_REP, CROSS_GLUE, OVERLAP_REP, CROSS_GLUE]
+    for row, yc in zip(values, ys):
+        want = kernel_CM(m2, x, ManifoldPoint(2, yc)).value.coeffs
+        assert np.allclose(row, want, rtol=1e-15, atol=0.0)
+
+
+def test_batch_raises_for_any_diagonal_pair(m2):
+    xs = ManifoldPoint(1, np.array([[3.0, 0.5], [1.5, 0.0]]))
+    with pytest.raises(DiagonalError):
+        kernel_CM_batch(m2, xs, pt(2, 2.0 / 3.0, 0.0))
 
 
 def test_diagonal_raises(m2):
@@ -162,7 +181,7 @@ def test_kernel_left_monogenic_in_y(m2):
     f = CliffordField(
         2,
         3,
-        lambda yc: weight_J(cay, yc) * kernel_CM(m2, x0, ManifoldPoint(1, yc)).value,
+        lambda yc: (weight_J(cay, yc) * kernel_CM(m2, x0, ManifoldPoint(1, yc)).value).coeffs,
     )
     rng = np.random.default_rng(1)
     for _ in range(5):
@@ -178,7 +197,7 @@ def test_kernel_right_monogenic_in_x(m2):
     f = CliffordField(
         2,
         3,
-        lambda xc: kernel_CM(m2, ManifoldPoint(1, xc), y0).value * weight_J(cay, xc),
+        lambda xc: (kernel_CM(m2, ManifoldPoint(1, xc), y0).value * weight_J(cay, xc)).coeffs,
     )
     rng = np.random.default_rng(2)
     for _ in range(5):
@@ -194,7 +213,7 @@ def test_cross_glue_left_monogenic_in_y(m2):
     f = CliffordField(
         2,
         3,
-        lambda yc: weight_J(cay, yc) * kernel_CM(m2, x0, ManifoldPoint(2, yc)).value,
+        lambda yc: (weight_J(cay, yc) * kernel_CM(m2, x0, ManifoldPoint(2, yc)).value).coeffs,
     )
     rng = np.random.default_rng(3)
     for _ in range(5):
