@@ -172,15 +172,6 @@ def reversion_batch(dim: int, a: np.ndarray) -> np.ndarray:
     return np.asarray(a, dtype=np.float64) * _reversion_signs(dim)
 
 
-def kelvin_inverse(x: np.ndarray) -> np.ndarray:
-    """Clifford inverse of a nonzero Euclidean vector: -x / ||x||^2."""
-    x = np.asarray(x, dtype=np.float64)
-    n2 = float(x @ x)
-    if n2 == 0.0:
-        raise AlgebraError("zero vector has no Kelvin inverse")
-    return -x / n2
-
-
 def clifford_group_inverse(a: Multivector, rtol: float = DEFAULT_RTOL) -> Multivector:
     """Inverse of an element with a * ~a equal to a nonzero scalar."""
     return Multivector(a.dim, clifford_group_inverse_batch(a.dim, a.coeffs, rtol))
@@ -188,15 +179,22 @@ def clifford_group_inverse(a: Multivector, rtol: float = DEFAULT_RTOL) -> Multiv
 
 def clifford_group_inverse_batch(dim: int, a: np.ndarray, rtol: float = DEFAULT_RTOL) -> np.ndarray:
     """clifford_group_inverse of each row of (..., 2^dim) coefficients; raises if any fails."""
+    inv, ok = clifford_group_inverse_rows(dim, a, rtol)
+    if not ok.all():
+        raise NotInvertibleError("not invertible in Clifford group: a~a is not a nonzero scalar")
+    return inv
+
+
+def clifford_group_inverse_rows(dim: int, a: np.ndarray, rtol: float = DEFAULT_RTOL):
+    """The inverse of each row of (..., 2^dim) coefficients and a mask (...),
+    False where a~a is not a nonzero scalar; those rows hold no inverse."""
     a = np.asarray(a, dtype=np.float64)
     ar = reversion_batch(dim, a)
     p = gp_batch(dim, a, ar)
     s, scale = p[..., 0], (a * a).sum(-1)
-    if ((scale == 0.0) | (abs(s) <= rtol * scale)).any():
-        raise NotInvertibleError("not invertible in Clifford group: a~a scalar too small")
-    if (np.sqrt((p[..., 1:] ** 2).sum(-1)) > rtol * np.maximum(abs(s), scale)).any():
-        raise NotInvertibleError("not invertible in Clifford group: a~a is not a scalar")
-    return ar / s[..., None]
+    ok = (scale > 0.0) & (abs(s) > rtol * scale)
+    ok &= np.sqrt((p[..., 1:] ** 2).sum(-1)) <= rtol * np.maximum(abs(s), scale)
+    return ar / np.where(ok, s, 1.0)[..., None], ok
 
 
 def vectors(x, dim: int) -> np.ndarray:

@@ -14,8 +14,8 @@ import sys
 
 import numpy as np
 
-from .algebra import Multivector, reversion
-from .fields import DomainError, constant_field, dirac_left_fd, g_translate, moebius_pullback
+from .algebra import Multivector, gp_batch, reversion_batch, vectors
+from .fields import constant_field, dirac_left_fd, fd_stencil, g_translate, moebius_pullback
 from .integration import (
     cauchy_integral,
     chart_circle,
@@ -27,15 +27,14 @@ from .kernel import DiagonalError, kernel_CM, overlap_consistency_residual
 from .manifold import ManifoldPoint, embed, plane_sphere, two_spheres
 from .moebius import (
     VahlenError,
-    apply,
-    cauchy_kernel_G,
+    apply_batch,
     cauchy_kernel_G_batch,
     cayley,
     compose,
     covariance_residual,
-    is_infinity,
     neck_inversion,
     translation_map,
+    weight_J_rows,
 )
 
 
@@ -107,6 +106,9 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         raise ValueError("order must be >= 4")
     if cfg.n + cfg.break_weight < 1:
         raise ValueError("break_weight must exceed -n")
+    # the set-up of a run may build a config without naming a command
+    if getattr(args, "command", None) == "hardy" and cfg.n != 2:
+        raise ValueError(f"n must be 2 for hardy, got {cfg.n}")
     return cfg
 
 
@@ -155,9 +157,6 @@ class Report:
         self.records.append(rec)
         self.lines.append(rec.line())
 
-    def add_note(self, text: str):
-        self.lines.append(text)
-
     def add_csv(self, title: str, header: str, rows: list[str]):
         self.lines.append(f"csv {title}")
         self.lines.append(header)
@@ -167,10 +166,6 @@ class Report:
         ok = all(r.verdict == "pass" for r in self.records)
         self.lines.append(f"summary properties={len(self.records)} result={'pass' if ok else 'fail'}")
         return "\n".join(self.lines) + "\n", 0 if ok else 1
-
-
-def _random_multivector(rng, dim):
-    return Multivector(dim, rng.uniform(-1.0, 1.0, 2**dim))
 
 
 def _random_maps(rng, n: int, count: int, corrupt: bool = False):
@@ -198,64 +193,104 @@ def _random_maps(rng, n: int, count: int, corrupt: bool = False):
     return maps
 
 
-def _admissible_pair(rng, psi, n):
-    """Two points where the map and the weight are well away from singular."""
-    while True:
-        x = rng.uniform(-2.0, 2.0, n)
-        y = rng.uniform(-2.0, 2.0, n)
-        if np.linalg.norm(x - y) < 0.2:
-            continue
-        px, py = apply(psi, x), apply(psi, y)
-        if is_infinity(px) or is_infinity(py):
-            continue
-        if np.linalg.norm(px - py) < 1e-3:
-            continue
-        den_x = (psi.c * Multivector.vector(x, psi.ambient_dim) + psi.d).norm()
-        if den_x < 0.1:
-            continue
-        return x, y, px, py
+def _draw_accepted(rng, count: int, low: float, high: float, width: int, judge) -> np.ndarray:
+    """`count` rows uniform in [low, high)^width, as a loop drawing and judging
+    one row at a time finds them. judge(rows) returns per row whether it is
+    accepted and whether that loop would raise VahlenError on it. A block
+    holds only as many rows as are still missing, so the loop would reach
+    every row of it up to the first raising one, and the generator advances
+    exactly as in that loop until something raises."""
+    kept = []
+    while count:
+        rows = rng.uniform(low, high, (count, width))
+        accepted, raising = judge(rows)
+        if raising.any():
+            raise VahlenError("invalid Vahlen coefficients: image is not grade-1")
+        kept.append(rows[accepted])
+        count -= int(accepted.sum())
+    return np.concatenate(kept)
+
+
+def _admissible_pairs(psi, n: int):
+    """Judge rows (x, y): apart, with images finite and apart, and the map
+    well away from singular at x."""
+    k = psi.ambient_dim
+
+    def judge(rows):
+        x, y = rows[:, :n], rows[:, n:]
+        apart = np.linalg.norm(x - y, axis=-1) >= 0.2
+        img = apply_batch(psi, np.stack((x, y)), raise_invalid=False)
+        px, py = img.points
+        den_x = np.linalg.norm(gp_batch(k, psi.c.coeffs, vectors(x, k)) + psi.d.coeffs, axis=-1)
+        accepted = apart & img.finite.all(0) & (np.linalg.norm(px - py, axis=-1) >= 1e-3) & (den_x >= 0.1)
+        return accepted, apart & ~img.valid.all(0)
+
+    return judge
+
+
+def _stencil_samples(psi, f, h: float):
+    """Judge finite-difference sample points of the pullback of f by psi: the
+    pullback must be defined at the point and on its whole stencil, where the
+    weight must also be regular. A grade-1 failure at the point raises; one on
+    the stencil only rejects the point."""
+
+    def judge(rows):
+        centre = apply_batch(psi, rows, raise_invalid=False)
+        stencil = fd_stencil(rows, h)
+        around = apply_batch(psi, stencil, raise_invalid=False)
+        _, regular = weight_J_rows(psi, stencil)
+        defined = around.finite & around.valid & regular & f.domain(around.points)
+        accepted = centre.finite & f.domain(centre.points) & defined.all((-2, -1))
+        return accepted, ~centre.valid
+
+    return judge
 
 
 def cmd_verify_algebra(cfg: RunConfig) -> tuple[str, int]:
     rng = np.random.default_rng(cfg.seed)
     rep = Report("verify-algebra report", cfg)
 
-    # product laws over Cl_2..Cl_4
-    worst_assoc = worst_rev = worst_sq = 0.0
+    # product laws over Cl_2..Cl_4: the samples are drawn one at a time, then
+    # evaluated together per algebra dimension
+    drawn = {dim: ([], [], []) for dim in (2, 3, 4)}
     for _ in range(300):
         dim = int(rng.integers(2, 5))
-        a, b, c = (_random_multivector(rng, dim) for _ in range(3))
-        scale = max(a.norm() * b.norm() * c.norm(), 1e-30)
-        worst_assoc = max(worst_assoc, ((a * b) * c - a * (b * c)).norm() / scale)
-        worst_rev = max(
-            worst_rev,
-            (reversion(a * b) - reversion(b) * reversion(a)).norm()
-            / max(a.norm() * b.norm(), 1e-30),
-        )
-        v = Multivector.vector(rng.uniform(-2.0, 2.0, dim), dim)
-        worst_sq = max(
-            worst_sq,
-            (v * v + Multivector.scalar(float(v.vector_part() @ v.vector_part()), dim)).norm()
-            / max(v.norm() ** 2, 1e-30),
-        )
+        abc = rng.uniform(-1.0, 1.0, (3, 2**dim))
+        v = rng.uniform(-2.0, 2.0, dim)
+        for store, value in zip(drawn[dim], (abc, v, v @ v)):
+            store.append(value)
+    worst_assoc = worst_rev = worst_sq = 0.0
+    for dim, (abc, v, vv) in drawn.items():
+        if not abc:
+            continue
+        a, b, c = np.array(abc).transpose(1, 0, 2)
+        na, nb, nc = (np.linalg.norm(t, axis=-1) for t in (a, b, c))
+        ab, ra, rb = gp_batch(dim, a, b), reversion_batch(dim, a), reversion_batch(dim, b)
+        assoc = gp_batch(dim, ab, c) - gp_batch(dim, a, gp_batch(dim, b, c))
+        worst_assoc = max(worst_assoc, _worst(assoc, na * nb * nc))
+        worst_rev = max(worst_rev, _worst(reversion_batch(dim, ab) - gp_batch(dim, rb, ra), na * nb))
+        vm = vectors(np.array(v), dim)
+        sq = gp_batch(dim, vm, vm)
+        sq[:, 0] += vv
+        worst_sq = max(worst_sq, _worst(sq, np.linalg.norm(vm, axis=-1) ** 2))
     rep.add("associativity", worst_assoc, 1e-10)
     rep.add("reversion-antiautomorphism", worst_rev, 1e-10)
     rep.add("vector-square", worst_sq, 1e-10)
 
-    # covariance suite
+    # covariance suite: five admissible pairs per map
     maps = _random_maps(rng, cfg.n, 40, corrupt=bool(cfg.corrupt_vahlen))
     worst_cov = 0.0
     for psi in maps:
-        for _ in range(5):
-            try:
-                x, y, px, py = _admissible_pair(rng, psi, cfg.n)
-                res = covariance_residual(psi, x, y, px, py)
-            except VahlenError:
-                # a corrupted map fails the grade-1 validity check outright
-                rep.add("kernel-covariance", float("inf"), 1e-9)
-                return rep.finish()
-            base = cauchy_kernel_G(x - y, psi.kernel_exponent, psi.ambient_dim).norm()
-            worst_cov = max(worst_cov, res / max(base, 1e-30))
+        try:
+            pairs = _draw_accepted(rng, 5, -2.0, 2.0, 2 * cfg.n, _admissible_pairs(psi, cfg.n))
+            x, y = pairs[:, : cfg.n], pairs[:, cfg.n :]
+            res = covariance_residual(psi, x, y, *apply_batch(psi, np.stack((x, y))).points)
+        except VahlenError:
+            # a corrupted map fails the grade-1 validity check outright
+            rep.add("kernel-covariance", float("inf"), 1e-9)
+            return rep.finish()
+        base = np.linalg.norm(cauchy_kernel_G_batch(x - y, psi.kernel_exponent, psi.ambient_dim), axis=-1)
+        worst_cov = max(worst_cov, float(np.max(res / np.maximum(base, 1e-30))))
     rep.add("kernel-covariance", worst_cov, 1e-9)
 
     # pullback monogenicity suite: each map is used as a Moebius map of its
@@ -268,20 +303,16 @@ def cmd_verify_algebra(cfg: RunConfig) -> tuple[str, int]:
             psi = dataclasses.replace(psi, kernel_exponent=k)
         pole = rng.uniform(2.5, 4.0, k) * rng.choice([-1.0, 1.0], k)
         f = g_translate(pole, n=k, dim_alg=k)
-        pb = moebius_pullback(psi, f, dim_in=k)
-        checked = 0
-        while checked < 5:
-            x = rng.uniform(-1.8, 1.8, k)
-            if not pb.in_domain(x):
-                continue
-            try:
-                resid = dirac_left_fd(pb, x, 1e-4).norm()
-            except (DomainError, VahlenError):
-                continue
-            worst_fd = max(worst_fd, resid)
-            checked += 1
+        x = _draw_accepted(rng, 5, -1.8, 1.8, k, _stencil_samples(psi, f, 1e-4))
+        resid = dirac_left_fd(moebius_pullback(psi, f, dim_in=k), x, 1e-4)
+        worst_fd = max(worst_fd, float(np.linalg.norm(resid, axis=-1).max()))
     rep.add("pullback-monogenicity-fd", worst_fd, 1e-5)
     return rep.finish()
+
+
+def _worst(diff: np.ndarray, scale) -> float:
+    """The largest row norm of diff relative to its scale (floored at 1e-30)."""
+    return float(np.max(np.linalg.norm(diff, axis=-1) / np.maximum(scale, 1e-30)))
 
 
 def cmd_verify_kernel(cfg: RunConfig) -> tuple[str, int]:
@@ -337,6 +368,16 @@ def cmd_verify_kernel(cfg: RunConfig) -> tuple[str, int]:
     return rep.finish()
 
 
+def cross_glue_target(n: int, r: float) -> np.ndarray:
+    """The chart-2 point verify-cauchy reproduces across the glue: (2.5, 1[, 0]),
+    of norm 2.69, scaled outward to norm 1.25 r when r > 2.15 so that it stays
+    in chart 2's body (|y| >= r), where the kernel takes its cross-glue case."""
+    y = np.pad([2.5, 1.0], (0, n - 2))
+    if r > 2.15:
+        y *= 1.25 * r / np.linalg.norm(y)
+    return y
+
+
 def cmd_verify_cauchy(cfg: RunConfig) -> tuple[str, int]:
     rng = np.random.default_rng(cfg.seed)
     rep = Report("verify-cauchy report", cfg)
@@ -369,7 +410,7 @@ def cmd_verify_cauchy(cfg: RunConfig) -> tuple[str, int]:
     rep.add("constant-germ-reproduction", (res_c.value - csec.value_at(y_same)).norm(), 1e-8)
 
     # cross-glue reproduction with convergence table
-    y_cross = ManifoldPoint(2, np.pad([2.5, 1.0], (0, m.n - 2)))
+    y_cross = ManifoldPoint(2, cross_glue_target(m.n, m.r))
     exact = sec.value_at(y_cross)
     final = 64 if m.n == 3 else min(cfg.order, 256)
     orders = [16, 32, 64] if m.n == 3 else sorted({32, 64, 128, final})
@@ -409,10 +450,6 @@ def cmd_verify_cauchy(cfg: RunConfig) -> tuple[str, int]:
 
 def cmd_hardy(cfg: RunConfig) -> tuple[str, int]:
     rep = Report("hardy report", cfg)
-    if cfg.n != 2:
-        rep.add_note("note hardy suite requires n=2")
-        rep.add("hardy-requires-n2", 1.0, 0.0)
-        return rep.finish()
     m = make_manifold(cfg)
     pole = np.array([4.0, 0.0])
     sec = section_from_germ(m, g_translate(pole, n=2, dim_alg=3))

@@ -7,9 +7,9 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import Multivector
+from .algebra import Multivector, gp_batch
 from .config import DEFAULT_FD_STEP
-from .moebius import VahlenMap, apply, cauchy_kernel_G_batch, is_infinity, weight_J
+from .moebius import VahlenMap, apply_batch, cauchy_kernel_G_batch, weight_J_batch
 
 
 class DomainError(ValueError):
@@ -64,29 +64,42 @@ def g_translate(a: np.ndarray, n: int | None = None, dim_alg: int | None = None)
     )
 
 
-def dirac_left_fd(f: CliffordField, x, h: float = DEFAULT_FD_STEP) -> Multivector:
-    """Central-difference Dirac operator sum_j e_j d f / dx_j; O(h^2)."""
+def dirac_left_fd(f: CliffordField, x, h: float = DEFAULT_FD_STEP):
+    """Central-difference Dirac operator sum_j e_j d f / dx_j; O(h^2). A
+    Multivector for one point, coefficient arrays (..., 2^dim_alg) for a
+    point array (..., dim_in)."""
     return _dirac_fd(f, x, h, left=True)
 
 
-def dirac_right_fd(f: CliffordField, x, h: float = DEFAULT_FD_STEP) -> Multivector:
+def dirac_right_fd(f: CliffordField, x, h: float = DEFAULT_FD_STEP):
     """Central-difference right Dirac operator sum_j (d f / dx_j) e_j."""
     return _dirac_fd(f, x, h, left=False)
 
 
-def _dirac_fd(f: CliffordField, x, h: float, left: bool) -> Multivector:
+def fd_stencil(x, h: float) -> np.ndarray:
+    """The central-difference stencil of every point of x (..., dim), shape
+    (..., 2, dim, dim): [..., 0, j, :] = x + h e_j, [..., 1, j, :] = x - h e_j."""
+    x = np.asarray(x, dtype=np.float64)[..., None, :]
+    steps = h * np.eye(x.shape[-1])
+    return np.stack((x + steps, x - steps), axis=-3)
+
+
+def _dirac_fd(f: CliffordField, x, h: float, left: bool):
+    """Evaluates every stencil point of every point of x in one field call."""
     x = np.asarray(x, dtype=np.float64)
     if h <= 0:
         raise ValueError("step must be positive")
-    steps = h * np.eye(f.dim_in)
-    if not all(f.in_domain(x + step) and f.in_domain(x - step) for step in steps):
+    stencil = fd_stencil(x, h)
+    if not f.in_domain(stencil):
         raise DomainError("finite-difference stencil exits the field domain")
-    out = Multivector.zero(f.dim_alg)
-    for j, step in enumerate(steps):
-        diff = (f(x + step) - f(x - step)) / (2.0 * h)
-        e_j = Multivector.basis_vector(j, f.dim_alg)
-        out = out + (e_j * diff if left else diff * e_j)
-    return out
+    vals = f.func(stencil)
+    diff = (vals[..., 0, :, :] - vals[..., 1, :, :]) / (2.0 * h)
+    out = np.zeros(x.shape[:-1] + (1 << f.dim_alg,))
+    for j in range(f.dim_in):
+        e_j = Multivector.basis_vector(j, f.dim_alg).coeffs
+        d_j = diff[..., j, :]
+        out = out + (gp_batch(f.dim_alg, e_j, d_j) if left else gp_batch(f.dim_alg, d_j, e_j))
+    return Multivector(f.dim_alg, out) if x.ndim == 1 else out
 
 
 def moebius_pullback(psi: VahlenMap, f: CliffordField, dim_in: int | None = None) -> CliffordField:
@@ -94,23 +107,22 @@ def moebius_pullback(psi: VahlenMap, f: CliffordField, dim_in: int | None = None
 
     dim_in defaults to the field's input dimension capped by the map's ambient
     dimension; for a Cayley map acting on R^n inside Cl_{n+1} pass dim_in=n.
-    The pullback takes one point at a time: apply has no array form.
+    Domain and values take point arrays; an image that fails the map's
+    grade-1 check raises VahlenError from either.
     """
     if f.dim_alg != psi.ambient_dim:
         raise ValueError("field algebra dim must match the map's ambient dim")
     if dim_in is None:
         dim_in = min(f.dim_in, psi.ambient_dim)
 
-    def dom(x: np.ndarray) -> bool:
-        y = apply(psi, x)
-        if is_infinity(y):
-            return False
-        return f.in_domain(y[: f.dim_in])
+    def dom(x: np.ndarray) -> np.ndarray:
+        img = apply_batch(psi, x)
+        return img.finite & f.domain(img.points[..., : f.dim_in])
 
     def ev(x: np.ndarray) -> np.ndarray:
-        y = apply(psi, x)
-        if is_infinity(y):
+        img = apply_batch(psi, x)
+        if not img.finite.all():
             raise DomainError("pullback evaluated at a singular point of the map")
-        return (weight_J(psi, x) * f(y[: f.dim_in])).coeffs
+        return gp_batch(psi.ambient_dim, weight_J_batch(psi, x), f.values(img.points[..., : f.dim_in]))
 
     return CliffordField(dim_in, psi.ambient_dim, ev, dom)

@@ -126,11 +126,6 @@ def classify(m: GluedManifold, p: ManifoldPoint):
     return out if out.ndim else str(out)
 
 
-def transition_psi12(m: GluedManifold) -> VahlenMap:
-    """The involution x -> -x^{-1} between the chart coordinate planes."""
-    return neck_inversion(m.n)
-
-
 def apply_transition(m: GluedManifold, coord):
     """Evaluate the (continued) transition at chart coordinates (n,) or
     (..., n), total on the compactified plane for one point."""
@@ -163,16 +158,6 @@ def equivalent(m: GluedManifold, p: ManifoldPoint, q: ManifoldPoint, rtol: float
     return out if np.ndim(out) else bool(out)
 
 
-def canonical(m: GluedManifold, p: ManifoldPoint) -> ManifoldPoint:
-    """Neck points normalized to chart 1; body points unchanged."""
-    region = classify(m, p)
-    if region == INADMISSIBLE:
-        raise ManifoldError("inadmissible point")
-    if region == NECK and p.chart == 2:
-        return ManifoldPoint(1, apply_transition(m, p.coord))
-    return p
-
-
 def embed(m: GluedManifold, p: ManifoldPoint) -> np.ndarray:
     """Embedding of the point (array) into R^{n+1}: the (scaled) Cayley image
     for sphere charts, the coordinate plane (last component 0) for plane
@@ -191,14 +176,6 @@ def embed_jacobian(m: GluedManifold, chart: int, coord: np.ndarray) -> np.ndarra
     if ch.has_sphere:
         return ch.scale * cayley_embed_jacobian(coord)
     return np.broadcast_to(np.eye(m.n + 1, m.n), np.shape(coord)[:-1] + (m.n + 1, m.n))
-
-
-def to_sphere(m: GluedManifold, p: ManifoldPoint) -> np.ndarray:
-    """Unit-norm sphere embedding; errors for the plane chart."""
-    ch = m.chart(p.chart)
-    if not ch.has_sphere:
-        raise ManifoldError("no sphere embedding: chart is a coordinate plane")
-    return embed(m, p)
 
 
 def chart_map(m: GluedManifold, j: int) -> VahlenMap:

@@ -12,14 +12,14 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .algebra import (
     Multivector,
-    NotInvertibleError,
-    clifford_group_inverse,
     clifford_group_inverse_batch,
+    clifford_group_inverse_rows,
     gp_batch,
     reversion,
     reversion_batch,
@@ -125,37 +125,72 @@ def _points(x, k: int) -> np.ndarray:
     return x
 
 
+class Images(NamedTuple):
+    """apply_batch's result for a point array (..., m): the images (..., k),
+    NaN where the map sends the point to INFINITY; finite (...), False
+    exactly there; valid (...), False where a finite image fails the grade-1
+    check of a Vahlen map."""
+
+    points: np.ndarray
+    finite: np.ndarray
+    valid: np.ndarray
+
+
 def apply(psi: VahlenMap, x, rtol: float = DEFAULT_RTOL):
     """Evaluate the map at a finite point or at INFINITY. Returns a vector of
-    length ambient_dim, or INFINITY when cx+d fails to be invertible."""
+    length ambient_dim, or INFINITY when cx+d fails to be invertible; a
+    finite point is the one-row view of apply_batch."""
+    if not is_infinity(x):
+        img = apply_batch(psi, x, rtol)
+        return img.points if img.finite else INFINITY
     k = psi.ambient_dim
-    if is_infinity(x):
-        try:
-            cinv = clifford_group_inverse(psi.c, rtol)
-        except NotInvertibleError:
-            return INFINITY
-        res = psi.a * cinv
-        return _grade1_or_raise(res, rtol)
-    xm = Multivector.vector(_points(x, k), k)
-    den = psi.c * xm + psi.d
-    scale = max(psi.c.norm() * xm.norm() + psi.d.norm(), 1.0)
-    if den.norm() <= 1e-12 * scale:
+    cinv, ok = clifford_group_inverse_rows(k, psi.c.coeffs, rtol)
+    if not ok:
         return INFINITY
-    try:
-        dinv = clifford_group_inverse(den, rtol)
-    except NotInvertibleError:
-        return INFINITY
-    res = (psi.a * xm + psi.b) * dinv
-    return _grade1_or_raise(res, rtol)
+    points, dev, valid = _grade1(k, gp_batch(k, psi.a.coeffs, cinv), rtol)
+    if not valid:
+        raise _invalid(dev)
+    return points
 
 
-def _grade1_or_raise(res: Multivector, rtol: float) -> np.ndarray:
-    dev = res.max_grade_deviation(1)
-    if dev > max(rtol * max(res.norm(), 1.0), 1e-9):
-        raise VahlenError(
-            f"invalid Vahlen coefficients: image is not grade-1 (deviation {dev:.3e})"
-        )
-    return res.vector_part()
+def apply_batch(psi: VahlenMap, x, rtol: float = DEFAULT_RTOL, raise_invalid: bool = True) -> Images:
+    """(ax+b)(cx+d)^{-1} at every point of an array (..., m), m <= ambient_dim.
+
+    A point maps to INFINITY where cx+d is negligible or not invertible. With
+    raise_invalid (the default) a finite image that is not grade-1 raises
+    VahlenError; callers that judge rows one by one pass False and read
+    Images.valid instead.
+    """
+    k = psi.ambient_dim
+    xv = vectors(_points(x, k), k)
+    den = gp_batch(k, psi.c.coeffs, xv) + psi.d.coeffs
+    scale = np.maximum(psi.c.norm() * _norms(xv) + psi.d.norm(), 1.0)
+    dinv, invertible = clifford_group_inverse_rows(k, den, rtol)
+    finite = (_norms(den) > 1e-12 * scale) & invertible
+    res = gp_batch(k, gp_batch(k, psi.a.coeffs, xv) + psi.b.coeffs, dinv)
+    points, dev, valid = _grade1(k, res, rtol)
+    valid |= ~finite
+    if raise_invalid and not valid.all():
+        raise _invalid(dev[~valid].max())
+    return Images(np.where(finite[..., None], points, np.nan), finite, valid)
+
+
+def _norms(a: np.ndarray) -> np.ndarray:
+    return np.sqrt((a * a).sum(-1))
+
+
+def _grade1(k: int, res: np.ndarray, rtol: float):
+    """Vector parts of coefficient rows (..., 2^k), the norm of everything
+    outside grade 1, and whether that stays within the grade-1 tolerance."""
+    blades = [1 << j for j in range(k)]
+    rest = np.ones(res.shape[-1], dtype=bool)
+    rest[blades] = False
+    dev = _norms(res[..., rest])
+    return res[..., blades], dev, dev <= np.maximum(rtol * np.maximum(_norms(res), 1.0), 1e-9)
+
+
+def _invalid(dev: float) -> VahlenError:
+    return VahlenError(f"invalid Vahlen coefficients: image is not grade-1 (deviation {dev:.3e})")
 
 
 def weight_J(psi: VahlenMap, x) -> Multivector:
@@ -168,7 +203,16 @@ def weight_J(psi: VahlenMap, x) -> Multivector:
 
 def weight_J_batch(psi: VahlenMap, x) -> np.ndarray:
     """The weight at every point of an array (..., m), m <= ambient_dim, as
-    coefficient arrays (..., 2^ambient_dim); raises if it is singular at any.
+    coefficient arrays (..., 2^ambient_dim); raises if it is singular at any."""
+    w, regular = weight_J_rows(psi, x)
+    if not regular.all():
+        raise SingularPointError("cx+d vanishes: conformal weight singular here")
+    return w
+
+
+def weight_J_rows(psi: VahlenMap, x):
+    """The weight at every point of an array (..., m) and a mask (...), False
+    where it is singular; those rows hold no weight.
 
     The coefficients are first rescaled so that |a~d - b~c| = 1; the weight is
     then independent of the (projective) scale of the stored matrix.
@@ -177,12 +221,10 @@ def weight_J_batch(psi: VahlenMap, x) -> np.ndarray:
     x = _points(x, k)
     nu = abs(psi.pseudo_determinant) ** 0.5
     den = (gp_batch(k, psi.c.coeffs, vectors(x, k)) + psi.d.coeffs) / nu
-    s = np.sqrt((den * den).sum(-1, keepdims=True))
-    xnorm = np.sqrt((x * x).sum(-1, keepdims=True))
-    scale = np.maximum((psi.c.norm() * xnorm + psi.d.norm()) / nu, 1.0)
-    if (s <= 1e-12 * scale).any():
-        raise SingularPointError("cx+d vanishes: conformal weight singular here")
-    return reversion_batch(k, den) / s**psi.kernel_exponent
+    s = _norms(den)[..., None]
+    scale = np.maximum((psi.c.norm() * _norms(x)[..., None] + psi.d.norm()) / nu, 1.0)
+    regular = s > 1e-12 * scale
+    return reversion_batch(k, den) / np.where(regular, s, 1.0) ** psi.kernel_exponent, regular[..., 0]
 
 
 def compose(psi2: VahlenMap, psi1: VahlenMap) -> VahlenMap:
@@ -213,19 +255,17 @@ def inverse(psi: VahlenMap) -> VahlenMap:
         psi.ambient_dim,
         psi.kernel_exponent,
     )
+    # blocks of as many points as are still unchecked: a one-point loop
+    # reaches every point of such a block, so this checks the same points
     rng = np.random.default_rng(7)
-    checked = 0
-    while checked < 4:
-        x = rng.uniform(-1.5, 1.5, psi.ambient_dim)
-        y = apply(psi, x)
-        if is_infinity(y):
-            continue
-        back = apply(inv, y)
-        if is_infinity(back):
-            continue
-        if np.linalg.norm(back - x) > 1e-8 * max(1.0, np.linalg.norm(x)):
+    need = 4
+    while need:
+        x = rng.uniform(-1.5, 1.5, (need, psi.ambient_dim))
+        back = apply_batch(inv, apply_batch(psi, x).points)
+        far = _norms(back.points - x) > 1e-8 * np.maximum(1.0, _norms(x))
+        if (far & back.finite).any():
             raise VahlenError("block-rearranged inverse failed pointwise validation")
-        checked += 1
+        need -= int(back.finite.sum())
     return inv
 
 

@@ -3,7 +3,10 @@ falsification controls."""
 import numpy as np
 import pytest
 
-from sphereglue.cli import build_config, main, parse_config_file
+from sphereglue.cli import _draw_accepted, build_config, cross_glue_target, main, parse_config_file
+from sphereglue.kernel import kernel_CM
+from sphereglue.manifold import ManifoldPoint, plane_sphere, two_spheres
+from sphereglue.moebius import VahlenError
 
 
 def run(tmp_path, *argv):
@@ -74,6 +77,59 @@ def test_determinism(tmp_path):
     assert t1 == t2
 
 
+@pytest.mark.parametrize("command", ["verify-algebra", "verify-kernel", "verify-cauchy", "hardy"])
+def test_report_repeats_in_one_process(tmp_path, command):
+    """No state kept between runs changes a report."""
+    _, t1 = run(tmp_path, command, "--seed", "5", "--order", "32")
+    _, t2 = run(tmp_path, command, "--seed", "5", "--order", "32")
+    assert t1 == t2
+
+
+def _one_row_at_a_time(rng, count, low, high, width, judge):
+    kept = []
+    while len(kept) < count:
+        row = rng.uniform(low, high, width)
+        accepted, raising = judge(row[None])
+        if raising[0]:
+            raise VahlenError("raised")
+        if accepted[0]:
+            kept.append(row)
+    return np.array(kept)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_draw_accepted_matches_one_row_loop(seed):
+    """Same rows, same generator state afterwards, and a raise exactly when
+    the one-row loop meets a raising row before it has enough rows."""
+
+    def judge(rows):
+        return rows[:, 0] > -0.5, (rows[:, 0] > 0.8) & (rows[:, 1] < -0.6)
+
+    outcomes = []
+    for draw in (_draw_accepted, _one_row_at_a_time):
+        rng = np.random.default_rng(seed)
+        try:
+            rows = draw(rng, 5, -1.0, 1.0, 2, judge)
+        except VahlenError:
+            rows = None
+        outcomes.append((rows, rng.uniform()))
+    (got, after), (want, after_ref) = outcomes
+    if want is None:
+        assert got is None
+    else:
+        assert np.array_equal(got, want) and after == after_ref
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("kind", ["two_spheres", "plane_sphere"])
+@pytest.mark.parametrize("r", [1.05, 2.0, 10.0])
+def test_cross_glue_target_takes_the_cross_glue_case(kind, n, r):
+    m = two_spheres(n, r) if kind == "two_spheres" else plane_sphere(n, r)
+    node = ManifoldPoint(1, np.pad([3.0], (0, n - 1)))
+    y = ManifoldPoint(2, cross_glue_target(n, r))
+    assert kernel_CM(m, node, y).case_tag == "cross-glue"
+
+
 def test_negative_control_weight(tmp_path):
     cfg = tmp_path / "bw.cfg"
     cfg.write_text("break_weight=1\n")
@@ -122,6 +178,7 @@ BAD_CONFIGS = [
     ("verify-cauchy", "kind=plane_sphere\nscale2=-1\n", "scale2"),
     ("verify-kernel", "r=nan\n", "r"),
     ("verify-cauchy", "break_weight=-2\n", "break_weight"),
+    ("hardy", "n=3\n", "n"),
 ]
 
 

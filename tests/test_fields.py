@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from sphereglue.algebra import Multivector
+from sphereglue.algebra import Multivector, vectors
 from sphereglue.fields import (
     CliffordField,
     DomainError,
@@ -15,7 +15,7 @@ from sphereglue.fields import (
     g_translate,
     moebius_pullback,
 )
-from sphereglue.moebius import cayley, identity_map, neck_inversion
+from sphereglue.moebius import cayley, compose, identity_map, neck_inversion, translation_map
 
 
 def test_constant_field_dirac_zero():
@@ -27,7 +27,7 @@ def test_constant_field_dirac_zero():
 def test_identity_field_dirac():
     """D applied to x gives sum_j e_j e_j = -n."""
     for n in (2, 3):
-        f = CliffordField(n, n, lambda x, n=n: Multivector.vector(x, n).coeffs)
+        f = CliffordField(n, n, lambda x, n=n: vectors(x, n))
         got = dirac_left_fd(f, np.full(n, 0.3))
         assert np.allclose(got.coeffs[0], -n, atol=1e-9)
         assert got.max_grade_deviation(0) <= 1e-9
@@ -69,6 +69,32 @@ def test_domain_guard():
     with pytest.raises(DomainError):
         # the lower stencil point lands exactly on the singularity
         dirac_left_fd(f, [1e-4, 0.0], h=1e-4)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_dirac_on_point_array_matches_one_point_calls(n):
+    """One stencil evaluation over a point array gives each point's
+    one-point result bit for bit, on a Moebius pullback and on both sides."""
+    psi = compose(translation_map(np.full(n, 0.3)), neck_inversion(n))
+    pb = moebius_pullback(psi, g_translate(np.full(n, 2.5)))
+    x = np.random.default_rng(6).uniform(0.5, 1.5, (2, 3, n))
+    for dirac in (dirac_left_fd, dirac_right_fd):
+        got = dirac(pb, x, 1e-4)
+        assert got.shape == (2, 3, 2**n)
+        for idx in np.ndindex(2, 3):
+            one = dirac(pb, x[idx], 1e-4)
+            assert isinstance(one, Multivector) and np.array_equal(got[idx], one.coeffs)
+
+
+def test_domain_guard_on_point_array():
+    """One stencil point of one sample on the singularity fails the call."""
+    f = g_translate(np.zeros(2))
+    with pytest.raises(DomainError):
+        dirac_left_fd(f, [[0.5, 0.5], [1e-4, 0.0]], h=1e-4)
+    pb = moebius_pullback(neck_inversion(2), g_translate(np.array([2.0, 0.0])))
+    with pytest.raises(DomainError):
+        # x + h e_1 = (0.5, 0), which the neck inversion sends onto the pole
+        dirac_left_fd(pb, [[1.0, 1.0], [0.5 - 1e-4, 0.0]], h=1e-4)
 
 
 def test_pullback_identity_map():

@@ -20,6 +20,10 @@ GOLDEN = Path(__file__).parent / "golden"
 CASES = {
     "algebra-n2": ("verify-algebra", {"n": 2}, ["--seed", "0"]),
     "algebra-n3": ("verify-algebra", {"n": 3}, ["--seed", "0"]),
+    # seed 35 pins the known pullback-monogenicity-fd failure at n = 2
+    "algebra-n2-seed35": ("verify-algebra", {"n": 2}, ["--seed", "35"]),
+    "algebra-n3-seed35": ("verify-algebra", {"n": 3}, ["--seed", "35"]),
+    "algebra-corrupt_vahlen": ("verify-algebra", {"n": 2, "corrupt_vahlen": 1}, ["--seed", "2"]),
     "kernel-two_spheres-n2": ("verify-kernel", {"kind": "two_spheres", "n": 2}, []),
     "kernel-two_spheres-n3": ("verify-kernel", {"kind": "two_spheres", "n": 3}, []),
     "kernel-plane_sphere-n2": ("verify-kernel", {"kind": "plane_sphere", "n": 2}, []),

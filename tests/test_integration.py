@@ -3,7 +3,7 @@ Plemelj projections."""
 import numpy as np
 import pytest
 
-from sphereglue.algebra import Multivector, clifford_group_inverse, vectors
+from sphereglue.algebra import Multivector, clifford_group_inverse, gp_batch, vectors
 from sphereglue.fields import CliffordField, constant_field, dirac_left_fd, g_translate
 from sphereglue.integration import (
     Hypersurface,
@@ -20,7 +20,7 @@ from sphereglue.integration import (
 )
 from sphereglue.kernel import kernel_CM
 from sphereglue.manifold import ManifoldPoint, embed, plane_sphere, two_spheres
-from sphereglue.moebius import cauchy_kernel_G, cayley, weight_J
+from sphereglue.moebius import cauchy_kernel_G, cayley, weight_J, weight_J_batch
 
 
 @pytest.fixture
@@ -242,7 +242,7 @@ def test_section_chart2_representative_monogenic(m2):
     """J(cayley, y2) * rep(2, y2) is flat monogenic in the chart-2 plane."""
     sec = section_from_germ(m2, _germ(m2))
     cay = cayley(2)
-    f = CliffordField(2, 3, lambda yc: (weight_J(cay, yc) * sec.value_at(ManifoldPoint(2, yc))).coeffs)
+    f = CliffordField(2, 3, lambda yc: gp_batch(3, weight_J_batch(cay, yc), sec.value_at(ManifoldPoint(2, yc))))
     rng = np.random.default_rng(0)
     for _ in range(5):
         y = rng.uniform(1.2, 2.8, 2)

@@ -4,6 +4,7 @@ the chart-coordinate representatives."""
 import numpy as np
 import pytest
 
+from sphereglue.algebra import gp_batch
 from sphereglue.fields import CliffordField, dirac_left_fd, dirac_right_fd
 from sphereglue.kernel import (
     CROSS_GLUE,
@@ -22,7 +23,7 @@ from sphereglue.manifold import (
     plane_sphere,
     two_spheres,
 )
-from sphereglue.moebius import cayley, weight_J
+from sphereglue.moebius import cayley, weight_J_batch
 
 
 @pytest.fixture
@@ -181,7 +182,7 @@ def test_kernel_left_monogenic_in_y(m2):
     f = CliffordField(
         2,
         3,
-        lambda yc: (weight_J(cay, yc) * kernel_CM(m2, x0, ManifoldPoint(1, yc)).value).coeffs,
+        lambda yc: gp_batch(3, weight_J_batch(cay, yc), kernel_CM_batch(m2, x0, ManifoldPoint(1, yc))[0]),
     )
     rng = np.random.default_rng(1)
     for _ in range(5):
@@ -197,7 +198,7 @@ def test_kernel_right_monogenic_in_x(m2):
     f = CliffordField(
         2,
         3,
-        lambda xc: (kernel_CM(m2, ManifoldPoint(1, xc), y0).value * weight_J(cay, xc)).coeffs,
+        lambda xc: gp_batch(3, kernel_CM_batch(m2, ManifoldPoint(1, xc), y0)[0], weight_J_batch(cay, xc)),
     )
     rng = np.random.default_rng(2)
     for _ in range(5):
@@ -213,7 +214,7 @@ def test_cross_glue_left_monogenic_in_y(m2):
     f = CliffordField(
         2,
         3,
-        lambda yc: (weight_J(cay, yc) * kernel_CM(m2, x0, ManifoldPoint(2, yc)).value).coeffs,
+        lambda yc: gp_batch(3, weight_J_batch(cay, yc), kernel_CM_batch(m2, x0, ManifoldPoint(2, yc))[0]),
     )
     rng = np.random.default_rng(3)
     for _ in range(5):

@@ -12,7 +12,6 @@ from sphereglue.manifold import (
     ManifoldError,
     ManifoldPoint,
     apply_transition,
-    canonical,
     chart_transfer,
     chart_map,
     classify,
@@ -20,11 +19,9 @@ from sphereglue.manifold import (
     embed_jacobian,
     equivalent,
     plane_sphere,
-    to_sphere,
-    transition_psi12,
     two_spheres,
 )
-from sphereglue.moebius import INFINITY, apply, is_infinity
+from sphereglue.moebius import INFINITY, apply, is_infinity, neck_inversion
 
 
 @pytest.fixture
@@ -69,7 +66,7 @@ def test_classify_plane_chart_infinity():
 
 
 def test_transition_values(m2):
-    psi = transition_psi12(m2)
+    psi = neck_inversion(m2.n)
     assert np.allclose(apply(psi, e1(1.0, 0.0)), [1.0, 0.0])
     got = apply(psi, e1(1.5, 0.0))
     assert np.allclose(got, [2.0 / 3.0, 0.0])
@@ -77,7 +74,7 @@ def test_transition_values(m2):
 
 
 def test_transition_involution(m2):
-    psi = transition_psi12(m2)
+    psi = neck_inversion(m2.n)
     rng = np.random.default_rng(0)
     for _ in range(100):
         x = rng.uniform(0.55, 1.9, 2) * rng.choice([-1, 1], 2)
@@ -85,7 +82,7 @@ def test_transition_involution(m2):
 
 
 def test_continuation_extends_to_cap(m2):
-    psi = transition_psi12(m2)
+    psi = neck_inversion(m2.n)
     assert np.allclose(apply(psi, e1(0.25, 0.0)), [4.0, 0.0])
     assert is_infinity(apply_transition(m2, np.zeros(2)))
     assert np.allclose(apply_transition(m2, INFINITY), np.zeros(2))
@@ -100,7 +97,7 @@ def test_transition_norm_reciprocal(m2):
         ) <= 1e-12
 
 
-# -- equivalence and canonicalization ----------------------------------------
+# -- equivalence -------------------------------------------------------------
 
 
 def test_equivalent_neck_points(m2):
@@ -112,29 +109,6 @@ def test_equivalent_neck_points(m2):
 
 def test_body_points_single_chart(m2):
     assert not equivalent(m2, ManifoldPoint(1, e1(3.0, 0.0)), ManifoldPoint(2, e1(3.0, 0.0)))
-
-
-def test_canonical(m2):
-    p = canonical(m2, ManifoldPoint(2, e1(1.0, 0.5)))
-    assert p.chart == 1
-    q = canonical(m2, ManifoldPoint(1, e1(3.0, 0.0)))
-    assert q.chart == 1 and np.allclose(q.coord, [3.0, 0.0])
-    # idempotent
-    rng = np.random.default_rng(2)
-    for _ in range(50):
-        coord = rng.uniform(0.6, 3.0, 2) * rng.choice([-1, 1], 2)
-        pt = ManifoldPoint(int(rng.integers(1, 3)), coord)
-        if classify(m2, pt) == INADMISSIBLE:
-            continue
-        c1 = canonical(m2, pt)
-        c2 = canonical(m2, c1)
-        assert c1.chart == c2.chart and np.allclose(c1.coord, c2.coord)
-        assert equivalent(m2, pt, c1)
-
-
-def test_canonical_rejects_inadmissible(m2):
-    with pytest.raises(ManifoldError):
-        canonical(m2, ManifoldPoint(1, e1(0.1, 0.0)))
 
 
 # -- embeddings --------------------------------------------------------------
@@ -149,15 +123,13 @@ def test_embed_unit_norm(m2):
     rng = np.random.default_rng(3)
     for _ in range(100):
         x = rng.uniform(-4, 4, 2)
-        assert abs(np.linalg.norm(to_sphere(m2, ManifoldPoint(1, x))) - 1.0) <= 1e-12
+        assert abs(np.linalg.norm(embed(m2, ManifoldPoint(1, x))) - 1.0) <= 1e-12
 
 
 def test_plane_chart_embedding():
     mp = plane_sphere(2, 2.0)
     u = embed(mp, ManifoldPoint(1, e1(1.5, -2.0)))
     assert np.allclose(u, [1.5, -2.0, 0.0])
-    with pytest.raises(ManifoldError):
-        to_sphere(mp, ManifoldPoint(1, e1(1.5, -2.0)))
     with pytest.raises(ManifoldError):
         embed(mp, ManifoldPoint(1, INFINITY))
 

@@ -12,6 +12,7 @@ from sphereglue.moebius import (
     SingularPointError,
     VahlenError,
     apply,
+    apply_batch,
     cauchy_kernel_G,
     cayley,
     cayley_embed,
@@ -24,7 +25,10 @@ from sphereglue.moebius import (
     neck_inversion,
     translation_map,
     weight_J,
+    weight_J_batch,
+    weight_J_rows,
 )
+from sphereglue.cli import _random_maps
 from sphereglue.manifold import chart_transfer, plane_sphere
 
 
@@ -347,3 +351,50 @@ def test_grade1_purity_enforced():
     )
     with pytest.raises(VahlenError):
         apply(bad, np.array([1.0, 0.3, -0.2]))
+
+
+# -- apply_batch ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_apply_batch_rows_are_one_point_apply(n):
+    """Every row equals apply at that point bit for bit, over the maps the
+    algebra suite samples (translations, neck, Cayley, compositions)."""
+    rng = np.random.default_rng(4)
+    for psi in _random_maps(rng, n, 40):
+        x = rng.uniform(-2.0, 2.0, (3, 4, n))
+        img = apply_batch(psi, x)
+        assert img.points.shape == (3, 4, psi.ambient_dim) and img.valid.all()
+        for idx in np.ndindex(3, 4):
+            one = apply(psi, x[idx])
+            assert img.finite[idx] and np.array_equal(img.points[idx], one)
+
+
+def test_apply_batch_marks_the_pole_of_the_neck_inversion():
+    x = np.array([[1.0, 2.0], [0.0, 0.0], [-0.5, 0.25]])
+    img = apply_batch(neck_inversion(2), x)
+    assert img.finite.tolist() == [True, False, True]
+    assert np.isnan(img.points[1]).all() and img.valid.all()
+    assert is_infinity(apply(neck_inversion(2), x[1]))
+    assert np.array_equal(img.points[[0, 2]], [apply(neck_inversion(2), x[0]), apply(neck_inversion(2), x[2])])
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_apply_batch_flags_every_row_of_a_corrupt_map(n):
+    bad = _random_maps(np.random.default_rng(2), n, 1, corrupt=True)[0]
+    x = np.random.default_rng(5).uniform(-2.0, 2.0, (16, n))
+    img = apply_batch(bad, x, raise_invalid=False)
+    assert not img.valid.any()
+    with pytest.raises(VahlenError):
+        apply_batch(bad, x)
+    with pytest.raises(VahlenError):
+        apply(bad, x[0])
+
+
+def test_weight_rows_mark_singular_points():
+    x = np.array([[0.0, 0.0], [1.0, -0.5]])
+    w, regular = weight_J_rows(neck_inversion(2), x)
+    assert regular.tolist() == [False, True]
+    assert np.array_equal(w[1], weight_J(neck_inversion(2), x[1]).coeffs)
+    with pytest.raises(SingularPointError):
+        weight_J_batch(neck_inversion(2), x)
