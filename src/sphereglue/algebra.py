@@ -163,22 +163,14 @@ class Multivector:
 
 # -- operations ------------------------------------------------------------
 
-def reversion(a: Multivector) -> Multivector:
-    return Multivector(a.dim, reversion_batch(a.dim, a.coeffs))
-
-
-def reversion_batch(dim: int, a: np.ndarray) -> np.ndarray:
+def reversion(dim: int, a: np.ndarray) -> np.ndarray:
     """Reversion of every row of a coefficient array (..., 2^dim)."""
     return np.asarray(a, dtype=np.float64) * _reversion_signs(dim)
 
 
-def clifford_group_inverse(a: Multivector, rtol: float = DEFAULT_RTOL) -> Multivector:
-    """Inverse of an element with a * ~a equal to a nonzero scalar."""
-    return Multivector(a.dim, clifford_group_inverse_batch(a.dim, a.coeffs, rtol))
-
-
-def clifford_group_inverse_batch(dim: int, a: np.ndarray, rtol: float = DEFAULT_RTOL) -> np.ndarray:
-    """clifford_group_inverse of each row of (..., 2^dim) coefficients; raises if any fails."""
+def clifford_group_inverse(dim: int, a: np.ndarray, rtol: float = DEFAULT_RTOL) -> np.ndarray:
+    """Inverse of each row of (..., 2^dim) coefficients with a~a a nonzero
+    scalar; raises if any row fails."""
     inv, ok = clifford_group_inverse_rows(dim, a, rtol)
     if not ok.all():
         raise NotInvertibleError("not invertible in Clifford group: a~a is not a nonzero scalar")
@@ -189,7 +181,7 @@ def clifford_group_inverse_rows(dim: int, a: np.ndarray, rtol: float = DEFAULT_R
     """The inverse of each row of (..., 2^dim) coefficients and a mask (...),
     False where a~a is not a nonzero scalar; those rows hold no inverse."""
     a = np.asarray(a, dtype=np.float64)
-    ar = reversion_batch(dim, a)
+    ar = reversion(dim, a)
     p = gp_batch(dim, a, ar)
     s, scale = p[..., 0], (a * a).sum(-1)
     ok = (scale > 0.0) & (abs(s) > rtol * scale)

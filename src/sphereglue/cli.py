@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .algebra import Multivector, gp_batch, reversion_batch, vectors
+from .algebra import Multivector, gp_batch, reversion, vectors
 from .fields import constant_field, dirac_left_fd, fd_stencil, g_translate, moebius_pullback
 from .integration import (
     cauchy_integral,
@@ -27,8 +27,8 @@ from .kernel import DiagonalError, kernel_CM, overlap_consistency_residual
 from .manifold import ManifoldPoint, embed, plane_sphere, two_spheres
 from .moebius import (
     VahlenError,
-    apply_batch,
-    cauchy_kernel_G_batch,
+    apply,
+    cauchy_kernel_G,
     cayley,
     compose,
     covariance_residual,
@@ -219,7 +219,7 @@ def _admissible_pairs(psi, n: int):
     def judge(rows):
         x, y = rows[:, :n], rows[:, n:]
         apart = np.linalg.norm(x - y, axis=-1) >= 0.2
-        img = apply_batch(psi, np.stack((x, y)), raise_invalid=False)
+        img = apply(psi, np.stack((x, y)), raise_invalid=False)
         px, py = img.points
         den_x = np.linalg.norm(gp_batch(k, psi.c.coeffs, vectors(x, k)) + psi.d.coeffs, axis=-1)
         accepted = apart & img.finite.all(0) & (np.linalg.norm(px - py, axis=-1) >= 1e-3) & (den_x >= 0.1)
@@ -231,16 +231,17 @@ def _admissible_pairs(psi, n: int):
 def _stencil_samples(psi, f, h: float):
     """Judge finite-difference sample points of the pullback of f by psi: the
     pullback must be defined at the point and on its whole stencil, where the
-    weight must also be regular. A grade-1 failure at the point raises; one on
-    the stencil only rejects the point."""
+    weight must also be regular. The stencil is every point the
+    finite-difference operator evaluates, at both of its steps. A grade-1
+    failure at the point raises; one on the stencil only rejects the point."""
 
     def judge(rows):
-        centre = apply_batch(psi, rows, raise_invalid=False)
+        centre = apply(psi, rows, raise_invalid=False)
         stencil = fd_stencil(rows, h)
-        around = apply_batch(psi, stencil, raise_invalid=False)
+        around = apply(psi, stencil, raise_invalid=False)
         _, regular = weight_J_rows(psi, stencil)
         defined = around.finite & around.valid & regular & f.domain(around.points)
-        accepted = centre.finite & f.domain(centre.points) & defined.all((-2, -1))
+        accepted = centre.finite & f.domain(centre.points) & defined.all((-3, -2, -1))
         return accepted, ~centre.valid
 
     return judge
@@ -265,10 +266,10 @@ def cmd_verify_algebra(cfg: RunConfig) -> tuple[str, int]:
             continue
         a, b, c = np.array(abc).transpose(1, 0, 2)
         na, nb, nc = (np.linalg.norm(t, axis=-1) for t in (a, b, c))
-        ab, ra, rb = gp_batch(dim, a, b), reversion_batch(dim, a), reversion_batch(dim, b)
+        ab, ra, rb = gp_batch(dim, a, b), reversion(dim, a), reversion(dim, b)
         assoc = gp_batch(dim, ab, c) - gp_batch(dim, a, gp_batch(dim, b, c))
         worst_assoc = max(worst_assoc, _worst(assoc, na * nb * nc))
-        worst_rev = max(worst_rev, _worst(reversion_batch(dim, ab) - gp_batch(dim, rb, ra), na * nb))
+        worst_rev = max(worst_rev, _worst(reversion(dim, ab) - gp_batch(dim, rb, ra), na * nb))
         vm = vectors(np.array(v), dim)
         sq = gp_batch(dim, vm, vm)
         sq[:, 0] += vv
@@ -284,12 +285,12 @@ def cmd_verify_algebra(cfg: RunConfig) -> tuple[str, int]:
         try:
             pairs = _draw_accepted(rng, 5, -2.0, 2.0, 2 * cfg.n, _admissible_pairs(psi, cfg.n))
             x, y = pairs[:, : cfg.n], pairs[:, cfg.n :]
-            res = covariance_residual(psi, x, y, *apply_batch(psi, np.stack((x, y))).points)
+            res = covariance_residual(psi, x, y, *apply(psi, np.stack((x, y))).points)
         except VahlenError:
             # a corrupted map fails the grade-1 validity check outright
             rep.add("kernel-covariance", float("inf"), 1e-9)
             return rep.finish()
-        base = np.linalg.norm(cauchy_kernel_G_batch(x - y, psi.kernel_exponent, psi.ambient_dim), axis=-1)
+        base = np.linalg.norm(cauchy_kernel_G(x - y, psi.kernel_exponent, psi.ambient_dim), axis=-1)
         worst_cov = max(worst_cov, float(np.max(res / np.maximum(base, 1e-30))))
     rep.add("kernel-covariance", worst_cov, 1e-9)
 
@@ -335,7 +336,7 @@ def cmd_verify_kernel(cfg: RunConfig) -> tuple[str, int]:
             pairs.append((x2, y2))
     px, py = (ManifoldPoint(2, np.array(c)) for c in zip(*pairs))
     res = overlap_consistency_residual(m, px, py)
-    ref = np.linalg.norm(cauchy_kernel_G_batch(embed(m, px) - embed(m, py), m.n, m.n + 1), axis=-1)
+    ref = np.linalg.norm(cauchy_kernel_G(embed(m, px) - embed(m, py), m.n, m.n + 1), axis=-1)
     rep.add("overlap-consistency", float(np.max(res / np.maximum(ref, 1e-30))), 1e-9)
 
     # case coherence: the kernel is continuous where y crosses from neck to
@@ -344,9 +345,9 @@ def cmd_verify_kernel(cfg: RunConfig) -> tuple[str, int]:
     direction[0] = 1.0
     x = ManifoldPoint(1, 3.1 * direction)
     eps = 1e-7
-    v_in = kernel_CM(m, x, ManifoldPoint(2, (m.r - eps) * direction)).value
-    v_out = kernel_CM(m, x, ManifoldPoint(2, (m.r + eps) * direction)).value
-    rep.add("case-coherence-seam-jump", (v_in - v_out).norm(), 1e-6)
+    v_in = kernel_CM(m, x, ManifoldPoint(2, (m.r - eps) * direction)).coeffs
+    v_out = kernel_CM(m, x, ManifoldPoint(2, (m.r + eps) * direction)).coeffs
+    rep.add("case-coherence-seam-jump", np.linalg.norm(v_in - v_out), 1e-6)
 
     # diagonal request surfaces a structured error
     try:
@@ -362,7 +363,7 @@ def cmd_verify_kernel(cfg: RunConfig) -> tuple[str, int]:
     for eps in (1e-2, 1e-3):
         y = ManifoldPoint(1, base_pt + eps * direction)
         d = np.linalg.norm(embed(m, ManifoldPoint(1, base_pt)) - embed(m, y))
-        val = kernel_CM(m, ManifoldPoint(1, base_pt), y).value.norm()
+        val = np.linalg.norm(kernel_CM(m, ManifoldPoint(1, base_pt), y).coeffs)
         worst_blow = max(worst_blow, abs(val * d ** (m.n - 1) - 1.0))
     rep.add("diagonal-blowup-strength", worst_blow, 1e-3)
     return rep.finish()

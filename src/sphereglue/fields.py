@@ -9,7 +9,7 @@ import numpy as np
 
 from .algebra import Multivector, gp_batch
 from .config import DEFAULT_FD_STEP
-from .moebius import VahlenMap, apply_batch, cauchy_kernel_G_batch, weight_J_batch
+from .moebius import VahlenMap, apply, cauchy_kernel_G, weight_J
 
 
 class DomainError(ValueError):
@@ -59,32 +59,33 @@ def g_translate(a: np.ndarray, n: int | None = None, dim_alg: int | None = None)
     return CliffordField(
         a.size,
         dim_alg,
-        lambda x: cauchy_kernel_G_batch(x - a, n, dim_alg),
+        lambda x: cauchy_kernel_G(x - a, n, dim_alg),
         domain=lambda x: np.sqrt(((x - a) ** 2).sum(-1)) > 1e-12,
     )
 
 
-def dirac_left_fd(f: CliffordField, x, h: float = DEFAULT_FD_STEP):
-    """Central-difference Dirac operator sum_j e_j d f / dx_j; O(h^2). A
-    Multivector for one point, coefficient arrays (..., 2^dim_alg) for a
-    point array (..., dim_in)."""
+def dirac_left_fd(f: CliffordField, x, h: float = DEFAULT_FD_STEP) -> np.ndarray:
+    """Dirac operator sum_j e_j d f / dx_j from central differences at steps
+    h and h/2 with one Richardson step; O(h^4). Coefficient arrays
+    (..., 2^dim_alg) for a point or a point array (..., dim_in)."""
     return _dirac_fd(f, x, h, left=True)
 
 
-def dirac_right_fd(f: CliffordField, x, h: float = DEFAULT_FD_STEP):
-    """Central-difference right Dirac operator sum_j (d f / dx_j) e_j."""
+def dirac_right_fd(f: CliffordField, x, h: float = DEFAULT_FD_STEP) -> np.ndarray:
+    """The right Dirac operator sum_j (d f / dx_j) e_j, as dirac_left_fd."""
     return _dirac_fd(f, x, h, left=False)
 
 
 def fd_stencil(x, h: float) -> np.ndarray:
-    """The central-difference stencil of every point of x (..., dim), shape
-    (..., 2, dim, dim): [..., 0, j, :] = x + h e_j, [..., 1, j, :] = x - h e_j."""
-    x = np.asarray(x, dtype=np.float64)[..., None, :]
-    steps = h * np.eye(x.shape[-1])
+    """The central-difference stencils of every point of x (..., dim) at steps
+    h_0 = h and h_1 = h/2, shape (..., 2, 2, dim, dim):
+    [..., s, 0, j, :] = x + h_s e_j, [..., s, 1, j, :] = x - h_s e_j."""
+    x = np.asarray(x, dtype=np.float64)[..., None, None, :]
+    steps = np.multiply.outer((h, h / 2.0), np.eye(x.shape[-1]))
     return np.stack((x + steps, x - steps), axis=-3)
 
 
-def _dirac_fd(f: CliffordField, x, h: float, left: bool):
+def _dirac_fd(f: CliffordField, x, h: float, left: bool) -> np.ndarray:
     """Evaluates every stencil point of every point of x in one field call."""
     x = np.asarray(x, dtype=np.float64)
     if h <= 0:
@@ -93,13 +94,15 @@ def _dirac_fd(f: CliffordField, x, h: float, left: bool):
     if not f.in_domain(stencil):
         raise DomainError("finite-difference stencil exits the field domain")
     vals = f.func(stencil)
-    diff = (vals[..., 0, :, :] - vals[..., 1, :, :]) / (2.0 * h)
+    diff = (vals[..., 0, :, :] - vals[..., 1, :, :]) / (2.0 * np.array([h, h / 2.0])[:, None, None])
+    # one Richardson step, (4 D_{h/2} - D_h) / 3, cancels the O(h^2) term
+    diff = (4.0 * diff[..., 1, :, :] - diff[..., 0, :, :]) / 3.0
     out = np.zeros(x.shape[:-1] + (1 << f.dim_alg,))
     for j in range(f.dim_in):
         e_j = Multivector.basis_vector(j, f.dim_alg).coeffs
         d_j = diff[..., j, :]
         out = out + (gp_batch(f.dim_alg, e_j, d_j) if left else gp_batch(f.dim_alg, d_j, e_j))
-    return Multivector(f.dim_alg, out) if x.ndim == 1 else out
+    return out
 
 
 def moebius_pullback(psi: VahlenMap, f: CliffordField, dim_in: int | None = None) -> CliffordField:
@@ -116,13 +119,13 @@ def moebius_pullback(psi: VahlenMap, f: CliffordField, dim_in: int | None = None
         dim_in = min(f.dim_in, psi.ambient_dim)
 
     def dom(x: np.ndarray) -> np.ndarray:
-        img = apply_batch(psi, x)
+        img = apply(psi, x)
         return img.finite & f.domain(img.points[..., : f.dim_in])
 
     def ev(x: np.ndarray) -> np.ndarray:
-        img = apply_batch(psi, x)
+        img = apply(psi, x)
         if not img.finite.all():
             raise DomainError("pullback evaluated at a singular point of the map")
-        return gp_batch(psi.ambient_dim, weight_J_batch(psi, x), f.values(img.points[..., : f.dim_in]))
+        return gp_batch(psi.ambient_dim, weight_J(psi, x), f.values(img.points[..., : f.dim_in]))
 
     return CliffordField(dim_in, psi.ambient_dim, ev, dom)

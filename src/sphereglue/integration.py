@@ -27,9 +27,9 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .algebra import Multivector, clifford_group_inverse_batch, gp_batch, vectors
+from .algebra import Multivector, clifford_group_inverse, gp_batch, vectors
 from .fields import CliffordField, constant_field
-from .kernel import kernel_CM_batch
+from .kernel import kernel_CM
 from .manifold import (
     INADMISSIBLE,
     GluedManifold,
@@ -42,7 +42,7 @@ from .manifold import (
     embed,
     embed_jacobian,
 )
-from .moebius import inverse, is_infinity, weight_J_batch
+from .moebius import is_infinity, weight_J
 
 REPRODUCING_NORMAL_SIGN = -1.0
 
@@ -221,17 +221,17 @@ def section_from_germ(m: GluedManifold, germ: CliffordField) -> Section:
     if germ.dim_alg != m.n + 1:
         raise ValueError("germ must take values in Cl_{n+1}")
     dim = germ.dim_alg
-    chart1_inv = inverse(chart_map(m, 1))
+    chart1_inv = chart_map(m, -1) if m.chart(1).has_sphere else None
     trans21 = chart_transfer(m, 1, 2)  # sphere-2 -> sphere-1 picture
 
     def rep(chart: int, coord) -> np.ndarray:
         if chart == 1:
             u = embed(m, ManifoldPoint(1, coord))
-            if m.chart(1).has_sphere:
-                return gp_batch(dim, weight_J_batch(chart1_inv, u), germ.values(coord))
+            if chart1_inv is not None:
+                return gp_batch(dim, weight_J(chart1_inv, u), germ.values(coord))
             return germ.values(coord)
         u2 = embed(m, ManifoldPoint(2, coord))
-        return gp_batch(dim, weight_J_batch(trans21, u2), rep(1, apply_transition(m, coord)))
+        return gp_batch(dim, weight_J(trans21, u2), rep(1, apply_transition(m, coord)))
 
     return Section(m, rep)
 
@@ -256,7 +256,7 @@ def cauchy_integral(
     dim = m.n + 1
 
     def integrand(pt: ManifoldPoint, u: np.ndarray, nrm: np.ndarray) -> np.ndarray:
-        kern, _ = kernel_CM_batch(m, pt, y)
+        kern, _ = kernel_CM(m, pt, y)
         return gp_batch(dim, gp_batch(dim, kern, vectors(normal_sign * nrm, dim)), f.value_at(pt))
 
     rep = surface_quadrature(m, s, integrand, order)
@@ -333,13 +333,13 @@ def plemelj_projections(
 
     # W_j c is the constant-germ section with germ c, evaluated at node j
     wc = section_from_germ(m, constant_field(Multivector.scalar(1.0, dim), m.n)).value_at(pts)
-    c = gp_batch(dim, clifford_group_inverse_batch(dim, wc), gc)
+    c = gp_batch(dim, clifford_group_inverse(dim, wc), gc)
 
     nw = vectors(REPRODUCING_NORMAL_SIGN * geo.normal * geo.weight[:, None], dim)
     i, j = np.nonzero(~np.eye(nn, dtype=bool))
     kern = np.zeros((nn, nn, 1 << dim))
     sources, targets = (ManifoldPoint(patch.chart, pts.coord[idx]) for idx in (j, i))
-    kern[i, j], _ = kernel_CM_batch(m, sources, targets)
+    kern[i, j], _ = kernel_CM(m, sources, targets)
     amat = gp_batch(dim, kern, nw[None])
     bvec = gp_batch(dim, vectors(geo.tangents[:, :, 0] / geo.weight[:, None] ** 2, dim), nw)
 

@@ -10,11 +10,11 @@ the weight-placement convention validated by the Cauchy-formula suite.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import Multivector, gp_batch
+from .algebra import gp_batch
 from .manifold import (
     NECK,
     GluedManifold,
@@ -26,7 +26,7 @@ from .manifold import (
     embed,
     equivalent,
 )
-from .moebius import cauchy_kernel_G_batch, covariance_residual, weight_J_batch
+from .moebius import cauchy_kernel_G, covariance_residual, weight_J
 
 SAME_CHART = "same-chart"
 OVERLAP_REP = "overlap-rep"
@@ -37,25 +37,18 @@ class DiagonalError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class KernelValue:
-    value: Multivector
-    case_tag: str
+class KernelValue(NamedTuple):
+    coeffs: np.ndarray
+    case_tag: str | np.ndarray
 
 
 def kernel_CM(m: GluedManifold, x: ManifoldPoint, y: ManifoldPoint) -> KernelValue:
-    """C_M(x, y) for two non-equivalent admissible points: the one-point view
-    of kernel_CM_batch."""
-    value, tag = kernel_CM_batch(m, x, y)
-    return KernelValue(Multivector(m.n + 1, value), str(tag))
-
-
-def kernel_CM_batch(m: GluedManifold, x: ManifoldPoint, y: ManifoldPoint):
     """C_M(x, y) over point arrays x and y, broadcast against each other.
 
-    Returns the coefficient array (..., 2^(n+1)) and the case tag, an array
-    over y's shape when the charts differ. Raises DiagonalError if any pair
-    is equivalent and ManifoldError if any point is inadmissible.
+    Returns the coefficient array (..., 2^(n+1)) and the case tag: a str
+    when the charts agree or y is one point, else an array over y's shape.
+    Raises DiagonalError if any pair is equivalent and ManifoldError if any
+    point is inadmissible.
     """
     if np.any(equivalent(m, x, y)):
         raise DiagonalError(f"Cauchy kernel undefined on the diagonal (charts {x.chart}, {y.chart})")
@@ -65,12 +58,13 @@ def kernel_CM_batch(m: GluedManifold, x: ManifoldPoint, y: ManifoldPoint):
     else:
         # y may map to the far pole of chart j (INFINITY); embed handles it
         tag = np.where(classify(m, y) == NECK, OVERLAP_REP, CROSS_GLUE)
+        tag = tag if tag.ndim else str(tag)
         y_in_j = apply_transition(m, y.coord)
-    base = cauchy_kernel_G_batch(embed(m, x) - embed(m, ManifoldPoint(j, y_in_j)), m.n, m.n + 1)
+    base = cauchy_kernel_G(embed(m, x) - embed(m, ManifoldPoint(j, y_in_j)), m.n, m.n + 1)
     if j == k:
-        return base, tag
-    w = weight_J_batch(chart_transfer(m, j, k), embed(m, y))
-    return gp_batch(m.n + 1, w, base), tag
+        return KernelValue(base, tag)
+    w = weight_J(chart_transfer(m, j, k), embed(m, y))
+    return KernelValue(gp_batch(m.n + 1, w, base), tag)
 
 
 def overlap_consistency_residual(m: GluedManifold, x: ManifoldPoint, y: ManifoldPoint):

@@ -69,9 +69,10 @@ class GluedManifold:
     @cached_property
     def _vahlen_maps(self) -> dict:
         """The manifold's Vahlen maps in Cl_{n+1}, built on first use: chart
-        maps keyed by chart, transfers keyed by (to_chart, from_chart). Every
-        map has weight exponent n + weight_shift; each inverse is checked
-        pointwise by moebius.inverse."""
+        maps keyed by chart j, the inverse of a sphere chart's map by -j,
+        transfers keyed by (to_chart, from_chart). Every map has weight
+        exponent n + weight_shift; each inverse is checked pointwise by
+        moebius.inverse."""
         k, exponent = self.n + 1, self.n + self.weight_shift
         maps = {}
         for j, ch in enumerate(self.charts, start=1):
@@ -84,8 +85,9 @@ class GluedManifold:
                 one = Multivector.scalar(1.0, k)
                 dilation = VahlenMap(Multivector.scalar(ch.scale, k), zero, zero, one, k, exponent)
                 maps[j] = compose(dilation, cay)
+            maps[-j] = inverse(maps[j])
         maps[1, 1] = maps[2, 2] = identity_map(k, exponent)
-        maps[1, 2] = compose(maps[1], compose(neck_inversion(k, exponent), inverse(maps[2])))
+        maps[1, 2] = compose(maps[1], compose(neck_inversion(k, exponent), maps[-2]))
         maps[2, 1] = inverse(maps[1, 2])
         return maps
 
@@ -181,7 +183,8 @@ def embed_jacobian(m: GluedManifold, chart: int, coord: np.ndarray) -> np.ndarra
 def chart_map(m: GluedManifold, j: int) -> VahlenMap:
     """Chart j's coordinate plane onto its embedded picture, as a Cl_{n+1}
     matrix: the scaled Cayley map for a sphere chart, the identity for the
-    plane chart. Agrees pointwise with embed."""
+    plane chart. Agrees pointwise with embed. For a sphere chart,
+    chart_map(m, -j) is the inverse map."""
     return m._vahlen_maps[j]
 
 

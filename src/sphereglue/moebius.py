@@ -18,11 +18,10 @@ import numpy as np
 
 from .algebra import (
     Multivector,
-    clifford_group_inverse_batch,
+    clifford_group_inverse,
     clifford_group_inverse_rows,
     gp_batch,
     reversion,
-    reversion_batch,
     vectors,
 )
 from .config import DEFAULT_RTOL
@@ -76,9 +75,11 @@ class VahlenMap:
     @cached_property
     def pseudo_determinant(self) -> float:
         """The scalar a~d - b~c, computed once per map."""
-        delta = self.a * reversion(self.d) - self.b * reversion(self.c)
-        s = delta.scalar_part()
-        if delta.max_grade_deviation(0) > DEFAULT_RTOL * max(abs(s), 1.0):
+        k = self.ambient_dim
+        a, b, c, d = (v.coeffs for v in (self.a, self.b, self.c, self.d))
+        delta = gp_batch(k, a, reversion(k, d)) - gp_batch(k, b, reversion(k, c))
+        s = float(delta[0])
+        if np.linalg.norm(delta[1:]) > DEFAULT_RTOL * max(abs(s), 1.0):
             raise VahlenError("a~d - b~c is not scalar: not a valid Vahlen matrix")
         return s
 
@@ -126,35 +127,19 @@ def _points(x, k: int) -> np.ndarray:
 
 
 class Images(NamedTuple):
-    """apply_batch's result for a point array (..., m): the images (..., k),
-    NaN where the map sends the point to INFINITY; finite (...), False
-    exactly there; valid (...), False where a finite image fails the grade-1
-    check of a Vahlen map."""
+    """apply's result for a point array (..., m): the images (..., k), NaN
+    where the map sends the point to INFINITY; finite (...), False exactly
+    there; valid (...), False where a finite image fails the grade-1 check of
+    a Vahlen map. A single point or INFINITY gives 0-d masks."""
 
     points: np.ndarray
     finite: np.ndarray
     valid: np.ndarray
 
 
-def apply(psi: VahlenMap, x, rtol: float = DEFAULT_RTOL):
-    """Evaluate the map at a finite point or at INFINITY. Returns a vector of
-    length ambient_dim, or INFINITY when cx+d fails to be invertible; a
-    finite point is the one-row view of apply_batch."""
-    if not is_infinity(x):
-        img = apply_batch(psi, x, rtol)
-        return img.points if img.finite else INFINITY
-    k = psi.ambient_dim
-    cinv, ok = clifford_group_inverse_rows(k, psi.c.coeffs, rtol)
-    if not ok:
-        return INFINITY
-    points, dev, valid = _grade1(k, gp_batch(k, psi.a.coeffs, cinv), rtol)
-    if not valid:
-        raise _invalid(dev)
-    return points
-
-
-def apply_batch(psi: VahlenMap, x, rtol: float = DEFAULT_RTOL, raise_invalid: bool = True) -> Images:
-    """(ax+b)(cx+d)^{-1} at every point of an array (..., m), m <= ambient_dim.
+def apply(psi: VahlenMap, x, rtol: float = DEFAULT_RTOL, raise_invalid: bool = True) -> Images:
+    """(ax+b)(cx+d)^{-1} at every point of an array (..., m), m <= ambient_dim,
+    or ac^{-1} at INFINITY.
 
     A point maps to INFINITY where cx+d is negligible or not invertible. With
     raise_invalid (the default) a finite image that is not grade-1 raises
@@ -162,13 +147,16 @@ def apply_batch(psi: VahlenMap, x, rtol: float = DEFAULT_RTOL, raise_invalid: bo
     Images.valid instead.
     """
     k = psi.ambient_dim
-    xv = vectors(_points(x, k), k)
-    den = gp_batch(k, psi.c.coeffs, xv) + psi.d.coeffs
-    scale = np.maximum(psi.c.norm() * _norms(xv) + psi.d.norm(), 1.0)
+    if is_infinity(x):
+        num, den, tiny = psi.a.coeffs, psi.c.coeffs, 0.0
+    else:
+        xv = vectors(_points(x, k), k)
+        num = gp_batch(k, psi.a.coeffs, xv) + psi.b.coeffs
+        den = gp_batch(k, psi.c.coeffs, xv) + psi.d.coeffs
+        tiny = 1e-12 * np.maximum(psi.c.norm() * _norms(xv) + psi.d.norm(), 1.0)
     dinv, invertible = clifford_group_inverse_rows(k, den, rtol)
-    finite = (_norms(den) > 1e-12 * scale) & invertible
-    res = gp_batch(k, gp_batch(k, psi.a.coeffs, xv) + psi.b.coeffs, dinv)
-    points, dev, valid = _grade1(k, res, rtol)
+    finite = (_norms(den) > tiny) & invertible
+    points, dev, valid = _grade1(k, gp_batch(k, num, dinv), rtol)
     valid |= ~finite
     if raise_invalid and not valid.all():
         raise _invalid(dev[~valid].max())
@@ -193,17 +181,12 @@ def _invalid(dev: float) -> VahlenError:
     return VahlenError(f"invalid Vahlen coefficients: image is not grade-1 (deviation {dev:.3e})")
 
 
-def weight_J(psi: VahlenMap, x) -> Multivector:
-    """~(cx+d)/||cx+d||^m with m the map's kernel exponent: the one-point
-    view of weight_J_batch."""
+def weight_J(psi: VahlenMap, x) -> np.ndarray:
+    """~(cx+d)/||cx+d||^m, m the map's kernel exponent, at every point of an
+    array (..., m), m <= ambient_dim, as coefficient arrays
+    (..., 2^ambient_dim); raises if it is singular at any point."""
     if is_infinity(x):
         raise SingularPointError("weight undefined at infinity")
-    return Multivector(psi.ambient_dim, weight_J_batch(psi, x))
-
-
-def weight_J_batch(psi: VahlenMap, x) -> np.ndarray:
-    """The weight at every point of an array (..., m), m <= ambient_dim, as
-    coefficient arrays (..., 2^ambient_dim); raises if it is singular at any."""
     w, regular = weight_J_rows(psi, x)
     if not regular.all():
         raise SingularPointError("cx+d vanishes: conformal weight singular here")
@@ -224,12 +207,12 @@ def weight_J_rows(psi: VahlenMap, x):
     s = _norms(den)[..., None]
     scale = np.maximum((psi.c.norm() * _norms(x)[..., None] + psi.d.norm()) / nu, 1.0)
     regular = s > 1e-12 * scale
-    return reversion_batch(k, den) / np.where(regular, s, 1.0) ** psi.kernel_exponent, regular[..., 0]
+    return reversion(k, den) / np.where(regular, s, 1.0) ** psi.kernel_exponent, regular[..., 0]
 
 
 def compose(psi2: VahlenMap, psi1: VahlenMap) -> VahlenMap:
-    """Matrix product; pointwise apply(compose(psi2, psi1), x) =
-    apply(psi2, apply(psi1, x))."""
+    """Matrix product; pointwise, compose(psi2, psi1) maps x to
+    psi2(psi1(x))."""
     if psi2.ambient_dim != psi1.ambient_dim:
         raise VahlenError("cannot compose maps of different ambient dims")
     if psi2.kernel_exponent != psi1.kernel_exponent:
@@ -247,21 +230,16 @@ def inverse(psi: VahlenMap) -> VahlenMap:
     delta = psi.pseudo_determinant
     if abs(delta) <= 1e-14:
         raise VahlenError("Vahlen matrix has vanishing pseudo-determinant")
-    inv = VahlenMap(
-        reversion(psi.d) / delta,
-        -reversion(psi.b) / delta,
-        -reversion(psi.c) / delta,
-        reversion(psi.a) / delta,
-        psi.ambient_dim,
-        psi.kernel_exponent,
-    )
+    k = psi.ambient_dim
+    d, b, c, a = (Multivector(k, reversion(k, v.coeffs) / delta) for v in (psi.d, psi.b, psi.c, psi.a))
+    inv = VahlenMap(d, -b, -c, a, k, psi.kernel_exponent)
     # blocks of as many points as are still unchecked: a one-point loop
     # reaches every point of such a block, so this checks the same points
     rng = np.random.default_rng(7)
     need = 4
     while need:
-        x = rng.uniform(-1.5, 1.5, (need, psi.ambient_dim))
-        back = apply_batch(inv, apply_batch(psi, x).points)
+        x = rng.uniform(-1.5, 1.5, (need, k))
+        back = apply(inv, apply(psi, x).points)
         far = _norms(back.points - x) > 1e-8 * np.maximum(1.0, _norms(x))
         if (far & back.finite).any():
             raise VahlenError("block-rearranged inverse failed pointwise validation")
@@ -269,14 +247,7 @@ def inverse(psi: VahlenMap) -> VahlenMap:
     return inv
 
 
-def cauchy_kernel_G(x, n: int, dim: int | None = None) -> Multivector:
-    """x / ||x||^n as a grade-1 multivector (Cl of the vector's dim unless
-    dim is given): the one-point view of cauchy_kernel_G_batch."""
-    x = np.asarray(x, dtype=np.float64)
-    return Multivector(dim if dim is not None else x.size, cauchy_kernel_G_batch(x, n, dim))
-
-
-def cauchy_kernel_G_batch(x, n: int, dim: int | None = None) -> np.ndarray:
+def cauchy_kernel_G(x, n: int, dim: int | None = None) -> np.ndarray:
     """x / ||x||^n for every vector of an array (..., m), as coefficient
     arrays in Cl_dim (dim = m unless given); raises if any vector is zero."""
     x = np.asarray(x, dtype=np.float64)
@@ -303,13 +274,13 @@ def covariance_residual(psi: VahlenMap, x, y, px, py, weight_exponent_shift: int
     """
     m = psi.kernel_exponent
     k = psi.ambient_dim
-    lhs = cauchy_kernel_G_batch(np.subtract(px, py), m, k)
+    lhs = cauchy_kernel_G(np.subtract(px, py), m, k)
     psi_w = psi
     if weight_exponent_shift:
         psi_w = dataclasses.replace(psi, kernel_exponent=m + weight_exponent_shift)
-    jy_inv = clifford_group_inverse_batch(k, weight_J_batch(psi_w, y))
-    jx_inv = clifford_group_inverse_batch(k, reversion_batch(k, weight_J_batch(psi_w, x)))
-    mid = cauchy_kernel_G_batch(np.subtract(x, y), m, k)
+    jy_inv = clifford_group_inverse(k, weight_J(psi_w, y))
+    jx_inv = clifford_group_inverse(k, reversion(k, weight_J(psi_w, x)))
+    mid = cauchy_kernel_G(np.subtract(x, y), m, k)
     sgn = 1.0 if psi.pseudo_determinant > 0 else -1.0
     diff = lhs - sgn * gp_batch(k, gp_batch(k, jy_inv, mid), jx_inv)
     return np.sqrt((diff * diff).sum(-1))
@@ -318,7 +289,7 @@ def covariance_residual(psi: VahlenMap, x, y, px, py, weight_exponent_shift: int
 def cayley_embed(x, n: int | None = None) -> np.ndarray:
     """Closed form of the Cayley image of points x of shape (..., n): the
     unit-sphere points (-2x + (||x||^2 - 1) e_{n+1}) / (||x||^2 + 1). Agrees
-    with apply(cayley(n), x); INFINITY maps to e_{n+1} (pass n for it)."""
+    with apply(cayley(n), x).points; INFINITY maps to e_{n+1} (pass n for it)."""
     if is_infinity(x):
         if n is None:
             raise VahlenError("n required to embed the point at infinity")

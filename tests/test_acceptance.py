@@ -58,9 +58,10 @@ def test_criterion_1_algebra_laws():
         a, b, c = (Multivector(dim, rng.uniform(-1, 1, 2**dim)) for _ in range(3))
         scale = max(a.norm() * b.norm() * c.norm(), 1e-30)
         worst = max(worst, ((a * b) * c - a * (b * c)).norm() / scale)
+        ra, rb, rab = (Multivector(dim, reversion(dim, t.coeffs)) for t in (a, b, a * b))
         worst = max(
             worst,
-            (reversion(a * b) - reversion(b) * reversion(a)).norm()
+            (rab - rb * ra).norm()
             / max(a.norm() * b.norm(), 1e-30),
         )
         v = Multivector.vector(rng.uniform(-2, 2, dim), dim)
@@ -115,7 +116,7 @@ def _map_pool(rng, n, count):
 
 
 def _covariance_worst(rng, n, triples, shift=0):
-    from sphereglue.moebius import apply, cauchy_kernel_G, is_infinity
+    from sphereglue.moebius import apply, cauchy_kernel_G
 
     worst = 0.0
     done = 0
@@ -126,13 +127,14 @@ def _covariance_worst(rng, n, triples, shift=0):
         y = rng.uniform(-2, 2, n)
         if np.linalg.norm(x - y) < 0.2:
             continue
-        px, py = apply(psi, x), apply(psi, y)
-        if is_infinity(px) or is_infinity(py) or np.linalg.norm(px - py) < 1e-3:
+        img = apply(psi, np.stack((x, y)))
+        px, py = img.points
+        if not img.finite.all() or np.linalg.norm(px - py) < 1e-3:
             continue
         k = psi.ambient_dim
         gx = np.zeros(k)
         gx[:n] = x - y
-        base = cauchy_kernel_G(gx, psi.kernel_exponent, k).norm()
+        base = np.linalg.norm(cauchy_kernel_G(gx, psi.kernel_exponent, k))
         res = covariance_residual(psi, x, y, px, py, weight_exponent_shift=shift)
         worst = max(worst, res / max(base, 1e-30))
         done += 1
@@ -154,7 +156,9 @@ def test_criterion_2_covariance():
 
 def test_criterion_3_monogenicity_preservation():
     """FD left-Dirac residual of pullbacks of G-translates <= 1e-5 at
-    h = 1e-4 with convergence order >= 1.9 under halving, n = 2 and 3."""
+    h = 1e-4, n = 2 and 3. The convergence order under halving is >= 3.9;
+    it is measured from h = 2e-2, where the O(h^4) truncation error still
+    dominates rounding."""
     t0 = time.time()
     rng = np.random.default_rng(SEED)
     worst = 0.0
@@ -181,15 +185,15 @@ def test_criterion_3_monogenicity_preservation():
                 if not pb.in_domain(x):
                     continue
                 try:
-                    r_2h = dirac_left_fd(pb, x, 2e-4).norm()
-                    r_h = dirac_left_fd(pb, x, 1e-4).norm()
+                    r_h = np.linalg.norm(dirac_left_fd(pb, x, 1e-4))
+                    r_2s, r_s = (np.linalg.norm(dirac_left_fd(pb, x, s)) for s in (2e-2, 1e-2))
                 except Exception:
                     continue
                 worst = max(worst, r_h)
-                if r_h > 1e-12:
-                    worst_order = min(worst_order, np.log2(r_2h / r_h))
+                if r_s > 1e-12:
+                    worst_order = min(worst_order, np.log2(r_2s / r_s))
                 checked += 1
-    assert worst_order >= 1.9, f"observed FD order {worst_order:.2f} < 1.9"
+    assert worst_order >= 3.9, f"observed FD order {worst_order:.2f} < 3.9"
     report(3, "monogenicity-preservation", worst, 1e-5, t0, extra=f"order={worst_order:.2f}")
 
 
@@ -249,11 +253,11 @@ def test_criterion_5_theorem1_same_chart():
     for t in ts:
         x = 3.0 * np.array([np.cos(t), np.sin(t)])
         n_out = np.array([np.cos(t), np.sin(t), 0.0])
-        acc = acc + cauchy_kernel_G(np.append(x - yc, 0.0), 2, 3) * Multivector.vector(
+        acc = acc + Multivector(3, cauchy_kernel_G(np.append(x - yc, 0.0), 2, 3)) * Multivector.vector(
             -n_out, 3
         ) * germ(x) * (3.0 * 2 * np.pi / nn)
     flat = acc / (2 * np.pi)
-    oracle_err = (weight_J(cayley(2), yc) * rep.value - flat).norm()
+    oracle_err = (Multivector(3, weight_J(cayley(2), yc)) * rep.value - flat).norm()
     combined = max(rep.estimated_error, 1e-9)
     assert oracle_err <= 10 * combined, f"oracle mismatch {oracle_err:.3e}"
 

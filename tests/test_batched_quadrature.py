@@ -64,7 +64,7 @@ def _weight(psi, u, n):
     """The conformal weight ~(cu+d)/||cu+d||^n of the normalized matrix."""
     nu = abs(psi.pseudo_determinant) ** 0.5
     den = (psi.c * Multivector.vector(u, n + 1) + psi.d) / nu
-    return reversion(den) / den.norm() ** n
+    return Multivector(n + 1, reversion(n + 1, den.coeffs)) / den.norm() ** n
 
 
 def _kernel_G(v, n):

@@ -20,8 +20,8 @@ from sphereglue.moebius import cayley, compose, identity_map, neck_inversion, tr
 
 def test_constant_field_dirac_zero():
     f = constant_field(Multivector.scalar(2.5, 2), 2)
-    assert dirac_left_fd(f, [0.3, 0.4]).norm() <= 1e-12
-    assert dirac_right_fd(f, [0.3, 0.4]).norm() <= 1e-12
+    assert np.linalg.norm(dirac_left_fd(f, [0.3, 0.4])) <= 1e-12
+    assert np.linalg.norm(dirac_right_fd(f, [0.3, 0.4])) <= 1e-12
 
 
 def test_identity_field_dirac():
@@ -29,10 +29,10 @@ def test_identity_field_dirac():
     for n in (2, 3):
         f = CliffordField(n, n, lambda x, n=n: vectors(x, n))
         got = dirac_left_fd(f, np.full(n, 0.3))
-        assert np.allclose(got.coeffs[0], -n, atol=1e-9)
-        assert got.max_grade_deviation(0) <= 1e-9
+        assert np.allclose(got[0], -n, atol=1e-9)
+        assert np.linalg.norm(got[1:]) <= 1e-9
         got_r = dirac_right_fd(f, np.full(n, 0.3))
-        assert np.allclose(got_r.coeffs[0], -n, atol=1e-9)
+        assert np.allclose(got_r[0], -n, atol=1e-9)
 
 
 def test_g_translate_value():
@@ -49,17 +49,18 @@ def test_g_translate_monogenic_both_sides(n):
         x = rng.uniform(-2, 2, n)
         if np.linalg.norm(x - a) < 0.5:
             continue
-        assert dirac_left_fd(f, x, 1e-4).norm() <= 1e-6
-        assert dirac_right_fd(f, x, 1e-4).norm() <= 1e-6
+        assert np.linalg.norm(dirac_left_fd(f, x, 1e-4)) <= 1e-6
+        assert np.linalg.norm(dirac_right_fd(f, x, 1e-4)) <= 1e-6
 
 
 def test_g_translate_fd_order():
-    """FD residual is O(h^2): Richardson slope at least 1.9."""
+    """FD residual is O(h^4): slope at least 3.9 at steps where the truncation
+    error still dominates rounding."""
     f = g_translate(np.array([0.5, 0.5]))
     x = np.array([1.7, -0.9])
-    r1 = dirac_left_fd(f, x, 2e-3).norm()
-    r2 = dirac_left_fd(f, x, 1e-3).norm()
-    assert np.log2(r1 / r2) >= 1.9
+    r1 = np.linalg.norm(dirac_left_fd(f, x, 4e-2))
+    r2 = np.linalg.norm(dirac_left_fd(f, x, 2e-2))
+    assert np.log2(r1 / r2) >= 3.9
 
 
 def test_domain_guard():
@@ -83,7 +84,7 @@ def test_dirac_on_point_array_matches_one_point_calls(n):
         assert got.shape == (2, 3, 2**n)
         for idx in np.ndindex(2, 3):
             one = dirac(pb, x[idx], 1e-4)
-            assert isinstance(one, Multivector) and np.array_equal(got[idx], one.coeffs)
+            assert one.shape == (2**n,) and np.array_equal(got[idx], one)
 
 
 def test_domain_guard_on_point_array():
@@ -124,7 +125,7 @@ def test_pullback_preserves_monogenicity_neck(n):
         x = rng.uniform(-2, 2, n)
         if np.linalg.norm(x) < 0.4 or not pb.in_domain(x):
             continue
-        assert dirac_left_fd(pb, x, 1e-4).norm() <= 1e-5
+        assert np.linalg.norm(dirac_left_fd(pb, x, 1e-4)) <= 1e-5
         checked += 1
 
 
@@ -141,7 +142,7 @@ def test_pullback_preserves_monogenicity_cayley_ambient(n):
         if not pb.in_domain(x):
             continue
         try:
-            resid = dirac_left_fd(pb, x, 1e-4).norm()
+            resid = np.linalg.norm(dirac_left_fd(pb, x, 1e-4))
         except DomainError:
             continue
         assert resid <= 1e-5
@@ -151,9 +152,9 @@ def test_pullback_preserves_monogenicity_cayley_ambient(n):
 def test_pullback_fd_order_estimate():
     pb = moebius_pullback(neck_inversion(2), g_translate(np.array([2.0, 1.0])))
     x = np.array([0.9, -0.7])
-    r1 = dirac_left_fd(pb, x, 2e-3).norm()
-    r2 = dirac_left_fd(pb, x, 1e-3).norm()
-    assert np.log2(r1 / r2) >= 1.9
+    r1 = np.linalg.norm(dirac_left_fd(pb, x, 4e-2))
+    r2 = np.linalg.norm(dirac_left_fd(pb, x, 2e-2))
+    assert np.log2(r1 / r2) >= 3.9
 
 
 def test_pullback_dim_mismatch():

@@ -20,7 +20,8 @@ GOLDEN = Path(__file__).parent / "golden"
 CASES = {
     "algebra-n2": ("verify-algebra", {"n": 2}, ["--seed", "0"]),
     "algebra-n3": ("verify-algebra", {"n": 3}, ["--seed", "0"]),
-    # seed 35 pins the known pullback-monogenicity-fd failure at n = 2
+    # seed 35 failed pullback-monogenicity-fd at n = 2 (2.35e-2) before the
+    # finite-difference Dirac operator took its Richardson step
     "algebra-n2-seed35": ("verify-algebra", {"n": 2}, ["--seed", "35"]),
     "algebra-n3-seed35": ("verify-algebra", {"n": 3}, ["--seed", "35"]),
     "algebra-corrupt_vahlen": ("verify-algebra", {"n": 2, "corrupt_vahlen": 1}, ["--seed", "2"]),

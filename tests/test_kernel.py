@@ -4,7 +4,7 @@ the chart-coordinate representatives."""
 import numpy as np
 import pytest
 
-from sphereglue.algebra import gp_batch
+from sphereglue.algebra import gp_batch, vectors
 from sphereglue.fields import CliffordField, dirac_left_fd, dirac_right_fd
 from sphereglue.kernel import (
     CROSS_GLUE,
@@ -12,7 +12,6 @@ from sphereglue.kernel import (
     SAME_CHART,
     DiagonalError,
     kernel_CM,
-    kernel_CM_batch,
     overlap_consistency_residual,
 )
 from sphereglue.manifold import (
@@ -23,7 +22,7 @@ from sphereglue.manifold import (
     plane_sphere,
     two_spheres,
 )
-from sphereglue.moebius import cayley, weight_J_batch
+from sphereglue.moebius import cayley, weight_J
 
 
 @pytest.fixture
@@ -47,7 +46,7 @@ def test_same_chart_unit_points(m2):
     assert np.allclose(embed(m2, y), [0, 1, 0])
     kv = kernel_CM(m2, x, y)
     assert kv.case_tag == SAME_CHART
-    assert np.allclose(kv.value.vector_part(), [0.5, -0.5, 0.0])
+    assert np.allclose(kv.coeffs, vectors([0.5, -0.5, 0.0], 3))
 
 
 def test_overlap_rep_matches_chart1_evaluation(m2):
@@ -58,14 +57,14 @@ def test_overlap_rep_matches_chart1_evaluation(m2):
     y2 = np.array([1.5, 0.4])
     kv = kernel_CM(m2, x, ManifoldPoint(2, y2))
     assert kv.case_tag == OVERLAP_REP
-    assert np.isfinite(kv.value.coeffs).all()
+    assert np.isfinite(kv.coeffs).all()
 
 
 def test_cross_glue_tag_and_finiteness(m2):
     kv = kernel_CM(m2, pt(1, 3.0, 0.0), pt(2, 3.0, 0.0))
     assert kv.case_tag == CROSS_GLUE
-    assert np.isfinite(kv.value.coeffs).all()
-    assert kv.value.norm() > 0
+    assert np.isfinite(kv.coeffs).all()
+    assert np.linalg.norm(kv.coeffs) > 0
 
 
 def test_cross_glue_path_continuity(m2):
@@ -75,15 +74,15 @@ def test_cross_glue_path_continuity(m2):
     direction = np.array([1.0, 0.0])
     vals = []
     for rho in np.linspace(1.9, 2.1, 21):
-        vals.append(kernel_CM(m2, x, ManifoldPoint(2, rho * direction)).value)
-    diffs = [(vals[i + 1] - vals[i]).norm() for i in range(len(vals) - 1)]
+        vals.append(kernel_CM(m2, x, ManifoldPoint(2, rho * direction)).coeffs)
+    diffs = [np.linalg.norm(vals[i + 1] - vals[i]) for i in range(len(vals) - 1)]
     assert max(diffs) <= 3.0 * np.median(diffs)
     # and a tight seam check straddling the boundary
     eps = 1e-8
-    jump = (
-        kernel_CM(m2, x, ManifoldPoint(2, (2.0 - eps) * direction)).value
-        - kernel_CM(m2, x, ManifoldPoint(2, (2.0 + eps) * direction)).value
-    ).norm()
+    jump = np.linalg.norm(
+        kernel_CM(m2, x, ManifoldPoint(2, (2.0 - eps) * direction)).coeffs
+        - kernel_CM(m2, x, ManifoldPoint(2, (2.0 + eps) * direction)).coeffs
+    )
     assert jump <= 1e-6
 
 
@@ -92,17 +91,33 @@ def test_batch_rows_are_single_point_kernels(m2):
     tag of its own target, for targets on both sides of the neck seam."""
     x = pt(1, 3.0, 0.5)
     ys = np.array([[1.0, 0.5], [2.5, 1.0], [0.9, -0.6], [3.0, 0.0]])
-    values, tags = kernel_CM_batch(m2, x, ManifoldPoint(2, ys))
+    values, tags = kernel_CM(m2, x, ManifoldPoint(2, ys))
     assert list(tags) == [OVERLAP_REP, CROSS_GLUE, OVERLAP_REP, CROSS_GLUE]
     for row, yc in zip(values, ys):
-        want = kernel_CM(m2, x, ManifoldPoint(2, yc)).value.coeffs
+        want = kernel_CM(m2, x, ManifoldPoint(2, yc)).coeffs
         assert np.allclose(row, want, rtol=1e-15, atol=0.0)
 
 
 def test_batch_raises_for_any_diagonal_pair(m2):
     xs = ManifoldPoint(1, np.array([[3.0, 0.5], [1.5, 0.0]]))
     with pytest.raises(DiagonalError):
-        kernel_CM_batch(m2, xs, pt(2, 2.0 / 3.0, 0.0))
+        kernel_CM(m2, xs, pt(2, 2.0 / 3.0, 0.0))
+
+
+def test_case_tag_is_str_for_one_target_and_an_array_over_targets(m2):
+    """For one target the case tag is a str in each of the three cases, also
+    over a source array; for a cross-chart target array it is an array over
+    the targets' shape."""
+    xs = (pt(1, 3.0, 0.5), ManifoldPoint(1, np.array([[3.0, 0.5], [2.5, -1.0]])))
+    targets = {SAME_CHART: pt(1, 1.2, 0.4), OVERLAP_REP: pt(2, 1.0, 0.5), CROSS_GLUE: pt(2, 2.5, 1.0)}
+    for x in xs:
+        for case, y in targets.items():
+            tag = kernel_CM(m2, x, y).case_tag
+            assert type(tag) is str and tag == case
+    ys = ManifoldPoint(2, np.array([[[1.0, 0.5], [2.5, 1.0]], [[0.9, -0.6], [3.0, 0.0]]]))
+    tags = kernel_CM(m2, xs[0], ys).case_tag
+    assert isinstance(tags, np.ndarray) and tags.shape == (2, 2)
+    assert tags.tolist() == [[OVERLAP_REP, CROSS_GLUE], [OVERLAP_REP, CROSS_GLUE]]
 
 
 def test_diagonal_raises(m2):
@@ -124,7 +139,7 @@ def test_diagonal_blowup_strength(m2):
     for eps in (1e-2, 1e-3, 1e-4):
         y = pt(1, 3.0 + eps, 0.0)
         d = np.linalg.norm(embed(m2, x) - embed(m2, y))
-        val = kernel_CM(m2, x, y).value.norm()
+        val = np.linalg.norm(kernel_CM(m2, x, y).coeffs)
         assert abs(val * d ** (m2.n - 1) - 1.0) <= 1e-6
 
 
@@ -182,12 +197,12 @@ def test_kernel_left_monogenic_in_y(m2):
     f = CliffordField(
         2,
         3,
-        lambda yc: gp_batch(3, weight_J_batch(cay, yc), kernel_CM_batch(m2, x0, ManifoldPoint(1, yc))[0]),
+        lambda yc: gp_batch(3, weight_J(cay, yc), kernel_CM(m2, x0, ManifoldPoint(1, yc)).coeffs),
     )
     rng = np.random.default_rng(1)
     for _ in range(5):
         y = rng.uniform(0.7, 1.6, 2)
-        assert dirac_left_fd(f, y, 1e-4).norm() <= 1e-5
+        assert np.linalg.norm(dirac_left_fd(f, y, 1e-4)) <= 1e-5
 
 
 def test_kernel_right_monogenic_in_x(m2):
@@ -198,12 +213,12 @@ def test_kernel_right_monogenic_in_x(m2):
     f = CliffordField(
         2,
         3,
-        lambda xc: gp_batch(3, kernel_CM_batch(m2, ManifoldPoint(1, xc), y0)[0], weight_J_batch(cay, xc)),
+        lambda xc: gp_batch(3, kernel_CM(m2, ManifoldPoint(1, xc), y0).coeffs, weight_J(cay, xc)),
     )
     rng = np.random.default_rng(2)
     for _ in range(5):
         x = rng.uniform(2.3, 3.4, 2)
-        assert dirac_right_fd(f, x, 1e-4).norm() <= 1e-5
+        assert np.linalg.norm(dirac_right_fd(f, x, 1e-4)) <= 1e-5
 
 
 def test_cross_glue_left_monogenic_in_y(m2):
@@ -214,9 +229,9 @@ def test_cross_glue_left_monogenic_in_y(m2):
     f = CliffordField(
         2,
         3,
-        lambda yc: gp_batch(3, weight_J_batch(cay, yc), kernel_CM_batch(m2, x0, ManifoldPoint(2, yc))[0]),
+        lambda yc: gp_batch(3, weight_J(cay, yc), kernel_CM(m2, x0, ManifoldPoint(2, yc)).coeffs),
     )
     rng = np.random.default_rng(3)
     for _ in range(5):
         y = rng.uniform(2.2, 3.0, 2)
-        assert dirac_left_fd(f, y, 1e-4).norm() <= 1e-5
+        assert np.linalg.norm(dirac_left_fd(f, y, 1e-4)) <= 1e-5

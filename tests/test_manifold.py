@@ -67,8 +67,8 @@ def test_classify_plane_chart_infinity():
 
 def test_transition_values(m2):
     psi = neck_inversion(m2.n)
-    assert np.allclose(apply(psi, e1(1.0, 0.0)), [1.0, 0.0])
-    got = apply(psi, e1(1.5, 0.0))
+    assert np.allclose(apply(psi, e1(1.0, 0.0)).points, [1.0, 0.0])
+    got = apply(psi, e1(1.5, 0.0)).points
     assert np.allclose(got, [2.0 / 3.0, 0.0])
     assert 0.5 < np.linalg.norm(got) < 2.0
 
@@ -78,12 +78,12 @@ def test_transition_involution(m2):
     rng = np.random.default_rng(0)
     for _ in range(100):
         x = rng.uniform(0.55, 1.9, 2) * rng.choice([-1, 1], 2)
-        assert np.allclose(apply(psi, apply(psi, x)), x, atol=1e-12)
+        assert np.allclose(apply(psi, apply(psi, x).points).points, x, atol=1e-12)
 
 
 def test_continuation_extends_to_cap(m2):
     psi = neck_inversion(m2.n)
-    assert np.allclose(apply(psi, e1(0.25, 0.0)), [4.0, 0.0])
+    assert np.allclose(apply(psi, e1(0.25, 0.0)).points, [4.0, 0.0])
     assert is_infinity(apply_transition(m2, np.zeros(2)))
     assert np.allclose(apply_transition(m2, INFINITY), np.zeros(2))
 
@@ -166,7 +166,7 @@ def test_chart_transfer_connects_embeddings(m2):
         u2 = embed(m2, ManifoldPoint(2, x2))
         x1 = apply_transition(m2, x2)
         u1 = embed(m2, ManifoldPoint(1, x1))
-        assert np.allclose(apply(t12, u2), u1, atol=1e-10)
+        assert np.allclose(apply(t12, u2).points, u1, atol=1e-10)
 
 
 def test_chart_transfer_inverse_pair(m2):
@@ -178,13 +178,13 @@ def test_chart_transfer_inverse_pair(m2):
     rng = np.random.default_rng(5)
     for _ in range(20):
         u = embed(m2, ManifoldPoint(1, rng.uniform(-2, 2, 2)))
-        assert np.allclose(apply(comp, u), u, atol=1e-12)
+        assert np.allclose(apply(comp, u).points, u, atol=1e-12)
 
 
 def test_chart_transfer_same_chart_is_identity(m2):
     t = chart_transfer(m2, 1, 1)
     u = e1(0.2, 0.3, 0.1)
-    assert np.allclose(apply(t, u), u)
+    assert np.allclose(apply(t, u).points, u)
 
 
 def test_chart_transfer_plane_sphere():
@@ -195,7 +195,7 @@ def test_chart_transfer_plane_sphere():
         x2 = rng.uniform(0.55, 1.9, 2) * rng.choice([-1, 1], 2)
         u2 = embed(mp, ManifoldPoint(2, x2))
         u1 = embed(mp, ManifoldPoint(1, apply_transition(mp, x2)))
-        assert np.allclose(apply(t12, u2), u1, atol=1e-10)
+        assert np.allclose(apply(t12, u2).points, u1, atol=1e-10)
 
 
 # -- chart maps ---------------------------------------------------------------
@@ -212,15 +212,20 @@ def test_chart_transfer_plane_sphere():
     ],
 )
 def test_chart_map_matches_embed(make, n):
+    """chart_map(m, j) agrees with embed; for a sphere chart, chart_map(m, -j)
+    carries the embedded point back to its chart coordinates."""
     m = make(n)
     rng = np.random.default_rng(8)
     for j in (1, 2):
         psi = chart_map(m, j)
         for _ in range(20):
             x = rng.uniform(-3.0, 3.0, n)
-            assert np.allclose(apply(psi, x), embed(m, ManifoldPoint(j, x)), atol=1e-12)
+            u = embed(m, ManifoldPoint(j, x))
+            assert np.allclose(apply(psi, x).points, u, atol=1e-12)
+            if m.chart(j).has_sphere:
+                assert np.allclose(apply(chart_map(m, -j), u).points, np.append(x, 0.0), atol=1e-10)
         if m.chart(j).has_sphere:
-            assert np.allclose(apply(psi, INFINITY), embed(m, ManifoldPoint(j, INFINITY)))
+            assert np.allclose(apply(psi, INFINITY).points, embed(m, ManifoldPoint(j, INFINITY)))
 
 
 def test_vahlen_maps_built_once(m2):
