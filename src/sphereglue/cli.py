@@ -17,7 +17,7 @@ import numpy as np
 from .algebra import Multivector, gp_batch, reversion, vectors
 from .fields import constant_field, dirac_left_fd, fd_stencil, g_translate, moebius_pullback
 from .integration import (
-    cauchy_integral,
+    CauchyQuadrature,
     chart_circle,
     chart_sphere,
     plemelj_projections,
@@ -322,7 +322,8 @@ def cmd_verify_kernel(cfg: RunConfig) -> tuple[str, int]:
     m = make_manifold(cfg)
 
     def neck_point():
-        rho = float(rng.uniform(1.0 / m.r + 0.02, m.r - 0.02))
+        margin = min(0.02, (m.r - 1.0 / m.r) / 4.0)  # keeps the draw inside (1/r, r)
+        rho = float(rng.uniform(1.0 / m.r + margin, m.r - margin))
         v = rng.normal(size=m.n)
         v /= np.linalg.norm(v)
         return rho * v
@@ -391,23 +392,24 @@ def cmd_verify_cauchy(cfg: RunConfig) -> tuple[str, int]:
     sec = section_from_germ(m, germ)
     interior = ManifoldPoint(1, np.pad([0.6], (0, m.n - 1)))
 
-    def circle(radius, order):
-        if m.n == 2:
-            return chart_circle(m, 1, np.zeros(2), radius, order, interior=interior)
-        return chart_sphere(m, 1, np.zeros(3), radius, order, interior=interior)
-
     order_same = cfg.order if m.n == 2 else min(cfg.order, 48)
-    surf = circle(3.0, order_same)
+
+    def contour(radius):
+        """One quadrature per contour: its integrals share node sets, kernels and section values."""
+        make = chart_circle if m.n == 2 else chart_sphere
+        return CauchyQuadrature(m, make(m, 1, np.zeros(m.n), radius, order_same, interior=interior), nsign)
+
+    quad = contour(3.0)
 
     # same-chart reproduction
     y_same = ManifoldPoint(1, np.pad([1.2, 0.4], (0, m.n - 2)))
-    res = cauchy_integral(m, surf, sec, y_same, order=order_same, normal_sign=nsign)
+    res = quad.integral(sec, y_same)
     err_same = (res.value - sec.value_at(y_same)).norm()
     rep.add("same-chart-reproduction", err_same, 1e-6)
 
     # constant-germ section reproduction
     csec = section_from_germ(m, constant_field(Multivector.scalar(1.0, m.n + 1), m.n))
-    res_c = cauchy_integral(m, surf, csec, y_same, order=order_same, normal_sign=nsign)
+    res_c = quad.integral(csec, y_same)
     rep.add("constant-germ-reproduction", (res_c.value - csec.value_at(y_same)).norm(), 1e-8)
 
     # cross-glue reproduction with convergence table
@@ -418,28 +420,20 @@ def cmd_verify_cauchy(cfg: RunConfig) -> tuple[str, int]:
     rows = []
     errs = []
     for od in orders:
-        s_od = circle(3.0, od)
-        r_od = cauchy_integral(m, s_od, sec, y_cross, order=od, normal_sign=nsign)
+        r_od = quad.integral(sec, y_cross, od)
         e = (r_od.value - exact).norm()
         errs.append(e)
         rows.append(f"{od},{e:.6e},{r_od.estimated_error:.6e},{r_od.nodes_used}")
     rep.add("cross-glue-reproduction", errs[orders.index(final)], 1e-4)
     # monotone decay until the rounding plateau
     plateau = 1e-12
-    mono = max(
-        (
-            errs[i + 1] / max(errs[i], 1e-30)
-            for i in range(len(errs) - 1)
-            if errs[i] > plateau
-        ),
-        default=0.0,
-    )
+    mono = max((later / max(e, 1e-30) for e, later in zip(errs, errs[1:]) if e > plateau), default=0.0)
     rep.add("cross-glue-monotone-decay", 0.0 if mono < 1.0 else mono, 1.0)
     rep.add_csv("cross-glue-convergence", "order,error,estimated_error,nodes", rows)
 
     # contour independence: the same-chart integral above against a contour
     # hugging the neck
-    r_b = cauchy_integral(m, circle(2.4, order_same), sec, y_same, order=order_same, normal_sign=nsign)
+    r_b = contour(2.4).integral(sec, y_same)
     combined = 2.0 * (res.estimated_error + r_b.estimated_error) + 1e-12
     rep.add(
         "contour-independence",

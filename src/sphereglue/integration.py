@@ -12,7 +12,9 @@ node geometry, sections, germs and the kernel take arrays of shape (N, ...)
 and return coefficient arrays (N, 2^(n+1)), which the rule sums at once. The
 Plemelj kernel matrix is filled by one kernel call over all off-diagonal
 node pairs. Every check of the one-point path (diagonal, admissibility,
-germ domain, degenerate frame, singular weight) applies to every node.
+germ domain, degenerate frame, singular weight) applies to every node. A
+CauchyQuadrature keeps the node sets, kernels and section values that the
+Cauchy integrals over one surface share.
 
 Sign convention: with e_j^2 = -1 the reproducing pairing uses the inward
 normal; cauchy_integral applies REPRODUCING_NORMAL_SIGN to the outward
@@ -41,6 +43,7 @@ from .manifold import (
     classify,
     embed,
     embed_jacobian,
+    first_coord,
 )
 from .moebius import is_infinity, weight_J
 
@@ -158,6 +161,20 @@ def _gauss_nodes(bounds, order) -> tuple[np.ndarray, np.ndarray]:
     return np.stack([g.ravel() for g in grids], axis=-1), np.prod([w.ravel() for w in wgrids], axis=0)
 
 
+def _rule(m: GluedManifold, s: Hypersurface, order: int) -> list[tuple[NodeGeometry, np.ndarray]]:
+    """Each patch's node geometry and rule weights at the given order."""
+    nodes = [_gauss_nodes(patch.bounds, order) for patch in s.patches]
+    return [(node_geometry(m, s, patch, t), w) for patch, (t, w) in zip(s.patches, nodes)]
+
+
+def _rule_sum(rule, values) -> np.ndarray:
+    """The rule applied to per-patch node values, scalars (N,) or coefficients (N, 2^(n+1))."""
+    total = 0.0
+    for (geo, w), val in zip(rule, values):
+        total = total + np.tensordot(geo.weight * w, np.asarray(val, dtype=np.float64), axes=1)
+    return total
+
+
 def surface_quadrature(
     m: GluedManifold,
     s: Hypersurface,
@@ -169,21 +186,10 @@ def surface_quadrature(
     (N, n+1), and returns scalars (N,) or coefficient arrays (N, 2^(n+1)).
     Two refinement levels give the error estimate."""
     order = order or s.quad_order
-    v_full, nodes = _quad_once(m, s, integrand, order)
-    v_half, _ = _quad_once(m, s, integrand, max(order // 2, 1))
+    rules = [_rule(m, s, od) for od in (order, max(order // 2, 1))]
+    v_full, v_half = (_rule_sum(r, [integrand(g.point, g.embedded, g.normal) for g, _ in r]) for r in rules)
     value = Multivector(m.n + 1, v_full) if v_full.ndim else Multivector.scalar(float(v_full), m.n + 1)
-    return QuadratureReport(value, float(np.linalg.norm(v_full - v_half)), nodes)
-
-
-def _quad_once(m, s, integrand, order):
-    total, nodes = 0.0, 0
-    for patch in s.patches:
-        t, w = _gauss_nodes(patch.bounds, order)
-        geo = node_geometry(m, s, patch, t)
-        val = np.asarray(integrand(geo.point, geo.embedded, geo.normal), dtype=np.float64)
-        total = total + np.tensordot(geo.weight * w, val, axes=1)
-        nodes += w.size
-    return total, nodes
+    return QuadratureReport(value, float(np.linalg.norm(v_full - v_half)), sum(w.size for _, w in rules[0]))
 
 
 # -- sections ---------------------------------------------------------------
@@ -236,6 +242,51 @@ def section_from_germ(m: GluedManifold, germ: CliffordField) -> Section:
     return Section(m, rep)
 
 
+class CauchyQuadrature:
+    """Cauchy integrals over one surface S. Node geometry per order, C_M(x, y)
+    n(x) per (order, target), section values per (order, section) and the
+    weighted sum per (order, target, section) are each evaluated at most once
+    and kept for the object's lifetime, so integrals over S share them; each
+    equals a fresh object's bit for bit. normal_sign is a falsification
+    control; leave it at the default for verification runs."""
+
+    def __init__(self, m: GluedManifold, s: Hypersurface, normal_sign: float = REPRODUCING_NORMAL_SIGN):
+        self.m, self.s, self.normal_sign, self._memo = m, s, normal_sign, {}
+
+    def _once(self, key, compute):
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
+
+    def _sum(self, f: Section, y: ManifoldPoint, order: int) -> np.ndarray:
+        m, dim, sign = self.m, self.m.n + 1, self.normal_sign
+        target = (y.chart, y.coord if is_infinity(y.coord) else y.coord.tobytes())
+        rule = self._once(("rule", order), lambda: _rule(m, self.s, order))
+
+        def weighted_sum():
+            kern_normal = self._once(("kernel", order, target), lambda: [
+                gp_batch(dim, kernel_CM(m, geo.point, y).coeffs, vectors(sign * geo.normal, dim))
+                for geo, _ in rule
+            ])
+            values = self._once(("section", order, f), lambda: [f.value_at(geo.point) for geo, _ in rule])
+            return _rule_sum(rule, [gp_batch(dim, kn, fv) for kn, fv in zip(kern_normal, values)])
+
+        return self._once(("sum", order, target, f), weighted_sum)
+
+    def integral(self, f: Section, y: ManifoldPoint, order: int | None = None) -> QuadratureReport:
+        """(1/omega_n) * integral of C_M(x, y) n(x) f(x) over S at order (default:
+        the surface's); converges to the representative f(y) in y's chart for y
+        inside the bounded subdomain. The error estimate is the distance to the
+        half-order integral."""
+        if classify(self.m, y) == INADMISSIBLE:
+            raise ManifoldError(f"evaluation point {first_coord(y, True)} in chart {y.chart} is inadmissible")
+        order = order or self.s.quad_order
+        full, half = (self._sum(f, y, od) for od in (order, max(order // 2, 1)))
+        wn, nodes = unit_sphere_area(self.m.n), sum(w.size for _, w in self._memo["rule", order])
+        value = Multivector(self.m.n + 1, full) / wn
+        return QuadratureReport(value, float(np.linalg.norm(full - half)) / wn, nodes)
+
+
 def cauchy_integral(
     m: GluedManifold,
     s: Hypersurface,
@@ -244,23 +295,8 @@ def cauchy_integral(
     order: int | None = None,
     normal_sign: float = REPRODUCING_NORMAL_SIGN,
 ) -> QuadratureReport:
-    """(1/omega_n) * integral of C_M(x, y) n(x) f(x) over S; converges to the
-    representative f(y) in y's chart for y inside the bounded subdomain.
-
-    normal_sign is a falsification control; leave it at the default for
-    verification runs.
-    """
-    if classify(m, y) == INADMISSIBLE:
-        raise ManifoldError("evaluation point is inadmissible")
-    wn = unit_sphere_area(m.n)
-    dim = m.n + 1
-
-    def integrand(pt: ManifoldPoint, u: np.ndarray, nrm: np.ndarray) -> np.ndarray:
-        kern, _ = kernel_CM(m, pt, y)
-        return gp_batch(dim, gp_batch(dim, kern, vectors(normal_sign * nrm, dim)), f.value_at(pt))
-
-    rep = surface_quadrature(m, s, integrand, order)
-    return QuadratureReport(rep.value / wn, rep.estimated_error / wn, rep.nodes_used)
+    """One CauchyQuadrature integral; nothing is kept past the call."""
+    return CauchyQuadrature(m, s, normal_sign).integral(f, y, order)
 
 
 # -- Plemelj / Hardy projections -------------------------------------------

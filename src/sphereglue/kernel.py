@@ -25,6 +25,7 @@ from .manifold import (
     classify,
     embed,
     equivalent,
+    first_coord,
 )
 from .moebius import cauchy_kernel_G, covariance_residual, weight_J
 
@@ -50,8 +51,9 @@ def kernel_CM(m: GluedManifold, x: ManifoldPoint, y: ManifoldPoint) -> KernelVal
     Raises DiagonalError if any pair is equivalent and ManifoldError if any
     point is inadmissible.
     """
-    if np.any(equivalent(m, x, y)):
-        raise DiagonalError(f"Cauchy kernel undefined on the diagonal (charts {x.chart}, {y.chart})")
+    if np.any(diagonal := equivalent(m, x, y)):
+        xs, ys = (f"{first_coord(p, diagonal)} in chart {p.chart}" for p in (x, y))
+        raise DiagonalError(f"Cauchy kernel undefined on the diagonal: x = {xs}, y = {ys}")
     j, k = x.chart, y.chart
     if j == k:
         tag, y_in_j = SAME_CHART, y.coord

@@ -140,12 +140,20 @@ def apply_transition(m: GluedManifold, coord):
     return coord / n2
 
 
+def first_coord(p: ManifoldPoint, mask) -> str:
+    """For error messages: p's first point where mask (over p's points, or a broadcast of them) holds."""
+    if is_infinity(p.coord):
+        return repr(p.coord)
+    mask = np.asarray(mask)
+    return str(np.broadcast_to(p.coord, mask.shape + p.coord.shape[-1:])[mask][0].tolist())
+
+
 def equivalent(m: GluedManifold, p: ManifoldPoint, q: ManifoldPoint, rtol: float = 1e-10):
     """Whether p and q are the same manifold point; for point arrays, an
     array over their broadcast shape. Raises on any inadmissible point."""
     for pt in (p, q):
-        if np.any(classify(m, pt) == INADMISSIBLE):
-            raise ManifoldError(f"inadmissible point in chart {pt.chart}")
+        if np.any(bad := classify(m, pt) == INADMISSIBLE):
+            raise ManifoldError(f"inadmissible point in chart {pt.chart} at {first_coord(pt, bad)}")
     if p.chart == q.chart:
         if is_infinity(p.coord) or is_infinity(q.coord):
             return is_infinity(p.coord) and is_infinity(q.coord)

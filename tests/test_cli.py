@@ -107,6 +107,21 @@ def test_verify_kernel_thin_neck(tmp_path):
     assert status == 0
 
 
+@pytest.mark.parametrize("r", [1.0001, 1.01, 1e6])
+@pytest.mark.parametrize("kind", ["two_spheres", "plane_sphere"])
+@pytest.mark.parametrize(
+    "command, n",
+    [("verify-kernel", 2), ("verify-kernel", 3), ("verify-cauchy", 2), ("hardy", 2)],
+)
+def test_extreme_gluing_radius_passes(tmp_path, command, n, kind, r):
+    """r > 1 is accepted, so necks that are very thin or very wide must pass."""
+    cfg = tmp_path / "radius.cfg"
+    cfg.write_text(f"kind={kind}\nn={n}\nr={r}\n")
+    order = [] if command == "verify-kernel" else ["--order", "64"]
+    status, _ = run(tmp_path, command, "--config", str(cfg), *order)
+    assert status == 0
+
+
 def test_verify_cauchy_passes(tmp_path):
     status, text = run(tmp_path, "verify-cauchy", "--seed", "0", "--order", "64")
     assert status == 0

@@ -133,6 +133,15 @@ def test_inadmissible_raises(m2):
         kernel_CM(m2, pt(1, 0.1, 0.0), pt(1, 3.0, 0.0))
 
 
+def test_diagonal_error_names_the_first_diagonal_pair(m2):
+    with pytest.raises(DiagonalError, match=r"x = \[3\.0, 0\.5\] in chart 1, y = \[3\.0, 0\.5\] in chart 1"):
+        kernel_CM(m2, pt(1, 3.0, 0.5), pt(1, 3.0, 0.5))
+    # over point arrays: the first pair on the diagonal, broadcast against one y
+    x = ManifoldPoint(1, np.array([[3.0, 1.0], [1.25, 0.0], [3.0, 0.5]]))
+    with pytest.raises(DiagonalError, match=r"x = \[1\.25, 0\.0\] in chart 1, y = \[0\.8, 0\.0\] in chart 2"):
+        kernel_CM(m2, x, pt(2, 0.8, 0.0))
+
+
 def test_diagonal_blowup_strength(m2):
     """||C_M|| * ||x_s-y_s||^{n-1} -> 1 approaching the diagonal."""
     x = pt(1, 3.0, 0.0)

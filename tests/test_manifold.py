@@ -107,6 +107,17 @@ def test_equivalent_neck_points(m2):
     )
 
 
+def test_inadmissible_error_names_the_first_inadmissible_point(m2):
+    with pytest.raises(ManifoldError, match=r"inadmissible point in chart 2 at \[0\.1, 0\.2\]"):
+        equivalent(m2, ManifoldPoint(1, e1(3.0, 0.0)), ManifoldPoint(2, e1(0.1, 0.2)))
+    pts = ManifoldPoint(1, np.array([[3.0, 0.0], [0.25, -0.125], [0.0, 0.1]]))
+    with pytest.raises(ManifoldError, match=r"inadmissible point in chart 1 at \[0\.25, -0\.125\]"):
+        equivalent(m2, pts, ManifoldPoint(1, e1(3.0, 1.0)))
+    plane = plane_sphere(2, 2.0)
+    with pytest.raises(ManifoldError, match="inadmissible point in chart 1 at INFINITY"):
+        equivalent(plane, ManifoldPoint(1, INFINITY), ManifoldPoint(2, e1(3.0, 0.0)))
+
+
 def test_body_points_single_chart(m2):
     assert not equivalent(m2, ManifoldPoint(1, e1(3.0, 0.0)), ManifoldPoint(2, e1(3.0, 0.0)))
 
