@@ -54,7 +54,8 @@ def _reversion_signs(dim: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Multivector:
-    """Element of Cl_dim; coeffs[i] is the coefficient of the bitmask-i blade."""
+    """Element of Cl_dim, for single values at the report boundary; coeffs[i]
+    is the coefficient of the bitmask-i blade."""
 
     dim: int
     coeffs: np.ndarray
@@ -62,103 +63,32 @@ class Multivector:
     def __post_init__(self):
         if not 1 <= self.dim <= MAX_DIM:
             raise AlgebraError(f"dim must be in 1..{MAX_DIM}, got {self.dim}")
-        c = np.asarray(self.coeffs, dtype=np.float64)
+        c = np.array(self.coeffs, dtype=np.float64)
         if c.shape != (1 << self.dim,):
             raise AlgebraError(
                 f"coefficient vector must have length {1 << self.dim}, got {c.shape}"
             )
-        c = c.copy()
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
-
-    # -- constructors ------------------------------------------------------
-    @staticmethod
-    def zero(dim: int) -> "Multivector":
-        return Multivector(dim, np.zeros(1 << dim))
-
-    @staticmethod
-    def scalar(value: float, dim: int) -> "Multivector":
-        c = np.zeros(1 << dim)
-        c[0] = value
-        return Multivector(dim, c)
-
-    @staticmethod
-    def basis_vector(j: int, dim: int) -> "Multivector":
-        c = np.zeros(1 << dim)
-        c[1 << j] = 1.0
-        return Multivector(dim, c)
-
-    @staticmethod
-    def vector(components, dim: int | None = None) -> "Multivector":
-        """Embed a Euclidean vector as a grade-1 element; pads if dim exceeds
-        the component count."""
-        x = np.asarray(components, dtype=np.float64)
-        dim = x.size if dim is None else dim
-        return Multivector(dim, vectors(x, dim))
-
-    # -- queries -----------------------------------------------------------
-    def scalar_part(self) -> float:
-        return float(self.coeffs[0])
-
-    def vector_part(self, n: int | None = None) -> np.ndarray:
-        """Grade-1 components, first n of them (all generators by default)."""
-        if n is None:
-            n = self.dim
-        return np.array([self.coeffs[1 << j] for j in range(n)])
-
-    def grade(self, r: int) -> "Multivector":
-        if not 0 <= r <= self.dim:
-            raise AlgebraError(f"grade {r} out of range for dim {self.dim}")
-        mask = np.array([i.bit_count() == r for i in range(1 << self.dim)])
-        return Multivector(self.dim, np.where(mask, self.coeffs, 0.0))
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.coeffs))
 
-    def max_grade_deviation(self, r: int) -> float:
-        """Norm of everything outside grade r."""
-        return float(np.linalg.norm(self.coeffs - self.grade(r).coeffs))
-
-    # -- arithmetic --------------------------------------------------------
     def _check_dim(self, other: "Multivector"):
-        if self.dim != other.dim:
-            raise AlgebraError(f"dimension mismatch: {self.dim} vs {other.dim}")
+        if not isinstance(other, Multivector) or self.dim != other.dim:
+            raise AlgebraError(f"operand must be a Multivector of dim {self.dim}")
 
-    def __add__(self, other):
-        if isinstance(other, (int, float)):
-            other = Multivector.scalar(other, self.dim)
+    def __add__(self, other: "Multivector") -> "Multivector":
         self._check_dim(other)
         return Multivector(self.dim, self.coeffs + other.coeffs)
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, (int, float)):
-            other = Multivector.scalar(other, self.dim)
+    def __sub__(self, other: "Multivector") -> "Multivector":
         self._check_dim(other)
         return Multivector(self.dim, self.coeffs - other.coeffs)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __neg__(self):
-        return Multivector(self.dim, -self.coeffs)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return Multivector(self.dim, self.coeffs * other)
+    def __mul__(self, other: "Multivector") -> "Multivector":
         self._check_dim(other)
         return Multivector(self.dim, gp_batch(self.dim, self.coeffs, other.coeffs))
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, float)):
-            return Multivector(self.dim, self.coeffs * other)
-        return NotImplemented
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, float)):
-            return Multivector(self.dim, self.coeffs / other)
-        return NotImplemented
 
 
 # -- operations ------------------------------------------------------------

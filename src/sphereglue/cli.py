@@ -4,7 +4,9 @@ structured-text reports.
 
 Subcommands: verify-algebra, verify-kernel, verify-cauchy, hardy.
 Config files are flat key=value text; command-line flags override them.
-Exit status is 0 exactly when every property in the run passes.
+Exit status is 0 exactly when every property passes, 2 for a bad config,
+and 1, with one stderr line naming the suite, the config line and the
+exception, when a suite raises.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .algebra import Multivector, gp_batch, reversion, vectors
+from .algebra import gp_batch, reversion, vectors
 from .fields import constant_field, dirac_left_fd, fd_stencil, g_translate, moebius_pullback
 from .integration import (
     CauchyQuadrature,
@@ -138,18 +140,19 @@ class Record:
         )
 
 
+def config_line(cfg: RunConfig) -> str:
+    return (
+        f"config kind={cfg.kind} n={cfg.n} r={cfg.r:g} "
+        f"scale1={cfg.scale1:g} scale2={cfg.scale2:g} "
+        f"seed={cfg.seed} order={cfg.order} "
+        f"break_weight={cfg.break_weight} break_normal={cfg.break_normal} "
+        f"corrupt_vahlen={cfg.corrupt_vahlen}"
+    )
+
+
 class Report:
     def __init__(self, title: str, cfg: RunConfig):
-        self.lines = [
-            f"# sphereglue {title}",
-            (
-                f"config kind={cfg.kind} n={cfg.n} r={cfg.r:g} "
-                f"scale1={cfg.scale1:g} scale2={cfg.scale2:g} "
-                f"seed={cfg.seed} order={cfg.order} "
-                f"break_weight={cfg.break_weight} break_normal={cfg.break_normal} "
-                f"corrupt_vahlen={cfg.corrupt_vahlen}"
-            ),
-        ]
+        self.lines = [f"# sphereglue {title}", config_line(cfg)]
         self.records: list[Record] = []
 
     def add(self, name: str, residual: float, threshold: float):
@@ -186,10 +189,10 @@ def _random_maps(rng, n: int, count: int, corrupt: bool = False):
             m3 = translation_map(rng.uniform(-2.0, 2.0, n), n, n)
             maps.append(compose(m3, compose(m2, m1)))
     if corrupt and maps:
-        # a bivector in `a` leaves no map of the pool a valid Vahlen matrix
-        bad, k = maps[0], maps[0].ambient_dim
-        e12 = Multivector.basis_vector(0, k) * Multivector.basis_vector(1, k)
-        maps[0] = dataclasses.replace(bad, a=bad.a + 0.25 * e12)
+        # a bivector 0.25 e1e2 in `a` leaves no map of the pool a valid Vahlen matrix
+        coeffs = maps[0].coeffs.copy()
+        coeffs[0, 0, 0b11] += 0.25
+        maps[0] = dataclasses.replace(maps[0], coeffs=coeffs)
     return maps
 
 
@@ -214,14 +217,14 @@ def _draw_accepted(rng, count: int, low: float, high: float, width: int, judge) 
 def _admissible_pairs(psi, n: int):
     """Judge rows (x, y): apart, with images finite and apart, and the map
     well away from singular at x."""
-    k = psi.ambient_dim
+    k, (c, d) = psi.ambient_dim, psi.coeffs[1]
 
     def judge(rows):
         x, y = rows[:, :n], rows[:, n:]
         apart = np.linalg.norm(x - y, axis=-1) >= 0.2
         img = apply(psi, np.stack((x, y)), raise_invalid=False)
         px, py = img.points
-        den_x = np.linalg.norm(gp_batch(k, psi.c.coeffs, vectors(x, k)) + psi.d.coeffs, axis=-1)
+        den_x = np.linalg.norm(gp_batch(k, c, vectors(x, k)) + d, axis=-1)
         accepted = apart & img.finite.all(0) & (np.linalg.norm(px - py, axis=-1) >= 1e-3) & (den_x >= 0.1)
         return accepted, apart & ~img.valid.all(0)
 
@@ -408,7 +411,7 @@ def cmd_verify_cauchy(cfg: RunConfig) -> tuple[str, int]:
     rep.add("same-chart-reproduction", err_same, 1e-6)
 
     # constant-germ section reproduction
-    csec = section_from_germ(m, constant_field(Multivector.scalar(1.0, m.n + 1), m.n))
+    csec = section_from_germ(m, constant_field(np.eye(2 ** (m.n + 1))[0], m.n))
     res_c = quad.integral(csec, y_same)
     rep.add("constant-germ-reproduction", (res_c.value - csec.value_at(y_same)).norm(), 1e-8)
 
@@ -492,7 +495,11 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    text, status = COMMANDS[args.command](cfg)
+    try:
+        text, status = COMMANDS[args.command](cfg)
+    except Exception as exc:  # one line naming suite, config and exception
+        print(f"{args.command} error: {config_line(cfg)}: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
     if cfg.out:
         with open(cfg.out, "w", encoding="utf-8") as fh:
             fh.write(text)

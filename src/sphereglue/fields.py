@@ -7,9 +7,9 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import Multivector, gp_batch
+from .algebra import gp_batch, vectors
 from .config import DEFAULT_FD_STEP
-from .moebius import VahlenMap, apply, cauchy_kernel_G, weight_J
+from .moebius import VahlenMap, apply, cauchy_kernel_G, first_point, weight_J
 
 
 class DomainError(ValueError):
@@ -32,21 +32,20 @@ class CliffordField:
         """The field's coefficients at every point of x; raises if any point
         lies outside the domain."""
         x = np.asarray(x, dtype=np.float64)
-        inside = np.asarray(self.domain(x))
+        inside = np.broadcast_to(self.domain(x), x.shape[:-1])
         if not inside.all():
-            bad = x[~np.broadcast_to(inside, x.shape[:-1])][0]
-            raise DomainError(f"point {bad} outside field domain")
+            raise DomainError(f"point {first_point(x, ~inside)} outside field domain")
         return self.func(x)
-
-    def __call__(self, x) -> Multivector:
-        return Multivector(self.dim_alg, self.values(x))
 
     def in_domain(self, x) -> bool:
         return bool(np.asarray(self.domain(np.asarray(x, dtype=np.float64))).all())
 
 
-def constant_field(a: Multivector, dim_in: int) -> CliffordField:
-    return CliffordField(dim_in, a.dim, lambda x: np.broadcast_to(a.coeffs, x.shape[:-1] + (1 << a.dim,)))
+def constant_field(a, dim_in: int) -> CliffordField:
+    """x -> a on R^dim_in, for the coefficients a (2^dim_alg,) of one element."""
+    a = np.array(a, dtype=np.float64)
+    dim_alg = a.size.bit_length() - 1
+    return CliffordField(dim_in, dim_alg, lambda x: np.broadcast_to(a, x.shape[:-1] + a.shape))
 
 
 def g_translate(a: np.ndarray, n: int | None = None, dim_alg: int | None = None) -> CliffordField:
@@ -97,12 +96,9 @@ def _dirac_fd(f: CliffordField, x, h: float, left: bool) -> np.ndarray:
     diff = (vals[..., 0, :, :] - vals[..., 1, :, :]) / (2.0 * np.array([h, h / 2.0])[:, None, None])
     # one Richardson step, (4 D_{h/2} - D_h) / 3, cancels the O(h^2) term
     diff = (4.0 * diff[..., 1, :, :] - diff[..., 0, :, :]) / 3.0
-    out = np.zeros(x.shape[:-1] + (1 << f.dim_alg,))
-    for j in range(f.dim_in):
-        e_j = Multivector.basis_vector(j, f.dim_alg).coeffs
-        d_j = diff[..., j, :]
-        out = out + (gp_batch(f.dim_alg, e_j, d_j) if left else gp_batch(f.dim_alg, d_j, e_j))
-    return out
+    # sum over j of e_j d_j (left) or d_j e_j (right), as one batched product
+    e = vectors(np.eye(f.dim_in), f.dim_alg)
+    return (gp_batch(f.dim_alg, e, diff) if left else gp_batch(f.dim_alg, diff, e)).sum(-2)
 
 
 def moebius_pullback(psi: VahlenMap, f: CliffordField, dim_in: int | None = None) -> CliffordField:

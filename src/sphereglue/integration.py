@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gamma, pi
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -43,9 +43,8 @@ from .manifold import (
     classify,
     embed,
     embed_jacobian,
-    first_coord,
 )
-from .moebius import is_infinity, weight_J
+from .moebius import first_point, is_infinity, weight_J
 
 REPRODUCING_NORMAL_SIGN = -1.0
 
@@ -131,8 +130,8 @@ def node_geometry(m: GluedManifold, s: Hypersurface, patch: SurfacePatch, t: np.
     pt = ManifoldPoint(patch.chart, x)
     jac_chart = np.asarray(patch.param_jac(t), dtype=np.float64)
     nc = _generalized_cross(np.swapaxes(jac_chart, -1, -2))
-    if np.any(np.linalg.norm(nc, axis=-1) <= 1e-13):
-        raise SurfaceError("degenerate tangent frame at a quadrature node")
+    if np.any(degenerate := np.linalg.norm(nc, axis=-1) <= 1e-13):
+        raise SurfaceError(f"degenerate tangent frame at the quadrature node {first_point(x, degenerate)}")
     inward = np.sum(nc * (x - _interior_in_chart(m, s, patch.chart)), axis=-1) <= 0
     nc = np.where(inward[..., None], -nc, nc)
     ejac = embed_jacobian(m, patch.chart, x)
@@ -188,7 +187,7 @@ def surface_quadrature(
     order = order or s.quad_order
     rules = [_rule(m, s, od) for od in (order, max(order // 2, 1))]
     v_full, v_half = (_rule_sum(r, [integrand(g.point, g.embedded, g.normal) for g, _ in r]) for r in rules)
-    value = Multivector(m.n + 1, v_full) if v_full.ndim else Multivector.scalar(float(v_full), m.n + 1)
+    value = Multivector(m.n + 1, v_full if v_full.ndim else v_full * np.eye(2 ** (m.n + 1))[0])
     return QuadratureReport(value, float(np.linalg.norm(v_full - v_half)), sum(w.size for _, w in rules[0]))
 
 
@@ -279,11 +278,11 @@ class CauchyQuadrature:
         inside the bounded subdomain. The error estimate is the distance to the
         half-order integral."""
         if classify(self.m, y) == INADMISSIBLE:
-            raise ManifoldError(f"evaluation point {first_coord(y, True)} in chart {y.chart} is inadmissible")
+            raise ManifoldError(f"evaluation point {first_point(y.coord)} in chart {y.chart} is inadmissible")
         order = order or self.s.quad_order
         full, half = (self._sum(f, y, od) for od in (order, max(order // 2, 1)))
         wn, nodes = unit_sphere_area(self.m.n), sum(w.size for _, w in self._memo["rule", order])
-        value = Multivector(self.m.n + 1, full) / wn
+        value = Multivector(self.m.n + 1, full / wn)
         return QuadratureReport(value, float(np.linalg.norm(full - half)) / wn, nodes)
 
 
@@ -322,14 +321,14 @@ def _fft_derivative(values: np.ndarray, period: float) -> np.ndarray:
 def plemelj_projections(
     m: GluedManifold,
     s: Hypersurface,
-    g: Sequence[Multivector] | Callable[[ManifoldPoint], np.ndarray],
+    g: Callable[[ManifoldPoint], np.ndarray],
     n_nodes: int | None = None,
 ) -> PlemeljResult:
     """Discrete Hardy-space splitting g = g_plus + g_minus on a smooth closed
     curve (n = 2), with g_plus the approximate trace of the interior Cauchy
-    extension: P_pm = (I pm C_S) / 2. The data g is one Multivector per node
-    or a callable taking the node point array and returning coefficients
-    (N, 2^(n+1)), such as Section.value_at.
+    extension: P_pm = (I pm C_S) / 2. The data g is a callable that takes
+    the node point array and returns its coefficients (N, 2^(n+1)), such as
+    Section.value_at.
 
     The singular integral C_S is regularized at each target node i by
     subtracting the constant-germ section W c_i that matches g there
@@ -360,15 +359,12 @@ def plemelj_projections(
     geo = node_geometry(m, s, patch, a + (np.arange(nn)[:, None] + 0.5) * h)
     pts = geo.point
 
-    data = g(pts) if callable(g) else [v.coeffs for v in g]
-    if isinstance(data, Multivector):
-        raise SurfaceError("boundary data callable must return coefficients for the node array")
-    gc = np.asarray(data, dtype=np.float64)
-    if gc.shape != (nn, 1 << dim):
-        raise SurfaceError("boundary data length must match the node count")
+    gc = g(pts)
+    if np.shape(gc) != (nn, 1 << dim):
+        raise SurfaceError(f"boundary data must be coefficients ({nn}, {1 << dim}) for the node array")
 
     # W_j c is the constant-germ section with germ c, evaluated at node j
-    wc = section_from_germ(m, constant_field(Multivector.scalar(1.0, dim), m.n)).value_at(pts)
+    wc = section_from_germ(m, constant_field(np.eye(1 << dim)[0], m.n)).value_at(pts)
     c = gp_batch(dim, clifford_group_inverse(dim, wc), gc)
 
     nw = vectors(REPRODUCING_NORMAL_SIGN * geo.normal * geo.weight[:, None], dim)

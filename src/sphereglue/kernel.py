@@ -25,9 +25,8 @@ from .manifold import (
     classify,
     embed,
     equivalent,
-    first_coord,
 )
-from .moebius import cauchy_kernel_G, covariance_residual, weight_J
+from .moebius import cauchy_kernel_G, covariance_residual, first_point, weight_J
 
 SAME_CHART = "same-chart"
 OVERLAP_REP = "overlap-rep"
@@ -52,7 +51,7 @@ def kernel_CM(m: GluedManifold, x: ManifoldPoint, y: ManifoldPoint) -> KernelVal
     point is inadmissible.
     """
     if np.any(diagonal := equivalent(m, x, y)):
-        xs, ys = (f"{first_coord(p, diagonal)} in chart {p.chart}" for p in (x, y))
+        xs, ys = (f"{first_point(p.coord, diagonal)} in chart {p.chart}" for p in (x, y))
         raise DiagonalError(f"Cauchy kernel undefined on the diagonal: x = {xs}, y = {ys}")
     j, k = x.chart, y.chart
     if j == k:

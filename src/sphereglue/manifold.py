@@ -14,7 +14,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import Multivector
 from .moebius import (
     INFINITY,
     VahlenMap,
@@ -22,6 +21,7 @@ from .moebius import (
     cayley_embed,
     cayley_embed_jacobian,
     compose,
+    first_point,
     identity_map,
     inverse,
     is_infinity,
@@ -79,12 +79,7 @@ class GluedManifold:
             if not ch.has_sphere:
                 maps[j] = identity_map(k, exponent)
                 continue
-            maps[j] = cay = cayley(self.n, exponent)
-            if ch.scale != 1.0:
-                zero = Multivector.zero(k)
-                one = Multivector.scalar(1.0, k)
-                dilation = VahlenMap(Multivector.scalar(ch.scale, k), zero, zero, one, k, exponent)
-                maps[j] = compose(dilation, cay)
+            maps[j] = cayley(self.n, exponent, ch.scale)
             maps[-j] = inverse(maps[j])
         maps[1, 1] = maps[2, 2] = identity_map(k, exponent)
         maps[1, 2] = compose(maps[1], compose(neck_inversion(k, exponent), maps[-2]))
@@ -140,20 +135,12 @@ def apply_transition(m: GluedManifold, coord):
     return coord / n2
 
 
-def first_coord(p: ManifoldPoint, mask) -> str:
-    """For error messages: p's first point where mask (over p's points, or a broadcast of them) holds."""
-    if is_infinity(p.coord):
-        return repr(p.coord)
-    mask = np.asarray(mask)
-    return str(np.broadcast_to(p.coord, mask.shape + p.coord.shape[-1:])[mask][0].tolist())
-
-
 def equivalent(m: GluedManifold, p: ManifoldPoint, q: ManifoldPoint, rtol: float = 1e-10):
     """Whether p and q are the same manifold point; for point arrays, an
     array over their broadcast shape. Raises on any inadmissible point."""
     for pt in (p, q):
         if np.any(bad := classify(m, pt) == INADMISSIBLE):
-            raise ManifoldError(f"inadmissible point in chart {pt.chart} at {first_coord(pt, bad)}")
+            raise ManifoldError(f"inadmissible point in chart {pt.chart} at {first_point(pt.coord, bad)}")
     if p.chart == q.chart:
         if is_infinity(p.coord) or is_infinity(q.coord):
             return is_infinity(p.coord) and is_infinity(q.coord)

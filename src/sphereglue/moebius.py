@@ -1,11 +1,16 @@
 """Moebius transformations in Vahlen form, conformal weights and the
 Euclidean Cauchy kernel.
 
-A map (ax+b)(cx+d)^{-1} is stored as four Clifford coefficients acting on
-vectors of R^k (k = ambient_dim) extended by the point at infinity. The
-conformal weight J(psi, x) = ~(cx+d) / ||cx+d||^m uses the per-map exponent
-m (kernel_exponent); for every map constructed here m equals the dimension
-of the manifold the map serves, also when the algebra is Cl_{n+1}.
+A VahlenMap is the map (ax+b)(cx+d)^{-1} of R^k plus the point at infinity,
+stored as one read-only coefficient array (2, 2, 2^k) of the Cl_k rows
+[[a, b], [c, d]] and a kernel exponent; k = ambient_dim is read off the
+array's shape. Multivector remains only for the values a report reads
+(Section.value_at of one point, QuadratureReport.value, the PlemeljResult
+rows), with construction, .coeffs, .norm(), +, - and the product of two.
+
+The conformal weight J(psi, x) = ~(cx+d) / ||cx+d||^m uses the per-map
+exponent m (kernel_exponent); for every map constructed here m equals the
+dimension of the manifold the map serves, also when the algebra is Cl_{n+1}.
 """
 from __future__ import annotations
 
@@ -17,7 +22,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .algebra import (
-    Multivector,
     clifford_group_inverse,
     clifford_group_inverse_rows,
     gp_batch,
@@ -58,25 +62,30 @@ class SingularPointError(VahlenError):
 
 @dataclass(frozen=True)
 class VahlenMap:
-    a: Multivector
-    b: Multivector
-    c: Multivector
-    d: Multivector
-    ambient_dim: int
+    """The map (ax+b)(cx+d)^{-1}: coeffs (2, 2, 2^k), read-only, holds the
+    rows [[a, b], [c, d]] of Cl_k coefficients."""
+
+    coeffs: np.ndarray
     kernel_exponent: int
 
     def __post_init__(self):
-        dims = {self.a.dim, self.b.dim, self.c.dim, self.d.dim}
-        if dims != {self.ambient_dim}:
-            raise VahlenError("coefficient algebra dims must equal ambient_dim")
+        c = np.array(self.coeffs, dtype=np.float64)
+        if c.ndim != 3 or c.shape[:2] != (2, 2) or c.shape[2] < 2 or c.shape[2].bit_count() != 1:
+            raise VahlenError(f"coefficients must have shape (2, 2, 2^k), got {c.shape}")
         if self.kernel_exponent < 1:
             raise VahlenError("kernel_exponent must be positive")
+        c.setflags(write=False)
+        object.__setattr__(self, "coeffs", c)
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.coeffs.shape[2].bit_length() - 1
 
     @cached_property
     def pseudo_determinant(self) -> float:
         """The scalar a~d - b~c, computed once per map."""
         k = self.ambient_dim
-        a, b, c, d = (v.coeffs for v in (self.a, self.b, self.c, self.d))
+        (a, b), (c, d) = self.coeffs
         delta = gp_batch(k, a, reversion(k, d)) - gp_batch(k, b, reversion(k, c))
         s = float(delta[0])
         if np.linalg.norm(delta[1:]) > DEFAULT_RTOL * max(abs(s), 1.0):
@@ -84,38 +93,41 @@ class VahlenMap:
         return s
 
 
+def _scalar_matrix(a: float, b: float, c: float, d: float, k: int) -> np.ndarray:
+    """Coefficients (2, 2, 2^k) of the matrix [[a, b], [c, d]] with scalar entries."""
+    out = np.zeros((2, 2, 1 << k))
+    out[..., 0] = [[a, b], [c, d]]
+    return out
+
+
 def identity_map(k: int, m: int | None = None) -> VahlenMap:
-    one = Multivector.scalar(1.0, k)
-    zero = Multivector.zero(k)
-    return VahlenMap(one, zero, zero, one, k, m if m is not None else k)
+    return VahlenMap(_scalar_matrix(1.0, 0.0, 0.0, 1.0, k), m if m is not None else k)
 
 
 def translation_map(t: np.ndarray, k: int | None = None, m: int | None = None) -> VahlenMap:
     t = np.asarray(t, dtype=np.float64)
     if k is None:
         k = t.size
-    one = Multivector.scalar(1.0, k)
-    zero = Multivector.zero(k)
-    return VahlenMap(one, Multivector.vector(t, k), zero, one, k, m if m is not None else k)
+    coeffs = _scalar_matrix(1.0, 0.0, 0.0, 1.0, k)
+    coeffs[0, 1] = vectors(t, k)
+    return VahlenMap(coeffs, m if m is not None else k)
 
 
 def neck_inversion(k: int, m: int | None = None) -> VahlenMap:
     """x -> -x^{-1}, the annulus-identifying involution."""
-    one = Multivector.scalar(1.0, k)
-    zero = Multivector.zero(k)
-    return VahlenMap(zero, -one, one, zero, k, m if m is not None else k)
+    return VahlenMap(_scalar_matrix(0.0, -1.0, 1.0, 0.0, k), m if m is not None else k)
 
 
-def cayley(n: int, m: int | None = None) -> VahlenMap:
-    """(e_{n+1} x + 1)(x + e_{n+1})^{-1}: R^n onto the unit sphere of R^{n+1}
-    minus e_{n+1}. Lives in Cl_{n+1} with weight exponent n unless m is
-    given."""
+def cayley(n: int, m: int | None = None, scale: float = 1.0) -> VahlenMap:
+    """scale (e_{n+1} x + 1)(x + e_{n+1})^{-1}: R^n onto the sphere of radius
+    scale in R^{n+1} minus scale e_{n+1}. Lives in Cl_{n+1} with weight
+    exponent n unless m is given."""
     if n < 1:
         raise VahlenError("n must be >= 1")
-    k = n + 1
-    ep = Multivector.basis_vector(n, k)
-    one = Multivector.scalar(1.0, k)
-    return VahlenMap(ep, one, one, ep, k, m if m is not None else n)
+    coeffs = _scalar_matrix(0.0, 1.0, 1.0, 0.0, n + 1)
+    coeffs[0, 0, 1 << n] = coeffs[1, 1, 1 << n] = 1.0
+    coeffs[0] *= scale
+    return VahlenMap(coeffs, m if m is not None else n)
 
 
 def _points(x, k: int) -> np.ndarray:
@@ -147,19 +159,20 @@ def apply(psi: VahlenMap, x, rtol: float = DEFAULT_RTOL, raise_invalid: bool = T
     Images.valid instead.
     """
     k = psi.ambient_dim
+    (a, b), (c, d) = psi.coeffs
     if is_infinity(x):
-        num, den, tiny = psi.a.coeffs, psi.c.coeffs, 0.0
+        num, den, tiny = a, c, 0.0
     else:
         xv = vectors(_points(x, k), k)
-        num = gp_batch(k, psi.a.coeffs, xv) + psi.b.coeffs
-        den = gp_batch(k, psi.c.coeffs, xv) + psi.d.coeffs
-        tiny = 1e-12 * np.maximum(psi.c.norm() * _norms(xv) + psi.d.norm(), 1.0)
+        num = gp_batch(k, a, xv) + b
+        den = gp_batch(k, c, xv) + d
+        tiny = 1e-12 * np.maximum(np.linalg.norm(c) * _norms(xv) + np.linalg.norm(d), 1.0)
     dinv, invertible = clifford_group_inverse_rows(k, den, rtol)
     finite = (_norms(den) > tiny) & invertible
     points, dev, valid = _grade1(k, gp_batch(k, num, dinv), rtol)
     valid |= ~finite
     if raise_invalid and not valid.all():
-        raise _invalid(dev[~valid].max())
+        raise VahlenError(f"image of {first_point(x, ~valid)} is off grade 1 by {dev[~valid].max():.3e}")
     return Images(np.where(finite[..., None], points, np.nan), finite, valid)
 
 
@@ -177,8 +190,13 @@ def _grade1(k: int, res: np.ndarray, rtol: float):
     return res[..., blades], dev, dev <= np.maximum(rtol * np.maximum(_norms(res), 1.0), 1e-9)
 
 
-def _invalid(dev: float) -> VahlenError:
-    return VahlenError(f"invalid Vahlen coefficients: image is not grade-1 (deviation {dev:.3e})")
+def first_point(x, mask=True) -> str:
+    """For error messages: the first point of x (..., m), or of its broadcast
+    against mask (...), where mask holds; INFINITY names itself."""
+    if is_infinity(x):
+        return repr(x)
+    x, mask = np.asarray(x, dtype=np.float64), np.asarray(mask)
+    return str(np.broadcast_to(x, mask.shape + x.shape[-1:])[mask][0].tolist())
 
 
 def weight_J(psi: VahlenMap, x) -> np.ndarray:
@@ -186,10 +204,10 @@ def weight_J(psi: VahlenMap, x) -> np.ndarray:
     array (..., m), m <= ambient_dim, as coefficient arrays
     (..., 2^ambient_dim); raises if it is singular at any point."""
     if is_infinity(x):
-        raise SingularPointError("weight undefined at infinity")
+        raise SingularPointError("weight undefined at INFINITY")
     w, regular = weight_J_rows(psi, x)
     if not regular.all():
-        raise SingularPointError("cx+d vanishes: conformal weight singular here")
+        raise SingularPointError(f"cx+d vanishes: conformal weight singular at {first_point(x, ~regular)}")
     return w
 
 
@@ -202,10 +220,11 @@ def weight_J_rows(psi: VahlenMap, x):
     """
     k = psi.ambient_dim
     x = _points(x, k)
+    c, d = psi.coeffs[1]
     nu = abs(psi.pseudo_determinant) ** 0.5
-    den = (gp_batch(k, psi.c.coeffs, vectors(x, k)) + psi.d.coeffs) / nu
+    den = (gp_batch(k, c, vectors(x, k)) + d) / nu
     s = _norms(den)[..., None]
-    scale = np.maximum((psi.c.norm() * _norms(x)[..., None] + psi.d.norm()) / nu, 1.0)
+    scale = np.maximum((np.linalg.norm(c) * _norms(x)[..., None] + np.linalg.norm(d)) / nu, 1.0)
     regular = s > 1e-12 * scale
     return reversion(k, den) / np.where(regular, s, 1.0) ** psi.kernel_exponent, regular[..., 0]
 
@@ -213,15 +232,10 @@ def weight_J_rows(psi: VahlenMap, x):
 def compose(psi2: VahlenMap, psi1: VahlenMap) -> VahlenMap:
     """Matrix product; pointwise, compose(psi2, psi1) maps x to
     psi2(psi1(x))."""
-    if psi2.ambient_dim != psi1.ambient_dim:
-        raise VahlenError("cannot compose maps of different ambient dims")
-    if psi2.kernel_exponent != psi1.kernel_exponent:
-        raise VahlenError("cannot compose maps with different kernel exponents")
-    a = psi2.a * psi1.a + psi2.b * psi1.c
-    b = psi2.a * psi1.b + psi2.b * psi1.d
-    c = psi2.c * psi1.a + psi2.d * psi1.c
-    d = psi2.c * psi1.b + psi2.d * psi1.d
-    return VahlenMap(a, b, c, d, psi1.ambient_dim, psi1.kernel_exponent)
+    if (psi2.ambient_dim, psi2.kernel_exponent) != (psi1.ambient_dim, psi1.kernel_exponent):
+        raise VahlenError("cannot compose maps of different ambient dims or kernel exponents")
+    k = psi1.ambient_dim
+    return VahlenMap(gp_batch(k, psi2.coeffs[:, :, None], psi1.coeffs[None]).sum(1), psi1.kernel_exponent)
 
 
 def inverse(psi: VahlenMap) -> VahlenMap:
@@ -231,8 +245,8 @@ def inverse(psi: VahlenMap) -> VahlenMap:
     if abs(delta) <= 1e-14:
         raise VahlenError("Vahlen matrix has vanishing pseudo-determinant")
     k = psi.ambient_dim
-    d, b, c, a = (Multivector(k, reversion(k, v.coeffs) / delta) for v in (psi.d, psi.b, psi.c, psi.a))
-    inv = VahlenMap(d, -b, -c, a, k, psi.kernel_exponent)
+    (a, b), (c, d) = reversion(k, psi.coeffs) / delta
+    inv = VahlenMap(np.array([[d, -b], [-c, a]]), psi.kernel_exponent)
     # blocks of as many points as are still unchecked: a one-point loop
     # reaches every point of such a block, so this checks the same points
     rng = np.random.default_rng(7)

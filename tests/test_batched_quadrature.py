@@ -10,7 +10,7 @@ for every node.
 import numpy as np
 import pytest
 
-from sphereglue.algebra import Multivector, reversion
+from sphereglue.algebra import Multivector, reversion, vectors
 from sphereglue.fields import DomainError, g_translate
 from sphereglue.integration import (
     cauchy_integral,
@@ -60,20 +60,26 @@ def _embed(m, chart, x):
     return ch.scale * u, ch.scale * jac
 
 
+def _vector(v, n):
+    """The grade-1 element of Cl_{n+1} with components v."""
+    return Multivector(n + 1, vectors(v, n + 1))
+
+
 def _weight(psi, u, n):
     """The conformal weight ~(cu+d)/||cu+d||^n of the normalized matrix."""
     nu = abs(psi.pseudo_determinant) ** 0.5
-    den = (psi.c * Multivector.vector(u, n + 1) + psi.d) / nu
-    return Multivector(n + 1, reversion(n + 1, den.coeffs)) / den.norm() ** n
+    c, d = (Multivector(n + 1, v) for v in psi.coeffs[1])
+    den = (c * _vector(u, n) + d).coeffs / nu
+    return Multivector(n + 1, reversion(n + 1, den) / np.linalg.norm(den) ** n)
 
 
 def _kernel_G(v, n):
-    return Multivector.vector(v / np.linalg.norm(v) ** n, n + 1)
+    return _vector(v / np.linalg.norm(v) ** n, n)
 
 
 def _germ(x):
     v = x - _pole(x.size)
-    return Multivector.vector(v / np.linalg.norm(v) ** x.size, x.size + 1)
+    return _vector(v / np.linalg.norm(v) ** x.size, x.size)
 
 
 def _section_chart1(m, x):
@@ -111,21 +117,21 @@ def _reference(m, y_chart, y_coord):
     """(1/omega_n) sum_i w_i C_M(x_i, y) n_i f(x_i), node by node."""
     n = m.n
     if y_chart == 1:
-        y1, weight = y_coord, Multivector.scalar(1.0, n + 1)
+        y1, weight = y_coord, Multivector(n + 1, np.eye(2 ** (n + 1))[0])
     else:
         y1 = y_coord / (y_coord @ y_coord)
         weight = _weight(chart_transfer(m, 1, 2), _embed(m, 2, y_coord)[0], n)
     u_y = _embed(m, 1, y1)[0]
-    total = Multivector.zero(n + 1)
+    total = np.zeros(2 ** (n + 1))
     for w, x, tan, d in _nodes(n, ORDER[n]):
         u, jac = _embed(m, 1, x)
         emb_tan = jac @ tan
         area = np.sqrt(np.linalg.det(emb_tan.T @ emb_tan))
         normal = jac @ d
-        normal = Multivector.vector(-normal / np.linalg.norm(normal), n + 1)
+        normal = _vector(-normal / np.linalg.norm(normal), n)
         kern = weight * _kernel_G(u - u_y, n)
-        total = total + kern * normal * _section_chart1(m, x) * (area * w)
-    return total / unit_sphere_area(n)
+        total = total + (kern * normal * _section_chart1(m, x)).coeffs * (area * w)
+    return Multivector(n + 1, total / unit_sphere_area(n))
 
 
 def _surface(m):

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from sphereglue import cli, integration
-from sphereglue.algebra import Multivector
 from sphereglue.fields import constant_field, g_translate
 from sphereglue.integration import (
     CauchyQuadrature,
@@ -36,7 +35,7 @@ def _setup(kind, n):
     surf = make(m, 1, np.zeros(n), 3.0, ORDERS[n][0], interior=interior)
     sections = (
         section_from_germ(m, g_translate(np.eye(n)[0] * 4.0, n=n, dim_alg=n + 1)),
-        section_from_germ(m, constant_field(Multivector.scalar(1.0, n + 1), n)),
+        section_from_germ(m, constant_field(np.eye(2 ** (n + 1))[0], n)),
     )
     targets = [ManifoldPoint(chart, coord[:n]) for chart, coord in TARGETS.values()]
     return m, surf, sections, targets

@@ -1,10 +1,12 @@
 """Command-line driver: config parsing, determinism, exit codes, and the
 falsification controls."""
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
 
+from sphereglue import cli
 from sphereglue.cli import (
     _draw_accepted,
     _random_maps,
@@ -17,7 +19,7 @@ from sphereglue.cli import (
 from sphereglue.fields import dirac_left_fd, g_translate, moebius_pullback
 from sphereglue.kernel import kernel_CM
 from sphereglue.manifold import ManifoldPoint, plane_sphere, two_spheres
-from sphereglue.moebius import VahlenError
+from sphereglue.moebius import VahlenError, neck_inversion, weight_J
 
 
 def run(tmp_path, *argv):
@@ -107,19 +109,35 @@ def test_verify_kernel_thin_neck(tmp_path):
     assert status == 0
 
 
-@pytest.mark.parametrize("r", [1.0001, 1.01, 1e6])
-@pytest.mark.parametrize("kind", ["two_spheres", "plane_sphere"])
-@pytest.mark.parametrize(
-    "command, n",
-    [("verify-kernel", 2), ("verify-kernel", 3), ("verify-cauchy", 2), ("hardy", 2)],
-)
-def test_extreme_gluing_radius_passes(tmp_path, command, n, kind, r):
-    """r > 1 is accepted, so necks that are very thin or very wide must pass."""
-    cfg = tmp_path / "radius.cfg"
-    cfg.write_text(f"kind={kind}\nn={n}\nr={r}\n")
+MATRIX_RADII = [1.0001, 1.01, 1.05, 2.0, 10.0, 1e6]
+MATRIX_SCALES = [(1.0, 1.0), (1.5, 0.7)]
+# scale2 in {1e-3, 1e3} is left out: verify-kernel fails overlap-consistency
+# or case-coherence-seam-jump there (ROADMAP item 3)
+
+
+def _matrix_rows():
+    """command x n x kind x r x scales; rows at the default scales keep the
+    short id command-n-kind-r, the others end in -scaled."""
+    commands = [
+        ("verify-kernel", 2), ("verify-kernel", 3), ("verify-cauchy", 2), ("verify-cauchy", 3), ("hardy", 2)
+    ]
+    for (command, n), kind, r, scales in itertools.product(
+        commands, ["two_spheres", "plane_sphere"], MATRIX_RADII, MATRIX_SCALES
+    ):
+        suffix = "" if scales == (1.0, 1.0) else "-scaled"
+        yield pytest.param(command, n, kind, r, scales, id=f"{command}-{n}-{kind}-{r}{suffix}")
+
+
+@pytest.mark.parametrize("command, n, kind, r, scales", _matrix_rows())
+def test_extreme_gluing_radius_passes(tmp_path, command, n, kind, r, scales):
+    """Every accepted configuration of the matrix passes its suite: both
+    kinds, n = 2 and 3 (hardy runs at n = 2 only), chart scales (1, 1) and
+    (1.5, 0.7), and gluing radii from a nearly closed neck (1.0001) to 1e6."""
+    cfg = tmp_path / "matrix.cfg"
+    cfg.write_text(f"kind={kind}\nn={n}\nr={r}\nscale1={scales[0]}\nscale2={scales[1]}\n")
     order = [] if command == "verify-kernel" else ["--order", "64"]
-    status, _ = run(tmp_path, command, "--config", str(cfg), *order)
-    assert status == 0
+    status, text = run(tmp_path, command, "--config", str(cfg), *order)
+    assert status == 0, text
 
 
 def test_verify_cauchy_passes(tmp_path):
@@ -201,10 +219,14 @@ def test_negative_control_weight(tmp_path):
     assert "verdict=fail" in text
 
 
-def test_negative_control_normal(tmp_path):
+@pytest.mark.parametrize("scales", MATRIX_SCALES, ids=["default", "scaled"])
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("kind", ["two_spheres", "plane_sphere"])
+def test_negative_control_normal(tmp_path, kind, n, scales):
+    """A flipped normal fails verify-cauchy on every kind, n and scale."""
     cfg = tmp_path / "bn.cfg"
-    cfg.write_text("break_normal=1\n")
-    status, text = run(tmp_path, "verify-cauchy", "--config", str(cfg), "--order", "32")
+    cfg.write_text(f"break_normal=1\nkind={kind}\nn={n}\nr=2\nscale1={scales[0]}\nscale2={scales[1]}\n")
+    status, text = run(tmp_path, "verify-cauchy", "--config", str(cfg), "--order", "64")
     assert status != 0
 
 
@@ -217,7 +239,7 @@ def test_negative_control_corrupt_vahlen(tmp_path):
 
 
 @pytest.mark.parametrize("n", [2, 3])
-@pytest.mark.parametrize("seed", [2, 11])
+@pytest.mark.parametrize("seed", range(24))
 def test_corrupt_vahlen_fails_at_every_seed(tmp_path, n, seed):
     """The corrupted map is invalid whatever kind the first random map is;
     a scalar added to `a` left translations and the neck inversion valid."""
@@ -266,3 +288,18 @@ def test_verify_cauchy_scaled_chart1(tmp_path):
     cfg.write_text("scale1=1.5\n")
     status, text = run(tmp_path, "verify-cauchy", "--config", str(cfg), "--order", "64")
     assert status == 0, text
+
+
+def test_exception_in_a_suite_is_one_line_naming_suite_and_config(tmp_path, capsys, monkeypatch):
+    """An exception that escapes a suite exits 1 with one stderr line that
+    names the suite, the config line and the exception; no report is written."""
+    singular = lambda m, x, y: weight_J(neck_inversion(3), np.zeros(3))
+    monkeypatch.setattr(cli, "overlap_consistency_residual", singular)
+    out = tmp_path / "report.txt"
+    status = main(["verify-kernel", "--seed", "4", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert status == 1 and not out.exists()
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("verify-kernel error: config kind=two_spheres n=2 r=2 scale1=1 scale2=1 seed=4 ")
+    raised = "SingularPointError: cx+d vanishes: conformal weight singular at [0.0, 0.0, 0.0]"
+    assert err.rstrip().endswith(": " + raised)

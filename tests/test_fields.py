@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from sphereglue.algebra import Multivector, vectors
+from sphereglue.algebra import vectors
 from sphereglue.fields import (
     CliffordField,
     DomainError,
@@ -19,7 +19,7 @@ from sphereglue.moebius import cayley, compose, identity_map, neck_inversion, tr
 
 
 def test_constant_field_dirac_zero():
-    f = constant_field(Multivector.scalar(2.5, 2), 2)
+    f = constant_field([2.5, 0.0, 0.0, 0.0], 2)
     assert np.linalg.norm(dirac_left_fd(f, [0.3, 0.4])) <= 1e-12
     assert np.linalg.norm(dirac_right_fd(f, [0.3, 0.4])) <= 1e-12
 
@@ -37,7 +37,7 @@ def test_identity_field_dirac():
 
 def test_g_translate_value():
     f = g_translate(np.array([1.0, 2.0]))
-    assert np.allclose(f([2.0, 2.0]).vector_part(), [1.0, 0.0])
+    assert np.allclose(f.values([2.0, 2.0])[[1, 2]], [1.0, 0.0])
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -66,7 +66,7 @@ def test_g_translate_fd_order():
 def test_domain_guard():
     f = g_translate(np.zeros(2))
     with pytest.raises(DomainError):
-        f(np.zeros(2))
+        f.values(np.zeros(2))
     with pytest.raises(DomainError):
         # the lower stencil point lands exactly on the singularity
         dirac_left_fd(f, [1e-4, 0.0], h=1e-4)
@@ -102,17 +102,17 @@ def test_pullback_identity_map():
     f = g_translate(np.array([2.0, 2.0]))
     pb = moebius_pullback(identity_map(2), f)
     x = np.array([0.1, -0.4])
-    assert (pb(x) - f(x)).norm() <= 1e-12
+    assert np.linalg.norm(pb.values(x) - f.values(x)) <= 1e-12
 
 
 def test_pullback_neck_of_constant_is_G():
     """J(psi', x) * 1 = ~x/||x||^n = x/||x||^n for vectors."""
-    pb = moebius_pullback(neck_inversion(2), constant_field(Multivector.scalar(1.0, 2), 2))
+    pb = moebius_pullback(neck_inversion(2), constant_field([1.0, 0.0, 0.0, 0.0], 2))
     rng = np.random.default_rng(1)
     for _ in range(20):
         x = rng.uniform(0.3, 2.0, 2) * rng.choice([-1, 1], 2)
         expect = x / (x @ x)
-        assert np.allclose(pb(x).vector_part(), expect, atol=1e-12)
+        assert np.allclose(pb.values(x)[[1, 2]], expect, atol=1e-12)
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -1,10 +1,13 @@
 """Surface quadrature, the Cauchy integral formula, sections, and the
 Plemelj projections."""
+import functools
+import re
+
 import numpy as np
 import pytest
 
 from sphereglue.algebra import Multivector, clifford_group_inverse, gp_batch, vectors
-from sphereglue.fields import CliffordField, constant_field, dirac_left_fd, g_translate
+from sphereglue.fields import CliffordField, DomainError, constant_field, dirac_left_fd, g_translate
 from sphereglue.integration import (
     Hypersurface,
     SurfaceError,
@@ -37,6 +40,11 @@ def one(pt, u, nrm):
     return np.ones(len(u))
 
 
+def _gp(*factors):
+    """The product of Cl_3 coefficient arrays, left to right."""
+    return functools.reduce(lambda a, b: gp_batch(3, a, b), factors)
+
+
 # -- measure oracles ---------------------------------------------------------
 
 
@@ -49,7 +57,7 @@ def test_great_circle_measure(m2):
     """The chart unit circle maps to the equator of the embedded sphere."""
     s = chart_circle(m2, 1, np.zeros(2), 1.0, 32)
     rep = surface_quadrature(m2, s, one)
-    assert abs(rep.value.scalar_part() - 2 * np.pi) <= 1e-10
+    assert abs(rep.value.coeffs[0] - 2 * np.pi) <= 1e-10
 
 
 def test_colatitude_circle_measure(m2):
@@ -58,21 +66,21 @@ def test_colatitude_circle_measure(m2):
         s = chart_circle(m2, 1, np.zeros(2), rho, 32)
         rep = surface_quadrature(m2, s, one)
         expect = 2 * np.pi * 2 * rho / (rho**2 + 1)
-        assert abs(rep.value.scalar_part() - expect) <= 1e-10
+        assert abs(rep.value.coeffs[0] - expect) <= 1e-10
 
 
 def test_sphere_measure(m3):
     """The chart unit sphere maps to the equatorial 2-sphere: area 4*pi."""
     s = chart_sphere(m3, 1, np.zeros(3), 1.0, 24)
     rep = surface_quadrature(m3, s, one)
-    assert abs(rep.value.scalar_part() - 4 * np.pi) <= 1e-8
+    assert abs(rep.value.coeffs[0] - 4 * np.pi) <= 1e-8
 
 
 def test_constant_scaling(m2):
     s = chart_circle(m2, 1, np.zeros(2), 1.0, 16)
     r1 = surface_quadrature(m2, s, one)
     r3 = surface_quadrature(m2, s, lambda p, u, n: np.full(len(u), 3.0))
-    assert abs(r3.value.scalar_part() - 3 * r1.value.scalar_part()) <= 1e-12
+    assert abs(r3.value.coeffs[0] - 3 * r1.value.coeffs[0]) <= 1e-12
 
 
 def test_report_fields(m2):
@@ -140,7 +148,7 @@ def _surf(m, radius, order):
 
 
 def test_constant_germ_reproduces(m2):
-    sec = section_from_germ(m2, constant_field(Multivector.scalar(1.0, 3), 2))
+    sec = section_from_germ(m2, constant_field(np.eye(8)[0], 2))
     s = _surf(m2, 3.0, 48)
     y = ManifoldPoint(1, np.array([1.2, 0.4]))
     rep = cauchy_integral(m2, s, sec, y)
@@ -199,14 +207,14 @@ def test_euclidean_chart_plane_oracle(m2):
     # independent flat oracle: trapezoid rule on the chart circle
     nn = 400
     ts = 2 * np.pi * (np.arange(nn) + 0.5) / nn
-    acc = Multivector.zero(3)
+    acc = np.zeros(8)
     for t in ts:
         x = 3.0 * np.array([np.cos(t), np.sin(t)])
         n_out = np.array([np.cos(t), np.sin(t), 0.0])
-        gk = Multivector(3, cauchy_kernel_G(np.append(x - y, 0.0), 2, 3))
-        step = gk * Multivector.vector(-n_out, 3) * germ(x)
+        gk = cauchy_kernel_G(np.append(x - y, 0.0), 2, 3)
+        step = _gp(gk, vectors(-n_out, 3), germ.values(x))
         acc = acc + step * (3.0 * 2 * np.pi / nn)
-    flat_value = acc / (2 * np.pi)
+    flat_value = Multivector(3, acc / (2 * np.pi))
     assert (manifold_value - flat_value).norm() <= 1e-8
 
 
@@ -285,7 +293,7 @@ def test_plemelj_monogenic_trace(m2):
 
 
 def test_plemelj_constant_germ_trace(m2):
-    sec = section_from_germ(m2, constant_field(Multivector.scalar(1.0, 3), 2))
+    sec = section_from_germ(m2, constant_field(np.eye(8)[0], 2))
     s = _surf(m2, 3.0, 64)
     res = plemelj_projections(m2, s, lambda p: sec.value_at(p), n_nodes=64)
     assert max(v.norm() for v in res.g_minus) <= 1e-6
@@ -314,7 +322,7 @@ def test_plemelj_mixed_data_partition(m2):
         (res.g_plus[i] + res.g_minus[i] - res.g[i]).norm() for i in range(64)
     ) <= 1e-14
     # idempotence probe: projecting the projection changes little
-    res2 = plemelj_projections(m2, s, list(res.g_plus), n_nodes=64)
+    res2 = plemelj_projections(m2, s, lambda p: np.array([v.coeffs for v in res.g_plus]), n_nodes=64)
     first = max(v.norm() for v in res.g_minus)
     second = max(v.norm() for v in res2.g_minus)
     assert second <= 2.0 * first + 1e-10
@@ -328,28 +336,28 @@ def _plemelj_g_minus_per_target(m, s, g, nn):
     h = (b - a) / nn
     geo = node_geometry(m, s, patch, a + (np.arange(nn)[:, None] + 0.5) * h)
     pts = [ManifoldPoint(patch.chart, c) for c in geo.point.coord]
-    gvals = [Multivector(3, v) for v in g(geo.point)]
-    unit_sec = section_from_germ(m, constant_field(Multivector.scalar(1.0, 3), 2))
-    wsec = [unit_sec.value_at(p) for p in pts]
-    nhat = [Multivector.vector(-nrm, 3) for nrm in geo.normal]
+    gvals = g(geo.point)
+    unit_sec = section_from_germ(m, constant_field(np.eye(8)[0], 2))
+    wsec = [unit_sec.value_at(p).coeffs for p in pts]
+    nhat = vectors(-geo.normal, 3)
     freqs = np.fft.fftfreq(nn, d=1.0 / nn) * (2.0 * np.pi / (b - a))
     freqs[nn // 2] = 0.0
     out = []
     for i in range(nn):
-        ci = Multivector(3, clifford_group_inverse(3, wsec[i].coeffs)) * gvals[i]
-        dvals = [gvals[j] - wsec[j] * ci for j in range(nn)]
-        coeff = np.array([d.coeffs for d in dvals])
+        ci = _gp(clifford_group_inverse(3, wsec[i]), gvals[i])
+        dvals = [gvals[j] - _gp(wsec[j], ci) for j in range(nn)]
+        coeff = np.array(dvals)
         dprime = np.real(np.fft.ifft(1j * freqs[:, None] * np.fft.fft(coeff, axis=0), axis=0))
-        acc = Multivector.zero(3)
+        acc = np.zeros(8)
         for j in range(nn):
             wj = geo.weight[j]
             if j == i:
-                tvec = Multivector.vector(geo.tangents[i, :, 0] / wj**2, 3)
-                acc = acc + tvec * nhat[i] * Multivector(3, dprime[i]) * wj
+                tvec = vectors(geo.tangents[i, :, 0] / wj**2, 3)
+                acc = acc + _gp(tvec, nhat[i], dprime[i]) * wj
             else:
-                acc = acc + Multivector(3, kernel_CM(m, pts[j], pts[i]).coeffs) * nhat[j] * dvals[j] * wj
+                acc = acc + _gp(kernel_CM(m, pts[j], pts[i]).coeffs, nhat[j], dvals[j]) * wj
         cs = acc * (2.0 * h / unit_sphere_area(2)) + gvals[i]
-        out.append((gvals[i] - cs) * 0.5)
+        out.append(Multivector(3, (gvals[i] - cs) * 0.5))
     return out
 
 
@@ -372,13 +380,13 @@ def test_plemelj_requires_closed_curve(m2):
     )
     s = Hypersurface((patch,), 32, ManifoldPoint(1, np.zeros(2)), closed=False)
     with pytest.raises(SurfaceError):
-        plemelj_projections(m2, s, lambda p: Multivector.scalar(1.0, 3))
+        plemelj_projections(m2, s, lambda p: Multivector(3, np.eye(8)[0]))
 
 
 def test_plemelj_needs_two_nodes(m2):
     """With one node the kernel matrix is empty and g_minus vanishes for any
     data, so fewer than two nodes are refused, also when asked for 0."""
-    data = lambda p: Multivector.scalar(1.0, 3)
+    data = lambda p: Multivector(3, np.eye(8)[0])
     for s, nodes in ((_surf(m2, 3.0, 1), None), (_surf(m2, 3.0, 64), 1), (_surf(m2, 3.0, 64), 0)):
         with pytest.raises(SurfaceError):
             plemelj_projections(m2, s, data, n_nodes=nodes)
@@ -387,10 +395,27 @@ def test_plemelj_needs_two_nodes(m2):
 def test_plemelj_rejects_per_point_data(m2):
     """The data callable receives the whole node point array at once."""
     with pytest.raises(SurfaceError):
-        plemelj_projections(m2, _surf(m2, 3.0, 16), lambda p: Multivector.scalar(1.0, 3))
+        plemelj_projections(m2, _surf(m2, 3.0, 16), lambda p: Multivector(3, np.eye(8)[0]))
 
 
 def test_plemelj_requires_n2(m3):
     s = _surf(m3, 3.0, 8)
     with pytest.raises(SurfaceError):
-        plemelj_projections(m3, s, lambda p: Multivector.scalar(1.0, 4))
+        plemelj_projections(m3, s, lambda p: Multivector(4, np.eye(16)[0]))
+
+
+def test_degenerate_frame_and_germ_domain_errors_name_the_point(m2):
+    """A node whose tangent vanishes, or that sits on the germ's pole, is
+    named in the error."""
+    circle = chart_circle(m2, 1, np.zeros(2), 3.0, 8).patches[0]
+    # the tangent vanishes for parameters t <= 1
+    jac = lambda t: circle.param_jac(t) * (t[..., None] > 1.0)
+    flat_top = SurfacePatch(1, circle.bounds, circle.param, jac)
+    s = Hypersurface((flat_top,), 8, ManifoldPoint(1, np.zeros(2)), closed=True)
+    t = np.array([[2.0], [0.5], [0.25]])
+    node = str(circle.param(t)[1].tolist())
+    with pytest.raises(SurfaceError, match=re.escape(f"node {node}")):
+        node_geometry(m2, s, flat_top, t)
+    f = g_translate(np.array([3.0, 0.0]))
+    with pytest.raises(DomainError, match=r"point \[3\.0, 0\.0\] outside"):
+        f.values(np.array([[1.0, 1.0], [3.0, 0.0]]))

@@ -2,15 +2,17 @@
 composition/inversion, the Cayley transform, and the kernel covariance
 identity."""
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
 
-from sphereglue.algebra import Multivector, vectors
+from sphereglue.algebra import gp_batch, vectors
 from sphereglue.moebius import (
     INFINITY,
     SingularPointError,
     VahlenError,
+    VahlenMap,
     apply,
     cauchy_kernel_G,
     cayley,
@@ -83,8 +85,9 @@ def test_weight_norm_scaling():
     assert abs(abs(psi.pseudo_determinant) - 1.0) <= 1e-12
     for _ in range(20):
         x = rng.uniform(0.3, 2.0, 2)
-        den = psi.c * Multivector.vector(x, 2) + psi.d
-        expect = den.norm() ** (1 - psi.kernel_exponent)
+        c, d = psi.coeffs[1]
+        den = gp_batch(2, c, vectors(x, 2)) + d
+        expect = np.linalg.norm(den) ** (1 - psi.kernel_exponent)
         assert abs(np.linalg.norm(weight_J(psi, x)) - expect) <= 1e-12 * expect
 
 
@@ -336,17 +339,11 @@ def test_grade1_purity_enforced():
     from sphereglue.moebius import VahlenMap
 
     # a trivector component in Cl_3 pushes images off grade 1
-    coeffs = np.zeros(8)
-    coeffs[0] = 1.0
-    coeffs[7] = 0.5
-    bad = VahlenMap(
-        Multivector(3, coeffs),
-        Multivector.zero(3),
-        Multivector.zero(3),
-        Multivector.scalar(1.0, 3),
-        3,
-        3,
-    )
+    coeffs = np.zeros((2, 2, 8))
+    coeffs[0, 0, 0] = 1.0
+    coeffs[0, 0, 7] = 0.5
+    coeffs[1, 1, 0] = 1.0
+    bad = VahlenMap(coeffs, 3)
     with pytest.raises(VahlenError):
         apply(bad, np.array([1.0, 0.3, -0.2]))
 
@@ -397,3 +394,50 @@ def test_weight_rows_mark_singular_points():
     assert np.array_equal(w[1], weight_J(neck_inversion(2), x[1]))
     with pytest.raises(SingularPointError):
         weight_J(neck_inversion(2), x)
+
+
+def test_singular_point_errors_name_the_first_offending_point():
+    psi = compose(neck_inversion(2), translation_map(np.array([0.5, -0.25])))  # -(x + t)^{-1}
+    x = np.array([[1.0, 0.0], [-0.5, 0.25], [2.0, 2.0], [-0.5, 0.25]])
+    with pytest.raises(SingularPointError, match=r"singular at \[-0\.5, 0\.25\]$"):
+        weight_J(psi, x)
+    with pytest.raises(SingularPointError, match="INFINITY"):
+        weight_J(psi, INFINITY)
+    with pytest.raises(SingularPointError, match="at the origin"):
+        cauchy_kernel_G(np.array([[1.0, 0.0], [0.0, 0.0]]), 2)
+
+
+def test_invalid_image_error_names_the_point():
+    bad = _random_maps(np.random.default_rng(2), 2, 1, corrupt=True)[0]
+    with pytest.raises(VahlenError, match=r"image of \[0\.25, -1\.5\] is off grade 1 by "):
+        apply(bad, np.array([[0.25, -1.5], [1.0, 1.0]]))
+
+
+def test_vahlen_map_is_one_read_only_coefficient_array():
+    psi = cayley(2)
+    assert psi.coeffs.shape == (2, 2, 8) and psi.ambient_dim == 3
+    assert [f.name for f in dataclasses.fields(psi)] == ["coeffs", "kernel_exponent"]
+    with pytest.raises(ValueError):
+        psi.coeffs[0, 0, 0] = 1.0
+    for shape in ((2, 2, 6), (2, 8), (2, 2, 1), (3, 2, 4)):
+        with pytest.raises(VahlenError, match="shape"):
+            VahlenMap(np.zeros(shape), 2)
+    with pytest.raises(VahlenError, match="kernel_exponent"):
+        VahlenMap(np.zeros((2, 2, 4)), 0)
+
+
+def test_compose_is_the_block_matrix_product():
+    """Each block of compose(psi2, psi1) is the sum of Clifford products of
+    the factors' blocks, row of psi2 times column of psi1."""
+    psi2, psi1 = cayley(2), compose(translation_map(np.array([0.3, -1.1, 0.0]), 3, 2), neck_inversion(3, 2))
+    got = compose(psi2, psi1).coeffs
+    for i, j in itertools.product(range(2), range(2)):
+        want = sum(gp_batch(3, psi2.coeffs[i, l], psi1.coeffs[l, j]) for l in range(2))
+        assert np.array_equal(got[i, j], want)
+
+
+def test_compose_rejects_mismatched_maps():
+    with pytest.raises(VahlenError, match="cannot compose"):
+        compose(identity_map(2), identity_map(3))
+    with pytest.raises(VahlenError, match="cannot compose"):
+        compose(cayley(2), identity_map(3))
