@@ -135,11 +135,14 @@ def gp_batch(dim: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Geometric product of coefficient arrays of shape (..., 2^dim),
     broadcast over the leading axes: the one product of the package, which
     Multivector.__mul__ applies to single elements. Blades of a that are zero
-    in every row are skipped."""
+    in every row are skipped; all terms share one buffer, not a temporary each."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     perm, sign = _product_tables(dim)
     out = np.zeros(np.broadcast(a, b).shape)
+    term = np.empty_like(out)
     for i in a.reshape(-1, 1 << dim).any(axis=0).nonzero()[0]:
-        out += a[..., i, None] * (sign[i] * b[..., perm[i]])
+        signed = b[..., perm[i]]
+        signed *= sign[i]
+        out += np.multiply(a[..., i, None], signed, term)
     return out

@@ -19,7 +19,7 @@ import numpy as np
 from .algebra import gp_batch, reversion, vectors
 from .fields import constant_field, dirac_left_fd, fd_stencil, g_translate, moebius_pullback
 from .integration import (
-    CauchyQuadrature,
+    cauchy_integrals,
     chart_circle,
     chart_sphere,
     plemelj_projections,
@@ -83,18 +83,13 @@ def build_config(args: argparse.Namespace) -> RunConfig:
                 setattr(cfg, key, int(val))
             elif key in _FLOAT_KEYS:
                 setattr(cfg, key, float(val))
-            elif key == "kind":
-                cfg.kind = val
-            elif key == "out":
-                cfg.out = val
+            elif key in ("kind", "out"):
+                setattr(cfg, key, val)
             else:
                 raise ValueError(f"unknown config key {key!r}")
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.order is not None:
-        cfg.order = args.order
-    if args.out is not None:
-        cfg.out = args.out
+    for key in ("seed", "order", "out"):
+        if getattr(args, key) is not None:
+            setattr(cfg, key, getattr(args, key))
     if cfg.kind not in _KINDS:
         raise ValueError(f"kind must be one of {', '.join(_KINDS)}, got {cfg.kind!r}")
     if cfg.n not in (2, 3):
@@ -134,10 +129,8 @@ class Record:
         return "pass" if self.residual <= self.threshold else "fail"
 
     def line(self) -> str:
-        return (
-            f"property={self.name} residual={self.residual:.6e} "
-            f"threshold={self.threshold:.6e} verdict={self.verdict}"
-        )
+        res, thr = self.residual, self.threshold
+        return f"property={self.name} residual={res:.6e} threshold={thr:.6e} verdict={self.verdict}"
 
 
 def config_line(cfg: RunConfig) -> str:
@@ -161,9 +154,7 @@ class Report:
         self.lines.append(rec.line())
 
     def add_csv(self, title: str, header: str, rows: list[str]):
-        self.lines.append(f"csv {title}")
-        self.lines.append(header)
-        self.lines.extend(rows)
+        self.lines += [f"csv {title}", header, *rows]
 
     def finish(self) -> tuple[str, int]:
         ok = all(r.verdict == "pass" for r in self.records)
@@ -184,10 +175,8 @@ def _random_maps(rng, n: int, count: int, corrupt: bool = False):
         elif kind == 2:
             maps.append(cayley(n))
         else:
-            m1 = translation_map(rng.uniform(-2.0, 2.0, n), n, n)
-            m2 = neck_inversion(n)
-            m3 = translation_map(rng.uniform(-2.0, 2.0, n), n, n)
-            maps.append(compose(m3, compose(m2, m1)))
+            inner = compose(neck_inversion(n), translation_map(rng.uniform(-2.0, 2.0, n), n, n))
+            maps.append(compose(translation_map(rng.uniform(-2.0, 2.0, n), n, n), inner))
     if corrupt and maps:
         # a bivector 0.25 e1e2 in `a` leaves no map of the pool a valid Vahlen matrix
         coeffs = maps[0].coeffs.copy()
@@ -345,8 +334,7 @@ def cmd_verify_kernel(cfg: RunConfig) -> tuple[str, int]:
 
     # case coherence: the kernel is continuous where y crosses from neck to
     # chart-2 body (the overlap-rep / cross-glue branches agree at the seam)
-    direction = np.zeros(m.n)
-    direction[0] = 1.0
+    direction = np.eye(m.n)[0]
     x = ManifoldPoint(1, 3.1 * direction)
     eps = 1e-7
     v_in = kernel_CM(m, x, ManifoldPoint(2, (m.r - eps) * direction)).coeffs
@@ -384,49 +372,36 @@ def cross_glue_target(n: int, r: float) -> np.ndarray:
 
 
 def cmd_verify_cauchy(cfg: RunConfig) -> tuple[str, int]:
-    rng = np.random.default_rng(cfg.seed)
     rep = Report("verify-cauchy report", cfg)
     m = make_manifold(cfg)
     nsign = -1.0 if not cfg.break_normal else 1.0
 
-    pole = np.zeros(m.n)
-    pole[0] = 4.0
-    germ = g_translate(pole, n=m.n, dim_alg=m.n + 1)
-    sec = section_from_germ(m, germ)
+    sec = section_from_germ(m, g_translate(np.pad([4.0], (0, m.n - 1)), n=m.n, dim_alg=m.n + 1))
     interior = ManifoldPoint(1, np.pad([0.6], (0, m.n - 1)))
 
     order_same = cfg.order if m.n == 2 else min(cfg.order, 48)
+    make = chart_circle if m.n == 2 else chart_sphere
+    wide, near_neck = (make(m, 1, np.zeros(m.n), rad, order_same, interior=interior) for rad in (3.0, 2.4))
 
-    def contour(radius):
-        """One quadrature per contour: its integrals share node sets, kernels and section values."""
-        make = chart_circle if m.n == 2 else chart_sphere
-        return CauchyQuadrature(m, make(m, 1, np.zeros(m.n), radius, order_same, interior=interior), nsign)
-
-    quad = contour(3.0)
+    y_same = ManifoldPoint(1, np.pad([1.2, 0.4], (0, m.n - 2)))
+    csec = section_from_germ(m, constant_field(np.eye(2 ** (m.n + 1))[0], m.n))
+    y_cross = ManifoldPoint(2, cross_glue_target(m.n, m.r))
+    final = 64 if m.n == 3 else min(cfg.order, 256)
+    orders = [16, 32, 64] if m.n == 3 else sorted({32, 64, 128, final})
+    # one pass per contour: its integrals share node sets, kernels and section values
+    requests = [(sec, y_same, None), (csec, y_same, None), *((sec, y_cross, od) for od in orders)]
+    res, res_c, *r_ods = cauchy_integrals(m, wide, requests, nsign)
+    (r_b,) = cauchy_integrals(m, near_neck, [(sec, y_same, None)], nsign)
 
     # same-chart reproduction
-    y_same = ManifoldPoint(1, np.pad([1.2, 0.4], (0, m.n - 2)))
-    res = quad.integral(sec, y_same)
-    err_same = (res.value - sec.value_at(y_same)).norm()
-    rep.add("same-chart-reproduction", err_same, 1e-6)
-
+    rep.add("same-chart-reproduction", (res.value - sec.value_at(y_same)).norm(), 1e-6)
     # constant-germ section reproduction
-    csec = section_from_germ(m, constant_field(np.eye(2 ** (m.n + 1))[0], m.n))
-    res_c = quad.integral(csec, y_same)
     rep.add("constant-germ-reproduction", (res_c.value - csec.value_at(y_same)).norm(), 1e-8)
 
     # cross-glue reproduction with convergence table
-    y_cross = ManifoldPoint(2, cross_glue_target(m.n, m.r))
     exact = sec.value_at(y_cross)
-    final = 64 if m.n == 3 else min(cfg.order, 256)
-    orders = [16, 32, 64] if m.n == 3 else sorted({32, 64, 128, final})
-    rows = []
-    errs = []
-    for od in orders:
-        r_od = quad.integral(sec, y_cross, od)
-        e = (r_od.value - exact).norm()
-        errs.append(e)
-        rows.append(f"{od},{e:.6e},{r_od.estimated_error:.6e},{r_od.nodes_used}")
+    errs = [(r_od.value - exact).norm() for r_od in r_ods]
+    rows = [f"{od},{e:.6e},{r.estimated_error:.6e},{r.nodes_used}" for od, e, r in zip(orders, errs, r_ods)]
     rep.add("cross-glue-reproduction", errs[orders.index(final)], 1e-4)
     # monotone decay until the rounding plateau
     plateau = 1e-12
@@ -436,30 +411,22 @@ def cmd_verify_cauchy(cfg: RunConfig) -> tuple[str, int]:
 
     # contour independence: the same-chart integral above against a contour
     # hugging the neck
-    r_b = contour(2.4).integral(sec, y_same)
     combined = 2.0 * (res.estimated_error + r_b.estimated_error) + 1e-12
-    rep.add(
-        "contour-independence",
-        (res.value - r_b.value).norm() / combined,
-        1.0,
-    )
+    rep.add("contour-independence", (res.value - r_b.value).norm() / combined, 1.0)
     return rep.finish()
 
 
 def cmd_hardy(cfg: RunConfig) -> tuple[str, int]:
     rep = Report("hardy report", cfg)
     m = make_manifold(cfg)
-    pole = np.array([4.0, 0.0])
-    sec = section_from_germ(m, g_translate(pole, n=2, dim_alg=3))
+    sec = section_from_germ(m, g_translate(np.array([4.0, 0.0]), n=2, dim_alg=3))
     interior = ManifoldPoint(1, np.array([0.6, 0.0]))
     surf = chart_circle(m, 1, np.zeros(2), 3.0, cfg.order, interior=interior)
 
     nn = cfg.order
     res = plemelj_projections(m, surf, lambda p: sec.value_at(p), n_nodes=nn)
     defect = max(v.norm() for v in res.g_minus)
-    part = max(
-        (res.g_plus[i] + res.g_minus[i] - res.g[i]).norm() for i in range(nn)
-    )
+    part = max((res.g_plus[i] + res.g_minus[i] - res.g[i]).norm() for i in range(nn))
     rep.add("monogenic-trace-defect", defect, 1e-3)
     rep.add("exact-partition", part, 1e-14)
 

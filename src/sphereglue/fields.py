@@ -90,8 +90,9 @@ def _dirac_fd(f: CliffordField, x, h: float, left: bool) -> np.ndarray:
     if h <= 0:
         raise ValueError("step must be positive")
     stencil = fd_stencil(x, h)
-    if not f.in_domain(stencil):
-        raise DomainError("finite-difference stencil exits the field domain")
+    inside = np.broadcast_to(f.domain(stencil), stencil.shape[:-1]).all((-3, -2, -1))
+    if not inside.all():
+        raise DomainError(f"finite-difference stencil of {first_point(x, ~inside)} exits the field domain")
     vals = f.func(stencil)
     diff = (vals[..., 0, :, :] - vals[..., 1, :, :]) / (2.0 * np.array([h, h / 2.0])[:, None, None])
     # one Richardson step, (4 D_{h/2} - D_h) / 3, cancels the O(h^2) term

@@ -12,9 +12,11 @@ node geometry, sections, germs and the kernel take arrays of shape (N, ...)
 and return coefficient arrays (N, 2^(n+1)), which the rule sums at once. The
 Plemelj kernel matrix is filled by one kernel call over all off-diagonal
 node pairs. Every check of the one-point path (diagonal, admissibility,
-germ domain, degenerate frame, singular weight) applies to every node. A
-CauchyQuadrature keeps the node sets, kernels and section values that the
-Cauchy integrals over one surface share.
+germ domain, degenerate frame, singular weight) applies to every node. Both
+quadratures stack the nodes of every order they need (each order and its
+half) per patch and take their geometry from one node_geometry call;
+cauchy_integrals evaluates kernels per target, values per section and
+products per (target, section) pair over only the orders each one uses.
 
 Sign convention: with e_j^2 = -1 the reproducing pairing uses the inward
 normal; cauchy_integral applies REPRODUCING_NORMAL_SIGN to the outward
@@ -22,10 +24,11 @@ normal so that the formula returns +f(y).
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gamma, pi
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -160,18 +163,48 @@ def _gauss_nodes(bounds, order) -> tuple[np.ndarray, np.ndarray]:
     return np.stack([g.ravel() for g in grids], axis=-1), np.prod([w.ravel() for w in wgrids], axis=0)
 
 
-def _rule(m: GluedManifold, s: Hypersurface, order: int) -> list[tuple[NodeGeometry, np.ndarray]]:
-    """Each patch's node geometry and rule weights at the given order."""
-    nodes = [_gauss_nodes(patch.bounds, order) for patch in s.patches]
-    return [(node_geometry(m, s, patch, t), w) for patch, (t, w) in zip(s.patches, nodes)]
+class _Stack(NamedTuple):
+    """A patch's nodes at several orders, stacked order after order: their
+    geometry, each order's rows, and its rule weights times the sqrt-Gram
+    weights. A set of used orders is a sorted list."""
+
+    geo: NodeGeometry
+    rows: dict[int, slice]
+    weights: dict[int, np.ndarray]
+
+    def take(self, used) -> np.ndarray:
+        """The rows of the used orders' nodes."""
+        return np.r_[tuple(self.rows[od] for od in used)]
+
+    def split(self, used, values: np.ndarray) -> dict[int, np.ndarray]:
+        """Values over take(used), as one block per order."""
+        return dict(zip(used, np.split(values, np.cumsum([self.weights[od].size for od in used])[:-1])))
 
 
-def _rule_sum(rule, values) -> np.ndarray:
-    """The rule applied to per-patch node values, scalars (N,) or coefficients (N, 2^(n+1))."""
-    total = 0.0
-    for (geo, w), val in zip(rule, values):
-        total = total + np.tensordot(geo.weight * w, np.asarray(val, dtype=np.float64), axes=1)
-    return total
+def _stacks(m: GluedManifold, s: Hypersurface, orders) -> list[_Stack]:
+    """Each patch's nodes at every given order, from one node_geometry call per patch."""
+    stacks = []
+    for patch in s.patches:
+        rules = [_gauss_nodes(patch.bounds, od) for od in orders]
+        ends = np.cumsum([w.size for _, w in rules]).tolist()
+        geo = node_geometry(m, s, patch, np.concatenate([t for t, _ in rules]))
+        rows = {od: slice(end - w.size, end) for od, (_, w), end in zip(orders, rules, ends)}
+        stacks.append(_Stack(geo, rows, {od: geo.weight[rows[od]] * w for od, (_, w) in zip(orders, rules)}))
+    return stacks
+
+
+def _report(stacks: list[_Stack], order: int, values, dim: int, scale: float = 1.0) -> QuadratureReport:
+    """The rule at the order and at its half, divided by scale, on each
+    patch's node values split by order (_Stack.split): scalars (N,) or
+    coefficients (N, 2^dim), one tensordot per patch and order. The error
+    estimate is the distance between the two."""
+    full, half = (
+        sum((np.tensordot(st.weights[od], v[od], axes=1) for st, v in zip(stacks, values)), 0.0)
+        for od in (order, max(order // 2, 1))
+    )
+    value = Multivector(dim, (full if full.ndim else full * np.eye(1 << dim)[0]) / scale)
+    nodes = sum(st.weights[order].size for st in stacks)
+    return QuadratureReport(value, float(np.linalg.norm(full - half)) / scale, nodes)
 
 
 def surface_quadrature(
@@ -183,12 +216,13 @@ def surface_quadrature(
     """Integrate over the hypersurface. The integrand receives a patch's
     node point array, the embeddings (N, n+1) and the outward unit normals
     (N, n+1), and returns scalars (N,) or coefficient arrays (N, 2^(n+1)).
-    Two refinement levels give the error estimate."""
+    Two refinement levels give the error estimate; one integrand call per
+    patch covers the nodes of both."""
     order = order or s.quad_order
-    rules = [_rule(m, s, od) for od in (order, max(order // 2, 1))]
-    v_full, v_half = (_rule_sum(r, [integrand(g.point, g.embedded, g.normal) for g, _ in r]) for r in rules)
-    value = Multivector(m.n + 1, v_full if v_full.ndim else v_full * np.eye(2 ** (m.n + 1))[0])
-    return QuadratureReport(value, float(np.linalg.norm(v_full - v_half)), sum(w.size for _, w in rules[0]))
+    stacks = _stacks(m, s, sorted({order, max(order // 2, 1)}))
+    values = [integrand(st.geo.point, st.geo.embedded, st.geo.normal) for st in stacks]
+    values = [st.split(list(st.rows), np.asarray(v, dtype=np.float64)) for st, v in zip(stacks, values)]
+    return _report(stacks, order, values, m.n + 1)
 
 
 # -- sections ---------------------------------------------------------------
@@ -241,49 +275,48 @@ def section_from_germ(m: GluedManifold, germ: CliffordField) -> Section:
     return Section(m, rep)
 
 
-class CauchyQuadrature:
-    """Cauchy integrals over one surface S. Node geometry per order, C_M(x, y)
-    n(x) per (order, target), section values per (order, section) and the
-    weighted sum per (order, target, section) are each evaluated at most once
-    and kept for the object's lifetime, so integrals over S share them; each
-    equals a fresh object's bit for bit. normal_sign is a falsification
-    control; leave it at the default for verification runs."""
+def cauchy_integrals(
+    m: GluedManifold,
+    s: Hypersurface,
+    requests: Sequence[tuple[Section, ManifoldPoint, int | None]],
+    normal_sign: float = REPRODUCING_NORMAL_SIGN,
+) -> list[QuadratureReport]:
+    """For each request (f, y, order), (1/omega_n) * integral of C_M(x, y)
+    n(x) f(x) over S at that order (None: the surface's); converges to the
+    representative f(y) in y's chart for y inside the bounded subdomain. The
+    error estimate is the distance to the half-order integral.
 
-    def __init__(self, m: GluedManifold, s: Hypersurface, normal_sign: float = REPRODUCING_NORMAL_SIGN):
-        self.m, self.s, self.normal_sign, self._memo = m, s, normal_sign, {}
-
-    def _once(self, key, compute):
-        if key not in self._memo:
-            self._memo[key] = compute()
-        return self._memo[key]
-
-    def _sum(self, f: Section, y: ManifoldPoint, order: int) -> np.ndarray:
-        m, dim, sign = self.m, self.m.n + 1, self.normal_sign
-        target = (y.chart, y.coord if is_infinity(y.coord) else y.coord.tobytes())
-        rule = self._once(("rule", order), lambda: _rule(m, self.s, order))
-
-        def weighted_sum():
-            kern_normal = self._once(("kernel", order, target), lambda: [
-                gp_batch(dim, kernel_CM(m, geo.point, y).coeffs, vectors(sign * geo.normal, dim))
-                for geo, _ in rule
-            ])
-            values = self._once(("section", order, f), lambda: [f.value_at(geo.point) for geo, _ in rule])
-            return _rule_sum(rule, [gp_batch(dim, kn, fv) for kn, fv in zip(kern_normal, values)])
-
-        return self._once(("sum", order, target, f), weighted_sum)
-
-    def integral(self, f: Section, y: ManifoldPoint, order: int | None = None) -> QuadratureReport:
-        """(1/omega_n) * integral of C_M(x, y) n(x) f(x) over S at order (default:
-        the surface's); converges to the representative f(y) in y's chart for y
-        inside the bounded subdomain. The error estimate is the distance to the
-        half-order integral."""
-        if classify(self.m, y) == INADMISSIBLE:
+    The requests share one pass per patch: node geometry over the nodes of
+    every order they use (each order and its half), C_M(x, y) n(x) once per
+    target, section values once per section and their product once per
+    (target, section) pair, each over only the orders that its target,
+    section or pair uses. normal_sign is a falsification control; leave it
+    at the default for verification runs."""
+    for _, y, _ in requests:
+        if classify(m, y) == INADMISSIBLE:
             raise ManifoldError(f"evaluation point {first_point(y.coord)} in chart {y.chart} is inadmissible")
-        order = order or self.s.quad_order
-        full, half = (self._sum(f, y, od) for od in (order, max(order // 2, 1)))
-        wn, nodes = unit_sphere_area(self.m.n), sum(w.size for _, w in self._memo["rule", order])
-        value = Multivector(self.m.n + 1, full / wn)
-        return QuadratureReport(value, float(np.linalg.norm(full - half)) / wn, nodes)
+    dim = m.n + 1
+    keys = [(y.chart, y.coord if is_infinity(y.coord) else y.coord.tobytes()) for _, y, _ in requests]
+    targets = {ty: y for ty, (_, y, _) in zip(keys, requests)}
+    keyed = [(f, ty, od or s.quad_order) for ty, (f, _, od) in zip(keys, requests)]
+    uses = defaultdict(set), defaultdict(set), defaultdict(set)  # per target, section and pair
+    for f, ty, od in keyed:
+        for used in (uses[0][ty], uses[1][f], uses[2][ty, f]):
+            used.update((od, max(od // 2, 1)))
+    by_target, by_section, by_pair = ({k: sorted(u) for k, u in d.items()} for d in uses)
+    stacks, prods = _stacks(m, s, sorted(set().union(*by_pair.values()))), defaultdict(list)
+    for st in stacks:
+        pts, normal, kern, vals = st.geo.point, normal_sign * st.geo.normal, {}, {}
+        for ty, used in by_target.items():
+            rows = st.take(used)
+            kn = kernel_CM(m, ManifoldPoint(pts.chart, pts.coord[rows]), targets[ty]).coeffs
+            kern[ty] = st.split(used, gp_batch(dim, kn, vectors(normal[rows], dim)))
+        for f, used in by_section.items():
+            vals[f] = st.split(used, f.value_at(ManifoldPoint(pts.chart, pts.coord[st.take(used)])))
+        for (ty, f), used in by_pair.items():
+            kn, fv = (np.concatenate([blocks[od] for od in used]) for blocks in (kern[ty], vals[f]))
+            prods[ty, f].append(st.split(used, gp_batch(dim, kn, fv)))
+    return [_report(stacks, od, prods[ty, f], dim, unit_sphere_area(m.n)) for f, ty, od in keyed]
 
 
 def cauchy_integral(
@@ -294,8 +327,8 @@ def cauchy_integral(
     order: int | None = None,
     normal_sign: float = REPRODUCING_NORMAL_SIGN,
 ) -> QuadratureReport:
-    """One CauchyQuadrature integral; nothing is kept past the call."""
-    return CauchyQuadrature(m, s, normal_sign).integral(f, y, order)
+    """The one-request case of cauchy_integrals."""
+    return cauchy_integrals(m, s, [(f, y, order)], normal_sign)[0]
 
 
 # -- Plemelj / Hardy projections -------------------------------------------
@@ -408,9 +441,7 @@ def chart_circle(
         return radius * np.stack([-np.sin(t[..., 0]), np.cos(t[..., 0])], axis=-1)[..., None]
 
     patch = SurfacePatch(chart, ((0.0, 2.0 * np.pi),), param, jac)
-    if interior is None:
-        interior = ManifoldPoint(chart, center)
-    return Hypersurface((patch,), quad_order, interior, closed=True)
+    return Hypersurface((patch,), quad_order, interior or ManifoldPoint(chart, center), closed=True)
 
 
 def chart_sphere(
@@ -443,6 +474,4 @@ def chart_sphere(
 
     eps = 1e-9  # keep clear of the polar parametrization degeneracy
     patch = SurfacePatch(chart, ((eps, np.pi - eps), (0.0, 2.0 * np.pi)), param, jac)
-    if interior is None:
-        interior = ManifoldPoint(chart, center)
-    return Hypersurface((patch,), quad_order, interior, closed=True)
+    return Hypersurface((patch,), quad_order, interior or ManifoldPoint(chart, center), closed=True)

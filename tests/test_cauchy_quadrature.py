@@ -1,9 +1,10 @@
-"""One CauchyQuadrature serving many integrals over one surface.
+"""cauchy_integrals: many Cauchy integrals over one surface in one pass.
 
-A shared quadrature evaluates node sets, kernels and section values once and
-reuses them; every integral it gives must equal a standalone cauchy_integral
-bit for bit. The call counts pin what verify-cauchy shares, and that
-cauchy_integral keeps nothing between calls.
+One call evaluates node geometry per patch, the kernel per target, values per
+section and their product per (target, section) pair, each over the nodes of
+the orders it uses; every integral it gives must equal a standalone
+cauchy_integral bit for bit. The call counts pin what verify-cauchy shares,
+and that cauchy_integral keeps nothing between calls.
 """
 import numpy as np
 import pytest
@@ -11,9 +12,9 @@ import pytest
 from sphereglue import cli, integration
 from sphereglue.fields import constant_field, g_translate
 from sphereglue.integration import (
-    CauchyQuadrature,
     Section,
     cauchy_integral,
+    cauchy_integrals,
     chart_circle,
     chart_sphere,
     section_from_germ,
@@ -25,14 +26,15 @@ TARGETS = {
     "overlap-rep": (2, [1.0, 0.5, 0.1]),
     "cross-glue": (2, [2.5, 1.0, 0.2]),
 }
-ORDERS = {2: (32, 64, 16), 3: (8, 16)}
+# verify-cauchy's same-chart order and cross-glue ladder
+LADDERS = {2: (128, (32, 64, 128, 256)), 3: (48, (16, 32, 64))}
 
 
-def _setup(kind, n):
-    m = two_spheres(n, 2.0) if kind == "two_spheres" else plane_sphere(n, 2.0)
+def _setup(kind, n, scale1=1.0):
+    m = two_spheres(n, 2.0, (scale1, 1.0)) if kind == "two_spheres" else plane_sphere(n, 2.0)
     interior = ManifoldPoint(1, np.eye(n)[0] * 0.6)
     make = chart_circle if n == 2 else chart_sphere
-    surf = make(m, 1, np.zeros(n), 3.0, ORDERS[n][0], interior=interior)
+    surf = make(m, 1, np.zeros(n), 3.0, LADDERS[n][0], interior=interior)
     sections = (
         section_from_germ(m, g_translate(np.eye(n)[0] * 4.0, n=n, dim_alg=n + 1)),
         section_from_germ(m, constant_field(np.eye(2 ** (n + 1))[0], n)),
@@ -45,50 +47,50 @@ def _setup(kind, n):
 @pytest.mark.parametrize("kind", ["two_spheres", "plane_sphere"])
 @pytest.mark.parametrize("n", [2, 3])
 def test_shared_quadrature_matches_standalone_calls_bit_for_bit(n, kind, normal_sign):
-    m, surf, sections, targets = _setup(kind, n)
-    quad = CauchyQuadrature(m, surf, normal_sign)
-    # every order twice, sections and targets interleaved, so later
-    # integrals reuse what earlier ones evaluated
-    for order in ORDERS[n] * 2:
-        for y in targets:
-            for f in sections:
-                shared = quad.integral(f, y, order)
-                alone = cauchy_integral(m, surf, f, y, order=order, normal_sign=normal_sign)
-                assert np.array_equal(shared.value.coeffs, alone.value.coeffs)
-                assert shared.estimated_error == alone.estimated_error
-                assert shared.nodes_used == alone.nodes_used
+    for scale1 in (1.0, 1.5) if kind == "two_spheres" else (1.0,):
+        m, surf, sections, targets = _setup(kind, n, scale1)
+        # the surface order and the whole ladder, sections and targets
+        # interleaved and every request twice, in one call
+        requests = [(f, y, od) for od in (None, *LADDERS[n][1]) for y in targets for f in sections]
+        shared = cauchy_integrals(m, surf, requests * 2, normal_sign)
+        for i, (f, y, od) in enumerate(requests):
+            alone = cauchy_integral(m, surf, f, y, order=od, normal_sign=normal_sign)
+            for rep in (shared[i], shared[i + len(requests)]):
+                assert np.array_equal(rep.value.coeffs, alone.value.coeffs)
+                assert rep.estimated_error == alone.estimated_error
+                assert rep.nodes_used == alone.nodes_used
 
 
 def test_default_order_is_the_surface_order():
     m, surf, (f, _), targets = _setup("two_spheres", 2)
-    shared = CauchyQuadrature(m, surf).integral(f, targets[0])
+    (shared,) = cauchy_integrals(m, surf, [(f, targets[0], None)])
     alone = cauchy_integral(m, surf, f, targets[0], order=surf.quad_order)
     assert np.array_equal(shared.value.coeffs, alone.value.coeffs)
 
 
-def test_inadmissible_target_is_named():
-    m, surf, (f, _), _ = _setup("two_spheres", 2)
-    with pytest.raises(ManifoldError, match=r"evaluation point \[0\.1, 0\.0\] in chart 2 is inadmissible"):
-        CauchyQuadrature(m, surf).integral(f, ManifoldPoint(2, [0.1, 0.0]))
-
-
 class Counts:
-    """Counts node-geometry, kernel and section-array evaluations."""
+    """Counts node-geometry, kernel and section-array evaluations, and keeps
+    the number of nodes each one covers."""
 
     def __init__(self, monkeypatch):
         self.geometry = self.kernel = self.section = 0
+        self.nodes = {"geometry": [], "kernel": [], "section": []}
         geometry, kernel, value_at = integration.node_geometry, integration.kernel_CM, Section.value_at
 
-        def count_geometry(*args):
+        def count_geometry(m, s, patch, t):
             self.geometry += 1
-            return geometry(*args)
+            self.nodes["geometry"].append(len(t))
+            return geometry(m, s, patch, t)
 
-        def count_kernel(*args):
+        def count_kernel(m, x, y):
             self.kernel += 1
-            return kernel(*args)
+            self.nodes["kernel"].append(len(x.coord))
+            return kernel(m, x, y)
 
         def count_value_at(sec, p):
-            self.section += np.ndim(p.coord) > 1
+            if np.ndim(p.coord) > 1:
+                self.section += 1
+                self.nodes["section"].append(len(p.coord))
             return value_at(sec, p)
 
         monkeypatch.setattr(integration, "node_geometry", count_geometry)
@@ -96,14 +98,35 @@ class Counts:
         monkeypatch.setattr(Section, "value_at", count_value_at)
 
 
+def test_inadmissible_target_is_named(monkeypatch):
+    """An inadmissible target in any request fails the call before anything
+    is evaluated."""
+    m, surf, (f, _), targets = _setup("two_spheres", 2)
+    counts = Counts(monkeypatch)
+    requests = [(f, targets[0], None), (f, ManifoldPoint(2, [0.1, 0.0]), 32)]
+    with pytest.raises(ManifoldError, match=r"evaluation point \[0\.1, 0\.0\] in chart 2 is inadmissible"):
+        cauchy_integrals(m, surf, requests)
+    assert (counts.geometry, counts.kernel, counts.section) == (0, 0, 0)
+
+
+def test_each_evaluation_covers_only_the_orders_it_uses(monkeypatch):
+    """One node set stacks orders 64, 32, 16 and 8; the kernel and values of
+    a request at 64 cover 64 + 32 nodes, those of one at 16 cover 16 + 8."""
+    m, surf, (f, g), (y, z, _) = _setup("two_spheres", 2)
+    counts = Counts(monkeypatch)
+    cauchy_integrals(m, surf, [(f, y, 64), (g, z, 16)])
+    assert counts.nodes == {"geometry": [120], "kernel": [96, 24], "section": [96, 24]}
+
+
 @pytest.mark.parametrize(
     "n, order, expected",
     [
-        # n = 2, order 128: 4 orders on the radius-3 contour and 2 on the
-        # radius-2.4 one; kernels for two targets, values for two sections
-        (2, "128", (6, 8, 8)),
+        # one call per contour, so one node set each; kernels for two targets
+        # on the radius-3 contour and one on the radius-2.4 one, values for
+        # two sections and for one
+        (2, "128", (2, 3, 3)),
         # n = 3 at the default config (order 48 for the same-chart integrals)
-        (3, "256", (8, 8, 10)),
+        (3, "256", (2, 3, 3)),
     ],
 )
 def test_verify_cauchy_shares_nodes_kernels_and_sections(tmp_path, monkeypatch, n, order, expected):
@@ -119,7 +142,7 @@ def test_cauchy_integral_keeps_nothing_between_calls(monkeypatch):
     m, surf, (f, _), targets = _setup("two_spheres", 2)
     counts = Counts(monkeypatch)
     first = cauchy_integral(m, surf, f, targets[0], order=32)
-    assert (counts.geometry, counts.kernel, counts.section) == (2, 2, 2)
+    assert (counts.geometry, counts.kernel, counts.section) == (1, 1, 1)
     second = cauchy_integral(m, surf, f, targets[0], order=32)
-    assert (counts.geometry, counts.kernel, counts.section) == (4, 4, 4)
+    assert (counts.geometry, counts.kernel, counts.section) == (2, 2, 2)
     assert np.array_equal(first.value.coeffs, second.value.coeffs)

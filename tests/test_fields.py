@@ -98,6 +98,15 @@ def test_domain_guard_on_point_array():
         dirac_left_fd(pb, [[1.0, 1.0], [0.5 - 1e-4, 0.0]], h=1e-4)
 
 
+def test_stencil_error_names_the_first_point_that_leaves_the_domain():
+    f = g_translate(np.zeros(2))
+    x = [[0.5, 0.5], [1e-4, 0.0], [0.0, -5e-5]]
+    with pytest.raises(DomainError, match=r"stencil of \[0\.0001, 0\.0\] exits the field domain"):
+        dirac_left_fd(f, x, h=1e-4)
+    with pytest.raises(DomainError, match=r"finite-difference stencil of \[0\.0, -5e-05\] exits"):
+        dirac_right_fd(f, x[2], h=1e-4)
+
+
 def test_pullback_identity_map():
     f = g_translate(np.array([2.0, 2.0]))
     pb = moebius_pullback(identity_map(2), f)

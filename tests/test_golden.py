@@ -31,7 +31,10 @@ CASES = {
     "kernel-plane_sphere-n3": ("verify-kernel", {"kind": "plane_sphere", "n": 3}, []),
     "cauchy-two_spheres": ("verify-cauchy", {"kind": "two_spheres"}, ["--order", "32"]),
     "cauchy-two_spheres-n3": ("verify-cauchy", {"kind": "two_spheres", "n": 3}, []),
+    # the scaled chart and the order that perfbench's cauchy-n2 workload runs
+    "cauchy-two_spheres-scale1": ("verify-cauchy", {"kind": "two_spheres", "scale1": 1.5}, ["--order", "128"]),
     "cauchy-plane_sphere": ("verify-cauchy", {"kind": "plane_sphere"}, ["--order", "32"]),
+    "cauchy-plane_sphere-n3": ("verify-cauchy", {"kind": "plane_sphere", "n": 3}, []),
     "cauchy-break_weight": ("verify-cauchy", {"break_weight": 1}, ["--order", "32"]),
     "cauchy-break_normal": ("verify-cauchy", {"break_normal": 1}, ["--order", "32"]),
     "hardy": ("hardy", {}, ["--order", "64"]),
