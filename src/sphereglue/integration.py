@@ -265,10 +265,9 @@ def section_from_germ(m: GluedManifold, germ: CliffordField) -> Section:
 
     def rep(chart: int, coord) -> np.ndarray:
         if chart == 1:
-            u = embed(m, ManifoldPoint(1, coord))
-            if chart1_inv is not None:
-                return gp_batch(dim, weight_J(chart1_inv, u), germ.values(coord))
-            return germ.values(coord)
+            if chart1_inv is None:
+                return germ.values(coord)
+            return gp_batch(dim, weight_J(chart1_inv, embed(m, ManifoldPoint(1, coord))), germ.values(coord))
         u2 = embed(m, ManifoldPoint(2, coord))
         return gp_batch(dim, weight_J(trans21, u2), rep(1, apply_transition(m, coord)))
 

@@ -4,9 +4,13 @@ Euclidean Cauchy kernel.
 A VahlenMap is the map (ax+b)(cx+d)^{-1} of R^k plus the point at infinity,
 stored as one read-only coefficient array (2, 2, 2^k) of the Cl_k rows
 [[a, b], [c, d]] and a kernel exponent; k = ambient_dim is read off the
-array's shape. Multivector remains only for the values a report reads
-(Section.value_at of one point, QuadratureReport.value, the PlemeljResult
-rows), with construction, .coeffs, .norm(), +, - and the product of two.
+array's shape. An array (..., 2, 2, 2^k) is a stack of maps of one k and
+exponent: apply, weight_J(_rows), covariance_residual and compose take
+stacks, whose axes broadcast (numpy rules) against the batch axes (...) of
+the points; pseudo_determinant is then an array; inverse takes one map.
+Multivector remains only for the values a report reads (Section.value_at of
+one point, QuadratureReport.value, the PlemeljResult rows), with
+construction, .coeffs, .norm(), +, - and the product of two.
 
 The conformal weight J(psi, x) = ~(cx+d) / ||cx+d||^m uses the per-map
 exponent m (kernel_exponent); for every map constructed here m equals the
@@ -62,16 +66,16 @@ class SingularPointError(VahlenError):
 
 @dataclass(frozen=True)
 class VahlenMap:
-    """The map (ax+b)(cx+d)^{-1}: coeffs (2, 2, 2^k), read-only, holds the
-    rows [[a, b], [c, d]] of Cl_k coefficients."""
+    """The map (ax+b)(cx+d)^{-1}, or a stack of them: coeffs (..., 2, 2, 2^k),
+    read-only, holds the Cl_k rows [[a, b], [c, d]] of each map."""
 
     coeffs: np.ndarray
     kernel_exponent: int
 
     def __post_init__(self):
         c = np.array(self.coeffs, dtype=np.float64)
-        if c.ndim != 3 or c.shape[:2] != (2, 2) or c.shape[2] < 2 or c.shape[2].bit_count() != 1:
-            raise VahlenError(f"coefficients must have shape (2, 2, 2^k), got {c.shape}")
+        if c.ndim < 3 or c.shape[-3:-1] != (2, 2) or c.shape[-1] < 2 or c.shape[-1].bit_count() != 1:
+            raise VahlenError(f"coefficients must have shape (..., 2, 2, 2^k), got {c.shape}")
         if self.kernel_exponent < 1:
             raise VahlenError("kernel_exponent must be positive")
         c.setflags(write=False)
@@ -79,18 +83,30 @@ class VahlenMap:
 
     @property
     def ambient_dim(self) -> int:
-        return self.coeffs.shape[2].bit_length() - 1
+        return self.coeffs.shape[-1].bit_length() - 1
+
+    @property
+    def rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """a, b, c, d, each of shape (..., 2^k) over the stack's axes."""
+        return tuple(self.coeffs[..., i, j, :] for i in (0, 1) for j in (0, 1))
 
     @cached_property
-    def pseudo_determinant(self) -> float:
-        """The scalar a~d - b~c, computed once per map."""
+    def pseudo_determinant(self):
+        """a~d - b~c, computed once: a float for one map, an array (...) for a stack."""
         k = self.ambient_dim
-        (a, b), (c, d) = self.coeffs
+        a, b, c, d = self.rows
         delta = gp_batch(k, a, reversion(k, d)) - gp_batch(k, b, reversion(k, c))
-        s = float(delta[0])
-        if np.linalg.norm(delta[1:]) > DEFAULT_RTOL * max(abs(s), 1.0):
+        s = delta[..., 0]
+        if (_norms(delta[..., 1:]) > DEFAULT_RTOL * np.maximum(abs(s), 1.0)).any():
             raise VahlenError("a~d - b~c is not scalar: not a valid Vahlen matrix")
-        return s
+        return float(s) if s.ndim == 0 else s
+
+    @cached_property
+    def weight_scale(self) -> np.ndarray:
+        """sqrt|a~d - b~c| per map (shape (...)), as Python's abs(pd) ** 0.5:
+        libm pow, which rounds differently from np.sqrt at pd = 1 - 2^-53."""
+        pd = np.asarray(self.pseudo_determinant)
+        return np.reshape([abs(p) ** 0.5 for p in pd.ravel().tolist()], pd.shape)
 
 
 def _scalar_matrix(a: float, b: float, c: float, d: float, k: int) -> np.ndarray:
@@ -159,14 +175,14 @@ def apply(psi: VahlenMap, x, rtol: float = DEFAULT_RTOL, raise_invalid: bool = T
     Images.valid instead.
     """
     k = psi.ambient_dim
-    (a, b), (c, d) = psi.coeffs
+    a, b, c, d = psi.rows
     if is_infinity(x):
         num, den, tiny = a, c, 0.0
     else:
         xv = vectors(_points(x, k), k)
         num = gp_batch(k, a, xv) + b
         den = gp_batch(k, c, xv) + d
-        tiny = 1e-12 * np.maximum(np.linalg.norm(c) * _norms(xv) + np.linalg.norm(d), 1.0)
+        tiny = 1e-12 * np.maximum(_norms(c) * _norms(xv) + _norms(d), 1.0)
     dinv, invertible = clifford_group_inverse_rows(k, den, rtol)
     finite = (_norms(den) > tiny) & invertible
     points, dev, valid = _grade1(k, gp_batch(k, num, dinv), rtol)
@@ -220,27 +236,29 @@ def weight_J_rows(psi: VahlenMap, x):
     """
     k = psi.ambient_dim
     x = _points(x, k)
-    c, d = psi.coeffs[1]
-    nu = abs(psi.pseudo_determinant) ** 0.5
+    _, _, c, d = psi.rows
+    nu = psi.weight_scale[..., None]
     den = (gp_batch(k, c, vectors(x, k)) + d) / nu
     s = _norms(den)[..., None]
-    scale = np.maximum((np.linalg.norm(c) * _norms(x)[..., None] + np.linalg.norm(d)) / nu, 1.0)
+    scale = np.maximum((_norms(c) * _norms(x) + _norms(d))[..., None] / nu, 1.0)
     regular = s > 1e-12 * scale
     return reversion(k, den) / np.where(regular, s, 1.0) ** psi.kernel_exponent, regular[..., 0]
 
 
 def compose(psi2: VahlenMap, psi1: VahlenMap) -> VahlenMap:
-    """Matrix product; pointwise, compose(psi2, psi1) maps x to
-    psi2(psi1(x))."""
+    """Matrix product, broadcast over the stacks; pointwise, compose(psi2,
+    psi1) maps x to psi2(psi1(x))."""
     if (psi2.ambient_dim, psi2.kernel_exponent) != (psi1.ambient_dim, psi1.kernel_exponent):
         raise VahlenError("cannot compose maps of different ambient dims or kernel exponents")
-    k = psi1.ambient_dim
-    return VahlenMap(gp_batch(k, psi2.coeffs[:, :, None], psi1.coeffs[None]).sum(1), psi1.kernel_exponent)
+    blocks = gp_batch(psi1.ambient_dim, psi2.coeffs[..., None, :], psi1.coeffs[..., None, :, :, :])
+    return VahlenMap(blocks.sum(-3), psi1.kernel_exponent)
 
 
 def inverse(psi: VahlenMap) -> VahlenMap:
-    """Exact matrix inverse (~d, -~b; -~c, ~a)/(a~d - b~c), validated
-    pointwise on sample vectors."""
+    """Exact matrix inverse (~d, -~b; -~c, ~a)/(a~d - b~c) of one map,
+    validated pointwise on sample vectors."""
+    if psi.coeffs.ndim != 3:
+        raise VahlenError(f"inverse takes one map, got a stack of shape {psi.coeffs.shape[:-3]}")
     delta = psi.pseudo_determinant
     if abs(delta) <= 1e-14:
         raise VahlenError("Vahlen matrix has vanishing pseudo-determinant")
@@ -295,7 +313,7 @@ def covariance_residual(psi: VahlenMap, x, y, px, py, weight_exponent_shift: int
     jy_inv = clifford_group_inverse(k, weight_J(psi_w, y))
     jx_inv = clifford_group_inverse(k, reversion(k, weight_J(psi_w, x)))
     mid = cauchy_kernel_G(np.subtract(x, y), m, k)
-    sgn = 1.0 if psi.pseudo_determinant > 0 else -1.0
+    sgn = np.where(psi.pseudo_determinant > 0, 1.0, -1.0)[..., None]
     diff = lhs - sgn * gp_batch(k, gp_batch(k, jy_inv, mid), jx_inv)
     return np.sqrt((diff * diff).sum(-1))
 

@@ -27,7 +27,8 @@ from sphereglue.moebius import (
     weight_J,
     weight_J_rows,
 )
-from sphereglue.cli import _random_maps
+from sphereglue import cli
+from sphereglue.cli import _admissible_pairs, _draw_accepted, _random_maps
 from sphereglue.manifold import chart_transfer, plane_sphere
 
 
@@ -424,6 +425,65 @@ def test_vahlen_map_is_one_read_only_coefficient_array():
             VahlenMap(np.zeros(shape), 2)
     with pytest.raises(VahlenError, match="kernel_exponent"):
         VahlenMap(np.zeros((2, 2, 4)), 0)
+    stack = VahlenMap(np.zeros((3, 2, 2, 4)), 2)
+    assert stack.coeffs.shape == (3, 2, 2, 4) and stack.ambient_dim == 2
+    with pytest.raises(VahlenError, match="one map"):
+        inverse(VahlenMap(np.stack([neck_inversion(2).coeffs] * 3), 2))
+
+
+def _verify_algebra_pool(n, seed):
+    """The maps verify-algebra samples at n and seed."""
+    pool = []
+
+    def record(*args, **kwargs):
+        pool.extend(_random_maps(*args, **kwargs))
+        return pool
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_random_maps", record)
+        cli.cmd_verify_algebra(cli.RunConfig(n=n, seed=seed))
+    return pool
+
+
+@pytest.mark.parametrize("n, seed", [(2, 0), (2, 3), (2, 11), (3, 0), (3, 3), (3, 11), (2, "verify-algebra-1")])
+def test_stack_matches_single_maps_bit_for_bit(n, seed):
+    """apply, weight_J_rows, pseudo_determinant, weight_scale,
+    covariance_residual and compose on a stack of maps give each map's own
+    results bit for bit, over the algebra suite's pools grouped by
+    (ambient_dim, kernel_exponent). verify-algebra's pool at n = 2, seed 1
+    holds a map with pseudo-determinant 1 - 2^-53, where the weight scale
+    abs(pd) ** 0.5 rounds to 1.0."""
+    if seed == "verify-algebra-1":
+        maps = _verify_algebra_pool(n, 1)
+        edge = [psi for psi in maps if psi.pseudo_determinant == 1 - 2**-53]
+        assert edge and all(psi.weight_scale == 1.0 for psi in edge)
+    else:
+        maps = _random_maps(np.random.default_rng(seed), n, 40)
+    groups = {}
+    for psi in maps:
+        groups.setdefault((psi.ambient_dim, psi.kernel_exponent), []).append(psi)
+    rng = np.random.default_rng(12)
+    for (_, m), group in groups.items():
+        stack = VahlenMap(np.array([psi.coeffs for psi in group]), m)
+        column = VahlenMap(stack.coeffs[:, None], m)  # maps against (maps, 5) points
+        pairs = np.array([_draw_accepted(rng, 5, -2.0, 2.0, 2 * n, _admissible_pairs(psi, n)) for psi in group])
+        x, y = pairs[..., :n], pairs[..., n:]
+        img = apply(column, np.stack((x, y)))
+        w, regular = weight_J_rows(column, x)
+        res = covariance_residual(column, x, y, *img.points)
+        at_infinity = apply(stack, INFINITY)
+        composed = compose(stack, VahlenMap(stack.coeffs[::-1], m))
+        assert np.array_equal(stack.pseudo_determinant, [psi.pseudo_determinant for psi in group])
+        assert np.array_equal(stack.weight_scale, [psi.weight_scale for psi in group])
+        for i, psi in enumerate(group):
+            one = apply(psi, np.stack((x[i], y[i])))
+            assert np.array_equal(img.points[:, i], one.points) and np.array_equal(img.finite[:, i], one.finite)
+            inf_one = apply(psi, INFINITY)
+            assert np.array_equal(at_infinity.points[i], inf_one.points, equal_nan=True)
+            assert at_infinity.finite[i] == inf_one.finite
+            assert np.array_equal(w[i], weight_J_rows(psi, x[i])[0]) and regular[i].all()
+            assert np.array_equal(res[i], covariance_residual(psi, x[i], y[i], *one.points))
+            assert np.array_equal(composed.coeffs[i], compose(psi, group[-1 - i]).coeffs)
 
 
 def test_compose_is_the_block_matrix_product():
