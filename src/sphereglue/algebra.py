@@ -11,9 +11,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import DEFAULT_RTOL
-
 MAX_DIM = 12
+
+# The relative tolerance of the Clifford-group, Vahlen-matrix and grade-1 checks.
+DEFAULT_RTOL = 1e-10
 
 
 class AlgebraError(ValueError):
@@ -98,24 +99,24 @@ def reversion(dim: int, a: np.ndarray) -> np.ndarray:
     return np.asarray(a, dtype=np.float64) * _reversion_signs(dim)
 
 
-def clifford_group_inverse(dim: int, a: np.ndarray, rtol: float = DEFAULT_RTOL) -> np.ndarray:
+def clifford_group_inverse(dim: int, a: np.ndarray) -> np.ndarray:
     """Inverse of each row of (..., 2^dim) coefficients with a~a a nonzero
     scalar; raises if any row fails."""
-    inv, ok = clifford_group_inverse_rows(dim, a, rtol)
+    inv, ok = clifford_group_inverse_rows(dim, a)
     if not ok.all():
         raise NotInvertibleError("not invertible in Clifford group: a~a is not a nonzero scalar")
     return inv
 
 
-def clifford_group_inverse_rows(dim: int, a: np.ndarray, rtol: float = DEFAULT_RTOL):
+def clifford_group_inverse_rows(dim: int, a: np.ndarray):
     """The inverse of each row of (..., 2^dim) coefficients and a mask (...),
     False where a~a is not a nonzero scalar; those rows hold no inverse."""
     a = np.asarray(a, dtype=np.float64)
     ar = reversion(dim, a)
     p = gp_batch(dim, a, ar)
     s, scale = p[..., 0], (a * a).sum(-1)
-    ok = (scale > 0.0) & (abs(s) > rtol * scale)
-    ok &= np.sqrt((p[..., 1:] ** 2).sum(-1)) <= rtol * np.maximum(abs(s), scale)
+    ok = (scale > 0.0) & (abs(s) > DEFAULT_RTOL * scale)
+    ok &= np.sqrt((p[..., 1:] ** 2).sum(-1)) <= DEFAULT_RTOL * np.maximum(abs(s), scale)
     return ar / np.where(ok, s, 1.0)[..., None], ok
 
 

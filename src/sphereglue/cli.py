@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 
 import numpy as np
@@ -100,6 +101,11 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     for key in ("scale1", "scale2"):
         if not getattr(cfg, key) > 0.0:
             raise ValueError(f"{key} must be > 0")
+    for key in ("r", "scale1", "scale2"):
+        if not math.isfinite(getattr(cfg, key)):
+            raise ValueError(f"{key} must be finite")
+    if cfg.seed < 0:
+        raise ValueError("seed must be >= 0")
     if cfg.order < 4:
         raise ValueError("order must be >= 4")
     if cfg.n + cfg.break_weight < 1:

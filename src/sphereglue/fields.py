@@ -8,8 +8,10 @@ from typing import Callable
 import numpy as np
 
 from .algebra import gp_batch, vectors
-from .config import DEFAULT_FD_STEP
 from .moebius import VahlenMap, apply, cauchy_kernel_G, first_point, weight_J
+
+# Step for finite-difference Dirac residuals.
+DEFAULT_FD_STEP = 1e-4
 
 
 class DomainError(ValueError):
@@ -37,9 +39,6 @@ class CliffordField:
             raise DomainError(f"point {first_point(x, ~inside)} outside field domain")
         return self.func(x)
 
-    def in_domain(self, x) -> bool:
-        return bool(np.asarray(self.domain(np.asarray(x, dtype=np.float64))).all())
-
 
 def constant_field(a, dim_in: int) -> CliffordField:
     """x -> a on R^dim_in, for the coefficients a (2^dim_alg,) of one element."""
@@ -63,18 +62,6 @@ def g_translate(a: np.ndarray, n: int | None = None, dim_alg: int | None = None)
     )
 
 
-def dirac_left_fd(f: CliffordField, x, h: float = DEFAULT_FD_STEP) -> np.ndarray:
-    """Dirac operator sum_j e_j d f / dx_j from central differences at steps
-    h and h/2 with one Richardson step; O(h^4). Coefficient arrays
-    (..., 2^dim_alg) for a point or a point array (..., dim_in)."""
-    return _dirac_fd(f, x, h, left=True)
-
-
-def dirac_right_fd(f: CliffordField, x, h: float = DEFAULT_FD_STEP) -> np.ndarray:
-    """The right Dirac operator sum_j (d f / dx_j) e_j, as dirac_left_fd."""
-    return _dirac_fd(f, x, h, left=False)
-
-
 def fd_stencil(x, h: float) -> np.ndarray:
     """The central-difference stencils of every point of x (..., dim) at steps
     h_0 = h and h_1 = h/2, shape (..., 2, 2, dim, dim):
@@ -84,8 +71,11 @@ def fd_stencil(x, h: float) -> np.ndarray:
     return np.stack((x + steps, x - steps), axis=-3)
 
 
-def _dirac_fd(f: CliffordField, x, h: float, left: bool) -> np.ndarray:
-    """Evaluates every stencil point of every point of x in one field call."""
+def dirac_left_fd(f: CliffordField, x, h: float = DEFAULT_FD_STEP) -> np.ndarray:
+    """Dirac operator sum_j e_j d f / dx_j from central differences at steps
+    h and h/2 with one Richardson step; O(h^4). Coefficient arrays
+    (..., 2^dim_alg) for a point or a point array (..., dim_in); every
+    stencil point of every point of x is evaluated in one field call."""
     x = np.asarray(x, dtype=np.float64)
     if h <= 0:
         raise ValueError("step must be positive")
@@ -97,9 +87,8 @@ def _dirac_fd(f: CliffordField, x, h: float, left: bool) -> np.ndarray:
     diff = (vals[..., 0, :, :] - vals[..., 1, :, :]) / (2.0 * np.array([h, h / 2.0])[:, None, None])
     # one Richardson step, (4 D_{h/2} - D_h) / 3, cancels the O(h^2) term
     diff = (4.0 * diff[..., 1, :, :] - diff[..., 0, :, :]) / 3.0
-    # sum over j of e_j d_j (left) or d_j e_j (right), as one batched product
-    e = vectors(np.eye(f.dim_in), f.dim_alg)
-    return (gp_batch(f.dim_alg, e, diff) if left else gp_batch(f.dim_alg, diff, e)).sum(-2)
+    # sum over j of e_j d_j, as one batched product
+    return gp_batch(f.dim_alg, vectors(np.eye(f.dim_in), f.dim_alg), diff).sum(-2)
 
 
 def moebius_pullback(psi: VahlenMap, f: CliffordField, dim_in: int | None = None) -> CliffordField:

@@ -12,11 +12,11 @@ node geometry, sections, germs and the kernel take arrays of shape (N, ...)
 and return coefficient arrays (N, 2^(n+1)), which the rule sums at once. The
 Plemelj kernel matrix is filled by one kernel call over all off-diagonal
 node pairs. Every check of the one-point path (diagonal, admissibility,
-germ domain, degenerate frame, singular weight) applies to every node. Both
-quadratures stack the nodes of every order they need (each order and its
-half) per patch and take their geometry from one node_geometry call;
-cauchy_integrals evaluates kernels per target, values per section and
-products per (target, section) pair over only the orders each one uses.
+germ domain, degenerate frame, singular weight) applies to every node.
+cauchy_integrals stacks the nodes of every order it needs (each order and
+its half) per patch and takes their geometry from one node_geometry call;
+it evaluates kernels per target, values per section and products per
+(target, section) pair over only the orders each one uses.
 
 Sign convention: with e_j^2 = -1 the reproducing pairing uses the inward
 normal; cauchy_integral applies REPRODUCING_NORMAL_SIGN to the outward
@@ -193,36 +193,18 @@ def _stacks(m: GluedManifold, s: Hypersurface, orders) -> list[_Stack]:
     return stacks
 
 
-def _report(stacks: list[_Stack], order: int, values, dim: int, scale: float = 1.0) -> QuadratureReport:
+def _report(stacks: list[_Stack], order: int, values, dim: int, scale: float) -> QuadratureReport:
     """The rule at the order and at its half, divided by scale, on each
-    patch's node values split by order (_Stack.split): scalars (N,) or
-    coefficients (N, 2^dim), one tensordot per patch and order. The error
-    estimate is the distance between the two."""
+    patch's node coefficients (N, 2^dim) split by order (_Stack.split), one
+    tensordot per patch and order. The error estimate is the distance
+    between the two."""
     full, half = (
         sum((np.tensordot(st.weights[od], v[od], axes=1) for st, v in zip(stacks, values)), 0.0)
         for od in (order, max(order // 2, 1))
     )
-    value = Multivector(dim, (full if full.ndim else full * np.eye(1 << dim)[0]) / scale)
+    value = Multivector(dim, full / scale)
     nodes = sum(st.weights[order].size for st in stacks)
     return QuadratureReport(value, float(np.linalg.norm(full - half)) / scale, nodes)
-
-
-def surface_quadrature(
-    m: GluedManifold,
-    s: Hypersurface,
-    integrand: Callable[[ManifoldPoint, np.ndarray, np.ndarray], np.ndarray],
-    order: int | None = None,
-) -> QuadratureReport:
-    """Integrate over the hypersurface. The integrand receives a patch's
-    node point array, the embeddings (N, n+1) and the outward unit normals
-    (N, n+1), and returns scalars (N,) or coefficient arrays (N, 2^(n+1)).
-    Two refinement levels give the error estimate; one integrand call per
-    patch covers the nodes of both."""
-    order = order or s.quad_order
-    stacks = _stacks(m, s, sorted({order, max(order // 2, 1)}))
-    values = [integrand(st.geo.point, st.geo.embedded, st.geo.normal) for st in stacks]
-    values = [st.split(list(st.rows), np.asarray(v, dtype=np.float64)) for st, v in zip(stacks, values)]
-    return _report(stacks, order, values, m.n + 1)
 
 
 # -- sections ---------------------------------------------------------------

@@ -28,9 +28,6 @@ from .moebius import (
     neck_inversion,
 )
 
-TWO_SPHERES = "two_spheres"
-PLANE_SPHERE = "plane_sphere"
-
 BODY = "body"
 NECK = "neck"
 INADMISSIBLE = "inadmissible"
@@ -49,7 +46,6 @@ class Chart:
 @dataclass(frozen=True)
 class GluedManifold:
     n: int
-    kind: str
     r: float
     charts: tuple[Chart, ...]
     # falsification control: added to the weight exponent of every chart map
@@ -58,8 +54,6 @@ class GluedManifold:
     def __post_init__(self):
         if not self.r > 1.0:
             raise ManifoldError("gluing radius r must exceed 1")
-        if self.kind not in (TWO_SPHERES, PLANE_SPHERE):
-            raise ManifoldError(f"unknown manifold kind {self.kind!r}")
         if len(self.charts) < 2:
             raise ManifoldError("need at least two charts")
 
@@ -91,13 +85,13 @@ def two_spheres(
     n: int, r: float, scales: tuple[float, float] = (1.0, 1.0), weight_shift: int = 0
 ) -> GluedManifold:
     charts = (Chart(True, scales[0]), Chart(True, scales[1]))
-    return GluedManifold(n, TWO_SPHERES, r, charts, weight_shift)
+    return GluedManifold(n, r, charts, weight_shift)
 
 
 def plane_sphere(
     n: int, r: float, sphere_scale: float = 1.0, weight_shift: int = 0
 ) -> GluedManifold:
-    return GluedManifold(n, PLANE_SPHERE, r, (Chart(False), Chart(True, sphere_scale)), weight_shift)
+    return GluedManifold(n, r, (Chart(False), Chart(True, sphere_scale)), weight_shift)
 
 
 @dataclass(frozen=True)
@@ -135,9 +129,10 @@ def apply_transition(m: GluedManifold, coord):
     return coord / n2
 
 
-def equivalent(m: GluedManifold, p: ManifoldPoint, q: ManifoldPoint, rtol: float = 1e-10):
+def equivalent(m: GluedManifold, p: ManifoldPoint, q: ManifoldPoint):
     """Whether p and q are the same manifold point; for point arrays, an
-    array over their broadcast shape. Raises on any inadmissible point."""
+    array over their broadcast shape, to a relative distance of 1e-10.
+    Raises on any inadmissible point."""
     for pt in (p, q):
         if np.any(bad := classify(m, pt) == INADMISSIBLE):
             raise ManifoldError(f"inadmissible point in chart {pt.chart} at {first_point(pt.coord, bad)}")
@@ -151,7 +146,7 @@ def equivalent(m: GluedManifold, p: ManifoldPoint, q: ManifoldPoint, rtol: float
         if not np.any(both_neck):
             return False
     dist, size = (np.sqrt((v * v).sum(-1)) for v in (img - q.coord, img))
-    out = both_neck & (dist <= rtol * np.maximum(1.0, size))
+    out = both_neck & (dist <= 1e-10 * np.maximum(1.0, size))
     return out if np.ndim(out) else bool(out)
 
 

@@ -26,13 +26,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .algebra import (
+    DEFAULT_RTOL,
     clifford_group_inverse,
     clifford_group_inverse_rows,
     gp_batch,
     reversion,
     vectors,
 )
-from .config import DEFAULT_RTOL
 
 
 class _Infinity:
@@ -165,7 +165,7 @@ class Images(NamedTuple):
     valid: np.ndarray
 
 
-def apply(psi: VahlenMap, x, rtol: float = DEFAULT_RTOL, raise_invalid: bool = True) -> Images:
+def apply(psi: VahlenMap, x, raise_invalid: bool = True) -> Images:
     """(ax+b)(cx+d)^{-1} at every point of an array (..., m), m <= ambient_dim,
     or ac^{-1} at INFINITY.
 
@@ -183,9 +183,9 @@ def apply(psi: VahlenMap, x, rtol: float = DEFAULT_RTOL, raise_invalid: bool = T
         num = gp_batch(k, a, xv) + b
         den = gp_batch(k, c, xv) + d
         tiny = 1e-12 * np.maximum(_norms(c) * _norms(xv) + _norms(d), 1.0)
-    dinv, invertible = clifford_group_inverse_rows(k, den, rtol)
+    dinv, invertible = clifford_group_inverse_rows(k, den)
     finite = (_norms(den) > tiny) & invertible
-    points, dev, valid = _grade1(k, gp_batch(k, num, dinv), rtol)
+    points, dev, valid = _grade1(k, gp_batch(k, num, dinv))
     valid |= ~finite
     if raise_invalid and not valid.all():
         raise VahlenError(f"image of {first_point(x, ~valid)} is off grade 1 by {dev[~valid].max():.3e}")
@@ -196,14 +196,14 @@ def _norms(a: np.ndarray) -> np.ndarray:
     return np.sqrt((a * a).sum(-1))
 
 
-def _grade1(k: int, res: np.ndarray, rtol: float):
+def _grade1(k: int, res: np.ndarray):
     """Vector parts of coefficient rows (..., 2^k), the norm of everything
     outside grade 1, and whether that stays within the grade-1 tolerance."""
     blades = [1 << j for j in range(k)]
     rest = np.ones(res.shape[-1], dtype=bool)
     rest[blades] = False
     dev = _norms(res[..., rest])
-    return res[..., blades], dev, dev <= np.maximum(rtol * np.maximum(_norms(res), 1.0), 1e-9)
+    return res[..., blades], dev, dev <= np.maximum(DEFAULT_RTOL * np.maximum(_norms(res), 1.0), 1e-9)
 
 
 def first_point(x, mask=True) -> str:

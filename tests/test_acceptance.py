@@ -182,7 +182,7 @@ def test_criterion_3_monogenicity_preservation():
             checked = 0
             while checked < 8:
                 x = rng.uniform(-1.8, 1.8, k)
-                if not pb.in_domain(x):
+                if not np.all(pb.domain(x)):
                     continue
                 try:
                     r_h = np.linalg.norm(dirac_left_fd(pb, x, 1e-4))

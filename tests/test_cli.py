@@ -262,6 +262,15 @@ BAD_CONFIGS = [
     ("hardy", "scale1=0\n", "scale1"),
     ("verify-cauchy", "kind=plane_sphere\nscale2=-1\n", "scale2"),
     ("verify-kernel", "r=nan\n", "r"),
+    ("verify-kernel", "r=inf\n", "r"),
+    ("verify-cauchy", "r=inf\n", "r"),
+    ("hardy", "r=inf\n", "r"),
+    ("verify-algebra", "r=inf\n", "r"),
+    ("verify-kernel", "scale1=inf\n", "scale1"),
+    ("verify-cauchy", "scale1=inf\n", "scale1"),
+    ("hardy", "scale2=inf\n", "scale2"),
+    ("verify-algebra", "seed=-1\n", "seed"),
+    ("verify-cauchy", "seed=-1\n", "seed"),
     ("verify-cauchy", "break_weight=-2\n", "break_weight"),
     ("hardy", "n=3\n", "n"),
 ]
@@ -281,6 +290,14 @@ def test_bad_config_exit_code(tmp_path, capsys, command, text, key):
     assert status == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.split()[2] == key, err
+    assert err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("command", ["verify-algebra", "verify-kernel", "verify-cauchy", "hardy"])
+def test_negative_seed_flag_is_a_config_error(capsys, command):
+    """--seed -1 overrides a valid config and is rejected like seed=-1."""
+    assert main([command, "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "config error: seed must be >= 0\n"
 
 
 def test_verify_cauchy_scaled_chart1(tmp_path):

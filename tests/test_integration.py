@@ -12,13 +12,13 @@ from sphereglue.integration import (
     Hypersurface,
     SurfaceError,
     SurfacePatch,
+    _gauss_nodes,
     cauchy_integral,
     chart_circle,
     chart_sphere,
     node_geometry,
     plemelj_projections,
     section_from_germ,
-    surface_quadrature,
     unit_sphere_area,
 )
 from sphereglue.kernel import kernel_CM
@@ -36,10 +36,6 @@ def m3():
     return two_spheres(3, 2.0)
 
 
-def one(pt, u, nrm):
-    return np.ones(len(u))
-
-
 def _gp(*factors):
     """The product of Cl_3 coefficient arrays, left to right."""
     return functools.reduce(lambda a, b: gp_batch(3, a, b), factors)
@@ -53,39 +49,39 @@ def test_omega_n():
     assert abs(unit_sphere_area(3) - 4 * np.pi) <= 1e-13
 
 
+def _measure(m, s):
+    """The embedded surface measure of s at its quadrature order: the rule
+    weights times the sqrt-Gram weights of the nodes."""
+    total = 0.0
+    for patch in s.patches:
+        t, w = _gauss_nodes(patch.bounds, s.quad_order)
+        total += w @ node_geometry(m, s, patch, t).weight
+    return total
+
+
 def test_great_circle_measure(m2):
     """The chart unit circle maps to the equator of the embedded sphere."""
     s = chart_circle(m2, 1, np.zeros(2), 1.0, 32)
-    rep = surface_quadrature(m2, s, one)
-    assert abs(rep.value.coeffs[0] - 2 * np.pi) <= 1e-10
+    assert abs(_measure(m2, s) - 2 * np.pi) <= 1e-10
 
 
 def test_colatitude_circle_measure(m2):
     """Chart radius rho maps to a circle of circumference 2*pi*2rho/(rho^2+1)."""
     for rho in (0.5, 2.0, 3.0):
         s = chart_circle(m2, 1, np.zeros(2), rho, 32)
-        rep = surface_quadrature(m2, s, one)
         expect = 2 * np.pi * 2 * rho / (rho**2 + 1)
-        assert abs(rep.value.coeffs[0] - expect) <= 1e-10
+        assert abs(_measure(m2, s) - expect) <= 1e-10
 
 
 def test_sphere_measure(m3):
     """The chart unit sphere maps to the equatorial 2-sphere: area 4*pi."""
     s = chart_sphere(m3, 1, np.zeros(3), 1.0, 24)
-    rep = surface_quadrature(m3, s, one)
-    assert abs(rep.value.coeffs[0] - 4 * np.pi) <= 1e-8
-
-
-def test_constant_scaling(m2):
-    s = chart_circle(m2, 1, np.zeros(2), 1.0, 16)
-    r1 = surface_quadrature(m2, s, one)
-    r3 = surface_quadrature(m2, s, lambda p, u, n: np.full(len(u), 3.0))
-    assert abs(r3.value.coeffs[0] - 3 * r1.value.coeffs[0]) <= 1e-12
+    assert abs(_measure(m3, s) - 4 * np.pi) <= 1e-8
 
 
 def test_report_fields(m2):
-    s = chart_circle(m2, 1, np.zeros(2), 1.0, 16)
-    rep = surface_quadrature(m2, s, one)
+    sec = section_from_germ(m2, constant_field(np.eye(8)[0], 2))
+    rep = cauchy_integral(m2, _surf(m2, 3.0, 16), sec, ManifoldPoint(1, np.array([1.2, 0.4])))
     assert rep.nodes_used == 16
     assert rep.estimated_error >= 0.0
 

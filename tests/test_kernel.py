@@ -4,8 +4,8 @@ the chart-coordinate representatives."""
 import numpy as np
 import pytest
 
-from sphereglue.algebra import gp_batch, vectors
-from sphereglue.fields import CliffordField, dirac_left_fd, dirac_right_fd
+from sphereglue.algebra import gp_batch, reversion, vectors
+from sphereglue.fields import CliffordField, dirac_left_fd
 from sphereglue.kernel import (
     CROSS_GLUE,
     OVERLAP_REP,
@@ -17,7 +17,6 @@ from sphereglue.kernel import (
 from sphereglue.manifold import (
     ManifoldError,
     ManifoldPoint,
-    apply_transition,
     embed,
     plane_sphere,
     two_spheres,
@@ -215,19 +214,21 @@ def test_kernel_left_monogenic_in_y(m2):
 
 
 def test_kernel_right_monogenic_in_x(m2):
-    """In x the representative is right monogenic (weight on the right)."""
+    """In x the representative is right monogenic (weight on the right):
+    sum_j (d f / dx_j) e_j = rev(D_l(rev o f)), as every e_j is its own
+    reversion, and reversion keeps the norm."""
     cay = cayley(2)
     y0 = pt(1, 1.1, -0.4)
 
-    f = CliffordField(
+    rev_f = CliffordField(
         2,
         3,
-        lambda xc: gp_batch(3, kernel_CM(m2, ManifoldPoint(1, xc), y0).coeffs, weight_J(cay, xc)),
+        lambda xc: reversion(3, gp_batch(3, kernel_CM(m2, ManifoldPoint(1, xc), y0).coeffs, weight_J(cay, xc))),
     )
     rng = np.random.default_rng(2)
     for _ in range(5):
         x = rng.uniform(2.3, 3.4, 2)
-        assert np.linalg.norm(dirac_right_fd(f, x, 1e-4)) <= 1e-5
+        assert np.linalg.norm(dirac_left_fd(rev_f, x, 1e-4)) <= 1e-5
 
 
 def test_cross_glue_left_monogenic_in_y(m2):

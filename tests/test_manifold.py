@@ -8,7 +8,6 @@ from sphereglue.manifold import (
     BODY,
     INADMISSIBLE,
     NECK,
-    GluedManifold,
     ManifoldError,
     ManifoldPoint,
     apply_transition,
@@ -39,11 +38,6 @@ def e1(*vals):
 def test_radius_must_exceed_one():
     with pytest.raises(ManifoldError):
         two_spheres(2, 1.0)
-
-
-def test_unknown_kind():
-    with pytest.raises(ManifoldError):
-        GluedManifold(2, "torus", 2.0, two_spheres(2, 2.0).charts)
 
 
 # -- classify ----------------------------------------------------------------
