@@ -120,9 +120,7 @@ def make_manifold(cfg: RunConfig):
     """The configured manifold; break_weight shifts every chart-map weight."""
     if cfg.kind == "two_spheres":
         return two_spheres(cfg.n, cfg.r, (cfg.scale1, cfg.scale2), cfg.break_weight)
-    if cfg.kind == "plane_sphere":
-        return plane_sphere(cfg.n, cfg.r, cfg.scale2, cfg.break_weight)
-    raise ValueError(f"unknown manifold kind {cfg.kind!r}")
+    return plane_sphere(cfg.n, cfg.r, cfg.scale2, cfg.break_weight)
 
 
 @dataclasses.dataclass
@@ -310,7 +308,7 @@ def cmd_verify_algebra(cfg: RunConfig) -> tuple[str, int]:
         pole = rng.uniform(2.5, 4.0, k) * rng.choice([-1.0, 1.0], k)
         f = g_translate(pole, n=k, dim_alg=k)
         x = _draw_accepted(rng, 5, -1.8, 1.8, k, _stencil_samples(psi, f, 1e-4))
-        resid = dirac_left_fd(moebius_pullback(psi, f, dim_in=k), x, 1e-4)
+        resid = dirac_left_fd(moebius_pullback(psi, f), x, 1e-4)
         worst_fd = max(worst_fd, float(np.linalg.norm(resid, axis=-1).max()))
     rep.add("pullback-monogenicity-fd", worst_fd, 1e-5)
     return rep.finish()
@@ -481,8 +479,12 @@ def main(argv=None) -> int:
         print(f"{args.command} error: {config_line(cfg)}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(cfg.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return status

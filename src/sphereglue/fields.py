@@ -91,18 +91,15 @@ def dirac_left_fd(f: CliffordField, x, h: float = DEFAULT_FD_STEP) -> np.ndarray
     return gp_batch(f.dim_alg, vectors(np.eye(f.dim_in), f.dim_alg), diff).sum(-2)
 
 
-def moebius_pullback(psi: VahlenMap, f: CliffordField, dim_in: int | None = None) -> CliffordField:
+def moebius_pullback(psi: VahlenMap, f: CliffordField) -> CliffordField:
     """x -> J(psi, x) f(psi(x)); preserves left monogenicity.
 
-    dim_in defaults to the field's input dimension capped by the map's ambient
-    dimension; for a Cayley map acting on R^n inside Cl_{n+1} pass dim_in=n.
-    Domain and values take point arrays; an image that fails the map's
-    grade-1 check raises VahlenError from either.
+    The pullback takes the field's input dimension, capped by the map's
+    ambient dimension. Domain and values take point arrays; an image that
+    fails the map's grade-1 check raises VahlenError from either.
     """
     if f.dim_alg != psi.ambient_dim:
         raise ValueError("field algebra dim must match the map's ambient dim")
-    if dim_in is None:
-        dim_in = min(f.dim_in, psi.ambient_dim)
 
     def dom(x: np.ndarray) -> np.ndarray:
         img = apply(psi, x)
@@ -114,4 +111,4 @@ def moebius_pullback(psi: VahlenMap, f: CliffordField, dim_in: int | None = None
             raise DomainError("pullback evaluated at a singular point of the map")
         return gp_batch(psi.ambient_dim, weight_J(psi, x), f.values(img.points[..., : f.dim_in]))
 
-    return CliffordField(dim_in, psi.ambient_dim, ev, dom)
+    return CliffordField(min(f.dim_in, psi.ambient_dim), psi.ambient_dim, ev, dom)

@@ -2,19 +2,19 @@
 discrete Plemelj (Hardy) projections.
 
 Quadrature runs on the embedded picture (sphere embedding for sphere charts,
-the coordinate plane otherwise): Gauss-Legendre product rules per patch with
-the surface measure taken from the Gram determinant of the embedded
+the coordinate plane otherwise): Gauss-Legendre product rules with the
+surface measure taken from the Gram determinant of the embedded
 parametrization. Normals are unit vectors tangent to the embedded manifold
 and orthogonal to the surface, oriented outward from the bounded subdomain.
 
-Everything is evaluated over whole node arrays: a patch's parametrization,
+Everything is evaluated over whole node arrays: a surface's parametrization,
 node geometry, sections, germs and the kernel take arrays of shape (N, ...)
 and return coefficient arrays (N, 2^(n+1)), which the rule sums at once. The
 Plemelj kernel matrix is filled by one kernel call over all off-diagonal
 node pairs. Every check of the one-point path (diagonal, admissibility,
 germ domain, degenerate frame, singular weight) applies to every node.
 cauchy_integrals stacks the nodes of every order it needs (each order and
-its half) per patch and takes their geometry from one node_geometry call;
+its half) and takes their geometry from one node_geometry call;
 it evaluates kernels per target, values per section and products per
 (target, section) pair over only the orders each one uses.
 
@@ -62,8 +62,8 @@ def unit_sphere_area(n: int) -> float:
 
 
 @dataclass(frozen=True)
-class SurfacePatch:
-    """One parametrized piece of a hypersurface, in a single chart.
+class Hypersurface:
+    """A hypersurface parametrized over one box in a single chart.
 
     param maps parameter arrays (N, n-1) to chart coordinates (N, n);
     param_jac supplies their analytic Jacobians (N, n, n-1).
@@ -73,11 +73,6 @@ class SurfacePatch:
     bounds: tuple[tuple[float, float], ...]
     param: Callable[[np.ndarray], np.ndarray]
     param_jac: Callable[[np.ndarray], np.ndarray]
-
-
-@dataclass(frozen=True)
-class Hypersurface:
-    patches: tuple[SurfacePatch, ...]
     quad_order: int
     interior_point: ManifoldPoint
     closed: bool = False
@@ -91,13 +86,11 @@ class QuadratureReport:
 
 
 class NodeGeometry(NamedTuple):
-    """What the nodes of a patch need, one row per node: the chart point
-    array, the embeddings (N, n+1), the sqrt-Gram weights (N,), the outward
-    unit normals (N, n+1) and the embedded tangents (N, n+1, n-1), one column
-    per surface parameter."""
+    """What the nodes of a surface need, one row per node: the chart point
+    array, the sqrt-Gram weights (N,), the outward unit normals (N, n+1) and
+    the embedded tangents (N, n+1, n-1), one column per surface parameter."""
 
     point: ManifoldPoint
-    embedded: np.ndarray
     weight: np.ndarray
     normal: np.ndarray
     tangents: np.ndarray
@@ -112,15 +105,7 @@ def _generalized_cross(rows: np.ndarray) -> np.ndarray:
     )
 
 
-def _interior_in_chart(m: GluedManifold, s: Hypersurface, chart: int) -> np.ndarray:
-    p = s.interior_point
-    coord = p.coord if p.chart == chart else apply_transition(m, p.coord)
-    if is_infinity(coord):
-        raise SurfaceError("interior point maps to infinity in the surface chart")
-    return np.asarray(coord, dtype=np.float64)
-
-
-def node_geometry(m: GluedManifold, s: Hypersurface, patch: SurfacePatch, t: np.ndarray) -> NodeGeometry:
+def node_geometry(m: GluedManifold, s: Hypersurface, t: np.ndarray) -> NodeGeometry:
     """Geometry of the surface nodes at parameters t of shape (N, n-1).
 
     The chart normal is oriented away from the bounded subdomain in flat
@@ -129,20 +114,23 @@ def node_geometry(m: GluedManifold, s: Hypersurface, patch: SurfacePatch, t: np.
     vector tangent to the embedded manifold and orthogonal to the embedded
     surface tangents: the embedded normal.
     """
-    x = np.asarray(patch.param(t), dtype=np.float64)
-    pt = ManifoldPoint(patch.chart, x)
-    jac_chart = np.asarray(patch.param_jac(t), dtype=np.float64)
+    x = np.asarray(s.param(t), dtype=np.float64)
+    jac_chart = np.asarray(s.param_jac(t), dtype=np.float64)
     nc = _generalized_cross(np.swapaxes(jac_chart, -1, -2))
     if np.any(degenerate := np.linalg.norm(nc, axis=-1) <= 1e-13):
         raise SurfaceError(f"degenerate tangent frame at the quadrature node {first_point(x, degenerate)}")
-    inward = np.sum(nc * (x - _interior_in_chart(m, s, patch.chart)), axis=-1) <= 0
+    p = s.interior_point
+    interior = p.coord if p.chart == s.chart else apply_transition(m, p.coord)
+    if is_infinity(interior):
+        raise SurfaceError("interior point maps to infinity in the surface chart")
+    inward = np.sum(nc * (x - interior), axis=-1) <= 0
     nc = np.where(inward[..., None], -nc, nc)
-    ejac = embed_jacobian(m, patch.chart, x)
+    ejac = embed_jacobian(m, s.chart, x)
     tangents = ejac @ jac_chart
     gram = np.linalg.det(np.swapaxes(tangents, -1, -2) @ tangents)
     normal = (ejac @ nc[..., None])[..., 0]
     normal = normal / np.linalg.norm(normal, axis=-1, keepdims=True)
-    return NodeGeometry(pt, embed(m, pt), np.sqrt(np.maximum(gram, 0.0)), normal, tangents)
+    return NodeGeometry(ManifoldPoint(s.chart, x), np.sqrt(np.maximum(gram, 0.0)), normal, tangents)
 
 
 @lru_cache(maxsize=None)
@@ -164,7 +152,7 @@ def _gauss_nodes(bounds, order) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _Stack(NamedTuple):
-    """A patch's nodes at several orders, stacked order after order: their
+    """A surface's nodes at several orders, stacked order after order: their
     geometry, each order's rows, and its rule weights times the sqrt-Gram
     weights. A set of used orders is a sorted list."""
 
@@ -181,30 +169,22 @@ class _Stack(NamedTuple):
         return dict(zip(used, np.split(values, np.cumsum([self.weights[od].size for od in used])[:-1])))
 
 
-def _stacks(m: GluedManifold, s: Hypersurface, orders) -> list[_Stack]:
-    """Each patch's nodes at every given order, from one node_geometry call per patch."""
-    stacks = []
-    for patch in s.patches:
-        rules = [_gauss_nodes(patch.bounds, od) for od in orders]
-        ends = np.cumsum([w.size for _, w in rules]).tolist()
-        geo = node_geometry(m, s, patch, np.concatenate([t for t, _ in rules]))
-        rows = {od: slice(end - w.size, end) for od, (_, w), end in zip(orders, rules, ends)}
-        stacks.append(_Stack(geo, rows, {od: geo.weight[rows[od]] * w for od, (_, w) in zip(orders, rules)}))
-    return stacks
+def _stack(m: GluedManifold, s: Hypersurface, orders) -> _Stack:
+    """The surface's nodes at every given order, from one node_geometry call."""
+    rules = [_gauss_nodes(s.bounds, od) for od in orders]
+    ends = np.cumsum([w.size for _, w in rules]).tolist()
+    geo = node_geometry(m, s, np.concatenate([t for t, _ in rules]))
+    rows = {od: slice(end - w.size, end) for od, (_, w), end in zip(orders, rules, ends)}
+    return _Stack(geo, rows, {od: geo.weight[rows[od]] * w for od, (_, w) in zip(orders, rules)})
 
 
-def _report(stacks: list[_Stack], order: int, values, dim: int, scale: float) -> QuadratureReport:
-    """The rule at the order and at its half, divided by scale, on each
-    patch's node coefficients (N, 2^dim) split by order (_Stack.split), one
-    tensordot per patch and order. The error estimate is the distance
-    between the two."""
-    full, half = (
-        sum((np.tensordot(st.weights[od], v[od], axes=1) for st, v in zip(stacks, values)), 0.0)
-        for od in (order, max(order // 2, 1))
-    )
+def _report(st: _Stack, order: int, values, dim: int, scale: float) -> QuadratureReport:
+    """The rule at the order and at its half, divided by scale, on the node
+    coefficients (N, 2^dim) split by order (_Stack.split), one tensordot per
+    order. The error estimate is the distance between the two."""
+    full, half = (np.tensordot(st.weights[od], values[od], axes=1) for od in (order, max(order // 2, 1)))
     value = Multivector(dim, full / scale)
-    nodes = sum(st.weights[order].size for st in stacks)
-    return QuadratureReport(value, float(np.linalg.norm(full - half)) / scale, nodes)
+    return QuadratureReport(value, float(np.linalg.norm(full - half)) / scale, st.weights[order].size)
 
 
 # -- sections ---------------------------------------------------------------
@@ -267,7 +247,7 @@ def cauchy_integrals(
     representative f(y) in y's chart for y inside the bounded subdomain. The
     error estimate is the distance to the half-order integral.
 
-    The requests share one pass per patch: node geometry over the nodes of
+    The requests share one pass: node geometry over the nodes of
     every order they use (each order and its half), C_M(x, y) n(x) once per
     target, section values once per section and their product once per
     (target, section) pair, each over only the orders that its target,
@@ -285,19 +265,18 @@ def cauchy_integrals(
         for used in (uses[0][ty], uses[1][f], uses[2][ty, f]):
             used.update((od, max(od // 2, 1)))
     by_target, by_section, by_pair = ({k: sorted(u) for k, u in d.items()} for d in uses)
-    stacks, prods = _stacks(m, s, sorted(set().union(*by_pair.values()))), defaultdict(list)
-    for st in stacks:
-        pts, normal, kern, vals = st.geo.point, normal_sign * st.geo.normal, {}, {}
-        for ty, used in by_target.items():
-            rows = st.take(used)
-            kn = kernel_CM(m, ManifoldPoint(pts.chart, pts.coord[rows]), targets[ty]).coeffs
-            kern[ty] = st.split(used, gp_batch(dim, kn, vectors(normal[rows], dim)))
-        for f, used in by_section.items():
-            vals[f] = st.split(used, f.value_at(ManifoldPoint(pts.chart, pts.coord[st.take(used)])))
-        for (ty, f), used in by_pair.items():
-            kn, fv = (np.concatenate([blocks[od] for od in used]) for blocks in (kern[ty], vals[f]))
-            prods[ty, f].append(st.split(used, gp_batch(dim, kn, fv)))
-    return [_report(stacks, od, prods[ty, f], dim, unit_sphere_area(m.n)) for f, ty, od in keyed]
+    st = _stack(m, s, sorted(set().union(*by_pair.values())))
+    pts, normal, kern, vals, prods = st.geo.point, normal_sign * st.geo.normal, {}, {}, {}
+    for ty, used in by_target.items():
+        rows = st.take(used)
+        kn = kernel_CM(m, ManifoldPoint(s.chart, pts.coord[rows]), targets[ty]).coeffs
+        kern[ty] = st.split(used, gp_batch(dim, kn, vectors(normal[rows], dim)))
+    for f, used in by_section.items():
+        vals[f] = st.split(used, f.value_at(ManifoldPoint(s.chart, pts.coord[st.take(used)])))
+    for (ty, f), used in by_pair.items():
+        kn, fv = (np.concatenate([blocks[od] for od in used]) for blocks in (kern[ty], vals[f]))
+        prods[ty, f] = st.split(used, gp_batch(dim, kn, fv))
+    return [_report(st, od, prods[ty, f], dim, unit_sphere_area(m.n)) for f, ty, od in keyed]
 
 
 def cauchy_integral(
@@ -317,7 +296,6 @@ def cauchy_integral(
 
 @dataclass(frozen=True)
 class PlemeljResult:
-    points: ManifoldPoint
     g_plus: tuple[Multivector, ...]
     g_minus: tuple[Multivector, ...]
     g: tuple[Multivector, ...]
@@ -360,17 +338,16 @@ def plemelj_projections(
     """
     if m.n != 2:
         raise SurfaceError("Plemelj projections are implemented for n = 2 curves")
-    if not s.closed or len(s.patches) != 1:
-        raise SurfaceError("need a closed single-patch curve")
-    patch = s.patches[0]
-    (a, b) = patch.bounds[0]
+    if not s.closed:
+        raise SurfaceError("need a closed curve")
+    (a, b) = s.bounds[0]
     period = b - a
     nn = s.quad_order if n_nodes is None else n_nodes
     if nn < 2:
         raise SurfaceError(f"Plemelj projections need at least 2 nodes, got {nn}")
     h = period / nn
     dim = m.n + 1
-    geo = node_geometry(m, s, patch, a + (np.arange(nn)[:, None] + 0.5) * h)
+    geo = node_geometry(m, s, a + (np.arange(nn)[:, None] + 0.5) * h)
     pts = geo.point
 
     gc = g(pts)
@@ -384,7 +361,7 @@ def plemelj_projections(
     nw = vectors(REPRODUCING_NORMAL_SIGN * geo.normal * geo.weight[:, None], dim)
     i, j = np.nonzero(~np.eye(nn, dtype=bool))
     kern = np.zeros((nn, nn, 1 << dim))
-    sources, targets = (ManifoldPoint(patch.chart, pts.coord[idx]) for idx in (j, i))
+    sources, targets = (ManifoldPoint(s.chart, pts.coord[idx]) for idx in (j, i))
     kern[i, j], _ = kernel_CM(m, sources, targets)
     amat = gp_batch(dim, kern, nw[None])
     bvec = gp_batch(dim, vectors(geo.tangents[:, :, 0] / geo.weight[:, None] ** 2, dim), nw)
@@ -396,7 +373,7 @@ def plemelj_projections(
         a_g - gp_batch(dim, a_w, c) + gp_batch(dim, bvec, d_prime)
     )
     parts = ((gc + cs) * 0.5, (gc - cs) * 0.5, gc)
-    return PlemeljResult(pts, *(tuple(Multivector(dim, v) for v in arr) for arr in parts))
+    return PlemeljResult(*(tuple(Multivector(dim, v) for v in arr) for arr in parts))
 
 
 # -- built-in surface families ----------------------------------------------
@@ -421,8 +398,8 @@ def chart_circle(
     def jac(t):
         return radius * np.stack([-np.sin(t[..., 0]), np.cos(t[..., 0])], axis=-1)[..., None]
 
-    patch = SurfacePatch(chart, ((0.0, 2.0 * np.pi),), param, jac)
-    return Hypersurface((patch,), quad_order, interior or ManifoldPoint(chart, center), closed=True)
+    interior = interior or ManifoldPoint(chart, center)
+    return Hypersurface(chart, ((0.0, 2.0 * np.pi),), param, jac, quad_order, interior, closed=True)
 
 
 def chart_sphere(
@@ -454,5 +431,6 @@ def chart_sphere(
         return radius * np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
 
     eps = 1e-9  # keep clear of the polar parametrization degeneracy
-    patch = SurfacePatch(chart, ((eps, np.pi - eps), (0.0, 2.0 * np.pi)), param, jac)
-    return Hypersurface((patch,), quad_order, interior or ManifoldPoint(chart, center), closed=True)
+    bounds = ((eps, np.pi - eps), (0.0, 2.0 * np.pi))
+    interior = interior or ManifoldPoint(chart, center)
+    return Hypersurface(chart, bounds, param, jac, quad_order, interior, closed=True)

@@ -47,15 +47,15 @@ class Chart:
 class GluedManifold:
     n: int
     r: float
-    charts: tuple[Chart, ...]
+    charts: tuple[Chart, Chart]
     # falsification control: added to the weight exponent of every chart map
     weight_shift: int = 0
 
     def __post_init__(self):
         if not self.r > 1.0:
             raise ManifoldError("gluing radius r must exceed 1")
-        if len(self.charts) < 2:
-            raise ManifoldError("need at least two charts")
+        if len(self.charts) != 2:
+            raise ManifoldError("need exactly two charts")
 
     def chart(self, j: int) -> Chart:
         return self.charts[j - 1]

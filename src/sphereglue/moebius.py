@@ -18,7 +18,6 @@ dimension of the manifold the map serves, also when the algebra is Cl_{n+1}.
 """
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -289,7 +288,7 @@ def cauchy_kernel_G(x, n: int, dim: int | None = None) -> np.ndarray:
     return vectors(x / r**n, dim if dim is not None else x.shape[-1])
 
 
-def covariance_residual(psi: VahlenMap, x, y, px, py, weight_exponent_shift: int = 0):
+def covariance_residual(psi: VahlenMap, x, y, px, py):
     """|| G(px - py) - sgn * J(psi,y)^{-1} G(x-y) (~J(psi,x))^{-1} || with
     px = psi(x), py = psi(y): the Moebius covariance of the Cauchy kernel,
     one residual per pair for point arrays (..., k).
@@ -299,32 +298,23 @@ def covariance_residual(psi: VahlenMap, x, y, px, py, weight_exponent_shift: int
     identity with an overall minus sign. The reversion sits on the weight at
     x; on maps whose weights have grade <= 1 either placement holds, on
     compositions with even-grade weights only this one does.
-
-    weight_exponent_shift perturbs only the exponent inside the J factors
-    (leaving the kernel exponent alone); nonzero values are falsification
-    controls and must make the residual large.
     """
     m = psi.kernel_exponent
     k = psi.ambient_dim
     lhs = cauchy_kernel_G(np.subtract(px, py), m, k)
-    psi_w = psi
-    if weight_exponent_shift:
-        psi_w = dataclasses.replace(psi, kernel_exponent=m + weight_exponent_shift)
-    jy_inv = clifford_group_inverse(k, weight_J(psi_w, y))
-    jx_inv = clifford_group_inverse(k, reversion(k, weight_J(psi_w, x)))
+    jy_inv = clifford_group_inverse(k, weight_J(psi, y))
+    jx_inv = clifford_group_inverse(k, reversion(k, weight_J(psi, x)))
     mid = cauchy_kernel_G(np.subtract(x, y), m, k)
     sgn = np.where(psi.pseudo_determinant > 0, 1.0, -1.0)[..., None]
     diff = lhs - sgn * gp_batch(k, gp_batch(k, jy_inv, mid), jx_inv)
     return np.sqrt((diff * diff).sum(-1))
 
 
-def cayley_embed(x, n: int | None = None) -> np.ndarray:
+def cayley_embed(x, n: int) -> np.ndarray:
     """Closed form of the Cayley image of points x of shape (..., n): the
     unit-sphere points (-2x + (||x||^2 - 1) e_{n+1}) / (||x||^2 + 1). Agrees
-    with apply(cayley(n), x).points; INFINITY maps to e_{n+1} (pass n for it)."""
+    with apply(cayley(n), x).points; INFINITY maps to e_{n+1}."""
     if is_infinity(x):
-        if n is None:
-            raise VahlenError("n required to embed the point at infinity")
         out = np.zeros(n + 1)
         out[n] = 1.0
         return out

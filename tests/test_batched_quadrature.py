@@ -158,7 +158,7 @@ def _neck_contour(m2):
     """A chart-1 circle inside the neck and one of its Gauss nodes."""
     s = chart_circle(m2, 1, np.zeros(2), 1.5, 16)
     t0 = np.pi * np.polynomial.legendre.leggauss(16)[0][3] + np.pi
-    return s, s.patches[0].param(np.array([[t0]]))[0]
+    return s, s.param(np.array([[t0]]))[0]
 
 
 def test_diagonal_error_same_chart_and_through_neck():

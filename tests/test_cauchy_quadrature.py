@@ -1,6 +1,6 @@
 """cauchy_integrals: many Cauchy integrals over one surface in one pass.
 
-One call evaluates node geometry per patch, the kernel per target, values per
+One call evaluates node geometry once, the kernel per target, values per
 section and their product per (target, section) pair, each over the nodes of
 the orders it uses; every integral it gives must equal a standalone
 cauchy_integral bit for bit. The call counts pin what verify-cauchy shares,
@@ -77,10 +77,10 @@ class Counts:
         self.nodes = {"geometry": [], "kernel": [], "section": []}
         geometry, kernel, value_at = integration.node_geometry, integration.kernel_CM, Section.value_at
 
-        def count_geometry(m, s, patch, t):
+        def count_geometry(m, s, t):
             self.geometry += 1
             self.nodes["geometry"].append(len(t))
-            return geometry(m, s, patch, t)
+            return geometry(m, s, t)
 
         def count_kernel(m, x, y):
             self.kernel += 1

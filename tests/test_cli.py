@@ -91,7 +91,7 @@ def test_pullback_fd_check_fails_with_a_wrong_weight_exponent(n):
             f = g_translate(pole, n=k, dim_alg=k)
             x = _draw_accepted(rng, 5, -1.8, 1.8, k, _stencil_samples(right, f, 1e-4))
             for name, pb in (("right", right), ("wrong", wrong)):
-                resid = dirac_left_fd(moebius_pullback(pb, f, dim_in=k), x, 1e-4)
+                resid = dirac_left_fd(moebius_pullback(pb, f), x, 1e-4)
                 worst[name] = max(worst[name], float(np.linalg.norm(resid, axis=-1).max()))
         assert worst["right"] <= 1e-5 < worst["wrong"], (seed, worst)
 
@@ -298,6 +298,15 @@ def test_negative_seed_flag_is_a_config_error(capsys, command):
     """--seed -1 overrides a valid config and is rejected like seed=-1."""
     assert main([command, "--seed", "-1"]) == 2
     assert capsys.readouterr().err == "config error: seed must be >= 0\n"
+
+
+def test_unwritable_out_is_a_config_error(tmp_path, capsys):
+    """A report path in a missing directory exits 2 with one config-error
+    line instead of a traceback."""
+    out = tmp_path / "missing" / "report.txt"
+    assert main(["verify-kernel", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1, err
 
 
 def test_verify_cauchy_scaled_chart1(tmp_path):

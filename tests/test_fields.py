@@ -150,7 +150,7 @@ def test_pullback_preserves_monogenicity_cayley_ambient(n):
     """The Cayley matrix as a Moebius map of R^{n+1} (exponent n+1)."""
     cay = dataclasses.replace(cayley(n), kernel_exponent=n + 1)
     f = g_translate(np.array([3.0] + [0.0] * n), n=n + 1, dim_alg=n + 1)
-    pb = moebius_pullback(cay, f, dim_in=n + 1)
+    pb = moebius_pullback(cay, f)
     rng = np.random.default_rng(3)
     checked = 0
     while checked < 10:

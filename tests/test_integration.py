@@ -1,5 +1,6 @@
 """Surface quadrature, the Cauchy integral formula, sections, and the
 Plemelj projections."""
+import dataclasses
 import functools
 import re
 
@@ -11,7 +12,6 @@ from sphereglue.fields import CliffordField, DomainError, constant_field, dirac_
 from sphereglue.integration import (
     Hypersurface,
     SurfaceError,
-    SurfacePatch,
     _gauss_nodes,
     cauchy_integral,
     chart_circle,
@@ -52,11 +52,8 @@ def test_omega_n():
 def _measure(m, s):
     """The embedded surface measure of s at its quadrature order: the rule
     weights times the sqrt-Gram weights of the nodes."""
-    total = 0.0
-    for patch in s.patches:
-        t, w = _gauss_nodes(patch.bounds, s.quad_order)
-        total += w @ node_geometry(m, s, patch, t).weight
-    return total
+    t, w = _gauss_nodes(s.bounds, s.quad_order)
+    return w @ node_geometry(m, s, t).weight
 
 
 def test_great_circle_measure(m2):
@@ -93,12 +90,11 @@ def test_equator_normal_bounding_south_cap(m2):
     """Cap around -e3: at embedded point (1,0,0) the outward normal is
     (0,0,1)."""
     s = chart_circle(m2, 1, np.zeros(2), 1.0, 16, interior=ManifoldPoint(1, np.zeros(2)))
-    patch = s.patches[0]
     # chart coordinate (-1, 0) embeds to (1, 0, 0)
     t = np.array([[np.pi]])
-    u = embed(m2, ManifoldPoint(1, patch.param(t)[0]))
+    u = embed(m2, ManifoldPoint(1, s.param(t)[0]))
     assert np.allclose(u, [1, 0, 0], atol=1e-12)
-    nrm = node_geometry(m2, s, patch, t).normal[0]
+    nrm = node_geometry(m2, s, t).normal[0]
     assert np.allclose(nrm, [0, 0, 1], atol=1e-12)
 
 
@@ -109,11 +105,10 @@ def test_equator_normal_bounding_south_cap(m2):
 )
 def test_normal_orthogonality(m2):
     s = chart_circle(m2, 1, np.array([0.2, -0.1]), 2.5, 16, interior=ManifoldPoint(1, np.zeros(2)))
-    patch = s.patches[0]
     for t in np.linspace(0, 2 * np.pi, 9)[:-1]:
         tv = np.array([[t]])
-        nrm = node_geometry(m2, s, patch, tv).normal[0]
-        u = embed(m2, ManifoldPoint(1, patch.param(tv)[0]))
+        nrm = node_geometry(m2, s, tv).normal[0]
+        u = embed(m2, ManifoldPoint(1, s.param(tv)[0]))
         # the embedded chart-1 picture is a sphere about the origin or the
         # coordinate plane x_{n+1} = 0
         axis = u if m2.chart(1).has_sphere else np.array([0.0, 0.0, 1.0])
@@ -121,8 +116,8 @@ def test_normal_orthogonality(m2):
         assert abs(nrm @ axis) <= 1e-12  # tangent to the embedded manifold
         h = 1e-6
         du = (
-            embed(m2, ManifoldPoint(1, patch.param(tv + h)[0]))
-            - embed(m2, ManifoldPoint(1, patch.param(tv - h)[0]))
+            embed(m2, ManifoldPoint(1, s.param(tv + h)[0]))
+            - embed(m2, ManifoldPoint(1, s.param(tv - h)[0]))
         ) / (2 * h)
         assert abs(nrm @ du / np.linalg.norm(du)) <= 1e-9
 
@@ -327,11 +322,10 @@ def test_plemelj_mixed_data_partition(m2):
 def _plemelj_g_minus_per_target(m, s, g, nn):
     """Reference: the regularized singular integral summed separately for
     each target node, with its own FFT derivative of the subtracted data."""
-    patch = s.patches[0]
-    (a, b) = patch.bounds[0]
+    (a, b) = s.bounds[0]
     h = (b - a) / nn
-    geo = node_geometry(m, s, patch, a + (np.arange(nn)[:, None] + 0.5) * h)
-    pts = [ManifoldPoint(patch.chart, c) for c in geo.point.coord]
+    geo = node_geometry(m, s, a + (np.arange(nn)[:, None] + 0.5) * h)
+    pts = [ManifoldPoint(s.chart, c) for c in geo.point.coord]
     gvals = g(geo.point)
     unit_sec = section_from_germ(m, constant_field(np.eye(8)[0], 2))
     wsec = [unit_sec.value_at(p).coeffs for p in pts]
@@ -368,13 +362,15 @@ def test_plemelj_matches_per_target_sum(m2, nn, data):
 
 
 def test_plemelj_requires_closed_curve(m2):
-    patch = SurfacePatch(
+    s = Hypersurface(
         1,
         ((0.0, np.pi),),
         lambda t: 3.0 * np.array([np.cos(t[0]), np.sin(t[0])]),
         lambda t: 3.0 * np.array([[-np.sin(t[0])], [np.cos(t[0])]]),
+        32,
+        ManifoldPoint(1, np.zeros(2)),
+        closed=False,
     )
-    s = Hypersurface((patch,), 32, ManifoldPoint(1, np.zeros(2)), closed=False)
     with pytest.raises(SurfaceError):
         plemelj_projections(m2, s, lambda p: Multivector(3, np.eye(8)[0]))
 
@@ -403,15 +399,14 @@ def test_plemelj_requires_n2(m3):
 def test_degenerate_frame_and_germ_domain_errors_name_the_point(m2):
     """A node whose tangent vanishes, or that sits on the germ's pole, is
     named in the error."""
-    circle = chart_circle(m2, 1, np.zeros(2), 3.0, 8).patches[0]
+    circle = chart_circle(m2, 1, np.zeros(2), 3.0, 8)
     # the tangent vanishes for parameters t <= 1
     jac = lambda t: circle.param_jac(t) * (t[..., None] > 1.0)
-    flat_top = SurfacePatch(1, circle.bounds, circle.param, jac)
-    s = Hypersurface((flat_top,), 8, ManifoldPoint(1, np.zeros(2)), closed=True)
+    flat_top = dataclasses.replace(circle, param_jac=jac)
     t = np.array([[2.0], [0.5], [0.25]])
     node = str(circle.param(t)[1].tolist())
     with pytest.raises(SurfaceError, match=re.escape(f"node {node}")):
-        node_geometry(m2, s, flat_top, t)
+        node_geometry(m2, flat_top, t)
     f = g_translate(np.array([3.0, 0.0]))
     with pytest.raises(DomainError, match=r"point \[3\.0, 0\.0\] outside"):
         f.values(np.array([[1.0, 1.0], [3.0, 0.0]]))

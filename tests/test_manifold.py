@@ -8,6 +8,8 @@ from sphereglue.manifold import (
     BODY,
     INADMISSIBLE,
     NECK,
+    Chart,
+    GluedManifold,
     ManifoldError,
     ManifoldPoint,
     apply_transition,
@@ -38,6 +40,13 @@ def e1(*vals):
 def test_radius_must_exceed_one():
     with pytest.raises(ManifoldError):
         two_spheres(2, 1.0)
+
+
+def test_manifold_needs_exactly_two_charts():
+    """Points, transitions and transfers know only charts 1 and 2."""
+    for charts in ((Chart(True),), (Chart(True), Chart(True), Chart(False))):
+        with pytest.raises(ManifoldError, match="need exactly two charts"):
+            GluedManifold(2, 2.0, charts)
 
 
 # -- classify ----------------------------------------------------------------

@@ -27,7 +27,7 @@ from sphereglue.moebius import (
     weight_J,
     weight_J_rows,
 )
-from sphereglue import cli
+from sphereglue import cli, moebius
 from sphereglue.cli import _admissible_pairs, _draw_accepted, _random_maps
 from sphereglue.manifold import chart_transfer, plane_sphere
 
@@ -234,11 +234,9 @@ def test_kernel_singularity():
 # -- covariance --------------------------------------------------------------
 
 
-def _covariance(psi, x, y, weight_exponent_shift=0):
+def _covariance(psi, x, y):
     x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
-    return covariance_residual(
-        psi, x, y, apply(psi, x).points, apply(psi, y).points, weight_exponent_shift=weight_exponent_shift
-    )
+    return covariance_residual(psi, x, y, apply(psi, x).points, apply(psi, y).points)
 
 
 def test_covariance_identity_map():
@@ -315,18 +313,24 @@ def test_covariance_even_weight_maps(n):
         assert worst <= 1e-12, f"{name}: {worst:.3e}"
 
 
-def test_covariance_detects_wrong_weight_exponent():
+def test_covariance_detects_wrong_weight_exponent(monkeypatch):
     """Shifting the exponent of the J factors alone must break the identity
     by orders of magnitude (the control behind the convention tests)."""
     rng = np.random.default_rng(12)
+    unshifted = moebius.weight_J
     for shift in (-1, 1):
+        monkeypatch.setattr(
+            moebius,
+            "weight_J",
+            lambda psi, x: unshifted(dataclasses.replace(psi, kernel_exponent=psi.kernel_exponent + shift), x),
+        )
         worst = 0.0
         for _ in range(20):
             x = rng.uniform(-1.5, 1.5, 2)
             y = rng.uniform(-1.5, 1.5, 2)
             if np.linalg.norm(x - y) < 0.3:
                 continue
-            worst = max(worst, _covariance(cayley(2), x, y, weight_exponent_shift=shift))
+            worst = max(worst, _covariance(cayley(2), x, y))
         assert worst > 1e-7
 
 
