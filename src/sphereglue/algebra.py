@@ -25,26 +25,16 @@ class NotInvertibleError(AlgebraError):
     pass
 
 
-def _reorder_sign(i: int, j: int) -> int:
-    # Transposition count for moving the generators of blade j past those of
-    # blade i into canonical order, plus one -1 per shared generator (e_k^2=-1).
-    s = 0
-    a = i >> 1
-    while a:
-        s += (a & j).bit_count()
-        a >>= 1
-    s += (i & j).bit_count()
-    return -1 if s & 1 else 1
-
-
 @lru_cache(maxsize=None)
 def _product_tables(dim: int) -> tuple[np.ndarray, np.ndarray]:
     """perm[i, l] = i ^ l and sign[i, l], the sign of blade i times blade
-    i ^ l, so that (a b)[l] = sum_i sign[i, l] a[i] b[i ^ l]."""
-    n = 1 << dim
-    perm = np.arange(n)[:, None] ^ np.arange(n)[None, :]
-    sign = np.array([[_reorder_sign(i, i ^ l) for l in range(n)] for i in range(n)], dtype=np.float64)
-    return perm, sign
+    i ^ l, so that (a b)[l] = sum_i sign[i, l] a[i] b[i ^ l]: one -1 for each
+    transposition that moves the generators of blade i ^ l past those of
+    blade i into order, and one for each shared generator (e_k^2 = -1)."""
+    i = np.arange(1 << dim)[:, None]
+    perm = i ^ i.T
+    swaps = sum((((i >> s) & perm) >> b) & 1 for s in range(dim) for b in range(dim))
+    return perm, np.where(swaps % 2, -1.0, 1.0)
 
 
 @lru_cache(maxsize=None)

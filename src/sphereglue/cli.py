@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
+import os
 import sys
 
 import numpy as np
@@ -104,6 +105,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     for key in ("r", "scale1", "scale2"):
         if not math.isfinite(getattr(cfg, key)):
             raise ValueError(f"{key} must be finite")
+    if cfg.out and (os.path.isdir(cfg.out) or not os.access(os.path.dirname(cfg.out) or ".", os.W_OK)):
+        raise ValueError(f"cannot write {cfg.out!r}: a directory, or its directory is missing or read-only")
     if cfg.seed < 0:
         raise ValueError("seed must be >= 0")
     if cfg.order < 4:

@@ -9,14 +9,14 @@ and orthogonal to the surface, oriented outward from the bounded subdomain.
 
 Everything is evaluated over whole node arrays: a surface's parametrization,
 node geometry, sections, germs and the kernel take arrays of shape (N, ...)
-and return coefficient arrays (N, 2^(n+1)), which the rule sums at once. The
-Plemelj kernel matrix is filled by one kernel call over all off-diagonal
-node pairs. Every check of the one-point path (diagonal, admissibility,
-germ domain, degenerate frame, singular weight) applies to every node.
+and return coefficient arrays (N, 2^(n+1)), which the rule sums at once.
+Every check of the one-point path (diagonal, admissibility, germ domain,
+degenerate frame, singular weight) applies to every node and node pair.
 cauchy_integrals stacks the nodes of every order it needs (each order and
-its half) and takes their geometry from one node_geometry call;
-it evaluates kernels per target, values per section and products per
-(target, section) pair over only the orders each one uses.
+its half), takes their geometry from one node_geometry call and evaluates
+each kernel, section and product over only the orders it uses. The Plemelj
+kernel embeds each node once and holds the (N, N) node pairs as one real
+matrix per grade-1 blade.
 
 Sign convention: with e_j^2 = -1 the reproducing pairing uses the inward
 normal; cauchy_integral applies REPRODUCING_NORMAL_SIGN to the outward
@@ -32,9 +32,9 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .algebra import Multivector, clifford_group_inverse, gp_batch, vectors
+from .algebra import Multivector, _product_tables, clifford_group_inverse, gp_batch, vectors
 from .fields import CliffordField, constant_field
-from .kernel import kernel_CM
+from .kernel import _kernel_pairs, kernel_CM
 from .manifold import (
     INADMISSIBLE,
     GluedManifold,
@@ -280,11 +280,7 @@ def cauchy_integrals(
 
 
 def cauchy_integral(
-    m: GluedManifold,
-    s: Hypersurface,
-    f: Section,
-    y: ManifoldPoint,
-    order: int | None = None,
+    m: GluedManifold, s: Hypersurface, f: Section, y: ManifoldPoint, order: int | None = None,
     normal_sign: float = REPRODUCING_NORMAL_SIGN,
 ) -> QuadratureReport:
     """The one-request case of cauchy_integrals."""
@@ -311,10 +307,7 @@ def _fft_derivative(values: np.ndarray, period: float) -> np.ndarray:
 
 
 def plemelj_projections(
-    m: GluedManifold,
-    s: Hypersurface,
-    g: Callable[[ManifoldPoint], np.ndarray],
-    n_nodes: int | None = None,
+    m: GluedManifold, s: Hypersurface, g: Callable[[ManifoldPoint], np.ndarray], n_nodes: int | None = None
 ) -> PlemeljResult:
     """Discrete Hardy-space splitting g = g_plus + g_minus on a smooth closed
     curve (n = 2), with g_plus the approximate trace of the interior Cauchy
@@ -328,13 +321,14 @@ def plemelj_projections(
     relation, and the remaining integrand is smooth and periodic, so the
     trapezoid rule is spectrally accurate once the removable diagonal value
     is filled in from the FFT derivative of the data. The regularized sum is
-    linear in c_i, so every target shares one kernel matrix and two FFT
-    derivatives:
+    linear in c_i, so every target shares one kernel fill and one FFT of [g | W]:
 
         C_S g = g + (2h / omega_n) [A g - (A W) c + B (g' - W' c)]
 
-    with A_ij = C_M(x_j, x_i) n_j |u'_j| off the diagonal and zero on it, and
-    B_i = u'_i n_i / |u'_i| the diagonal limit (G ~ u'/(s |u'|^2), data ~ s d').
+    with A_ij = C_M(x_j, x_i) n_j |u'_j| off the diagonal and zero on it, applied
+    by blades as sum_b e_b K^b h, K^b the real (N, N) matrix of blade b and
+    h_j = n_j |u'_j| g_j, and B_i = u'_i n_i / |u'_i| the diagonal limit (G ~
+    u'/(s |u'|^2), data ~ s d').
     """
     if m.n != 2:
         raise SurfaceError("Plemelj projections are implemented for n = 2 curves")
@@ -359,18 +353,18 @@ def plemelj_projections(
     c = gp_batch(dim, clifford_group_inverse(dim, wc), gc)
 
     nw = vectors(REPRODUCING_NORMAL_SIGN * geo.normal * geo.weight[:, None], dim)
-    i, j = np.nonzero(~np.eye(nn, dtype=bool))
-    kern = np.zeros((nn, nn, 1 << dim))
-    sources, targets = (ManifoldPoint(s.chart, pts.coord[idx]) for idx in (j, i))
-    kern[i, j], _ = kernel_CM(m, sources, targets)
-    amat = gp_batch(dim, kern, nw[None])
+    x, off = pts.coord, ~np.eye(nn, dtype=bool)
+    kb, _ = _kernel_pairs(m, ManifoldPoint(s.chart, x[None]), ManifoldPoint(s.chart, x[:, None]), off)
+    # K^b h for h = n |u'| [g | W] at once, then A = sum_b e_b K^b with e_b from the product table
+    kh = np.moveaxis(kb, -1, 0) @ gp_batch(dim, nw[:, None], np.stack([gc, wc], axis=1)).reshape(nn, -1)
+    kh = kh.reshape(dim, nn, 2, 1 << dim)
+    perm, sign = _product_tables(dim)
+    a_g, a_w = np.moveaxis(sum(sign[1 << bl] * kh[bl][..., perm[1 << bl]] for bl in range(dim)), 1, 0)
     bvec = gp_batch(dim, vectors(geo.tangents[:, :, 0] / geo.weight[:, None] ** 2, dim), nw)
 
-    a_g = gp_batch(dim, amat, gc[None]).sum(axis=1)
-    a_w = gp_batch(dim, amat, wc[None]).sum(axis=1)
-    d_prime = _fft_derivative(gc, period) - gp_batch(dim, _fft_derivative(wc, period), c)
+    dg, dw = np.split(_fft_derivative(np.hstack([gc, wc]), period), 2, axis=1)
     cs = gc + (2.0 * h / unit_sphere_area(m.n)) * (
-        a_g - gp_batch(dim, a_w, c) + gp_batch(dim, bvec, d_prime)
+        a_g - gp_batch(dim, a_w, c) + gp_batch(dim, bvec, dg - gp_batch(dim, dw, c))
     )
     parts = ((gc + cs) * 0.5, (gc - cs) * 0.5, gc)
     return PlemeljResult(*(tuple(Multivector(dim, v) for v in arr) for arr in parts))

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import gp_batch
+from .algebra import gp_batch, vectors
 from .manifold import (
     NECK,
     GluedManifold,
@@ -26,7 +26,7 @@ from .manifold import (
     embed,
     equivalent,
 )
-from .moebius import cauchy_kernel_G, covariance_residual, first_point, weight_J
+from .moebius import SingularPointError, covariance_residual, first_point, weight_J
 
 SAME_CHART = "same-chart"
 OVERLAP_REP = "overlap-rep"
@@ -50,7 +50,20 @@ def kernel_CM(m: GluedManifold, x: ManifoldPoint, y: ManifoldPoint) -> KernelVal
     Raises DiagonalError if any pair is equivalent and ManifoldError if any
     point is inadmissible.
     """
-    if np.any(diagonal := equivalent(m, x, y)):
+    base, tag = _kernel_pairs(m, x, y)
+    base = vectors(base, m.n + 1)
+    if x.chart != y.chart:
+        base = gp_batch(m.n + 1, weight_J(chart_transfer(m, x.chart, y.chart), embed(m, y)), base)
+    return KernelValue(base, tag)
+
+
+def _kernel_pairs(m: GluedManifold, x: ManifoldPoint, y: ManifoldPoint, pairs=True):
+    """The pair stage of kernel_CM: the components (..., n+1) of G(E(x) - E(y)),
+    y read in x's chart, and the case tag. Points are classified, carried over
+    and embedded on their own shapes, pairs differenced on the broadcast shape.
+    Pairs where the mask `pairs` is False read zero and skip the diagonal and
+    origin checks."""
+    if np.any(diagonal := equivalent(m, x, y) & pairs):
         xs, ys = (f"{first_point(p.coord, diagonal)} in chart {p.chart}" for p in (x, y))
         raise DiagonalError(f"Cauchy kernel undefined on the diagonal: x = {xs}, y = {ys}")
     j, k = x.chart, y.chart
@@ -61,11 +74,18 @@ def kernel_CM(m: GluedManifold, x: ManifoldPoint, y: ManifoldPoint) -> KernelVal
         tag = np.where(classify(m, y) == NECK, OVERLAP_REP, CROSS_GLUE)
         tag = tag if tag.ndim else str(tag)
         y_in_j = apply_transition(m, y.coord)
-    base = cauchy_kernel_G(embed(m, x) - embed(m, ManifoldPoint(j, y_in_j)), m.n, m.n + 1)
-    if j == k:
-        return KernelValue(base, tag)
-    w = weight_J(chart_transfer(m, j, k), embed(m, y))
-    return KernelValue(gp_batch(m.n + 1, w, base), tag)
+    d = embed(m, x) - embed(m, ManifoldPoint(j, y_in_j))
+    # G(d) = d / |d|^n in place, as moebius.cauchy_kernel_G, one blade at a time
+    r = np.zeros(d.shape[:-1])
+    for b in range(m.n + 1):
+        r += d[..., b] * d[..., b]
+    np.sqrt(r, out=r)
+    if ((r == 0.0) & pairs).any():
+        raise SingularPointError("Cauchy kernel singular at the origin")
+    r **= m.n
+    np.copyto(r, np.inf, where=~np.asarray(pairs))
+    d /= r[..., None]
+    return d, tag
 
 
 def overlap_consistency_residual(m: GluedManifold, x: ManifoldPoint, y: ManifoldPoint):

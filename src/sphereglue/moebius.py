@@ -37,13 +37,6 @@ from .algebra import (
 class _Infinity:
     """The distinguished point of the one-point compactification."""
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
     def __repr__(self):
         return "INFINITY"
 

@@ -309,6 +309,21 @@ def test_unwritable_out_is_a_config_error(tmp_path, capsys):
     assert err.startswith("config error: ") and err.count("\n") == 1, err
 
 
+def test_unwritable_out_exits_before_the_suite_runs(tmp_path, capsys, monkeypatch):
+    """The report path is checked before any work: a path in a missing
+    directory, or a directory itself, exits 2 with one config-error line and
+    the suite is never called."""
+
+    def suite(cfg):
+        raise AssertionError("the suite ran before the --out check")
+
+    monkeypatch.setitem(cli.COMMANDS, "verify-kernel", suite)
+    for out in (tmp_path / "missing" / "report.txt", tmp_path):
+        assert main(["verify-kernel", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1, err
+
+
 def test_verify_cauchy_scaled_chart1(tmp_path):
     cfg = tmp_path / "scaled.cfg"
     cfg.write_text("scale1=1.5\n")

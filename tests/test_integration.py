@@ -3,6 +3,8 @@ Plemelj projections."""
 import dataclasses
 import functools
 import re
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from sphereglue.integration import (
     section_from_germ,
     unit_sphere_area,
 )
-from sphereglue.kernel import kernel_CM
+from sphereglue.kernel import DiagonalError, kernel_CM
 from sphereglue.manifold import ManifoldPoint, embed, plane_sphere, two_spheres
 from sphereglue.moebius import cauchy_kernel_G, cayley, weight_J
 
@@ -351,14 +353,79 @@ def _plemelj_g_minus_per_target(m, s, g, nn):
     return out
 
 
-@pytest.mark.parametrize("nn", [16, 32])
-@pytest.mark.parametrize("data", ["section", "mixed"])
-def test_plemelj_matches_per_target_sum(m2, nn, data):
-    g = section_from_germ(m2, _germ(m2)).value_at if data == "section" else _mixed_data
-    s = _surf(m2, 3.0, nn)
-    res = plemelj_projections(m2, s, g, n_nodes=nn)
-    ref = _plemelj_g_minus_per_target(m2, s, g, nn)
+# the three n = 2 manifolds that hardy accepts: both kinds, and a scaled chart 1
+_PLEMELJ_MANIFOLDS = {
+    "two_spheres": lambda: two_spheres(2, 2.0),
+    "scale1": lambda: two_spheres(2, 2.0, (1.5, 1.0)),
+    "plane_sphere": lambda: plane_sphere(2, 2.0),
+}
+
+
+_PER_TARGET_CASES = [(d, nn, k) for k in _PLEMELJ_MANIFOLDS for nn in (16, 32) for d in ("section", "mixed")]
+
+
+# two_spheres cases keep their bare ids, e.g. [mixed-16]; the others append the manifold
+@pytest.mark.parametrize(
+    "data, nn, kind",
+    _PER_TARGET_CASES,
+    ids=[f"{d}-{nn}" + ("" if k == "two_spheres" else f"-{k}") for d, nn, k in _PER_TARGET_CASES],
+)
+def test_plemelj_matches_per_target_sum(data, nn, kind):
+    m = _PLEMELJ_MANIFOLDS[kind]()
+    g = section_from_germ(m, _germ(m)).value_at if data == "section" else _mixed_data
+    s = _surf(m, 3.0, nn)
+    res = plemelj_projections(m, s, g, n_nodes=nn)
+    ref = _plemelj_g_minus_per_target(m, s, g, nn)
     assert max((res.g_minus[i] - ref[i]).norm() for i in range(nn)) <= 1e-13
+
+
+def test_plemelj_coincident_nodes_raise(m2):
+    """A circle traversed twice puts node j + N/2 on node j. The kernel is
+    filled from per-node data, yet every off-diagonal pair is still checked:
+    the coincident pair raises and names the point."""
+    nn, h = 16, 2.0 * np.pi / 16
+    s = Hypersurface(
+        1,
+        ((0.0, 2.0 * np.pi),),
+        lambda t: 3.0 * np.stack([np.cos(2.0 * t[..., 0]), np.sin(2.0 * t[..., 0])], axis=-1),
+        lambda t: 6.0 * np.stack([-np.sin(2.0 * t[..., 0]), np.cos(2.0 * t[..., 0])], axis=-1)[..., None],
+        nn,
+        ManifoldPoint(1, np.zeros(2)),
+        closed=True,
+    )
+    first = s.param(np.array([[0.5 * h]]))[0].tolist()
+    with pytest.raises(DiagonalError, match=re.escape(f"y = {first} in chart 1")):
+        plemelj_projections(m2, s, section_from_germ(m2, _germ(m2)).value_at)
+
+
+@pytest.mark.parametrize("kind", ["two_spheres", "plane_sphere"])
+def test_plemelj_at_rounding_for_large_n(kind):
+    """Once resolved, the splitting of a monogenic trace is exact to rounding."""
+    m = _PLEMELJ_MANIFOLDS[kind]()
+    sec = section_from_germ(m, _germ(m))
+    for nn in (256, 512):
+        res = plemelj_projections(m, _surf(m, 3.0, nn), sec.value_at)
+        assert max(v.norm() for v in res.g_minus) <= 1e-14, nn
+
+
+def test_plemelj_operator_size_at_1024(m2):
+    """At N = 1024 the largest array holds the kernel's 3 N^2 grade-1
+    components: the traced allocation peak stays below one (N, N, 8) array,
+    and the projections run in a fraction of a second."""
+    nn = 1024
+    sec, s = section_from_germ(m2, _germ(m2)), _surf(m2, 3.0, nn)
+    start = time.perf_counter()
+    res = plemelj_projections(m2, s, sec.value_at)
+    seconds = time.perf_counter() - start
+    tracemalloc.start()
+    try:
+        plemelj_projections(m2, s, sec.value_at)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 3 * nn * nn * 8 <= peak < nn * nn * 8 * 8, peak
+    assert max(v.norm() for v in res.g_minus) <= 1e-14
+    assert seconds < 0.6, seconds
 
 
 def test_plemelj_requires_closed_curve(m2):
