@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import os
 import sys
@@ -82,10 +83,12 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
     if args.config:
         for key, val in parse_config_file(args.config).items():
-            if key in _INT_KEYS:
-                setattr(cfg, key, int(val))
-            elif key in _FLOAT_KEYS:
-                setattr(cfg, key, float(val))
+            if key in _INT_KEYS or key in _FLOAT_KEYS:
+                convert, what = (int, "an integer") if key in _INT_KEYS else (float, "a number")
+                try:
+                    setattr(cfg, key, convert(val))
+                except ValueError:
+                    raise ValueError(f"{key} must be {what}, got {val!r}") from None
             elif key in ("kind", "out"):
                 setattr(cfg, key, val)
             else:
@@ -193,22 +196,96 @@ def _random_maps(rng, n: int, count: int, corrupt: bool = False):
     return maps
 
 
-def _draw_accepted(rng, count: int, low: float, high: float, width: int, judge) -> np.ndarray:
-    """`count` rows uniform in [low, high)^width, as a loop drawing and judging
-    one row at a time finds them. judge(rows) returns per row whether it is
-    accepted and whether that loop would raise VahlenError on it. A block
-    holds only as many rows as are still missing, so the loop would reach
-    every row of it up to the first raising one, and the generator advances
-    exactly as in that loop until something raises."""
+def _accept(rows, accepted, raising, count: int):
+    """How a loop judging one row at a time, still `count` accepted rows
+    short, reads judged rows: the number of rows it reads (all of them, unless
+    it reaches the count-th accepted row first) and the accepted rows among
+    them. Raises VahlenError if it reads a raising row."""
+    read = min(int(np.searchsorted(np.cumsum(accepted), count)) + 1, len(rows))
+    if raising[:read].any():
+        raise VahlenError("invalid Vahlen coefficients: image is not grade-1")
+    return read, rows[:read][accepted[:read]]
+
+
+def _draw_accepted(draw, count: int, judge) -> np.ndarray:
+    """`count` rows, as a loop drawing and judging one row at a time finds
+    them; draw(m) returns the next m candidate rows. judge(rows) returns per
+    row whether it is accepted and whether that loop would raise VahlenError
+    on it. A block holds only as many rows as are still missing, so the loop
+    would reach every row of it up to the first raising one, and the rows are
+    drawn exactly as in that loop until something raises."""
     kept = []
     while count:
-        rows = rng.uniform(low, high, (count, width))
-        accepted, raising = judge(rows)
-        if raising.any():
-            raise VahlenError("invalid Vahlen coefficients: image is not grade-1")
-        kept.append(rows[accepted])
-        count -= int(accepted.sum())
+        rows = draw(count)
+        _, got = _accept(rows, *judge(rows), count)
+        kept.append(got)
+        count -= len(got)
     return np.concatenate(kept)
+
+
+# Rows each later map's speculative window holds beyond its five
+_SLACK = 4
+
+
+def _stacks(maps) -> dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]:
+    """Per (ambient_dim, kernel_exponent), in pool order: the indices of its
+    maps and their coefficients (maps, 2, 2, 2^k)."""
+    groups: dict[tuple[int, int], list] = {}
+    for i, psi in enumerate(maps):
+        groups.setdefault((psi.ambient_dim, psi.kernel_exponent), []).append(i)
+    return {key: (np.array(idx), np.array([maps[i].coeffs for i in idx])) for key, idx in groups.items()}
+
+
+def _draw_pool(rng, maps, n: int) -> np.ndarray:
+    """The five covariance pairs (maps, 5, 2n) of every map: the rows that
+    _draw_accepted with rows uniform in [-2, 2)^2n and _admissible_pairs(psi, n)
+    returns when called map after map, with the generator left as that loop
+    leaves it until something raises, and VahlenError exactly when it raises.
+
+    The first pending map is judged alone from its real start, block by
+    block. Every later map is judged, in one call per (k, exponent) stack, on
+    a speculative window: the five rows it would start at if every map before
+    it accepted its first block, and _SLACK more, within the rows the loop is
+    sure to draw. Read in pool order from each map's real start, a window
+    gives that map's pairs unless the map's real window runs past it; that
+    map becomes the next pending one."""
+    width, count = 2 * n, len(maps)
+    stream, start, pairs = np.empty((0, width)), 0, []
+
+    def through(end: int) -> np.ndarray:  # the stream, drawn through row `end`
+        nonlocal stream
+        if end > len(stream):
+            stream = np.concatenate((stream, rng.uniform(-2.0, 2.0, (end - len(stream), width))))
+        return stream
+
+    def draw(rows: int) -> np.ndarray:
+        nonlocal start
+        start += rows
+        return through(start)[start - rows : start]
+
+    stacks = _stacks(maps).items()
+    while len(pairs) < count:
+        pairs.append(_draw_accepted(draw, 5, _admissible_pairs(maps[len(pairs)], n)))
+        first, later = len(pairs), count - len(pairs)
+        end = start + 5 * later  # every later map reads at least five rows
+        spec = start + 5 * np.arange(later)
+        idx = np.minimum(spec[:, None] + np.arange(5 + _SLACK), end - 1)
+        judged = np.minimum(5 + _SLACK, end - spec)
+        rows = through(end)[idx]
+        accepted, raising = np.empty((2, *idx.shape), dtype=bool)
+        for (_, m), (members, coeffs) in stacks:
+            if (pending := members >= first).any():
+                at = members[pending] - first
+                judge = _admissible_pairs(VahlenMap(coeffs[pending][:, None], m), n)
+                accepted[at], raising[at] = judge(rows[at])
+        for j in range(later):
+            window = slice(start - spec[j], judged[j])
+            read, got = _accept(rows[j, window], accepted[j, window], raising[j, window], 5)
+            if len(got) < 5:
+                break
+            pairs.append(got)
+            start += read
+    return np.array(pairs)
 
 
 def _admissible_pairs(psi, n: int):
@@ -217,7 +294,7 @@ def _admissible_pairs(psi, n: int):
     k, (_, _, c, d) = psi.ambient_dim, psi.rows
 
     def judge(rows):
-        x, y = rows[:, :n], rows[:, n:]
+        x, y = rows[..., :n], rows[..., n:]
         apart = np.linalg.norm(x - y, axis=-1) >= 0.2
         img = apply(psi, np.stack((x, y)), raise_invalid=False)
         px, py = img.points
@@ -245,6 +322,18 @@ def _stencil_samples(psi, f, h: float):
         return accepted, ~centre.valid
 
     return judge
+
+
+def _pullback_stacks(maps, poles, points):
+    """Per ambient dimension k, the indices of the maps of that k and the
+    finite-difference Dirac residuals (maps, P, 2^k) of the pullbacks of
+    G(x - pole) by them at their points (maps, P, k): one evaluation over a
+    stack (maps, 1, 1, 1, 1) of maps, against the stencils (maps, P, 2, 2, k),
+    with per-map poles. Every map's kernel exponent is its k."""
+    for (k, _), (members, coeffs) in _stacks(maps).items():
+        stack = VahlenMap(coeffs[:, None, None, None, None], k)
+        f = g_translate(np.array([poles[i] for i in members])[:, None, None, None, None], n=k, dim_alg=k)
+        yield members, dirac_left_fd(moebius_pullback(stack, f), np.array([points[i] for i in members]), 1e-4)
 
 
 def cmd_verify_algebra(cfg: RunConfig) -> tuple[str, int]:
@@ -278,19 +367,16 @@ def cmd_verify_algebra(cfg: RunConfig) -> tuple[str, int]:
     rep.add("reversion-antiautomorphism", worst_rev, 1e-10)
     rep.add("vector-square", worst_sq, 1e-10)
 
-    # covariance suite: five admissible pairs per map, drawn map by map (they
-    # decide where the next map's draws start), judged per stack of one (k, m)
+    # covariance suite: five admissible pairs per map, drawn as map by map
+    # (each map's accepted rows decide where the next map's draws start) but
+    # judged per stack, then evaluated once per stack of one (k, m)
     maps = _random_maps(rng, cfg.n, 40, corrupt=bool(cfg.corrupt_vahlen))
-    groups: dict[tuple[int, int], list] = {}
     worst_cov = 0.0
     try:
-        for psi in maps:
-            pairs = _draw_accepted(rng, 5, -2.0, 2.0, 2 * cfg.n, _admissible_pairs(psi, cfg.n))
-            groups.setdefault((psi.ambient_dim, psi.kernel_exponent), []).append((psi.coeffs, pairs))
-        for (k, m), members in groups.items():
-            coeffs, pairs = (np.array(t) for t in zip(*members))
+        pairs = _draw_pool(rng, maps, cfg.n)
+        for (k, m), (members, coeffs) in _stacks(maps).items():
             stack = VahlenMap(coeffs[:, None], m)  # (maps, 1, 2, 2, 2^k) against (maps, 5) pairs
-            x, y = pairs[..., : cfg.n], pairs[..., cfg.n :]
+            x, y = pairs[members, :, : cfg.n], pairs[members, :, cfg.n :]
             res = covariance_residual(stack, x, y, *apply(stack, np.stack((x, y))).points)
             base = np.linalg.norm(cauchy_kernel_G(x - y, m, k), axis=-1)
             worst_cov = max(worst_cov, float(np.max(res / np.maximum(base, 1e-30))))
@@ -302,17 +388,18 @@ def cmd_verify_algebra(cfg: RunConfig) -> tuple[str, int]:
 
     # pullback monogenicity suite: each map is used as a Moebius map of its
     # full ambient space (flat-Dirac covariance holds with exponent = ambient
-    # dimension; the Cayley matrix enters as a map of R^{n+1})
-    worst_fd = 0.0
+    # dimension; the Cayley matrix enters as a map of R^{n+1}). Poles, signs
+    # and points are drawn map by map, as they interleave in the generator;
+    # each judge has checked every stencil point, so evaluating afterwards,
+    # once per k over a stack of maps, moves no raise
+    samples = []
     for psi in maps[:10]:
         k = psi.ambient_dim
-        if psi.kernel_exponent != k:
-            psi = dataclasses.replace(psi, kernel_exponent=k)
+        psi = dataclasses.replace(psi, kernel_exponent=k)
         pole = rng.uniform(2.5, 4.0, k) * rng.choice([-1.0, 1.0], k)
-        f = g_translate(pole, n=k, dim_alg=k)
-        x = _draw_accepted(rng, 5, -1.8, 1.8, k, _stencil_samples(psi, f, 1e-4))
-        resid = dirac_left_fd(moebius_pullback(psi, f), x, 1e-4)
-        worst_fd = max(worst_fd, float(np.linalg.norm(resid, axis=-1).max()))
+        judge = _stencil_samples(psi, g_translate(pole, n=k, dim_alg=k), 1e-4)
+        samples.append((psi, pole, _draw_accepted(lambda rows: rng.uniform(-1.8, 1.8, (rows, k)), 5, judge)))
+    worst_fd = max(float(np.linalg.norm(res, axis=-1).max()) for _, res in _pullback_stacks(*zip(*samples)))
     rep.add("pullback-monogenicity-fd", worst_fd, 1e-5)
     return rep.finish()
 
@@ -461,7 +548,9 @@ COMMANDS = {
 }
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(prog="sphereglue")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
@@ -470,7 +559,11 @@ def main(argv=None) -> int:
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--order", type=int, default=None)
         p.add_argument("--out", type=str, default=None)
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         cfg = build_config(args)
     except (ValueError, OSError) as exc:

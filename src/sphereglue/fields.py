@@ -48,14 +48,15 @@ def constant_field(a, dim_in: int) -> CliffordField:
 
 
 def g_translate(a: np.ndarray, n: int | None = None, dim_alg: int | None = None) -> CliffordField:
-    """x -> G(x - a) = (x-a)/||x-a||^n on R^len(a) minus {a}."""
+    """x -> G(x - a) = (x-a)/||x-a||^n on R^m minus {a}, for a pole a of
+    shape (m,), or a stack of poles (..., m) that broadcasts against x."""
     a = np.asarray(a, dtype=np.float64)
     if n is None:
-        n = a.size
+        n = a.shape[-1]
     if dim_alg is None:
-        dim_alg = a.size
+        dim_alg = a.shape[-1]
     return CliffordField(
-        a.size,
+        a.shape[-1],
         dim_alg,
         lambda x: cauchy_kernel_G(x - a, n, dim_alg),
         domain=lambda x: np.sqrt(((x - a) ** 2).sum(-1)) > 1e-12,

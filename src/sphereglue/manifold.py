@@ -145,8 +145,16 @@ def equivalent(m: GluedManifold, p: ManifoldPoint, q: ManifoldPoint):
         both_neck = (classify(m, p) == NECK) & (classify(m, q) == NECK)
         if not np.any(both_neck):
             return False
-    dist, size = (np.sqrt((v * v).sum(-1)) for v in (img - q.coord, img))
-    out = both_neck & (dist <= 1e-10 * np.maximum(1.0, size))
+    # the squared distance summed one component at a time, as kernel._kernel_pairs
+    # does, so no (..., n) difference array over the broadcast shape is formed
+    shape = np.broadcast_shapes(np.shape(img)[:-1], q.coord.shape[:-1])
+    dist, d = np.zeros(shape), np.empty(shape)
+    for j in range(m.n):
+        np.subtract(img[..., j], q.coord[..., j], out=d)
+        d *= d
+        dist += d
+    np.sqrt(dist, out=dist)
+    out = both_neck & (dist <= 1e-10 * np.maximum(1.0, np.sqrt((img * img).sum(-1))))
     return out if np.ndim(out) else bool(out)
 
 

@@ -8,7 +8,10 @@ import pytest
 
 from sphereglue import cli
 from sphereglue.cli import (
+    _admissible_pairs,
     _draw_accepted,
+    _draw_pool,
+    _pullback_stacks,
     _random_maps,
     _stencil_samples,
     build_config,
@@ -89,7 +92,7 @@ def test_pullback_fd_check_fails_with_a_wrong_weight_exponent(n):
             wrong = dataclasses.replace(psi, kernel_exponent=k + 1)
             pole = rng.uniform(2.5, 4.0, k) * rng.choice([-1.0, 1.0], k)
             f = g_translate(pole, n=k, dim_alg=k)
-            x = _draw_accepted(rng, 5, -1.8, 1.8, k, _stencil_samples(right, f, 1e-4))
+            x = _draw_accepted(lambda rows: rng.uniform(-1.8, 1.8, (rows, k)), 5, _stencil_samples(right, f, 1e-4))
             for name, pb in (("right", right), ("wrong", wrong)):
                 resid = dirac_left_fd(moebius_pullback(pb, f), x, 1e-4)
                 worst[name] = max(worst[name], float(np.linalg.norm(resid, axis=-1).max()))
@@ -166,10 +169,10 @@ def test_report_repeats_in_one_process(tmp_path, command):
     assert t1 == t2
 
 
-def _one_row_at_a_time(rng, count, low, high, width, judge):
+def _one_row_at_a_time(draw, count, judge):
     kept = []
     while len(kept) < count:
-        row = rng.uniform(low, high, width)
+        row = draw(1)[0]
         accepted, raising = judge(row[None])
         if raising[0]:
             raise VahlenError("raised")
@@ -190,7 +193,7 @@ def test_draw_accepted_matches_one_row_loop(seed):
     for draw in (_draw_accepted, _one_row_at_a_time):
         rng = np.random.default_rng(seed)
         try:
-            rows = draw(rng, 5, -1.0, 1.0, 2, judge)
+            rows = draw(lambda rows: rng.uniform(-1.0, 1.0, (rows, 2)), 5, judge)
         except VahlenError:
             rows = None
         outcomes.append((rows, rng.uniform()))
@@ -199,6 +202,92 @@ def test_draw_accepted_matches_one_row_loop(seed):
         assert got is None
     else:
         assert np.array_equal(got, want) and after == after_ref
+
+
+def _map_by_map(rng, maps, n):
+    draw = lambda rows: rng.uniform(-2.0, 2.0, (rows, 2 * n))
+    return np.array([_draw_accepted(draw, 5, _admissible_pairs(psi, n)) for psi in maps])
+
+
+def _pool_outcome(draw, seed, n, corrupt_at=None, slack=cli._SLACK):
+    """The rows `draw` returns for verify-algebra's pool at n and seed and the
+    next uniform draw, or None on VahlenError; corrupt_at moves the corrupted
+    map of a corrupt_vahlen pool to that position."""
+    rng = np.random.default_rng(seed)
+    maps = _random_maps(rng, n, 40, corrupt=corrupt_at is not None)
+    if corrupt_at is not None:
+        maps.insert(corrupt_at, maps.pop(0))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_SLACK", slack)
+        try:
+            return draw(rng, maps, n), rng.uniform()
+        except VahlenError:
+            return None
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("seed", range(8))
+def test_pool_draws_match_map_by_map(n, seed):
+    """The pool's rows equal map-by-map _draw_accepted's and leave the
+    generator in the same state, also with no slack, where most windows are
+    re-judged."""
+    got, after = _pool_outcome(_map_by_map, seed, n)
+    for slack in (0, cli._SLACK):
+        pool, pool_after = _pool_outcome(_draw_pool, seed, n, slack=slack)
+        assert np.array_equal(pool, got) and pool_after == after
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_pool_raises_exactly_when_map_by_map_does(n):
+    """Over corrupt_vahlen pools at seeds 0-23, with the corrupted map first
+    (judged alone), in the middle or last (judged in a stack), the pool
+    raises VahlenError exactly when the map-by-map loop does."""
+    for seed, corrupt_at in itertools.product(range(24), (0, 17, 39)):
+        want = _pool_outcome(_map_by_map, seed, n, corrupt_at)
+        got = _pool_outcome(_draw_pool, seed, n, corrupt_at)
+        assert (got is None) == (want is None), (seed, corrupt_at)
+        if want is not None:
+            assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+
+
+def test_pool_judges_each_covariance_suite_in_few_calls(monkeypatch):
+    """At most 8 judge calls per covariance suite over seeds 0-9 at n = 2
+    and 3; judging map by map took 40-43."""
+    calls = []
+
+    def counting(psi, n):
+        judge = _admissible_pairs(psi, n)
+        return lambda rows: calls.append(rows.shape) or judge(rows)
+
+    monkeypatch.setattr(cli, "_admissible_pairs", counting)
+    for n, seed in itertools.product((2, 3), range(10)):
+        calls.clear()
+        _, status = cli.cmd_verify_algebra(cli.RunConfig(n=n, seed=seed))
+        assert status == 0 and 0 < len(calls) <= 8, (n, seed, len(calls))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_pullback_stack_matches_each_map(n):
+    """The residuals of the stacked pullbacks equal each map's own
+    dirac_left_fd bit for bit, at the suite's poles and points."""
+    rng = np.random.default_rng(3)
+    maps, poles, points = [], [], []
+    for psi in _random_maps(rng, n, 10):
+        k = psi.ambient_dim
+        psi = dataclasses.replace(psi, kernel_exponent=k)
+        pole = rng.uniform(2.5, 4.0, k) * rng.choice([-1.0, 1.0], k)
+        judge = _stencil_samples(psi, g_translate(pole, n=k, dim_alg=k), 1e-4)
+        points.append(_draw_accepted(lambda rows: rng.uniform(-1.8, 1.8, (rows, k)), 5, judge))
+        maps.append(psi)
+        poles.append(pole)
+    seen = []
+    for members, resid in _pullback_stacks(maps, poles, points):
+        for i, res in zip(members, resid):
+            k = maps[i].ambient_dim
+            one = dirac_left_fd(moebius_pullback(maps[i], g_translate(poles[i], n=k, dim_alg=k)), points[i], 1e-4)
+            assert np.array_equal(res, one)
+            seen.append(i)
+    assert sorted(seen) == list(range(10)) and len({psi.ambient_dim for psi in maps}) == 2
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -273,6 +362,9 @@ BAD_CONFIGS = [
     ("verify-cauchy", "seed=-1\n", "seed"),
     ("verify-cauchy", "break_weight=-2\n", "break_weight"),
     ("hardy", "n=3\n", "n"),
+    ("verify-algebra", "n=2.0\n", "n"),
+    ("verify-kernel", "r=abc\n", "r"),
+    ("verify-cauchy", "order=\n", "order"),
 ]
 
 
@@ -298,6 +390,24 @@ def test_negative_seed_flag_is_a_config_error(capsys, command):
     """--seed -1 overrides a valid config and is rejected like seed=-1."""
     assert main([command, "--seed", "-1"]) == 2
     assert capsys.readouterr().err == "config error: seed must be >= 0\n"
+
+
+def test_parser_is_reused_across_runs(tmp_path, capsys):
+    """The argument parser is built once per process: a parse error after a
+    successful run exits 2 with the message of a freshly built parser, and
+    two runs in one process give identical reports."""
+    cli._parser.cache_clear()
+    errors = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify-kernel", "--seed", "x"])
+        errors.append((exc.value.code, capsys.readouterr().err))
+        run(tmp_path, "verify-kernel", "--seed", "2")
+    assert errors[0] == errors[1] and errors[0][0] == 2
+    assert "argument --seed: invalid int value: 'x'" in errors[0][1]
+    _, first = run(tmp_path, "verify-algebra", "--seed", "2")
+    _, second = run(tmp_path, "verify-algebra", "--seed", "2")
+    assert first == second and cli._parser() is cli._parser()
 
 
 def test_unwritable_out_is_a_config_error(tmp_path, capsys):

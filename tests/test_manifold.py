@@ -1,6 +1,8 @@
 """Glued manifolds: region classification, transitions and their
 continuations, point equivalence, embeddings, and the sphere-level chart
 transfer."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -119,6 +121,26 @@ def test_inadmissible_error_names_the_first_inadmissible_point(m2):
     plane = plane_sphere(2, 2.0)
     with pytest.raises(ManifoldError, match="inadmissible point in chart 1 at INFINITY"):
         equivalent(plane, ManifoldPoint(1, INFINITY), ManifoldPoint(2, e1(3.0, 0.0)))
+
+
+@pytest.mark.parametrize("other_chart", [1, 2])
+def test_equivalent_pair_array_memory(m2, other_chart):
+    """Over (N, N) pairs at N = 1024 the squared distance is summed one
+    component at a time: the traced peak stays below three (N, N) float
+    arrays (the (N, N, 2) difference, its squares and the norms peaked at
+    41.9 MB), and exactly the pairs of one point are equivalent."""
+    nn = 1024
+    t = 2.0 * np.pi * np.arange(nn) / nn
+    pts = 1.5 * np.stack((np.cos(t), np.sin(t)), axis=-1)  # neck points
+    other = pts if other_chart == 1 else pts / (pts * pts).sum(-1, keepdims=True)
+    tracemalloc.start()
+    try:
+        same = equivalent(m2, ManifoldPoint(1, pts[:, None]), ManifoldPoint(other_chart, other[None]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * nn * nn * 8 < 32e6, peak
+    assert np.array_equal(same, np.eye(nn, dtype=bool))
 
 
 def test_body_points_single_chart(m2):

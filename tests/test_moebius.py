@@ -470,7 +470,8 @@ def test_stack_matches_single_maps_bit_for_bit(n, seed):
     for (_, m), group in groups.items():
         stack = VahlenMap(np.array([psi.coeffs for psi in group]), m)
         column = VahlenMap(stack.coeffs[:, None], m)  # maps against (maps, 5) points
-        pairs = np.array([_draw_accepted(rng, 5, -2.0, 2.0, 2 * n, _admissible_pairs(psi, n)) for psi in group])
+        draw = lambda rows: rng.uniform(-2.0, 2.0, (rows, 2 * n))
+        pairs = np.array([_draw_accepted(draw, 5, _admissible_pairs(psi, n)) for psi in group])
         x, y = pairs[..., :n], pairs[..., n:]
         img = apply(column, np.stack((x, y)))
         w, regular = weight_J_rows(column, x)
