@@ -63,7 +63,7 @@ class Multivector:
         object.__setattr__(self, "coeffs", c)
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
+        return float(row_norms(self.coeffs))
 
     def _check_dim(self, other: "Multivector"):
         if not isinstance(other, Multivector) or self.dim != other.dim:
@@ -108,6 +108,13 @@ def clifford_group_inverse_rows(dim: int, a: np.ndarray):
     ok = (scale > 0.0) & (abs(s) > DEFAULT_RTOL * scale)
     ok &= np.sqrt((p[..., 1:] ** 2).sum(-1)) <= DEFAULT_RTOL * np.maximum(abs(s), scale)
     return ar / np.where(ok, s, 1.0)[..., None], ok
+
+
+def row_norms(a: np.ndarray) -> np.ndarray:
+    """The norm of each row of (..., m), as np.linalg.norm of that row: one
+    BLAS dot over contiguous rows (a strided dot sums in another order)."""
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    return np.sqrt((a[..., None, :] @ a[..., :, None])[..., 0, 0])
 
 
 def vectors(x, dim: int) -> np.ndarray:

@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from .algebra import gp_batch, reversion, vectors
+from .algebra import gp_batch, reversion, row_norms, vectors
 from .fields import constant_field, dirac_left_fd, fd_stencil, g_translate, moebius_pullback
 from .integration import (
     cauchy_integrals,
@@ -409,26 +409,32 @@ def _worst(diff: np.ndarray, scale) -> float:
     return float(np.max(np.linalg.norm(diff, axis=-1) / np.maximum(scale, 1e-30)))
 
 
+def _neck_pairs(rng, n: int, r: float, count: int) -> np.ndarray:
+    """`count` rows (x, y) of neck points at least 0.05 apart, as a loop drawing
+    one pair at a time finds them; only the draws run per point, not the judging."""
+    margin = min(0.02, (r - 1.0 / r) / 4.0)  # keeps the draw inside (1/r, r)
+
+    def draw(rows: int) -> np.ndarray:
+        rho, v = np.empty(2 * rows), np.empty((2 * rows, n))
+        for i in range(2 * rows):
+            rho[i], v[i] = rng.uniform(1.0 / r + margin, r - margin), rng.normal(size=n)
+        return (rho[:, None] * (v / row_norms(v)[:, None])).reshape(rows, 2 * n)
+
+    def judge(rows):
+        apart = row_norms(rows[:, :n] - rows[:, n:]) >= 0.05
+        return apart, np.zeros_like(apart)
+
+    return _draw_accepted(draw, count, judge)
+
+
 def cmd_verify_kernel(cfg: RunConfig) -> tuple[str, int]:
     rng = np.random.default_rng(cfg.seed)
     rep = Report("verify-kernel report", cfg)
     m = make_manifold(cfg)
 
-    def neck_point():
-        margin = min(0.02, (m.r - 1.0 / m.r) / 4.0)  # keeps the draw inside (1/r, r)
-        rho = float(rng.uniform(1.0 / m.r + margin, m.r - margin))
-        v = rng.normal(size=m.n)
-        v /= np.linalg.norm(v)
-        return rho * v
-
     # overlap consistency; residual relative to the direct evaluation norm so
     # the bound is meaningful for thin necks where the kernel is large
-    pairs = []
-    while len(pairs) < 200:
-        x2, y2 = neck_point(), neck_point()
-        if np.linalg.norm(x2 - y2) >= 0.05:
-            pairs.append((x2, y2))
-    px, py = (ManifoldPoint(2, np.array(c)) for c in zip(*pairs))
+    px, py = (ManifoldPoint(2, c) for c in np.split(_neck_pairs(rng, m.n, m.r, 200), 2, axis=1))
     res = overlap_consistency_residual(m, px, py)
     ref = np.linalg.norm(cauchy_kernel_G(embed(m, px) - embed(m, py), m.n, m.n + 1), axis=-1)
     rep.add("overlap-consistency", float(np.max(res / np.maximum(ref, 1e-30))), 1e-9)
@@ -442,23 +448,18 @@ def cmd_verify_kernel(cfg: RunConfig) -> tuple[str, int]:
     v_out = kernel_CM(m, x, ManifoldPoint(2, (m.r + eps) * direction)).coeffs
     rep.add("case-coherence-seam-jump", np.linalg.norm(v_in - v_out), 1e-6)
 
-    # diagonal request surfaces a structured error
+    # the diagonal itself raises DiagonalError; near it the kernel must blow
+    # up as 1/d^(n-1), checked at distances d of 1e-2 and 1e-3
+    x = ManifoldPoint(1, 3.0 * direction)
     try:
-        kernel_CM(m, ManifoldPoint(1, 3.0 * direction), ManifoldPoint(1, 3.0 * direction))
+        kernel_CM(m, x, x)
         diag = 1.0
     except DiagonalError:
         diag = 0.0
     rep.add("diagonal-error-surfaced", diag, 0.0)
-
-    # diagonal blow-up strength
-    worst_blow = 0.0
-    base_pt = 3.0 * direction
-    for eps in (1e-2, 1e-3):
-        y = ManifoldPoint(1, base_pt + eps * direction)
-        d = np.linalg.norm(embed(m, ManifoldPoint(1, base_pt)) - embed(m, y))
-        val = np.linalg.norm(kernel_CM(m, ManifoldPoint(1, base_pt), y).coeffs)
-        worst_blow = max(worst_blow, abs(val * d ** (m.n - 1) - 1.0))
-    rep.add("diagonal-blowup-strength", worst_blow, 1e-3)
+    near = ManifoldPoint(1, x.coord + np.array([[1e-2], [1e-3]]) * direction)
+    d, val = row_norms(embed(m, x) - embed(m, near)), row_norms(kernel_CM(m, x, near).coeffs)
+    rep.add("diagonal-blowup-strength", float(np.max(abs(val * d ** (m.n - 1) - 1.0))), 1e-3)
     return rep.finish()
 
 
@@ -521,18 +522,14 @@ def cmd_hardy(cfg: RunConfig) -> tuple[str, int]:
     rep = Report("hardy report", cfg)
     m = make_manifold(cfg)
     sec = section_from_germ(m, g_translate(np.array([4.0, 0.0]), n=2, dim_alg=3))
-    interior = ManifoldPoint(1, np.array([0.6, 0.0]))
-    surf = chart_circle(m, 1, np.zeros(2), 3.0, cfg.order, interior=interior)
+    surf = chart_circle(m, 1, np.zeros(2), 3.0, cfg.order, interior=ManifoldPoint(1, np.array([0.6, 0.0])))
 
-    nn = cfg.order
-    res = plemelj_projections(m, surf, lambda p: sec.value_at(p), n_nodes=nn)
-    defect = max(v.norm() for v in res.g_minus)
-    part = max((res.g_plus[i] + res.g_minus[i] - res.g[i]).norm() for i in range(nn))
+    (g_plus, g_minus, g), half = (
+        plemelj_projections(m, surf, sec.value_at, n_nodes=nodes).parts for nodes in (cfg.order, cfg.order // 2)
+    )
+    defect, defect_half = (float(row_norms(part).max()) for part in (g_minus, half[1]))
     rep.add("monogenic-trace-defect", defect, 1e-3)
-    rep.add("exact-partition", part, 1e-14)
-
-    res_half = plemelj_projections(m, surf, lambda p: sec.value_at(p), n_nodes=nn // 2)
-    defect_half = max(v.norm() for v in res_half.g_minus)
+    rep.add("exact-partition", float(row_norms(g_plus + g_minus - g).max()), 1e-14)
     ratio = defect / max(defect_half, 1e-30)
     # doubling must at least halve the defect, unless already at rounding
     ok = ratio <= 0.5 or defect <= 1e-12

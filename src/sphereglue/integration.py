@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gamma, pi
 from typing import Callable, NamedTuple, Sequence
 
@@ -292,9 +292,17 @@ def cauchy_integral(
 
 @dataclass(frozen=True)
 class PlemeljResult:
-    g_plus: tuple[Multivector, ...]
-    g_minus: tuple[Multivector, ...]
-    g: tuple[Multivector, ...]
+    """g_plus, g_minus and g at the N nodes, stacked as one array parts
+    (3, N, 2^k); each attribute is its Multivector rows, built on first read."""
+
+    parts: np.ndarray
+
+    def _rows(self, i: int) -> tuple[Multivector, ...]:
+        return tuple(Multivector(self.parts.shape[-1].bit_length() - 1, v) for v in self.parts[i])
+
+    g_plus = cached_property(lambda self: self._rows(0))
+    g_minus = cached_property(lambda self: self._rows(1))
+    g = cached_property(lambda self: self._rows(2))
 
 
 def _fft_derivative(values: np.ndarray, period: float) -> np.ndarray:
@@ -366,8 +374,7 @@ def plemelj_projections(
     cs = gc + (2.0 * h / unit_sphere_area(m.n)) * (
         a_g - gp_batch(dim, a_w, c) + gp_batch(dim, bvec, dg - gp_batch(dim, dw, c))
     )
-    parts = ((gc + cs) * 0.5, (gc - cs) * 0.5, gc)
-    return PlemeljResult(*(tuple(Multivector(dim, v) for v in arr) for arr in parts))
+    return PlemeljResult(np.stack(((gc + cs) * 0.5, (gc - cs) * 0.5, gc)))
 
 
 # -- built-in surface families ----------------------------------------------

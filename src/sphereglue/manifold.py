@@ -65,8 +65,8 @@ class GluedManifold:
         """The manifold's Vahlen maps in Cl_{n+1}, built on first use: chart
         maps keyed by chart j, the inverse of a sphere chart's map by -j,
         transfers keyed by (to_chart, from_chart). Every map has weight
-        exponent n + weight_shift; each inverse is checked pointwise by
-        moebius.inverse."""
+        exponent n + weight_shift; moebius.inverse checks each inverse by
+        the matrix identity inv psi = I."""
         k, exponent = self.n + 1, self.n + self.weight_shift
         maps = {}
         for j, ch in enumerate(self.charts, start=1):

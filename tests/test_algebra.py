@@ -14,6 +14,7 @@ from sphereglue.algebra import (
     clifford_group_inverse,
     gp_batch,
     reversion,
+    row_norms,
     vectors,
 )
 
@@ -189,6 +190,19 @@ def test_kelvin_inverse_zero_raises():
 def test_norm_values():
     assert Multivector(3, np.zeros(8)).norm() == 0.0
     assert abs(mv(2, b1=1.0, b2=1.0).norm() - np.sqrt(2.0)) <= 1e-15
+
+
+def test_row_norms_are_one_row_norms():
+    """Bit for bit np.linalg.norm of each row on its own, for contiguous,
+    strided and transposed arrays over 1 to 4 batch axes and magnitudes
+    1e-100 to 1e100."""
+    rng = np.random.default_rng(9)
+    for dim, scale in itertools.product(range(1, 6), (1e-100, 1.0, 1e100)):
+        shape = tuple(rng.integers(1, 6, int(rng.integers(1, 5))))
+        full = rng.normal(size=shape + (2 << dim,)) * scale
+        for a in (full[..., : 1 << dim], full[..., ::2], full[..., : 1 << dim].T.copy().T):
+            want = [np.linalg.norm(row.copy()) for row in a.reshape(-1, 1 << dim)]
+            assert np.array_equal(row_norms(a), np.reshape(want, shape))
 
 
 def test_grade_projection_extracts_inner_product():

@@ -2,6 +2,10 @@
 falsification controls."""
 import dataclasses
 import itertools
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -454,3 +458,95 @@ def test_exception_in_a_suite_is_one_line_naming_suite_and_config(tmp_path, caps
     assert err.startswith("verify-kernel error: config kind=two_spheres n=2 r=2 scale1=1 scale2=1 seed=4 ")
     raised = "SingularPointError: cx+d vanishes: conformal weight singular at [0.0, 0.0, 0.0]"
     assert err.rstrip().endswith(": " + raised)
+
+
+def _neck_pairs_one_at_a_time(rng, n, r, count):
+    def neck_point():
+        margin = min(0.02, (r - 1.0 / r) / 4.0)
+        rho = float(rng.uniform(1.0 / r + margin, r - margin))
+        v = rng.normal(size=n)
+        v /= np.linalg.norm(v)
+        return rho * v
+
+    pairs = []
+    while len(pairs) < count:
+        x, y = neck_point(), neck_point()
+        if np.linalg.norm(x - y) >= 0.05:
+            pairs.append(np.concatenate((x, y)))
+    return np.array(pairs)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("r", [1.0001, 1.05, 2.0, 10.0, 1e6])
+def test_neck_pairs_match_one_pair_loop(n, r):
+    """verify-kernel's block-wise neck pairs equal the pairs of a loop that
+    draws and judges one pair at a time, bit for bit, and leave the
+    generator in the same state, at seeds 0-7."""
+    for seed in range(8):
+        outcomes = []
+        for draw in (cli._neck_pairs, _neck_pairs_one_at_a_time):
+            rng = np.random.default_rng(seed)
+            outcomes.append((draw(rng, n, r, 200), rng.uniform()))
+        (got, after), (want, after_ref) = outcomes
+        assert np.array_equal(got, want) and after == after_ref, seed
+
+
+@pytest.mark.parametrize("order", [4, 16, 64, 256])
+@pytest.mark.parametrize("kind", ["two_spheres", "plane_sphere"])
+def test_hardy_residuals_match_row_loops(monkeypatch, kind, order):
+    """cmd_hardy's three residuals, reduced over the coefficient arrays,
+    equal those of loops over the Multivector rows bit for bit."""
+    results, residuals = [], []
+    project, add = cli.plemelj_projections, cli.Report.add
+    monkeypatch.setattr(cli, "plemelj_projections", lambda *a, **kw: results.append(project(*a, **kw)) or results[-1])
+    monkeypatch.setattr(cli.Report, "add", lambda self, name, res, thr: residuals.append(res) or add(self, name, res, thr))
+    cli.cmd_hardy(cli.RunConfig(kind=kind, order=order))
+    full, half = results
+    defect = max(v.norm() for v in full.g_minus)
+    part = max((full.g_plus[i] + full.g_minus[i] - full.g[i]).norm() for i in range(order))
+    ratio = defect / max(max(v.norm() for v in half.g_minus), 1e-30)
+    assert residuals == [defect, part, 0.0 if ratio <= 0.5 or defect <= 1e-12 else ratio]
+
+
+_SRC = str(pathlib.Path(cli.__file__).resolve().parents[1])
+
+
+def _python(*args):
+    """Run a fresh interpreter that imports this sphereglue; a run past 60 s
+    fails the test."""
+    path = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, timeout=60, env=env)
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("hardy", "scale2=1e200\n"),
+        ("verify-kernel", "scale2=1e200\n"),
+        ("verify-cauchy", "kind=plane_sphere\nscale2=1e-14\n"),
+    ],
+    ids=["hardy", "verify-kernel", "verify-cauchy-plane"],
+)
+def test_extreme_chart_scale_terminates(tmp_path, command, text):
+    """Extreme chart scales end within 60 s with an exit status: at 1e200 the
+    neck transfer has no valid inverse, and plane_sphere at 1e-14 runs to a
+    verdict."""
+    cfg = tmp_path / "scale.cfg"
+    cfg.write_text(text)
+    done = _python("-m", "sphereglue.cli", command, "--config", str(cfg))
+    assert done.returncode in (0, 1, 2), done.stderr
+
+
+def test_hardy_and_verify_cauchy_do_not_load_numpy_random(tmp_path):
+    """Neither suite draws random numbers, so neither imports numpy.random."""
+    out = str(tmp_path / "report.txt")
+    code = (
+        "import sys\n"
+        "from sphereglue import cli\n"
+        "for command in ('hardy', 'verify-cauchy'):\n"
+        f"    assert cli.main([command, '--order', '16', '--out', {out!r}]) in (0, 1)\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    done = _python("-c", code)
+    assert done.returncode == 0 and done.stdout == "False\n", done.stderr

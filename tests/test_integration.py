@@ -321,6 +321,16 @@ def test_plemelj_mixed_data_partition(m2):
     assert second <= 2.0 * first + 1e-10
 
 
+def test_plemelj_rows_are_the_parts_array(m2):
+    """g_plus, g_minus and g are the rows of parts (3, N, 2^3), bit for bit,
+    built once on first read."""
+    res = plemelj_projections(m2, _surf(m2, 3.0, 64), _mixed_data, n_nodes=16)
+    assert res.parts.shape == (3, 16, 8)
+    for part, rows in zip(res.parts, (res.g_plus, res.g_minus, res.g)):
+        assert len(rows) == 16 and all(v.dim == 3 and np.array_equal(v.coeffs, row) for v, row in zip(rows, part))
+    assert res.g_minus is res.g_minus
+
+
 def _plemelj_g_minus_per_target(m, s, g, nn):
     """Reference: the regularized singular integral summed separately for
     each target node, with its own FFT derivative of the subtracted data."""

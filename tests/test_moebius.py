@@ -29,7 +29,7 @@ from sphereglue.moebius import (
 )
 from sphereglue import cli, moebius
 from sphereglue.cli import _admissible_pairs, _draw_accepted, _random_maps
-from sphereglue.manifold import chart_transfer, plane_sphere
+from sphereglue.manifold import chart_map, chart_transfer, plane_sphere, two_spheres
 
 
 # -- apply -------------------------------------------------------------------
@@ -150,6 +150,33 @@ def test_inverse_of_neck_is_neck():
     for _ in range(20):
         x = rng.uniform(0.2, 2.0, 2)
         assert np.allclose(apply(inv, x).points, apply(neck_inversion(2), x).points, atol=1e-12)
+
+
+def test_inverse_rejects_a_non_vahlen_matrix_with_scalar_pseudo_determinant():
+    """[[1, e1e2], [0, 1]] in Cl_3: a~d - b~c = 1 is scalar, but inv psi
+    carries 2 e1e2 off the diagonal."""
+    coeffs = identity_map(3).coeffs.copy()
+    coeffs[0, 1, 0b011] = 1.0
+    psi = VahlenMap(coeffs, 3)
+    assert psi.pseudo_determinant == 1.0
+    with pytest.raises(VahlenError, match="inv psi = I"):
+        inverse(psi)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("kind", ["two_spheres", "plane_sphere"])
+def test_inverse_accepts_every_manifold_map(kind, n):
+    """The inverse chart maps and transfers of both kinds, at weight shifts
+    -1, 0 and 1 and chart scales 1e-6 to 1e6, are accepted, and
+    compose(inv, psi) is within 1e-10 of the identity."""
+    scales = (1e-6, 1e-3, 0.7, 1.0, 1.5, 1e3, 1e6)
+    for shift, s1, s2 in itertools.product((-1, 0, 1), scales if kind == "two_spheres" else (1.0,), scales):
+        m = two_spheres(n, 2.0, (s1, s2), shift) if kind == "two_spheres" else plane_sphere(n, 2.0, s2, shift)
+        pairs = [(chart_transfer(m, 2, 1), chart_transfer(m, 1, 2))]
+        pairs += [(chart_map(m, -j), chart_map(m, j)) for j in (1, 2) if m.chart(j).has_sphere]
+        for inv, psi in pairs:
+            identity = identity_map(n + 1, n + shift).coeffs
+            assert np.abs(compose(inv, psi).coeffs - identity).max() <= 1e-10, (shift, s1, s2)
 
 
 def test_compose_dim_mismatch():
