@@ -56,9 +56,7 @@ class Multivector:
             raise AlgebraError(f"dim must be in 1..{MAX_DIM}, got {self.dim}")
         c = np.array(self.coeffs, dtype=np.float64)
         if c.shape != (1 << self.dim,):
-            raise AlgebraError(
-                f"coefficient vector must have length {1 << self.dim}, got {c.shape}"
-            )
+            raise AlgebraError(f"coefficient vector must have length {1 << self.dim}, got {c.shape}")
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
 

@@ -21,13 +21,7 @@ import numpy as np
 
 from .algebra import gp_batch, reversion, row_norms, vectors
 from .fields import constant_field, dirac_left_fd, fd_stencil, g_translate, moebius_pullback
-from .integration import (
-    cauchy_integrals,
-    chart_circle,
-    chart_sphere,
-    plemelj_projections,
-    section_from_germ,
-)
+from .integration import cauchy_integrals, chart_circle, chart_sphere, plemelj_projections, section_from_germ
 from .kernel import DiagonalError, kernel_CM, overlap_consistency_residual
 from .manifold import ManifoldPoint, embed, plane_sphere, two_spheres
 from .moebius import (
@@ -119,6 +113,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     # the set-up of a run may build a config without naming a command
     if getattr(args, "command", None) == "hardy" and cfg.n != 2:
         raise ValueError(f"n must be 2 for hardy, got {cfg.n}")
+    if getattr(args, "command", None) == "hardy" and cfg.order % 2:
+        raise ValueError(f"order must be even for hardy, got {cfg.order}")
     return cfg
 
 
@@ -524,10 +520,9 @@ def cmd_hardy(cfg: RunConfig) -> tuple[str, int]:
     sec = section_from_germ(m, g_translate(np.array([4.0, 0.0]), n=2, dim_alg=3))
     surf = chart_circle(m, 1, np.zeros(2), 3.0, cfg.order, interior=ManifoldPoint(1, np.array([0.6, 0.0])))
 
-    (g_plus, g_minus, g), half = (
-        plemelj_projections(m, surf, sec.value_at, n_nodes=nodes).parts for nodes in (cfg.order, cfg.order // 2)
-    )
-    defect, defect_half = (float(row_norms(part).max()) for part in (g_minus, half[1]))
+    res = plemelj_projections(m, surf, sec.value_at)
+    g_plus, g_minus, g = res.parts
+    defect, defect_half = (float(row_norms(part).max()) for part in (g_minus, res.half[1]))
     rep.add("monogenic-trace-defect", defect, 1e-3)
     rep.add("exact-partition", float(row_norms(g_plus + g_minus - g).max()), 1e-14)
     ratio = defect / max(defect_half, 1e-30)

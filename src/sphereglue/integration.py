@@ -14,9 +14,9 @@ Every check of the one-point path (diagonal, admissibility, germ domain,
 degenerate frame, singular weight) applies to every node and node pair.
 cauchy_integrals stacks the nodes of every order it needs (each order and
 its half), takes their geometry from one node_geometry call and evaluates
-each kernel, section and product over only the orders it uses. The Plemelj
-kernel embeds each node once and holds the (N, N) node pairs as one real
-matrix per grade-1 blade.
+each kernel, section and product over only the orders it uses.
+plemelj_projections embeds each node once and applies one real (N, N) kernel
+matrix per grade-1 blade, for its N rule and the rule on its even nodes.
 
 Sign convention: with e_j^2 = -1 the reproducing pairing uses the inward
 normal; cauchy_integral applies REPRODUCING_NORMAL_SIGN to the outward
@@ -100,9 +100,7 @@ def _generalized_cross(rows: np.ndarray) -> np.ndarray:
     """Vectors in R^m orthogonal to the m-1 rows of each (..., m-1, m) stack
     (cofactor expansion)."""
     m = rows.shape[-1]
-    return np.stack(
-        [(-1.0) ** i * np.linalg.det(np.delete(rows, i, axis=-1)) for i in range(m)], axis=-1
-    )
+    return np.stack([(-1.0) ** i * np.linalg.det(np.delete(rows, i, axis=-1)) for i in range(m)], axis=-1)
 
 
 def node_geometry(m: GluedManifold, s: Hypersurface, t: np.ndarray) -> NodeGeometry:
@@ -292,10 +290,12 @@ def cauchy_integral(
 
 @dataclass(frozen=True)
 class PlemeljResult:
-    """g_plus, g_minus and g at the N nodes, stacked as one array parts
-    (3, N, 2^k); each attribute is its Multivector rows, built on first read."""
+    """g_plus, g_minus and g stacked as parts (3, N, 2^k) by the N-point rule
+    and as half (3, N/2, 2^k) by the rule on the even nodes; each attribute
+    is the Multivector rows of parts, built on first read."""
 
     parts: np.ndarray
+    half: np.ndarray
 
     def _rows(self, i: int) -> tuple[Multivector, ...]:
         return tuple(Multivector(self.parts.shape[-1].bit_length() - 1, v) for v in self.parts[i])
@@ -321,7 +321,7 @@ def plemelj_projections(
     curve (n = 2), with g_plus the approximate trace of the interior Cauchy
     extension: P_pm = (I pm C_S) / 2. The data g is a callable that takes
     the node point array and returns its coefficients (N, 2^(n+1)), such as
-    Section.value_at.
+    Section.value_at. N must be even and at least 4.
 
     The singular integral C_S is regularized at each target node i by
     subtracting the constant-germ section W c_i that matches g there
@@ -329,7 +329,7 @@ def plemelj_projections(
     relation, and the remaining integrand is smooth and periodic, so the
     trapezoid rule is spectrally accurate once the removable diagonal value
     is filled in from the FFT derivative of the data. The regularized sum is
-    linear in c_i, so every target shares one kernel fill and one FFT of [g | W]:
+    linear in c_i, so all targets share one kernel fill and one FFT of [g | W] per rule:
 
         C_S g = g + (2h / omega_n) [A g - (A W) c + B (g' - W' c)]
 
@@ -337,6 +337,10 @@ def plemelj_projections(
     by blades as sum_b e_b K^b h, K^b the real (N, N) matrix of blade b and
     h_j = n_j |u'_j| g_j, and B_i = u'_i n_i / |u'_i| the diagonal limit (G ~
     u'/(s |u'|^2), data ~ s d').
+
+    Every per-node quantity is evaluated once; the N-point rule gives parts and
+    the N/2-point rule on the even nodes (step 2h) gives half, which is the
+    N/2-point rule of the curve with its bounds shifted by -h/2.
     """
     if m.n != 2:
         raise SurfaceError("Plemelj projections are implemented for n = 2 curves")
@@ -345,36 +349,41 @@ def plemelj_projections(
     (a, b) = s.bounds[0]
     period = b - a
     nn = s.quad_order if n_nodes is None else n_nodes
-    if nn < 2:
-        raise SurfaceError(f"Plemelj projections need at least 2 nodes, got {nn}")
+    if nn < 4 or nn % 2:
+        raise SurfaceError(f"Plemelj projections need an even number of nodes >= 4, got {nn}")
     h = period / nn
     dim = m.n + 1
     geo = node_geometry(m, s, a + (np.arange(nn)[:, None] + 0.5) * h)
-    pts = geo.point
 
-    gc = g(pts)
+    gc = g(geo.point)
     if np.shape(gc) != (nn, 1 << dim):
         raise SurfaceError(f"boundary data must be coefficients ({nn}, {1 << dim}) for the node array")
 
     # W_j c is the constant-germ section with germ c, evaluated at node j
-    wc = section_from_germ(m, constant_field(np.eye(1 << dim)[0], m.n)).value_at(pts)
-    c = gp_batch(dim, clifford_group_inverse(dim, wc), gc)
+    wc = section_from_germ(m, constant_field(np.eye(1 << dim)[0], m.n)).value_at(geo.point)
+    c, gw = gp_batch(dim, clifford_group_inverse(dim, wc), gc), np.hstack([gc, wc])
 
     nw = vectors(REPRODUCING_NORMAL_SIGN * geo.normal * geo.weight[:, None], dim)
-    x, off = pts.coord, ~np.eye(nn, dtype=bool)
+    hw = gp_batch(dim, nw[:, None], gw.reshape(nn, 2, -1)).reshape(nn, -1)  # h = n |u'| [g | W]
+    x, off = geo.point.coord, ~np.eye(nn, dtype=bool)
     kb, _ = _kernel_pairs(m, ManifoldPoint(s.chart, x[None]), ManifoldPoint(s.chart, x[:, None]), off)
-    # K^b h for h = n |u'| [g | W] at once, then A = sum_b e_b K^b with e_b from the product table
-    kh = np.moveaxis(kb, -1, 0) @ gp_batch(dim, nw[:, None], np.stack([gc, wc], axis=1)).reshape(nn, -1)
-    kh = kh.reshape(dim, nn, 2, 1 << dim)
+    kb = np.moveaxis(kb, -1, 0)  # K^b, the real (N, N) matrix of blade b
     perm, sign = _product_tables(dim)
-    a_g, a_w = np.moveaxis(sum(sign[1 << bl] * kh[bl][..., perm[1 << bl]] for bl in range(dim)), 1, 0)
     bvec = gp_batch(dim, vectors(geo.tangents[:, :, 0] / geo.weight[:, None] ** 2, dim), nw)
 
-    dg, dw = np.split(_fft_derivative(np.hstack([gc, wc]), period), 2, axis=1)
-    cs = gc + (2.0 * h / unit_sphere_area(m.n)) * (
-        a_g - gp_batch(dim, a_w, c) + gp_batch(dim, bvec, dg - gp_batch(dim, dw, c))
-    )
-    return PlemeljResult(np.stack(((gc + cs) * 0.5, (gc - cs) * 0.5, gc)))
+    def apply(rows: slice, step: float) -> np.ndarray:
+        """(g_plus, g_minus, g) by the rule with the given step on the nodes rows."""
+        gr, cr = gc[rows], c[rows]
+        # K^b h for every blade at once, then A = sum_b e_b K^b with e_b from the product table
+        kh = (kb[:, rows, rows] @ hw[rows]).reshape(dim, len(gr), 2, 1 << dim)
+        a_g, a_w = np.moveaxis(sum(sign[1 << bl] * kh[bl][..., perm[1 << bl]] for bl in range(dim)), 1, 0)
+        dg, dw = np.split(_fft_derivative(gw[rows], period), 2, axis=1)
+        cs = gr + (2.0 * step / unit_sphere_area(m.n)) * (
+            a_g - gp_batch(dim, a_w, cr) + gp_batch(dim, bvec[rows], dg - gp_batch(dim, dw, cr))
+        )
+        return np.stack(((gr + cs) * 0.5, (gr - cs) * 0.5, gr))
+
+    return PlemeljResult(apply(slice(None), h), apply(slice(None, None, 2), 2.0 * h))
 
 
 # -- built-in surface families ----------------------------------------------

@@ -88,9 +88,7 @@ def two_spheres(
     return GluedManifold(n, r, charts, weight_shift)
 
 
-def plane_sphere(
-    n: int, r: float, sphere_scale: float = 1.0, weight_shift: int = 0
-) -> GluedManifold:
+def plane_sphere(n: int, r: float, sphere_scale: float = 1.0, weight_shift: int = 0) -> GluedManifold:
     return GluedManifold(n, r, (Chart(False), Chart(True, sphere_scale)), weight_shift)
 
 

@@ -10,7 +10,8 @@ import sys
 import numpy as np
 import pytest
 
-from sphereglue import cli
+from sphereglue import cli, integration, kernel
+from sphereglue.algebra import Multivector
 from sphereglue.cli import (
     _admissible_pairs,
     _draw_accepted,
@@ -366,6 +367,7 @@ BAD_CONFIGS = [
     ("verify-cauchy", "seed=-1\n", "seed"),
     ("verify-cauchy", "break_weight=-2\n", "break_weight"),
     ("hardy", "n=3\n", "n"),
+    ("hardy", "order=63\n", "order"),
     ("verify-algebra", "n=2.0\n", "n"),
     ("verify-kernel", "r=abc\n", "r"),
     ("verify-cauchy", "order=\n", "order"),
@@ -494,18 +496,38 @@ def test_neck_pairs_match_one_pair_loop(n, r):
 @pytest.mark.parametrize("order", [4, 16, 64, 256])
 @pytest.mark.parametrize("kind", ["two_spheres", "plane_sphere"])
 def test_hardy_residuals_match_row_loops(monkeypatch, kind, order):
-    """cmd_hardy's three residuals, reduced over the coefficient arrays,
-    equal those of loops over the Multivector rows bit for bit."""
+    """cmd_hardy's three residuals, reduced over the coefficient arrays of
+    its one Plemelj call (the N rule and the half rule), equal those of
+    loops over the Multivector rows bit for bit."""
     results, residuals = [], []
     project, add = cli.plemelj_projections, cli.Report.add
     monkeypatch.setattr(cli, "plemelj_projections", lambda *a, **kw: results.append(project(*a, **kw)) or results[-1])
     monkeypatch.setattr(cli.Report, "add", lambda self, name, res, thr: residuals.append(res) or add(self, name, res, thr))
     cli.cmd_hardy(cli.RunConfig(kind=kind, order=order))
-    full, half = results
+    (full,) = results
     defect = max(v.norm() for v in full.g_minus)
     part = max((full.g_plus[i] + full.g_minus[i] - full.g[i]).norm() for i in range(order))
-    ratio = defect / max(max(v.norm() for v in half.g_minus), 1e-30)
+    half_defect = max(Multivector(3, row).norm() for row in full.half[1])
+    ratio = defect / max(half_defect, 1e-30)
     assert residuals == [defect, part, 0.0 if ratio <= 0.5 or defect <= 1e-12 else ratio]
+
+
+def test_hardy_evaluates_each_node_once(monkeypatch):
+    """One hardy run takes its node geometry, its kernel pairs and its data
+    once: the half-order rule reads the even nodes of the same evaluation."""
+    calls = {"node_geometry": 0, "_kernel_pairs": 0, "data": 0}
+
+    def counted(name, fn):
+        return lambda *a, **kw: calls.__setitem__(name, calls[name] + 1) or fn(*a, **kw)
+
+    monkeypatch.setattr(integration, "node_geometry", counted("node_geometry", integration.node_geometry))
+    pairs = counted("_kernel_pairs", kernel._kernel_pairs)
+    monkeypatch.setattr(kernel, "_kernel_pairs", pairs)
+    monkeypatch.setattr(integration, "_kernel_pairs", pairs)
+    project = cli.plemelj_projections
+    monkeypatch.setattr(cli, "plemelj_projections", lambda m, s, g, **kw: project(m, s, counted("data", g), **kw))
+    _, status = cli.cmd_hardy(cli.RunConfig(order=64))
+    assert status == 0 and calls == {"node_geometry": 1, "_kernel_pairs": 1, "data": 1}
 
 
 _SRC = str(pathlib.Path(cli.__file__).resolve().parents[1])

@@ -389,6 +389,28 @@ def test_plemelj_matches_per_target_sum(data, nn, kind):
     assert max((res.g_minus[i] - ref[i]).norm() for i in range(nn)) <= 1e-13
 
 
+@pytest.mark.parametrize("nn", [4, 16, 64, 256])
+@pytest.mark.parametrize("kind", ["two_spheres", "plane_sphere"])
+def test_plemelj_half_is_the_shifted_half_order_rule(kind, nn):
+    """The even nodes a + (2i + 1/2) h are the N/2 midpoint nodes of the
+    curve with bounds shifted by -h/2, so half equals a fresh run there. At
+    N = 4 that run would have 2 nodes, so the per-target sum stands in."""
+    m = _PLEMELJ_MANIFOLDS[kind]()
+    g = section_from_germ(m, _germ(m)).value_at
+    s = _surf(m, 3.0, nn)
+    res = plemelj_projections(m, s, g)
+    assert res.parts.shape == (3, nn, 8) and res.half.shape == (3, nn // 2, 8)
+    (a, b), h = s.bounds[0], (s.bounds[0][1] - s.bounds[0][0]) / nn
+    shifted = dataclasses.replace(s, bounds=((a - h / 2, b - h / 2),), quad_order=nn // 2)
+    if nn // 2 >= 4:
+        want = plemelj_projections(m, shifted, g).parts
+    else:
+        gs = g(node_geometry(m, shifted, a - h / 2 + (np.arange(nn // 2)[:, None] + 0.5) * 2 * h).point)
+        g_minus = np.array([v.coeffs for v in _plemelj_g_minus_per_target(m, shifted, g, nn // 2)])
+        want = np.stack((gs - g_minus, g_minus, gs))
+    assert np.max(np.abs(res.half - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 def test_plemelj_coincident_nodes_raise(m2):
     """A circle traversed twice puts node j + N/2 on node j. The kernel is
     filled from per-node data, yet every off-diagonal pair is still checked:
@@ -454,10 +476,13 @@ def test_plemelj_requires_closed_curve(m2):
 
 def test_plemelj_needs_two_nodes(m2):
     """With one node the kernel matrix is empty and g_minus vanishes for any
-    data, so fewer than two nodes are refused, also when asked for 0."""
-    data = lambda p: Multivector(3, np.eye(8)[0])
-    for s, nodes in ((_surf(m2, 3.0, 1), None), (_surf(m2, 3.0, 64), 1), (_surf(m2, 3.0, 64), 0)):
-        with pytest.raises(SurfaceError):
+    data, so fewer than two nodes are refused, also when asked for 0. The
+    half rule on the even nodes must keep two, so N must be even and >= 4.
+    The data is well formed, so only the node count can be refused."""
+    data = lambda p: np.tile(np.eye(8)[0], (len(p.coord), 1))
+    for order, nodes in ((1, None), (64, 1), (64, 0), (2, None), (64, 63)):
+        s = _surf(m2, 3.0, order)
+        with pytest.raises(SurfaceError, match="nodes"):
             plemelj_projections(m2, s, data, n_nodes=nodes)
 
 
