@@ -171,19 +171,21 @@ class Report:
 
 def _random_maps(rng, n: int, count: int, corrupt: bool = False):
     """Sample from translations, the neck inversion, Cayley, and random
-    compositions of translations with the neck inversion."""
+    compositions of translations with the neck inversion; the kinds and the
+    translation offsets are drawn in one block each."""
+    kinds = rng.integers(0, 4, count)
+    offsets = rng.uniform(-2.0, 2.0, (count, 2, n))
     maps = []
-    while len(maps) < count:
-        kind = rng.integers(0, 4)
+    for kind, (t, s) in zip(kinds, offsets):
         if kind == 0:
-            maps.append(translation_map(rng.uniform(-2.0, 2.0, n), n, n))
+            maps.append(translation_map(t, n, n))
         elif kind == 1:
             maps.append(neck_inversion(n))
         elif kind == 2:
             maps.append(cayley(n))
         else:
-            inner = compose(neck_inversion(n), translation_map(rng.uniform(-2.0, 2.0, n), n, n))
-            maps.append(compose(translation_map(rng.uniform(-2.0, 2.0, n), n, n), inner))
+            inner = compose(neck_inversion(n), translation_map(t, n, n))
+            maps.append(compose(translation_map(s, n, n), inner))
     if corrupt and maps:
         # a bivector 0.25 e1e2 in `a` leaves no map of the pool a valid Vahlen matrix
         coeffs = maps[0].coeffs.copy()
@@ -192,35 +194,26 @@ def _random_maps(rng, n: int, count: int, corrupt: bool = False):
     return maps
 
 
-def _accept(rows, accepted, raising, count: int):
-    """How a loop judging one row at a time, still `count` accepted rows
-    short, reads judged rows: the number of rows it reads (all of them, unless
-    it reaches the count-th accepted row first) and the accepted rows among
-    them. Raises VahlenError if it reads a raising row."""
-    read = min(int(np.searchsorted(np.cumsum(accepted), count)) + 1, len(rows))
-    if raising[:read].any():
-        raise VahlenError("invalid Vahlen coefficients: image is not grade-1")
-    return read, rows[:read][accepted[:read]]
+# Candidate rows drawn per map in one block; well above the five kept, since
+# at most a third of a block was rejected over seeds 0-199
+_BLOCK = 12
 
 
-def _draw_accepted(draw, count: int, judge) -> np.ndarray:
-    """`count` rows, as a loop drawing and judging one row at a time finds
-    them; draw(m) returns the next m candidate rows. judge(rows) returns per
-    row whether it is accepted and whether that loop would raise VahlenError
-    on it. A block holds only as many rows as are still missing, so the loop
-    would reach every row of it up to the first raising one, and the rows are
-    drawn exactly as in that loop until something raises."""
-    kept = []
-    while count:
-        rows = draw(count)
-        _, got = _accept(rows, *judge(rows), count)
-        kept.append(got)
-        count -= len(got)
-    return np.concatenate(kept)
-
-
-# Rows each later map's speculative window holds beyond its five
-_SLACK = 4
+def _first_accepted(draw, judge, count: int = 5) -> np.ndarray:
+    """Each map's first `count` rows, in draw order, that judge accepts:
+    (maps, count, w). draw() returns a block of candidate rows (maps, C, w)
+    and judge(rows) per row whether it is accepted and whether it raises.
+    While a map has fewer than `count`, another block is drawn and judged for
+    every map. Raises VahlenError if a judged row raises."""
+    blocks, marks = [], []
+    while not marks or (np.concatenate(marks, axis=1).sum(1) < count).any():
+        blocks.append(draw())
+        accepted, raising = judge(blocks[-1])
+        if raising.any():
+            raise VahlenError("invalid Vahlen coefficients: image is not grade-1")
+        marks.append(accepted)
+    first = np.argsort(~np.concatenate(marks, axis=1), axis=1, kind="stable")[:, :count]
+    return np.take_along_axis(np.concatenate(blocks, axis=1), first[..., None], axis=1)
 
 
 def _stacks(maps) -> dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]:
@@ -232,58 +225,6 @@ def _stacks(maps) -> dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]:
     return {key: (np.array(idx), np.array([maps[i].coeffs for i in idx])) for key, idx in groups.items()}
 
 
-def _draw_pool(rng, maps, n: int) -> np.ndarray:
-    """The five covariance pairs (maps, 5, 2n) of every map: the rows that
-    _draw_accepted with rows uniform in [-2, 2)^2n and _admissible_pairs(psi, n)
-    returns when called map after map, with the generator left as that loop
-    leaves it until something raises, and VahlenError exactly when it raises.
-
-    The first pending map is judged alone from its real start, block by
-    block. Every later map is judged, in one call per (k, exponent) stack, on
-    a speculative window: the five rows it would start at if every map before
-    it accepted its first block, and _SLACK more, within the rows the loop is
-    sure to draw. Read in pool order from each map's real start, a window
-    gives that map's pairs unless the map's real window runs past it; that
-    map becomes the next pending one."""
-    width, count = 2 * n, len(maps)
-    stream, start, pairs = np.empty((0, width)), 0, []
-
-    def through(end: int) -> np.ndarray:  # the stream, drawn through row `end`
-        nonlocal stream
-        if end > len(stream):
-            stream = np.concatenate((stream, rng.uniform(-2.0, 2.0, (end - len(stream), width))))
-        return stream
-
-    def draw(rows: int) -> np.ndarray:
-        nonlocal start
-        start += rows
-        return through(start)[start - rows : start]
-
-    stacks = _stacks(maps).items()
-    while len(pairs) < count:
-        pairs.append(_draw_accepted(draw, 5, _admissible_pairs(maps[len(pairs)], n)))
-        first, later = len(pairs), count - len(pairs)
-        end = start + 5 * later  # every later map reads at least five rows
-        spec = start + 5 * np.arange(later)
-        idx = np.minimum(spec[:, None] + np.arange(5 + _SLACK), end - 1)
-        judged = np.minimum(5 + _SLACK, end - spec)
-        rows = through(end)[idx]
-        accepted, raising = np.empty((2, *idx.shape), dtype=bool)
-        for (_, m), (members, coeffs) in stacks:
-            if (pending := members >= first).any():
-                at = members[pending] - first
-                judge = _admissible_pairs(VahlenMap(coeffs[pending][:, None], m), n)
-                accepted[at], raising[at] = judge(rows[at])
-        for j in range(later):
-            window = slice(start - spec[j], judged[j])
-            read, got = _accept(rows[j, window], accepted[j, window], raising[j, window], 5)
-            if len(got) < 5:
-                break
-            pairs.append(got)
-            start += read
-    return np.array(pairs)
-
-
 def _admissible_pairs(psi, n: int):
     """Judge rows (x, y): apart, with images finite and apart, and the map
     well away from singular at x."""
@@ -291,136 +232,137 @@ def _admissible_pairs(psi, n: int):
 
     def judge(rows):
         x, y = rows[..., :n], rows[..., n:]
-        apart = np.linalg.norm(x - y, axis=-1) >= 0.2
+        apart = row_norms(x - y) >= 0.2
         img = apply(psi, np.stack((x, y)), raise_invalid=False)
         px, py = img.points
-        den_x = np.linalg.norm(gp_batch(k, c, vectors(x, k)) + d, axis=-1)
-        accepted = apart & img.finite.all(0) & (np.linalg.norm(px - py, axis=-1) >= 1e-3) & (den_x >= 0.1)
+        den_x = row_norms(gp_batch(k, c, vectors(x, k)) + d)
+        accepted = apart & img.finite.all(0) & (row_norms(px - py) >= 1e-3) & (den_x >= 0.1)
         return accepted, apart & ~img.valid.all(0)
 
     return judge
 
 
 def _stencil_samples(psi, f, h: float):
-    """Judge finite-difference sample points of the pullback of f by psi: the
-    pullback must be defined at the point and on its whole stencil, where the
-    weight must also be regular. The stencil is every point the
+    """Judge finite-difference sample points (..., k) of the pullback of f by
+    psi: the pullback must be defined at the point and on its whole stencil,
+    where the weight must also be regular. The stencil is every point the
     finite-difference operator evaluates, at both of its steps. A grade-1
-    failure at the point raises; one on the stencil only rejects the point."""
+    failure at the point raises; one on the stencil only rejects the point.
+    psi and f may be stacks that broadcast against the stencils (..., 2, 2, k)."""
 
     def judge(rows):
-        centre = apply(psi, rows, raise_invalid=False)
+        centre = apply(psi, rows[..., None, None, None, :], raise_invalid=False)
         stencil = fd_stencil(rows, h)
         around = apply(psi, stencil, raise_invalid=False)
         _, regular = weight_J_rows(psi, stencil)
         defined = around.finite & around.valid & regular & f.domain(around.points)
-        accepted = centre.finite & f.domain(centre.points) & defined.all((-3, -2, -1))
-        return accepted, ~centre.valid
+        accepted = centre.finite & f.domain(centre.points) & defined
+        return accepted.all((-3, -2, -1)), ~centre.valid[..., 0, 0, 0]
 
     return judge
 
 
-def _pullback_stacks(maps, poles, points):
-    """Per ambient dimension k, the indices of the maps of that k and the
-    finite-difference Dirac residuals (maps, P, 2^k) of the pullbacks of
-    G(x - pole) by them at their points (maps, P, k): one evaluation over a
-    stack (maps, 1, 1, 1, 1) of maps, against the stencils (maps, P, 2, 2, k),
-    with per-map poles. Every map's kernel exponent is its k."""
+def _pullback_samples(rng, maps):
+    """The poles (maps, K) of the fields G(x - pole), drawn in one block, and,
+    per ambient dimension k of the maps (each with kernel exponent k): the
+    indices of the maps of that k, their stack (maps, 1, 1, 1, 1), which
+    broadcasts against the stencils (maps, P, 2, 2, k) of points (maps, P, k),
+    the fields with the maps' poles (their first k columns), and each map's
+    first five finite-difference sample points that _stencil_samples accepts."""
+    width = max(psi.ambient_dim for psi in maps)
+    poles = rng.uniform(2.5, 4.0, (len(maps), width)) * rng.choice([-1.0, 1.0], (len(maps), width))
+    stacks = []
     for (k, _), (members, coeffs) in _stacks(maps).items():
         stack = VahlenMap(coeffs[:, None, None, None, None], k)
-        f = g_translate(np.array([poles[i] for i in members])[:, None, None, None, None], n=k, dim_alg=k)
-        yield members, dirac_left_fd(moebius_pullback(stack, f), np.array([points[i] for i in members]), 1e-4)
+        f = g_translate(poles[members, None, None, None, None, :k], n=k, dim_alg=k)
+        draw = functools.partial(rng.uniform, -1.8, 1.8, (len(members), _BLOCK, k))
+        stacks.append((members, stack, f, _first_accepted(draw, _stencil_samples(stack, f, 1e-4))))
+    return poles, stacks
 
 
 def cmd_verify_algebra(cfg: RunConfig) -> tuple[str, int]:
     rng = np.random.default_rng(cfg.seed)
     rep = Report("verify-algebra report", cfg)
 
-    # product laws over Cl_2..Cl_4: the samples are drawn one at a time, then
-    # evaluated together per algebra dimension
-    drawn = {dim: ([], [], []) for dim in (2, 3, 4)}
-    for _ in range(300):
-        dim = int(rng.integers(2, 5))
-        abc = rng.uniform(-1.0, 1.0, (3, 2**dim))
-        v = rng.uniform(-2.0, 2.0, dim)
-        for store, value in zip(drawn[dim], (abc, v, v @ v)):
-            store.append(value)
+    # product laws over Cl_2..Cl_4: 300 samples of random algebra dimension,
+    # drawn and evaluated in one block per dimension
+    dims = rng.integers(2, 5, 300)
     worst_assoc = worst_rev = worst_sq = 0.0
-    for dim, (abc, v, vv) in drawn.items():
-        if not abc:
-            continue
-        a, b, c = np.array(abc).transpose(1, 0, 2)
-        na, nb, nc = (np.linalg.norm(t, axis=-1) for t in (a, b, c))
+    for dim in (2, 3, 4):
+        rows = int(np.count_nonzero(dims == dim))
+        a, b, c = rng.uniform(-1.0, 1.0, (3, rows, 2**dim))
+        v = rng.uniform(-2.0, 2.0, (rows, dim))
+        na, nb, nc = row_norms(a), row_norms(b), row_norms(c)
         ab, ra, rb = gp_batch(dim, a, b), reversion(dim, a), reversion(dim, b)
         assoc = gp_batch(dim, ab, c) - gp_batch(dim, a, gp_batch(dim, b, c))
         worst_assoc = max(worst_assoc, _worst(assoc, na * nb * nc))
         worst_rev = max(worst_rev, _worst(reversion(dim, ab) - gp_batch(dim, rb, ra), na * nb))
-        vm = vectors(np.array(v), dim)
+        vm = vectors(v, dim)
         sq = gp_batch(dim, vm, vm)
-        sq[:, 0] += vv
-        worst_sq = max(worst_sq, _worst(sq, np.linalg.norm(vm, axis=-1) ** 2))
+        sq[:, 0] += (v[:, None] @ v[..., None])[:, 0, 0]  # v.v as one BLAS dot per row
+        worst_sq = max(worst_sq, _worst(sq, row_norms(vm) ** 2))
     rep.add("associativity", worst_assoc, 1e-10)
     rep.add("reversion-antiautomorphism", worst_rev, 1e-10)
     rep.add("vector-square", worst_sq, 1e-10)
 
-    # covariance suite: five admissible pairs per map, drawn as map by map
-    # (each map's accepted rows decide where the next map's draws start) but
-    # judged per stack, then evaluated once per stack of one (k, m)
+    # covariance suite: per stack of one (k, m), each map's first five
+    # admissible pairs of its candidate blocks, judged and evaluated once per stack
     maps = _random_maps(rng, cfg.n, 40, corrupt=bool(cfg.corrupt_vahlen))
     worst_cov = 0.0
     try:
-        pairs = _draw_pool(rng, maps, cfg.n)
-        for (k, m), (members, coeffs) in _stacks(maps).items():
-            stack = VahlenMap(coeffs[:, None], m)  # (maps, 1, 2, 2, 2^k) against (maps, 5) pairs
-            x, y = pairs[members, :, : cfg.n], pairs[members, :, cfg.n :]
+        for (k, m), (_, coeffs) in _stacks(maps).items():
+            stack = VahlenMap(coeffs[:, None], m)  # (maps, 1, 2, 2, 2^k) against (maps, C) pairs
+            draw = functools.partial(rng.uniform, -2.0, 2.0, (len(coeffs), _BLOCK, 2 * cfg.n))
+            pairs = _first_accepted(draw, _admissible_pairs(stack, cfg.n))
+            x, y = pairs[..., : cfg.n], pairs[..., cfg.n :]
             res = covariance_residual(stack, x, y, *apply(stack, np.stack((x, y))).points)
-            base = np.linalg.norm(cauchy_kernel_G(x - y, m, k), axis=-1)
+            base = row_norms(cauchy_kernel_G(x - y, m, k))
             worst_cov = max(worst_cov, float(np.max(res / np.maximum(base, 1e-30))))
     except VahlenError:
-        # a corrupted map fails the grade-1 validity check in its draw or stack
+        # a corrupted map fails a validity check: images off grade 1 in its
+        # draw, or, as a translation at n = 2, a pseudo-determinant that is
+        # not scalar in its stack's evaluation
         rep.add("kernel-covariance", float("inf"), 1e-9)
         return rep.finish()
     rep.add("kernel-covariance", worst_cov, 1e-9)
 
-    # pullback monogenicity suite: each map is used as a Moebius map of its
-    # full ambient space (flat-Dirac covariance holds with exponent = ambient
-    # dimension; the Cayley matrix enters as a map of R^{n+1}). Poles, signs
-    # and points are drawn map by map, as they interleave in the generator;
-    # each judge has checked every stencil point, so evaluating afterwards,
-    # once per k over a stack of maps, moves no raise
-    samples = []
-    for psi in maps[:10]:
-        k = psi.ambient_dim
-        psi = dataclasses.replace(psi, kernel_exponent=k)
-        pole = rng.uniform(2.5, 4.0, k) * rng.choice([-1.0, 1.0], k)
-        judge = _stencil_samples(psi, g_translate(pole, n=k, dim_alg=k), 1e-4)
-        samples.append((psi, pole, _draw_accepted(lambda rows: rng.uniform(-1.8, 1.8, (rows, k)), 5, judge)))
-    worst_fd = max(float(np.linalg.norm(res, axis=-1).max()) for _, res in _pullback_stacks(*zip(*samples)))
+    # pullback monogenicity suite over the first ten maps: each map is used as
+    # a Moebius map of its full ambient space (flat-Dirac covariance holds
+    # with exponent = ambient dimension; the Cayley matrix enters as a map of
+    # R^{n+1}). The poles come in one block; per k, each map keeps its first
+    # five points whose whole stencil the judge accepts, so the evaluation
+    # over the stack raises nothing
+    fd_maps = [dataclasses.replace(psi, kernel_exponent=psi.ambient_dim) for psi in maps[:10]]
+    _, samples = _pullback_samples(rng, fd_maps)
+    worst_fd = max(
+        float(row_norms(dirac_left_fd(moebius_pullback(stack, f), x, 1e-4)).max()) for _, stack, f, x in samples
+    )
     rep.add("pullback-monogenicity-fd", worst_fd, 1e-5)
     return rep.finish()
 
 
 def _worst(diff: np.ndarray, scale) -> float:
     """The largest row norm of diff relative to its scale (floored at 1e-30)."""
-    return float(np.max(np.linalg.norm(diff, axis=-1) / np.maximum(scale, 1e-30)))
+    return float(np.max(row_norms(diff) / np.maximum(scale, 1e-30)))
 
 
 def _neck_pairs(rng, n: int, r: float, count: int) -> np.ndarray:
-    """`count` rows (x, y) of neck points at least 0.05 apart, as a loop drawing
-    one pair at a time finds them; only the draws run per point, not the judging."""
+    """`count` rows (x, y) of neck points at least 0.05 apart: the first such
+    pairs of blocks of 1.25 count candidate pairs, with radii uniform across
+    the neck and directions uniform on the sphere."""
     margin = min(0.02, (r - 1.0 / r) / 4.0)  # keeps the draw inside (1/r, r)
+    rows = count + count // 4
 
-    def draw(rows: int) -> np.ndarray:
-        rho, v = np.empty(2 * rows), np.empty((2 * rows, n))
-        for i in range(2 * rows):
-            rho[i], v[i] = rng.uniform(1.0 / r + margin, r - margin), rng.normal(size=n)
-        return (rho[:, None] * (v / row_norms(v)[:, None])).reshape(rows, 2 * n)
+    def draw() -> np.ndarray:
+        rho = rng.uniform(1.0 / r + margin, r - margin, (1, rows, 2, 1))
+        v = rng.normal(size=(1, rows, 2, n))
+        return (rho * (v / row_norms(v)[..., None])).reshape(1, rows, 2 * n)
 
-    def judge(rows):
-        apart = row_norms(rows[:, :n] - rows[:, n:]) >= 0.05
+    def judge(pairs):
+        apart = row_norms(pairs[..., :n] - pairs[..., n:]) >= 0.05
         return apart, np.zeros_like(apart)
 
-    return _draw_accepted(draw, count, judge)
+    return _first_accepted(draw, judge, count)[0]
 
 
 def cmd_verify_kernel(cfg: RunConfig) -> tuple[str, int]:
@@ -432,7 +374,7 @@ def cmd_verify_kernel(cfg: RunConfig) -> tuple[str, int]:
     # the bound is meaningful for thin necks where the kernel is large
     px, py = (ManifoldPoint(2, c) for c in np.split(_neck_pairs(rng, m.n, m.r, 200), 2, axis=1))
     res = overlap_consistency_residual(m, px, py)
-    ref = np.linalg.norm(cauchy_kernel_G(embed(m, px) - embed(m, py), m.n, m.n + 1), axis=-1)
+    ref = row_norms(cauchy_kernel_G(embed(m, px) - embed(m, py), m.n, m.n + 1))
     rep.add("overlap-consistency", float(np.max(res / np.maximum(ref, 1e-30))), 1e-9)
 
     # case coherence: the kernel is continuous where y crosses from neck to

@@ -11,13 +11,13 @@ import numpy as np
 import pytest
 
 from sphereglue import cli, integration, kernel
-from sphereglue.algebra import Multivector
+from sphereglue.algebra import Multivector, row_norms
 from sphereglue.cli import (
-    _admissible_pairs,
-    _draw_accepted,
-    _draw_pool,
-    _pullback_stacks,
+    _BLOCK,
+    _first_accepted,
+    _pullback_samples,
     _random_maps,
+    _stacks,
     _stencil_samples,
     build_config,
     cross_glue_target,
@@ -27,7 +27,7 @@ from sphereglue.cli import (
 from sphereglue.fields import dirac_left_fd, g_translate, moebius_pullback
 from sphereglue.kernel import kernel_CM
 from sphereglue.manifold import ManifoldPoint, plane_sphere, two_spheres
-from sphereglue.moebius import VahlenError, neck_inversion, weight_J
+from sphereglue.moebius import VahlenError, VahlenMap, apply, covariance_residual, neck_inversion, weight_J
 
 
 def run(tmp_path, *argv):
@@ -90,17 +90,13 @@ def test_pullback_fd_check_fails_with_a_wrong_weight_exponent(n):
     same points."""
     for seed in range(40):
         rng = np.random.default_rng(seed)
+        maps = [dataclasses.replace(psi, kernel_exponent=psi.ambient_dim) for psi in _random_maps(rng, n, 10)]
         worst = {"right": 0.0, "wrong": 0.0}
-        for psi in _random_maps(rng, n, 10):
-            k = psi.ambient_dim
-            right = dataclasses.replace(psi, kernel_exponent=k)
-            wrong = dataclasses.replace(psi, kernel_exponent=k + 1)
-            pole = rng.uniform(2.5, 4.0, k) * rng.choice([-1.0, 1.0], k)
-            f = g_translate(pole, n=k, dim_alg=k)
-            x = _draw_accepted(lambda rows: rng.uniform(-1.8, 1.8, (rows, k)), 5, _stencil_samples(right, f, 1e-4))
+        for _, right, f, x in _pullback_samples(rng, maps)[1]:
+            wrong = dataclasses.replace(right, kernel_exponent=right.kernel_exponent + 1)
             for name, pb in (("right", right), ("wrong", wrong)):
                 resid = dirac_left_fd(moebius_pullback(pb, f), x, 1e-4)
-                worst[name] = max(worst[name], float(np.linalg.norm(resid, axis=-1).max()))
+                worst[name] = max(worst[name], float(row_norms(resid).max()))
         assert worst["right"] <= 1e-5 < worst["wrong"], (seed, worst)
 
 
@@ -115,6 +111,21 @@ def test_verify_kernel_thin_neck(tmp_path):
     cfg.write_text("r=1.2\n")
     status, text = run(tmp_path, "verify-kernel", "--config", str(cfg), "--seed", "0")
     assert status == 0
+
+
+@pytest.mark.parametrize("kind", ["two_spheres", "plane_sphere"])
+def test_verify_kernel_passes_at_every_seed(tmp_path, kind):
+    """verify-kernel passes at seeds 0-39 for n = 2 and 3 on both kinds: no
+    draw of its neck pairs moves overlap-consistency past its bound."""
+    failed = []
+    for n in (2, 3):
+        cfg = tmp_path / f"{kind}-n{n}.cfg"
+        cfg.write_text(f"kind={kind}\nn={n}\n")
+        for seed in range(40):
+            status, _ = run(tmp_path, "verify-kernel", "--config", str(cfg), "--seed", str(seed))
+            if status != 0:
+                failed.append((n, seed))
+    assert failed == []
 
 
 MATRIX_RADII = [1.0001, 1.01, 1.05, 2.0, 10.0, 1e6]
@@ -174,123 +185,187 @@ def test_report_repeats_in_one_process(tmp_path, command):
     assert t1 == t2
 
 
-def _one_row_at_a_time(draw, count, judge):
-    kept = []
-    while len(kept) < count:
-        row = draw(1)[0]
-        accepted, raising = judge(row[None])
-        if raising[0]:
-            raise VahlenError("raised")
-        if accepted[0]:
-            kept.append(row)
-    return np.array(kept)
+def _judge_on_first_column(rows):
+    """Accepts rows whose first entry exceeds -0.5; rows with first entry
+    above 0.8 and second below -0.6 raise."""
+    return rows[..., 0] > -0.5, (rows[..., 0] > 0.8) & (rows[..., 1] < -0.6)
+
+
+def _recording_first_accepted(monkeypatch):
+    """Patch cli._first_accepted to record, per call, the candidate rows it
+    drew (maps, blocks x C, w), its judge, its count and the rows it kept
+    (None if it raised)."""
+    calls, first_accepted = [], cli._first_accepted
+
+    def recording(draw, judge, count=5):
+        blocks, kept = [], None
+        try:
+            kept = first_accepted(lambda: blocks.append(draw()) or blocks[-1], judge, count)
+        finally:
+            calls.append((np.concatenate(blocks, axis=1), judge, count, kept))
+        return kept
+
+    monkeypatch.setattr(cli, "_first_accepted", recording)
+    return calls
+
+
+def _recording_random_maps(monkeypatch, corrupt_at=None):
+    """Patch cli._random_maps to record each pool it returns; corrupt_at moves
+    the corrupted map of a corrupt_vahlen pool to that position."""
+    pools, random_maps = [], cli._random_maps
+
+    def recording(*args, **kwargs):
+        maps = random_maps(*args, **kwargs)
+        if corrupt_at is not None:
+            maps.insert(corrupt_at, maps.pop(0))
+        pools.append(maps)
+        return maps
+
+    monkeypatch.setattr(cli, "_random_maps", recording)
+    return pools
+
+
+def _assert_first_accepted(rows, judge, count, kept, block):
+    """kept holds, per map, exactly the first `count` rows of `rows` in draw
+    order that judge accepts, and blocks were drawn only while a map was short."""
+    accepted, raising = judge(rows)
+    assert not raising.any() and kept.shape == (len(rows), count, rows.shape[-1])
+    for i in range(len(rows)):
+        assert np.array_equal(kept[i], rows[i][accepted[i]][:count])
+    assert (accepted[:, : rows.shape[1] - block].sum(1) < count).any() or rows.shape[1] == block
 
 
 @pytest.mark.parametrize("seed", range(8))
-def test_draw_accepted_matches_one_row_loop(seed):
-    """Same rows, same generator state afterwards, and a raise exactly when
-    the one-row loop meets a raising row before it has enough rows."""
-
-    def judge(rows):
-        return rows[:, 0] > -0.5, (rows[:, 0] > 0.8) & (rows[:, 1] < -0.6)
-
-    outcomes = []
-    for draw in (_draw_accepted, _one_row_at_a_time):
-        rng = np.random.default_rng(seed)
-        try:
-            rows = draw(lambda rows: rng.uniform(-1.0, 1.0, (rows, 2)), 5, judge)
-        except VahlenError:
-            rows = None
-        outcomes.append((rows, rng.uniform()))
-    (got, after), (want, after_ref) = outcomes
-    if want is None:
-        assert got is None
-    else:
-        assert np.array_equal(got, want) and after == after_ref
-
-
-def _map_by_map(rng, maps, n):
-    draw = lambda rows: rng.uniform(-2.0, 2.0, (rows, 2 * n))
-    return np.array([_draw_accepted(draw, 5, _admissible_pairs(psi, n)) for psi in maps])
-
-
-def _pool_outcome(draw, seed, n, corrupt_at=None, slack=cli._SLACK):
-    """The rows `draw` returns for verify-algebra's pool at n and seed and the
-    next uniform draw, or None on VahlenError; corrupt_at moves the corrupted
-    map of a corrupt_vahlen pool to that position."""
-    rng = np.random.default_rng(seed)
-    maps = _random_maps(rng, n, 40, corrupt=corrupt_at is not None)
-    if corrupt_at is not None:
-        maps.insert(corrupt_at, maps.pop(0))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "_SLACK", slack)
-        try:
-            return draw(rng, maps, n), rng.uniform()
-        except VahlenError:
-            return None
+def test_first_accepted_keeps_each_maps_first_accepted_rows(seed):
+    """Over six maps drawing blocks of four rows, each map keeps its first
+    five accepted rows in draw order, another block comes only while a map is
+    short, and a raising row among the judged rows raises VahlenError."""
+    rng, blocks = np.random.default_rng(seed), []
+    draw = lambda: blocks.append(rng.uniform(-1.0, 1.0, (6, 4, 2))) or blocks[-1]
+    try:
+        kept = _first_accepted(draw, _judge_on_first_column)
+    except VahlenError:
+        assert _judge_on_first_column(blocks[-1])[1].any()
+        return
+    _assert_first_accepted(np.concatenate(blocks, axis=1), _judge_on_first_column, 5, kept, 4)
 
 
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("seed", range(8))
-def test_pool_draws_match_map_by_map(n, seed):
-    """The pool's rows equal map-by-map _draw_accepted's and leave the
-    generator in the same state, also with no slack, where most windows are
-    re-judged."""
-    got, after = _pool_outcome(_map_by_map, seed, n)
-    for slack in (0, cli._SLACK):
-        pool, pool_after = _pool_outcome(_draw_pool, seed, n, slack=slack)
-        assert np.array_equal(pool, got) and pool_after == after
+def test_pool_draws_match_map_by_map(monkeypatch, n, seed):
+    """In verify-algebra's covariance and pullback draws and verify-kernel's
+    neck pairs, every map keeps exactly its first five (neck: 200) rows in
+    draw order that its judge accepts, and no judged row raises. The
+    covariance pool's pairs equal those each map's own judge keeps from its
+    own candidate rows, map by map."""
+    calls = _recording_first_accepted(monkeypatch)
+    pools = _recording_random_maps(monkeypatch)
+    _, status = cli.cmd_verify_algebra(cli.RunConfig(n=n, seed=seed))
+    assert status == 0 and len(calls) >= 3
+    for (rows, _, _, kept), (members, _) in zip(calls, _stacks(pools[0]).values()):
+        for i, own, pairs in zip(members, rows, kept):
+            accepted, raising = cli._admissible_pairs(pools[0][i], n)(own)
+            assert not raising.any() and np.array_equal(pairs, own[accepted][:5]), i
+    _, status = cli.cmd_verify_kernel(cli.RunConfig(n=n, seed=seed))
+    assert status == 0 and calls[-1][3].shape == (1, 200, 2 * n)
+    for rows, judge, count, kept in calls:
+        _assert_first_accepted(rows, judge, count, kept, 250 if count == 200 else _BLOCK)
+
+
+def test_short_maps_draw_another_block(monkeypatch):
+    """With a covariance judge that rejects about four rows in five, maps
+    short of five pairs draw further blocks, and the suite still passes on
+    rows the strict judge accepts."""
+    calls = _recording_first_accepted(monkeypatch)
+    admissible = cli._admissible_pairs
+
+    def strict(psi, n):
+        judge = admissible(psi, n)
+        return lambda rows: (judge(rows)[0] & (rows[..., 0] > 1.2), judge(rows)[1])
+
+    monkeypatch.setattr(cli, "_admissible_pairs", strict)
+    _, status = cli.cmd_verify_algebra(cli.RunConfig(n=2, seed=0))
+    covariance = [call for call in calls if call[0].shape[-1] == 4]
+    assert status == 0 and covariance
+    for rows, judge, count, kept in covariance:
+        assert rows.shape[1] > _BLOCK and (kept[..., 0] > 1.2).all()
+        _assert_first_accepted(rows, judge, count, kept, _BLOCK)
+
+
+def _raises_alone(psi, n, rows):
+    """Whether the covariance suite raises VahlenError on psi alone, given its
+    candidate rows: a raising row among them, or a raise in evaluating its
+    first five admissible pairs."""
+    accepted, raising = cli._admissible_pairs(psi, n)(rows)
+    if raising.any():
+        return True
+    pairs = rows[accepted][:5]
+    x, y = pairs[:, :n], pairs[:, n:]
+    try:
+        covariance_residual(psi, x, y, *apply(psi, np.stack((x, y))).points)
+    except VahlenError:
+        return True
+    return False
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_pool_raises_exactly_when_map_by_map_does(n):
-    """Over corrupt_vahlen pools at seeds 0-23, with the corrupted map first
-    (judged alone), in the middle or last (judged in a stack), the pool
-    raises VahlenError exactly when the map-by-map loop does."""
+    """Over corrupt_vahlen pools at seeds 0-23, with the corrupted map first,
+    in the middle or last, kernel-covariance fails with an infinite residual;
+    and, of the maps whose stacks were drawn, the suite run on each map alone
+    on its own candidate rows raises for the corrupted map and no other."""
     for seed, corrupt_at in itertools.product(range(24), (0, 17, 39)):
-        want = _pool_outcome(_map_by_map, seed, n, corrupt_at)
-        got = _pool_outcome(_draw_pool, seed, n, corrupt_at)
-        assert (got is None) == (want is None), (seed, corrupt_at)
-        if want is not None:
-            assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+        with pytest.MonkeyPatch.context() as mp:
+            pools = _recording_random_maps(mp, corrupt_at)
+            calls = _recording_first_accepted(mp)
+            text, status = cli.cmd_verify_algebra(cli.RunConfig(n=n, seed=seed, corrupt_vahlen=1))
+        assert status == 1 and "property=kernel-covariance residual=inf" in text, (seed, corrupt_at)
+        maps, raising = pools[0], []
+        for (rows, *_), (members, _) in zip(calls, _stacks(pools[0]).values()):
+            raising += [i for i, own in zip(members, rows) if _raises_alone(maps[i], n, own)]
+        assert raising == [corrupt_at], (seed, corrupt_at)
 
 
 def test_pool_judges_each_covariance_suite_in_few_calls(monkeypatch):
-    """At most 8 judge calls per covariance suite over seeds 0-9 at n = 2
-    and 3; judging map by map took 40-43."""
-    calls = []
+    """Over seeds 0-9 at n = 2 and 3, verify-algebra judges its covariance
+    pairs in one call per (k, exponent) stack of maps, on a block of
+    candidate pairs per map, and the stacked verdicts are each map's own."""
+    judged, admissible = [], cli._admissible_pairs
 
-    def counting(psi, n):
-        judge = _admissible_pairs(psi, n)
-        return lambda rows: calls.append(rows.shape) or judge(rows)
+    def recording(psi, n):
+        judge = admissible(psi, n)
+        return lambda rows: judged.append((psi, rows)) or judge(rows)
 
-    monkeypatch.setattr(cli, "_admissible_pairs", counting)
+    monkeypatch.setattr(cli, "_admissible_pairs", recording)
+    pools = _recording_random_maps(monkeypatch)
     for n, seed in itertools.product((2, 3), range(10)):
-        calls.clear()
+        judged.clear()
         _, status = cli.cmd_verify_algebra(cli.RunConfig(n=n, seed=seed))
-        assert status == 0 and 0 < len(calls) <= 8, (n, seed, len(calls))
+        assert status == 0 and len(judged) == len(_stacks(pools[-1])), (n, seed)
+        for stack, rows in judged:
+            assert rows.shape == (len(stack.coeffs), _BLOCK, 2 * n)
+            accepted, raising = admissible(stack, n)(rows)
+            for i, coeffs in enumerate(stack.coeffs[:, 0]):
+                one = admissible(VahlenMap(coeffs, stack.kernel_exponent), n)(rows[i])
+                assert np.array_equal(one[0], accepted[i]) and np.array_equal(one[1], raising[i])
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_pullback_stack_matches_each_map(n):
     """The residuals of the stacked pullbacks equal each map's own
-    dirac_left_fd bit for bit, at the suite's poles and points."""
+    dirac_left_fd bit for bit, at the suite's poles and points, and the
+    stacked stencil judge gives each map's own verdicts on those points."""
     rng = np.random.default_rng(3)
-    maps, poles, points = [], [], []
-    for psi in _random_maps(rng, n, 10):
-        k = psi.ambient_dim
-        psi = dataclasses.replace(psi, kernel_exponent=k)
-        pole = rng.uniform(2.5, 4.0, k) * rng.choice([-1.0, 1.0], k)
-        judge = _stencil_samples(psi, g_translate(pole, n=k, dim_alg=k), 1e-4)
-        points.append(_draw_accepted(lambda rows: rng.uniform(-1.8, 1.8, (rows, k)), 5, judge))
-        maps.append(psi)
-        poles.append(pole)
+    maps = [dataclasses.replace(psi, kernel_exponent=psi.ambient_dim) for psi in _random_maps(rng, n, 10)]
     seen = []
-    for members, resid in _pullback_stacks(maps, poles, points):
-        for i, res in zip(members, resid):
+    poles, samples = _pullback_samples(rng, maps)
+    for members, stack, f, points in samples:
+        resid = dirac_left_fd(moebius_pullback(stack, f), points, 1e-4)
+        for i, res, x in zip(members, resid, points):
             k = maps[i].ambient_dim
-            one = dirac_left_fd(moebius_pullback(maps[i], g_translate(poles[i], n=k, dim_alg=k)), points[i], 1e-4)
-            assert np.array_equal(res, one)
+            g = g_translate(poles[i, :k], n=k, dim_alg=k)
+            assert np.array_equal(res, dirac_left_fd(moebius_pullback(maps[i], g), x, 1e-4))
+            assert _stencil_samples(maps[i], g, 1e-4)(x)[0].all()
             seen.append(i)
     assert sorted(seen) == list(range(10)) and len({psi.ambient_dim for psi in maps}) == 2
 
@@ -462,35 +537,20 @@ def test_exception_in_a_suite_is_one_line_naming_suite_and_config(tmp_path, caps
     assert err.rstrip().endswith(": " + raised)
 
 
-def _neck_pairs_one_at_a_time(rng, n, r, count):
-    def neck_point():
-        margin = min(0.02, (r - 1.0 / r) / 4.0)
-        rho = float(rng.uniform(1.0 / r + margin, r - margin))
-        v = rng.normal(size=n)
-        v /= np.linalg.norm(v)
-        return rho * v
-
-    pairs = []
-    while len(pairs) < count:
-        x, y = neck_point(), neck_point()
-        if np.linalg.norm(x - y) >= 0.05:
-            pairs.append(np.concatenate((x, y)))
-    return np.array(pairs)
-
-
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("r", [1.0001, 1.05, 2.0, 10.0, 1e6])
-def test_neck_pairs_match_one_pair_loop(n, r):
-    """verify-kernel's block-wise neck pairs equal the pairs of a loop that
-    draws and judges one pair at a time, bit for bit, and leave the
-    generator in the same state, at seeds 0-7."""
+def test_neck_pairs_match_one_pair_loop(monkeypatch, n, r):
+    """verify-kernel's 200 neck pairs, at seeds 0-7, equal bit for bit the
+    pairs of a loop that walks the same candidate pairs one at a time and
+    keeps those 0.05 apart, and both points of each lie inside the neck
+    1/r < |x| < r."""
+    calls = _recording_first_accepted(monkeypatch)
     for seed in range(8):
-        outcomes = []
-        for draw in (cli._neck_pairs, _neck_pairs_one_at_a_time):
-            rng = np.random.default_rng(seed)
-            outcomes.append((draw(rng, n, r, 200), rng.uniform()))
-        (got, after), (want, after_ref) = outcomes
-        assert np.array_equal(got, want) and after == after_ref, seed
+        pairs = cli._neck_pairs(np.random.default_rng(seed), n, r, 200)
+        kept = [row for row in calls[-1][0][0] if np.linalg.norm(row[:n] - row[n:]) >= 0.05]
+        assert pairs.shape == (200, 2 * n) and np.array_equal(pairs, kept[:200]), seed
+        radii = row_norms(np.concatenate((pairs[:, :n], pairs[:, n:])))
+        assert ((1.0 / r < radii) & (radii < r)).all(), seed
 
 
 @pytest.mark.parametrize("order", [4, 16, 64, 256])

@@ -28,7 +28,7 @@ from sphereglue.moebius import (
     weight_J_rows,
 )
 from sphereglue import cli, moebius
-from sphereglue.cli import _admissible_pairs, _draw_accepted, _random_maps
+from sphereglue.cli import _BLOCK, _admissible_pairs, _first_accepted, _random_maps
 from sphereglue.manifold import chart_map, chart_transfer, plane_sphere, two_spheres
 
 
@@ -497,8 +497,8 @@ def test_stack_matches_single_maps_bit_for_bit(n, seed):
     for (_, m), group in groups.items():
         stack = VahlenMap(np.array([psi.coeffs for psi in group]), m)
         column = VahlenMap(stack.coeffs[:, None], m)  # maps against (maps, 5) points
-        draw = lambda rows: rng.uniform(-2.0, 2.0, (rows, 2 * n))
-        pairs = np.array([_draw_accepted(draw, 5, _admissible_pairs(psi, n)) for psi in group])
+        draw = lambda: rng.uniform(-2.0, 2.0, (len(group), _BLOCK, 2 * n))
+        pairs = _first_accepted(draw, _admissible_pairs(column, n))
         x, y = pairs[..., :n], pairs[..., n:]
         img = apply(column, np.stack((x, y)))
         w, regular = weight_J_rows(column, x)
