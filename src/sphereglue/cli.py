@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from .algebra import gp_batch, reversion, row_norms, vectors
-from .fields import constant_field, dirac_left_fd, fd_stencil, g_translate, moebius_pullback
+from .fields import constant_field, dirac_from_stencil, fd_stencil, g_translate
 from .integration import cauchy_integrals, chart_circle, chart_sphere, plemelj_projections, section_from_germ
 from .kernel import DiagonalError, kernel_CM, overlap_consistency_residual
 from .manifold import ManifoldPoint, embed, plane_sphere, two_spheres
@@ -33,7 +33,6 @@ from .moebius import (
     compose,
     covariance_residual,
     neck_inversion,
-    translation_map,
     weight_J_rows,
 )
 
@@ -102,6 +101,9 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     for key in ("r", "scale1", "scale2"):
         if not math.isfinite(getattr(cfg, key)):
             raise ValueError(f"{key} must be finite")
+    # from about 1e77 on, the neck's Vahlen maps overflow in verify-kernel at n = 3
+    if cfg.r > 1e50:
+        raise ValueError("r must be at most 1e50")
     if cfg.out and (os.path.isdir(cfg.out) or not os.access(os.path.dirname(cfg.out) or ".", os.W_OK)):
         raise ValueError(f"cannot write {cfg.out!r}: a directory, or its directory is missing or read-only")
     if cfg.seed < 0:
@@ -169,29 +171,30 @@ class Report:
         return "\n".join(self.lines) + "\n", 0 if ok else 1
 
 
-def _random_maps(rng, n: int, count: int, corrupt: bool = False):
-    """Sample from translations, the neck inversion, Cayley, and random
-    compositions of translations with the neck inversion; the kinds and the
-    translation offsets are drawn in one block each."""
+def _random_maps(rng, n: int, count: int, corrupt: bool = False) -> dict:
+    """Sample from translations T_t, the neck inversion N, Cayley, and
+    compositions T_s N T_t; the kinds and the offsets (t, s) are drawn in one
+    block each. The pool as stacks, per (ambient_dim, kernel_exponent) in
+    order of first appearance: the pool indices of its maps and their stack
+    (maps, 2, 2, 2^k). Every T_t and T_s is built in one coefficient block,
+    and the compositions by two stacked compose calls."""
     kinds = rng.integers(0, 4, count)
     offsets = rng.uniform(-2.0, 2.0, (count, 2, n))
-    maps = []
-    for kind, (t, s) in zip(kinds, offsets):
-        if kind == 0:
-            maps.append(translation_map(t, n, n))
-        elif kind == 1:
-            maps.append(neck_inversion(n))
-        elif kind == 2:
-            maps.append(cayley(n))
-        else:
-            inner = compose(neck_inversion(n), translation_map(t, n, n))
-            maps.append(compose(translation_map(s, n, n), inner))
-    if corrupt and maps:
+    shifts = np.zeros((2, count, 2, 2, 1 << n))  # T_t and T_s of every draw
+    shifts[..., 0, 0, 0] = shifts[..., 1, 1, 0] = 1.0
+    shifts[..., 0, 1, :] = vectors(np.moveaxis(offsets, 1, 0), n)
+    t_maps, s_maps = (VahlenMap(c[kinds == 3], n) for c in shifts)
+    flat = shifts[0]  # every map of Cl_n, over T_t's rows
+    flat[kinds == 1] = neck_inversion(n).coeffs
+    flat[kinds == 3] = compose(s_maps, compose(neck_inversion(n), t_maps)).coeffs
+    cayleys = np.broadcast_to(cayley(n).coeffs, (count, 2, 2, 2 << n))
+    stacks = {(n, n): flat[kinds != 2], (n + 1, n): cayleys[kinds == 2]}
+    members = {(n, n): (kinds != 2).nonzero()[0], (n + 1, n): (kinds == 2).nonzero()[0]}
+    if corrupt and count:
         # a bivector 0.25 e1e2 in `a` leaves no map of the pool a valid Vahlen matrix
-        coeffs = maps[0].coeffs.copy()
-        coeffs[0, 0, 0b11] += 0.25
-        maps[0] = dataclasses.replace(maps[0], coeffs=coeffs)
-    return maps
+        stacks[(n + 1, n) if kinds[0] == 2 else (n, n)][0, 0, 0, 0b11] += 0.25
+    keys = sorted((key for key in stacks if members[key].size), key=lambda key: members[key][0])
+    return {key: (members[key], VahlenMap(stacks[key], key[1])) for key in keys}
 
 
 # Candidate rows drawn per map in one block; well above the five kept, since
@@ -199,35 +202,30 @@ def _random_maps(rng, n: int, count: int, corrupt: bool = False):
 _BLOCK = 12
 
 
-def _first_accepted(draw, judge, count: int = 5) -> np.ndarray:
-    """Each map's first `count` rows, in draw order, that judge accepts:
-    (maps, count, w). draw() returns a block of candidate rows (maps, C, w)
-    and judge(rows) per row whether it is accepted and whether it raises.
+def _first_accepted(draw, judge, count: int = 5) -> list[np.ndarray]:
+    """Each map's first `count` rows, in draw order, that judge accepts,
+    (maps, count, w), followed by the judge's payloads picked at the same
+    rows, (maps, count, ...). draw() returns a block of candidate rows
+    (maps, C, w); judge(rows) returns per row whether it is accepted and
+    whether it raises, then any payload arrays (maps, C, ...) it computed.
     While a map has fewer than `count`, another block is drawn and judged for
     every map. Raises VahlenError if a judged row raises."""
     blocks, marks = [], []
     while not marks or (np.concatenate(marks, axis=1).sum(1) < count).any():
-        blocks.append(draw())
-        accepted, raising = judge(blocks[-1])
+        rows = draw()
+        accepted, raising, *payloads = judge(rows)
         if raising.any():
             raise VahlenError("invalid Vahlen coefficients: image is not grade-1")
         marks.append(accepted)
+        blocks.append((rows, *payloads))
     first = np.argsort(~np.concatenate(marks, axis=1), axis=1, kind="stable")[:, :count]
-    return np.take_along_axis(np.concatenate(blocks, axis=1), first[..., None], axis=1)
-
-
-def _stacks(maps) -> dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]:
-    """Per (ambient_dim, kernel_exponent), in pool order: the indices of its
-    maps and their coefficients (maps, 2, 2, 2^k)."""
-    groups: dict[tuple[int, int], list] = {}
-    for i, psi in enumerate(maps):
-        groups.setdefault((psi.ambient_dim, psi.kernel_exponent), []).append(i)
-    return {key: (np.array(idx), np.array([maps[i].coeffs for i in idx])) for key, idx in groups.items()}
+    return [np.concatenate(parts, axis=1)[np.arange(len(first))[:, None], first] for parts in zip(*blocks)]
 
 
 def _admissible_pairs(psi, n: int):
     """Judge rows (x, y): apart, with images finite and apart, and the map
-    well away from singular at x."""
+    well away from singular at x. The payload is the images (..., 2, k) of
+    x and y."""
     k, (_, _, c, d) = psi.ambient_dim, psi.rows
 
     def judge(rows):
@@ -237,7 +235,7 @@ def _admissible_pairs(psi, n: int):
         px, py = img.points
         den_x = row_norms(gp_batch(k, c, vectors(x, k)) + d)
         accepted = apart & img.finite.all(0) & (row_norms(px - py) >= 1e-3) & (den_x >= 0.1)
-        return accepted, apart & ~img.valid.all(0)
+        return accepted, apart & ~img.valid.all(0), np.moveaxis(img.points, 0, -2)
 
     return judge
 
@@ -248,35 +246,43 @@ def _stencil_samples(psi, f, h: float):
     where the weight must also be regular. The stencil is every point the
     finite-difference operator evaluates, at both of its steps. A grade-1
     failure at the point raises; one on the stencil only rejects the point.
-    psi and f may be stacks that broadcast against the stencils (..., 2, 2, k)."""
+    The payload is the pullback's values J(psi, x) f(psi(x)) on the stencil
+    (..., 2, 2, k, 2^k), NaN where it is not defined. psi and f may be stacks
+    that broadcast against the stencils (..., 2, 2, k); f takes points of R^k."""
+    k = psi.ambient_dim
 
     def judge(rows):
         centre = apply(psi, rows[..., None, None, None, :], raise_invalid=False)
         stencil = fd_stencil(rows, h)
         around = apply(psi, stencil, raise_invalid=False)
-        _, regular = weight_J_rows(psi, stencil)
+        weights, regular = weight_J_rows(psi, stencil)
         defined = around.finite & around.valid & regular & f.domain(around.points)
         accepted = centre.finite & f.domain(centre.points) & defined
-        return accepted.all((-3, -2, -1)), ~centre.valid[..., 0, 0, 0]
+        values = gp_batch(k, weights, f.func(np.where(defined[..., None], around.points, np.nan)))
+        return accepted.all((-3, -2, -1)), ~centre.valid[..., 0, 0, 0], values
 
     return judge
 
 
-def _pullback_samples(rng, maps):
-    """The poles (maps, K) of the fields G(x - pole), drawn in one block, and,
-    per ambient dimension k of the maps (each with kernel exponent k): the
-    indices of the maps of that k, their stack (maps, 1, 1, 1, 1), which
-    broadcasts against the stencils (maps, P, 2, 2, k) of points (maps, P, k),
-    the fields with the maps' poles (their first k columns), and each map's
-    first five finite-difference sample points that _stencil_samples accepts."""
-    width = max(psi.ambient_dim for psi in maps)
-    poles = rng.uniform(2.5, 4.0, (len(maps), width)) * rng.choice([-1.0, 1.0], (len(maps), width))
+def _pullback_samples(rng, pool, count: int = 10):
+    """The pullback suite's samples over the first `count` maps of a pool of
+    _random_maps, each used as a map of its full ambient space (kernel
+    exponent k): the poles (maps, K) of the fields G(x - pole), drawn in one
+    block, and per k: the pool indices of its maps, their stack
+    (maps, 1, 1, 1, 1), which broadcasts against the stencils
+    (maps, P, 2, 2, k) of points (maps, P, k), the fields with the maps'
+    poles (their first k columns), each map's first five finite-difference
+    sample points that _stencil_samples accepts, and the pullback's values
+    on their stencils."""
+    firsts = {k: (idx[idx < count], psi.coeffs[idx < count]) for (k, _), (idx, psi) in pool.items() if idx[0] < count}
+    maps, width = sum(len(idx) for idx, _ in firsts.values()), max(firsts)
+    poles = rng.uniform(2.5, 4.0, (maps, width)) * rng.choice([-1.0, 1.0], (maps, width))
     stacks = []
-    for (k, _), (members, coeffs) in _stacks(maps).items():
+    for k, (members, coeffs) in firsts.items():
         stack = VahlenMap(coeffs[:, None, None, None, None], k)
         f = g_translate(poles[members, None, None, None, None, :k], n=k, dim_alg=k)
         draw = functools.partial(rng.uniform, -1.8, 1.8, (len(members), _BLOCK, k))
-        stacks.append((members, stack, f, _first_accepted(draw, _stencil_samples(stack, f, 1e-4))))
+        stacks.append((members, stack, f, *_first_accepted(draw, _stencil_samples(stack, f, 1e-4))))
     return poles, stacks
 
 
@@ -285,7 +291,8 @@ def cmd_verify_algebra(cfg: RunConfig) -> tuple[str, int]:
     rep = Report("verify-algebra report", cfg)
 
     # product laws over Cl_2..Cl_4: 300 samples of random algebra dimension,
-    # drawn and evaluated in one block per dimension
+    # drawn in one block per dimension and evaluated in two stacked products
+    # each: ab, bc, ~b~a and vv, then (ab)c and a(bc)
     dims = rng.integers(2, 5, 300)
     worst_assoc = worst_rev = worst_sq = 0.0
     for dim in (2, 3, 4):
@@ -293,12 +300,11 @@ def cmd_verify_algebra(cfg: RunConfig) -> tuple[str, int]:
         a, b, c = rng.uniform(-1.0, 1.0, (3, rows, 2**dim))
         v = rng.uniform(-2.0, 2.0, (rows, dim))
         na, nb, nc = row_norms(a), row_norms(b), row_norms(c)
-        ab, ra, rb = gp_batch(dim, a, b), reversion(dim, a), reversion(dim, b)
-        assoc = gp_batch(dim, ab, c) - gp_batch(dim, a, gp_batch(dim, b, c))
-        worst_assoc = max(worst_assoc, _worst(assoc, na * nb * nc))
-        worst_rev = max(worst_rev, _worst(reversion(dim, ab) - gp_batch(dim, rb, ra), na * nb))
-        vm = vectors(v, dim)
-        sq = gp_batch(dim, vm, vm)
+        vm, ra, rb = vectors(v, dim), reversion(dim, a), reversion(dim, b)
+        ab, bc, rev, sq = gp_batch(dim, np.stack((a, b, rb, vm)), np.stack((b, c, ra, vm)))
+        ab_c, a_bc = gp_batch(dim, np.stack((ab, a)), np.stack((c, bc)))
+        worst_assoc = max(worst_assoc, _worst(ab_c - a_bc, na * nb * nc))
+        worst_rev = max(worst_rev, _worst(reversion(dim, ab) - rev, na * nb))
         sq[:, 0] += (v[:, None] @ v[..., None])[:, 0, 0]  # v.v as one BLAS dot per row
         worst_sq = max(worst_sq, _worst(sq, row_norms(vm) ** 2))
     rep.add("associativity", worst_assoc, 1e-10)
@@ -306,16 +312,17 @@ def cmd_verify_algebra(cfg: RunConfig) -> tuple[str, int]:
     rep.add("vector-square", worst_sq, 1e-10)
 
     # covariance suite: per stack of one (k, m), each map's first five
-    # admissible pairs of its candidate blocks, judged and evaluated once per stack
-    maps = _random_maps(rng, cfg.n, 40, corrupt=bool(cfg.corrupt_vahlen))
+    # admissible pairs of its candidate blocks, judged once per stack; the
+    # residual reads the images the judge computed
+    pool = _random_maps(rng, cfg.n, 40, corrupt=bool(cfg.corrupt_vahlen))
     worst_cov = 0.0
     try:
-        for (k, m), (_, coeffs) in _stacks(maps).items():
-            stack = VahlenMap(coeffs[:, None], m)  # (maps, 1, 2, 2, 2^k) against (maps, C) pairs
-            draw = functools.partial(rng.uniform, -2.0, 2.0, (len(coeffs), _BLOCK, 2 * cfg.n))
-            pairs = _first_accepted(draw, _admissible_pairs(stack, cfg.n))
+        for (k, m), (_, psi) in pool.items():
+            stack = VahlenMap(psi.coeffs[:, None], m)  # (maps, 1, 2, 2, 2^k) against (maps, C) pairs
+            draw = functools.partial(rng.uniform, -2.0, 2.0, (len(psi.coeffs), _BLOCK, 2 * cfg.n))
+            pairs, images = _first_accepted(draw, _admissible_pairs(stack, cfg.n))
             x, y = pairs[..., : cfg.n], pairs[..., cfg.n :]
-            res = covariance_residual(stack, x, y, *apply(stack, np.stack((x, y))).points)
+            res = covariance_residual(stack, x, y, images[..., 0, :], images[..., 1, :])
             base = row_norms(cauchy_kernel_G(x - y, m, k))
             worst_cov = max(worst_cov, float(np.max(res / np.maximum(base, 1e-30))))
     except VahlenError:
@@ -330,13 +337,10 @@ def cmd_verify_algebra(cfg: RunConfig) -> tuple[str, int]:
     # a Moebius map of its full ambient space (flat-Dirac covariance holds
     # with exponent = ambient dimension; the Cayley matrix enters as a map of
     # R^{n+1}). The poles come in one block; per k, each map keeps its first
-    # five points whose whole stencil the judge accepts, so the evaluation
-    # over the stack raises nothing
-    fd_maps = [dataclasses.replace(psi, kernel_exponent=psi.ambient_dim) for psi in maps[:10]]
-    _, samples = _pullback_samples(rng, fd_maps)
-    worst_fd = max(
-        float(row_norms(dirac_left_fd(moebius_pullback(stack, f), x, 1e-4)).max()) for _, stack, f, x in samples
-    )
+    # five points whose whole stencil the judge accepts, and the residuals
+    # are differenced from the pullback values the judge computed there
+    _, samples = _pullback_samples(rng, pool)
+    worst_fd = max(float(row_norms(dirac_from_stencil(values, 1e-4)).max()) for *_, values in samples)
     rep.add("pullback-monogenicity-fd", worst_fd, 1e-5)
     return rep.finish()
 
@@ -362,7 +366,7 @@ def _neck_pairs(rng, n: int, r: float, count: int) -> np.ndarray:
         apart = row_norms(pairs[..., :n] - pairs[..., n:]) >= 0.05
         return apart, np.zeros_like(apart)
 
-    return _first_accepted(draw, judge, count)[0]
+    return _first_accepted(draw, judge, count)[0][0]
 
 
 def cmd_verify_kernel(cfg: RunConfig) -> tuple[str, int]:

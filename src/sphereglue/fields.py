@@ -84,12 +84,18 @@ def dirac_left_fd(f: CliffordField, x, h: float = DEFAULT_FD_STEP) -> np.ndarray
     inside = np.broadcast_to(f.domain(stencil), stencil.shape[:-1]).all((-3, -2, -1))
     if not inside.all():
         raise DomainError(f"finite-difference stencil of {first_point(x, ~inside)} exits the field domain")
-    vals = f.func(stencil)
+    return dirac_from_stencil(f.func(stencil), h)
+
+
+def dirac_from_stencil(vals: np.ndarray, h: float) -> np.ndarray:
+    """dirac_left_fd from a field's values (..., 2, 2, dim, 2^dim_alg) at the
+    points of fd_stencil(x, h): coefficient arrays (..., 2^dim_alg)."""
+    dim, dim_alg = vals.shape[-2], vals.shape[-1].bit_length() - 1
     diff = (vals[..., 0, :, :] - vals[..., 1, :, :]) / (2.0 * np.array([h, h / 2.0])[:, None, None])
     # one Richardson step, (4 D_{h/2} - D_h) / 3, cancels the O(h^2) term
     diff = (4.0 * diff[..., 1, :, :] - diff[..., 0, :, :]) / 3.0
     # sum over j of e_j d_j, as one batched product
-    return gp_batch(f.dim_alg, vectors(np.eye(f.dim_in), f.dim_alg), diff).sum(-2)
+    return gp_batch(dim_alg, vectors(np.eye(dim), dim_alg), diff).sum(-2)
 
 
 def moebius_pullback(psi: VahlenMap, f: CliffordField) -> CliffordField:

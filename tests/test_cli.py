@@ -17,23 +17,47 @@ from sphereglue.cli import (
     _first_accepted,
     _pullback_samples,
     _random_maps,
-    _stacks,
     _stencil_samples,
     build_config,
     cross_glue_target,
     main,
     parse_config_file,
 )
-from sphereglue.fields import dirac_left_fd, g_translate, moebius_pullback
+from sphereglue.fields import dirac_from_stencil, dirac_left_fd, g_translate, moebius_pullback
 from sphereglue.kernel import kernel_CM
 from sphereglue.manifold import ManifoldPoint, plane_sphere, two_spheres
-from sphereglue.moebius import VahlenError, VahlenMap, apply, covariance_residual, neck_inversion, weight_J
+from sphereglue.moebius import (
+    VahlenError,
+    VahlenMap,
+    cayley,
+    compose,
+    covariance_residual,
+    neck_inversion,
+    translation_map,
+    weight_J,
+)
 
 
 def run(tmp_path, *argv):
     out = tmp_path / "report.txt"
     status = main([*argv, "--out", str(out)])
     return status, out.read_text()
+
+
+def _pool_maps(pool):
+    """The maps of a _random_maps pool, one VahlenMap each, in pool order."""
+    maps = {i: VahlenMap(c, psi.kernel_exponent) for idx, psi in pool.values() for i, c in zip(idx, psi.coeffs)}
+    return [maps[i] for i in sorted(maps)]
+
+
+def _as_pool(maps):
+    """A list of maps as a _random_maps pool: per (ambient_dim,
+    kernel_exponent) in order of first appearance, the indices of its maps
+    and their stack."""
+    groups = {}
+    for i, psi in enumerate(maps):
+        groups.setdefault((psi.ambient_dim, psi.kernel_exponent), []).append(i)
+    return {(k, m): (np.array(idx), VahlenMap([maps[i].coeffs for i in idx], m)) for (k, m), idx in groups.items()}
 
 
 def test_config_parsing(tmp_path):
@@ -90,12 +114,12 @@ def test_pullback_fd_check_fails_with_a_wrong_weight_exponent(n):
     same points."""
     for seed in range(40):
         rng = np.random.default_rng(seed)
-        maps = [dataclasses.replace(psi, kernel_exponent=psi.ambient_dim) for psi in _random_maps(rng, n, 10)]
         worst = {"right": 0.0, "wrong": 0.0}
-        for _, right, f, x in _pullback_samples(rng, maps)[1]:
+        for _, right, f, x, values in _pullback_samples(rng, _random_maps(rng, n, 10))[1]:
             wrong = dataclasses.replace(right, kernel_exponent=right.kernel_exponent + 1)
-            for name, pb in (("right", right), ("wrong", wrong)):
-                resid = dirac_left_fd(moebius_pullback(pb, f), x, 1e-4)
+            right_resid = dirac_from_stencil(values, 1e-4)
+            wrong_resid = dirac_left_fd(moebius_pullback(wrong, f), x, 1e-4)
+            for name, resid in (("right", right_resid), ("wrong", wrong_resid)):
                 worst[name] = max(worst[name], float(row_norms(resid).max()))
         assert worst["right"] <= 1e-5 < worst["wrong"], (seed, worst)
 
@@ -159,6 +183,27 @@ def test_extreme_gluing_radius_passes(tmp_path, command, n, kind, r, scales):
     assert status == 0, text
 
 
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("kind", ["two_spheres", "plane_sphere"])
+def test_gluing_radius_bound(tmp_path, capsys, kind, n):
+    """r = 1e50, the largest accepted gluing radius, passes verify-kernel and
+    verify-cauchy (and hardy at n = 2) without a warning on stderr; just above
+    it, every suite exits 2 with one config-error line naming r. Before the
+    bound, r = 1e200 exited 1 after overflow warnings."""
+    cfg = tmp_path / "r.cfg"
+    commands = ["verify-kernel", "verify-cauchy"] + (["hardy"] if n == 2 else [])
+    for r in (1e50, 1.0000001e50):
+        cfg.write_text(f"kind={kind}\nn={n}\nr={r!r}\n")
+        for command in commands:
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                status = main([command, "--config", str(cfg), "--order", "64", "--out", str(tmp_path / "out.txt")])
+            err = capsys.readouterr().err
+            if r == 1e50:
+                assert status == 0 and err == "", (command, err)
+            else:
+                assert status == 2 and err == "config error: r must be at most 1e50\n", (command, err)
+
+
 def test_verify_cauchy_passes(tmp_path):
     status, text = run(tmp_path, "verify-cauchy", "--seed", "0", "--order", "64")
     assert status == 0
@@ -202,7 +247,7 @@ def _recording_first_accepted(monkeypatch):
         try:
             kept = first_accepted(lambda: blocks.append(draw()) or blocks[-1], judge, count)
         finally:
-            calls.append((np.concatenate(blocks, axis=1), judge, count, kept))
+            calls.append((np.concatenate(blocks, axis=1), judge, count, kept and kept[0]))
         return kept
 
     monkeypatch.setattr(cli, "_first_accepted", recording)
@@ -210,16 +255,17 @@ def _recording_first_accepted(monkeypatch):
 
 
 def _recording_random_maps(monkeypatch, corrupt_at=None):
-    """Patch cli._random_maps to record each pool it returns; corrupt_at moves
-    the corrupted map of a corrupt_vahlen pool to that position."""
+    """Patch cli._random_maps to record each pool it returns, as a list of
+    maps; corrupt_at moves the corrupted map of a corrupt_vahlen pool to that
+    position."""
     pools, random_maps = [], cli._random_maps
 
     def recording(*args, **kwargs):
-        maps = random_maps(*args, **kwargs)
+        maps = _pool_maps(random_maps(*args, **kwargs))
         if corrupt_at is not None:
             maps.insert(corrupt_at, maps.pop(0))
         pools.append(maps)
-        return maps
+        return _as_pool(maps)
 
     monkeypatch.setattr(cli, "_random_maps", recording)
     return pools
@@ -228,7 +274,7 @@ def _recording_random_maps(monkeypatch, corrupt_at=None):
 def _assert_first_accepted(rows, judge, count, kept, block):
     """kept holds, per map, exactly the first `count` rows of `rows` in draw
     order that judge accepts, and blocks were drawn only while a map was short."""
-    accepted, raising = judge(rows)
+    accepted, raising, *_ = judge(rows)
     assert not raising.any() and kept.shape == (len(rows), count, rows.shape[-1])
     for i in range(len(rows)):
         assert np.array_equal(kept[i], rows[i][accepted[i]][:count])
@@ -243,11 +289,65 @@ def test_first_accepted_keeps_each_maps_first_accepted_rows(seed):
     rng, blocks = np.random.default_rng(seed), []
     draw = lambda: blocks.append(rng.uniform(-1.0, 1.0, (6, 4, 2))) or blocks[-1]
     try:
-        kept = _first_accepted(draw, _judge_on_first_column)
+        (kept,) = _first_accepted(draw, _judge_on_first_column)
     except VahlenError:
         assert _judge_on_first_column(blocks[-1])[1].any()
         return
     _assert_first_accepted(np.concatenate(blocks, axis=1), _judge_on_first_column, 5, kept, 4)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_first_accepted_picks_payloads_at_the_kept_rows(seed):
+    """The judge's payloads, one per row with trailing axes of their own,
+    come back picked at the same (map, row) indices as the kept rows, across
+    every block drawn."""
+    rng, blocks = np.random.default_rng(seed), []
+    draw = lambda: blocks.append(rng.uniform(-1.0, 1.0, (6, 4, 2))) or blocks[-1]
+
+    def judge(rows):
+        accepted = rows[..., 0] > -0.5
+        return accepted, np.zeros_like(accepted), rows.sum(-1), np.stack((rows, -rows), axis=-2)
+
+    kept, sums, pairs = _first_accepted(draw, judge)
+    rows = np.concatenate(blocks, axis=1)
+    assert sums.shape == (6, 5) and pairs.shape == (6, 5, 2, 2)
+    for i in range(6):
+        picked = (rows[i, :, 0] > -0.5).nonzero()[0][:5]
+        assert np.array_equal(kept[i], rows[i, picked])
+        assert np.array_equal(sums[i], rows[i, picked].sum(-1))
+        assert np.array_equal(pairs[i], np.stack((rows[i, picked], -rows[i, picked]), axis=-2))
+
+
+@pytest.mark.parametrize("corrupt", [False, True])
+@pytest.mark.parametrize("n", [2, 3])
+def test_random_maps_match_per_map_construction(n, corrupt):
+    """At seeds 0-9, the stacked pool equals bit for bit the pool built map
+    by map from translation_map, neck_inversion, cayley and two compose calls
+    per composition, with the corrupted map first under corrupt, and it
+    leaves the generator in the same state."""
+    for seed in range(10):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        pool = _random_maps(rng, n, 40, corrupt=corrupt)
+        kinds, offsets = ref_rng.integers(0, 4, 40), ref_rng.uniform(-2.0, 2.0, (40, 2, n))
+        ref = []
+        for kind, (t, s) in zip(kinds, offsets):
+            if kind == 0:
+                ref.append(translation_map(t, n, n))
+            elif kind == 1:
+                ref.append(neck_inversion(n))
+            elif kind == 2:
+                ref.append(cayley(n))
+            else:
+                ref.append(compose(translation_map(s, n, n), compose(neck_inversion(n), translation_map(t, n, n))))
+        if corrupt:
+            coeffs = ref[0].coeffs.copy()
+            coeffs[0, 0, 0b11] += 0.25
+            ref[0] = dataclasses.replace(ref[0], coeffs=coeffs)
+        got = _pool_maps(pool)
+        assert list(pool) == list(_as_pool(ref)) and len(got) == 40, seed
+        for psi, want in zip(got, ref):
+            assert psi.kernel_exponent == want.kernel_exponent and psi.coeffs.tobytes() == want.coeffs.tobytes(), seed
+        assert rng.uniform() == ref_rng.uniform(), seed
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -262,9 +362,9 @@ def test_pool_draws_match_map_by_map(monkeypatch, n, seed):
     pools = _recording_random_maps(monkeypatch)
     _, status = cli.cmd_verify_algebra(cli.RunConfig(n=n, seed=seed))
     assert status == 0 and len(calls) >= 3
-    for (rows, _, _, kept), (members, _) in zip(calls, _stacks(pools[0]).values()):
+    for (rows, _, _, kept), (members, _) in zip(calls, _as_pool(pools[0]).values()):
         for i, own, pairs in zip(members, rows, kept):
-            accepted, raising = cli._admissible_pairs(pools[0][i], n)(own)
+            accepted, raising, _ = cli._admissible_pairs(pools[0][i], n)(own)
             assert not raising.any() and np.array_equal(pairs, own[accepted][:5]), i
     _, status = cli.cmd_verify_kernel(cli.RunConfig(n=n, seed=seed))
     assert status == 0 and calls[-1][3].shape == (1, 200, 2 * n)
@@ -281,7 +381,12 @@ def test_short_maps_draw_another_block(monkeypatch):
 
     def strict(psi, n):
         judge = admissible(psi, n)
-        return lambda rows: (judge(rows)[0] & (rows[..., 0] > 1.2), judge(rows)[1])
+
+        def strict_judge(rows):
+            accepted, raising, images = judge(rows)
+            return accepted & (rows[..., 0] > 1.2), raising, images
+
+        return strict_judge
 
     monkeypatch.setattr(cli, "_admissible_pairs", strict)
     _, status = cli.cmd_verify_algebra(cli.RunConfig(n=2, seed=0))
@@ -295,14 +400,14 @@ def test_short_maps_draw_another_block(monkeypatch):
 def _raises_alone(psi, n, rows):
     """Whether the covariance suite raises VahlenError on psi alone, given its
     candidate rows: a raising row among them, or a raise in evaluating its
-    first five admissible pairs."""
-    accepted, raising = cli._admissible_pairs(psi, n)(rows)
+    first five admissible pairs with the images the judge computed."""
+    accepted, raising, images = cli._admissible_pairs(psi, n)(rows)
     if raising.any():
         return True
-    pairs = rows[accepted][:5]
+    pairs, images = rows[accepted][:5], images[accepted][:5]
     x, y = pairs[:, :n], pairs[:, n:]
     try:
-        covariance_residual(psi, x, y, *apply(psi, np.stack((x, y))).points)
+        covariance_residual(psi, x, y, images[:, 0], images[:, 1])
     except VahlenError:
         return True
     return False
@@ -321,7 +426,7 @@ def test_pool_raises_exactly_when_map_by_map_does(n):
             text, status = cli.cmd_verify_algebra(cli.RunConfig(n=n, seed=seed, corrupt_vahlen=1))
         assert status == 1 and "property=kernel-covariance residual=inf" in text, (seed, corrupt_at)
         maps, raising = pools[0], []
-        for (rows, *_), (members, _) in zip(calls, _stacks(pools[0]).values()):
+        for (rows, *_), (members, _) in zip(calls, _as_pool(pools[0]).values()):
             raising += [i for i, own in zip(members, rows) if _raises_alone(maps[i], n, own)]
         assert raising == [corrupt_at], (seed, corrupt_at)
 
@@ -329,7 +434,8 @@ def test_pool_raises_exactly_when_map_by_map_does(n):
 def test_pool_judges_each_covariance_suite_in_few_calls(monkeypatch):
     """Over seeds 0-9 at n = 2 and 3, verify-algebra judges its covariance
     pairs in one call per (k, exponent) stack of maps, on a block of
-    candidate pairs per map, and the stacked verdicts are each map's own."""
+    candidate pairs per map, and the stacked verdicts and images are each
+    map's own."""
     judged, admissible = [], cli._admissible_pairs
 
     def recording(psi, n):
@@ -341,26 +447,29 @@ def test_pool_judges_each_covariance_suite_in_few_calls(monkeypatch):
     for n, seed in itertools.product((2, 3), range(10)):
         judged.clear()
         _, status = cli.cmd_verify_algebra(cli.RunConfig(n=n, seed=seed))
-        assert status == 0 and len(judged) == len(_stacks(pools[-1])), (n, seed)
+        assert status == 0 and len(judged) == len(_as_pool(pools[-1])), (n, seed)
         for stack, rows in judged:
             assert rows.shape == (len(stack.coeffs), _BLOCK, 2 * n)
-            accepted, raising = admissible(stack, n)(rows)
+            accepted, raising, images = admissible(stack, n)(rows)
             for i, coeffs in enumerate(stack.coeffs[:, 0]):
                 one = admissible(VahlenMap(coeffs, stack.kernel_exponent), n)(rows[i])
                 assert np.array_equal(one[0], accepted[i]) and np.array_equal(one[1], raising[i])
+                assert np.array_equal(one[2], images[i], equal_nan=True)
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_pullback_stack_matches_each_map(n):
-    """The residuals of the stacked pullbacks equal each map's own
-    dirac_left_fd bit for bit, at the suite's poles and points, and the
-    stacked stencil judge gives each map's own verdicts on those points."""
+    """The residuals differenced from the stacked judge's pullback values
+    equal each map's own dirac_left_fd of its pullback bit for bit, at the
+    suite's poles and points, and the stacked stencil judge gives each map's
+    own verdicts on those points."""
     rng = np.random.default_rng(3)
-    maps = [dataclasses.replace(psi, kernel_exponent=psi.ambient_dim) for psi in _random_maps(rng, n, 10)]
+    pool = _random_maps(rng, n, 10)
+    maps = [dataclasses.replace(psi, kernel_exponent=psi.ambient_dim) for psi in _pool_maps(pool)]
     seen = []
-    poles, samples = _pullback_samples(rng, maps)
-    for members, stack, f, points in samples:
-        resid = dirac_left_fd(moebius_pullback(stack, f), points, 1e-4)
+    poles, samples = _pullback_samples(rng, pool)
+    for members, stack, f, points, values in samples:
+        resid = dirac_from_stencil(values, 1e-4)
         for i, res, x in zip(members, resid, points):
             k = maps[i].ambient_dim
             g = g_translate(poles[i, :k], n=k, dim_alg=k)

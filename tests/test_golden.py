@@ -23,11 +23,13 @@ CASES = {
     # a map of seed 1 has pseudo-determinant 0.9999999999999999, where the
     # weight scale abs(pd) ** 0.5 (libm pow) and np.sqrt differ in the last bit
     "algebra-n2-seed1": ("verify-algebra", {"n": 2}, ["--seed", "1"]),
+    "algebra-n3-seed1": ("verify-algebra", {"n": 3}, ["--seed", "1"]),
     # seed 35 failed pullback-monogenicity-fd at n = 2 (2.35e-2) before the
     # finite-difference Dirac operator took its Richardson step
     "algebra-n2-seed35": ("verify-algebra", {"n": 2}, ["--seed", "35"]),
     "algebra-n3-seed35": ("verify-algebra", {"n": 3}, ["--seed", "35"]),
     "algebra-corrupt_vahlen": ("verify-algebra", {"n": 2, "corrupt_vahlen": 1}, ["--seed", "2"]),
+    "algebra-corrupt_vahlen-n3": ("verify-algebra", {"n": 3, "corrupt_vahlen": 1}, ["--seed", "0"]),
     "kernel-two_spheres-n2": ("verify-kernel", {"kind": "two_spheres", "n": 2}, []),
     "kernel-two_spheres-n3": ("verify-kernel", {"kind": "two_spheres", "n": 3}, []),
     "kernel-plane_sphere-n2": ("verify-kernel", {"kind": "plane_sphere", "n": 2}, []),

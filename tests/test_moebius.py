@@ -32,6 +32,12 @@ from sphereglue.cli import _BLOCK, _admissible_pairs, _first_accepted, _random_m
 from sphereglue.manifold import chart_map, chart_transfer, plane_sphere, two_spheres
 
 
+def _pool_maps(pool):
+    """The maps of a _random_maps pool, one VahlenMap each, in pool order."""
+    maps = {i: VahlenMap(c, psi.kernel_exponent) for idx, psi in pool.values() for i, c in zip(idx, psi.coeffs)}
+    return [maps[i] for i in sorted(maps)]
+
+
 # -- apply -------------------------------------------------------------------
 
 
@@ -388,7 +394,7 @@ def test_apply_rows_are_one_point_apply(n):
     """Every row equals apply at that point bit for bit, over the maps the
     algebra suite samples (translations, neck, Cayley, compositions)."""
     rng = np.random.default_rng(4)
-    for psi in _random_maps(rng, n, 40):
+    for psi in _pool_maps(_random_maps(rng, n, 40)):
         x = rng.uniform(-2.0, 2.0, (3, 4, n))
         img = apply(psi, x)
         assert img.points.shape == (3, 4, psi.ambient_dim) and img.valid.all()
@@ -409,7 +415,7 @@ def test_apply_marks_the_pole_of_the_neck_inversion():
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_apply_flags_every_row_of_a_corrupt_map(n):
-    bad = _random_maps(np.random.default_rng(2), n, 1, corrupt=True)[0]
+    bad = _pool_maps(_random_maps(np.random.default_rng(2), n, 1, corrupt=True))[0]
     x = np.random.default_rng(5).uniform(-2.0, 2.0, (16, n))
     img = apply(bad, x, raise_invalid=False)
     assert not img.valid.any()
@@ -440,7 +446,7 @@ def test_singular_point_errors_name_the_first_offending_point():
 
 
 def test_invalid_image_error_names_the_point():
-    bad = _random_maps(np.random.default_rng(2), 2, 1, corrupt=True)[0]
+    bad = _pool_maps(_random_maps(np.random.default_rng(2), 2, 1, corrupt=True))[0]
     with pytest.raises(VahlenError, match=r"image of \[0\.25, -1\.5\] is off grade 1 by "):
         apply(bad, np.array([[0.25, -1.5], [1.0, 1.0]]))
 
@@ -464,16 +470,16 @@ def test_vahlen_map_is_one_read_only_coefficient_array():
 
 def _verify_algebra_pool(n, seed):
     """The maps verify-algebra samples at n and seed."""
-    pool = []
+    pools = []
 
     def record(*args, **kwargs):
-        pool.extend(_random_maps(*args, **kwargs))
-        return pool
+        pools.append(_random_maps(*args, **kwargs))
+        return pools[-1]
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "_random_maps", record)
         cli.cmd_verify_algebra(cli.RunConfig(n=n, seed=seed))
-    return pool
+    return _pool_maps(pools[0])
 
 
 @pytest.mark.parametrize("n, seed", [(2, 0), (2, 3), (2, 11), (3, 0), (3, 3), (3, 11), (2, "verify-algebra-1")])
@@ -489,7 +495,7 @@ def test_stack_matches_single_maps_bit_for_bit(n, seed):
         edge = [psi for psi in maps if psi.pseudo_determinant == 1 - 2**-53]
         assert edge and all(psi.weight_scale == 1.0 for psi in edge)
     else:
-        maps = _random_maps(np.random.default_rng(seed), n, 40)
+        maps = _pool_maps(_random_maps(np.random.default_rng(seed), n, 40))
     groups = {}
     for psi in maps:
         groups.setdefault((psi.ambient_dim, psi.kernel_exponent), []).append(psi)
@@ -498,7 +504,7 @@ def test_stack_matches_single_maps_bit_for_bit(n, seed):
         stack = VahlenMap(np.array([psi.coeffs for psi in group]), m)
         column = VahlenMap(stack.coeffs[:, None], m)  # maps against (maps, 5) points
         draw = lambda: rng.uniform(-2.0, 2.0, (len(group), _BLOCK, 2 * n))
-        pairs = _first_accepted(draw, _admissible_pairs(column, n))
+        pairs, _ = _first_accepted(draw, _admissible_pairs(column, n))
         x, y = pairs[..., :n], pairs[..., n:]
         img = apply(column, np.stack((x, y)))
         w, regular = weight_J_rows(column, x)
