@@ -12,11 +12,10 @@ node geometry, sections, germs and the kernel take arrays of shape (N, ...)
 and return coefficient arrays (N, 2^(n+1)), which the rule sums at once.
 Every check of the one-point path (diagonal, admissibility, germ domain,
 degenerate frame, singular weight) applies to every node and node pair.
-cauchy_integrals stacks the nodes of every order it needs (each order and
-its half), takes their geometry from one node_geometry call and evaluates
-each kernel, section and product over only the orders it uses.
-plemelj_projections embeds each node once and applies one real (N, N) kernel
-matrix per grade-1 blade, for its N rule and the rule on its even nodes.
+Both suites apply one boundary operator, _blade_apply: sum_b e_b (K^b @ h)
+for the real blade matrices K^b of G(E(x_j) - E(y_i)) and node rows
+h_j = w_j n_j f_j, per target in cauchy_integrals (then J_y on the left for
+a target in another chart) and over all node pairs in plemelj_projections.
 
 Sign convention: with e_j^2 = -1 the reproducing pairing uses the inward
 normal; cauchy_integral applies REPRODUCING_NORMAL_SIGN to the outward
@@ -32,9 +31,9 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .algebra import Multivector, _product_tables, clifford_group_inverse, gp_batch, vectors
+from .algebra import Multivector, _product_tables, clifford_group_inverse, gp_batch, row_norms, vectors
 from .fields import CliffordField, constant_field
-from .kernel import _kernel_pairs, kernel_CM
+from .kernel import _kernel_pairs, _target_weight
 from .manifold import (
     INADMISSIBLE,
     GluedManifold,
@@ -42,7 +41,6 @@ from .manifold import (
     ManifoldPoint,
     apply_transition,
     chart_map,
-    chart_transfer,
     classify,
     embed,
     embed_jacobian,
@@ -115,7 +113,7 @@ def node_geometry(m: GluedManifold, s: Hypersurface, t: np.ndarray) -> NodeGeome
     x = np.asarray(s.param(t), dtype=np.float64)
     jac_chart = np.asarray(s.param_jac(t), dtype=np.float64)
     nc = _generalized_cross(np.swapaxes(jac_chart, -1, -2))
-    if np.any(degenerate := np.linalg.norm(nc, axis=-1) <= 1e-13):
+    if np.any(degenerate := row_norms(nc) <= 1e-13):
         raise SurfaceError(f"degenerate tangent frame at the quadrature node {first_point(x, degenerate)}")
     p = s.interior_point
     interior = p.coord if p.chart == s.chart else apply_transition(m, p.coord)
@@ -127,7 +125,7 @@ def node_geometry(m: GluedManifold, s: Hypersurface, t: np.ndarray) -> NodeGeome
     tangents = ejac @ jac_chart
     gram = np.linalg.det(np.swapaxes(tangents, -1, -2) @ tangents)
     normal = (ejac @ nc[..., None])[..., 0]
-    normal = normal / np.linalg.norm(normal, axis=-1, keepdims=True)
+    normal = normal / row_norms(normal)[..., None]
     return NodeGeometry(ManifoldPoint(s.chart, x), np.sqrt(np.maximum(gram, 0.0)), normal, tangents)
 
 
@@ -151,20 +149,19 @@ def _gauss_nodes(bounds, order) -> tuple[np.ndarray, np.ndarray]:
 
 class _Stack(NamedTuple):
     """A surface's nodes at several orders, stacked order after order: their
-    geometry, each order's rows, and its rule weights times the sqrt-Gram
-    weights. A set of used orders is a sorted list."""
+    geometry, with each node's rule weight folded into geo.weight, and each
+    order's rows. take and split read a set of used orders in one order."""
 
     geo: NodeGeometry
-    rows: dict[int, slice]
-    weights: dict[int, np.ndarray]
+    rows: dict[int, np.ndarray]
 
     def take(self, used) -> np.ndarray:
         """The rows of the used orders' nodes."""
-        return np.r_[tuple(self.rows[od] for od in used)]
+        return np.concatenate([self.rows[od] for od in used])
 
-    def split(self, used, values: np.ndarray) -> dict[int, np.ndarray]:
-        """Values over take(used), as one block per order."""
-        return dict(zip(used, np.split(values, np.cumsum([self.weights[od].size for od in used])[:-1])))
+    def split(self, used, values: np.ndarray, axis: int = 0) -> dict[int, np.ndarray]:
+        """Values over take(used) along the axis, as one block per order."""
+        return dict(zip(used, np.split(values, np.cumsum([self.rows[od].size for od in used])[:-1], axis=axis)))
 
 
 def _stack(m: GluedManifold, s: Hypersurface, orders) -> _Stack:
@@ -172,17 +169,16 @@ def _stack(m: GluedManifold, s: Hypersurface, orders) -> _Stack:
     rules = [_gauss_nodes(s.bounds, od) for od in orders]
     ends = np.cumsum([w.size for _, w in rules]).tolist()
     geo = node_geometry(m, s, np.concatenate([t for t, _ in rules]))
-    rows = {od: slice(end - w.size, end) for od, (_, w), end in zip(orders, rules, ends)}
-    return _Stack(geo, rows, {od: geo.weight[rows[od]] * w for od, (_, w) in zip(orders, rules)})
+    rows = {od: np.arange(end - w.size, end) for od, (_, w), end in zip(orders, rules, ends)}
+    return _Stack(geo._replace(weight=geo.weight * np.concatenate([w for _, w in rules])), rows)
 
 
-def _report(st: _Stack, order: int, values, dim: int, scale: float) -> QuadratureReport:
-    """The rule at the order and at its half, divided by scale, on the node
-    coefficients (N, 2^dim) split by order (_Stack.split), one tensordot per
-    order. The error estimate is the distance between the two."""
-    full, half = (np.tensordot(st.weights[od], values[od], axes=1) for od in (order, max(order // 2, 1)))
-    value = Multivector(dim, full / scale)
-    return QuadratureReport(value, float(np.linalg.norm(full - half)) / scale, st.weights[order].size)
+def _blade_apply(dim: int, kb: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """sum_b e_b (K^b @ h) as (T, ..., 2^dim) for the real blade matrices kb
+    (n+1, T, N) of a grade-1 kernel and the node rows h (N, ..., 2^dim)."""
+    perm, sign = _product_tables(dim)
+    kh = (kb @ h.reshape(len(h), -1)).reshape(kb.shape[:-1] + h.shape[1:])
+    return sum(sign[1 << b] * kh[b][..., perm[1 << b]] for b in range(len(kb)))
 
 
 # -- sections ---------------------------------------------------------------
@@ -221,15 +217,13 @@ def section_from_germ(m: GluedManifold, germ: CliffordField) -> Section:
         raise ValueError("germ must take values in Cl_{n+1}")
     dim = germ.dim_alg
     chart1_inv = chart_map(m, -1) if m.chart(1).has_sphere else None
-    trans21 = chart_transfer(m, 1, 2)  # sphere-2 -> sphere-1 picture
 
     def rep(chart: int, coord) -> np.ndarray:
         if chart == 1:
             if chart1_inv is None:
                 return germ.values(coord)
             return gp_batch(dim, weight_J(chart1_inv, embed(m, ManifoldPoint(1, coord))), germ.values(coord))
-        u2 = embed(m, ManifoldPoint(2, coord))
-        return gp_batch(dim, weight_J(trans21, u2), rep(1, apply_transition(m, coord)))
+        return gp_batch(dim, _target_weight(m, 1, ManifoldPoint(2, coord)), rep(1, apply_transition(m, coord)))
 
     return Section(m, rep)
 
@@ -245,12 +239,11 @@ def cauchy_integrals(
     representative f(y) in y's chart for y inside the bounded subdomain. The
     error estimate is the distance to the half-order integral.
 
-    The requests share one pass: node geometry over the nodes of
-    every order they use (each order and its half), C_M(x, y) n(x) once per
-    target, section values once per section and their product once per
-    (target, section) pair, each over only the orders that its target,
-    section or pair uses. normal_sign is a falsification control; leave it
-    at the default for verification runs."""
+    The requests share one pass: node geometry over every order they use
+    (each order and its half), h = w n f once per section and G once per
+    target over only the orders each uses, applied by blades (_blade_apply)
+    per request, then J_y on the left for a target in another chart.
+    normal_sign is a falsification control; leave it at the default."""
     for _, y, _ in requests:
         if classify(m, y) == INADMISSIBLE:
             raise ManifoldError(f"evaluation point {first_point(y.coord)} in chart {y.chart} is inadmissible")
@@ -258,23 +251,27 @@ def cauchy_integrals(
     keys = [(y.chart, y.coord if is_infinity(y.coord) else y.coord.tobytes()) for _, y, _ in requests]
     targets = {ty: y for ty, (_, y, _) in zip(keys, requests)}
     keyed = [(f, ty, od or s.quad_order) for ty, (f, _, od) in zip(keys, requests)]
-    uses = defaultdict(set), defaultdict(set), defaultdict(set)  # per target, section and pair
+    by_target, by_section = defaultdict(set), defaultdict(set)  # the orders each uses
     for f, ty, od in keyed:
-        for used in (uses[0][ty], uses[1][f], uses[2][ty, f]):
+        for used in (by_target[ty], by_section[f]):
             used.update((od, max(od // 2, 1)))
-    by_target, by_section, by_pair = ({k: sorted(u) for k, u in d.items()} for d in uses)
-    st = _stack(m, s, sorted(set().union(*by_pair.values())))
-    pts, normal, kern, vals, prods = st.geo.point, normal_sign * st.geo.normal, {}, {}, {}
-    for ty, used in by_target.items():
-        rows = st.take(used)
-        kn = kernel_CM(m, ManifoldPoint(s.chart, pts.coord[rows]), targets[ty]).coeffs
-        kern[ty] = st.split(used, gp_batch(dim, kn, vectors(normal[rows], dim)))
+    st = _stack(m, s, sorted(set().union(*by_target.values())))
+    pts, nw = st.geo.point, vectors(normal_sign * st.geo.normal * st.geo.weight[:, None], dim)
+    hs, reports, omega = {}, {}, unit_sphere_area(m.n)
     for f, used in by_section.items():
-        vals[f] = st.split(used, f.value_at(ManifoldPoint(s.chart, pts.coord[st.take(used)])))
-    for (ty, f), used in by_pair.items():
-        kn, fv = (np.concatenate([blocks[od] for od in used]) for blocks in (kern[ty], vals[f]))
-        prods[ty, f] = st.split(used, gp_batch(dim, kn, fv))
-    return [_report(st, od, prods[ty, f], dim, unit_sphere_area(m.n)) for f, ty, od in keyed]
+        rows = st.take(used)
+        hs[f] = st.split(used, gp_batch(dim, nw[rows], f.value_at(ManifoldPoint(s.chart, pts.coord[rows]))))
+    for ty, used in by_target.items():
+        y = targets[ty]
+        kb = st.split(used, _kernel_pairs(m, ManifoldPoint(s.chart, pts.coord[st.take(used)]), y)[0], axis=-1)
+        jy = _target_weight(m, s.chart, y) if y.chart != s.chart else None
+        for f, od in {(f, od) for f, t, od in keyed if t == ty}:
+            sums = np.concatenate([_blade_apply(dim, kb[o][:, None], hs[f][o]) for o in (od, max(od // 2, 1))])
+            full, half = (sums if jy is None else gp_batch(dim, jy, sums)) / omega
+            reports[ty, f, od] = QuadratureReport(
+                Multivector(dim, full), float(row_norms(full - half)), st.rows[od].size
+            )
+    return [reports[ty, f, od] for f, ty, od in keyed]
 
 
 def cauchy_integral(
@@ -334,9 +331,8 @@ def plemelj_projections(
         C_S g = g + (2h / omega_n) [A g - (A W) c + B (g' - W' c)]
 
     with A_ij = C_M(x_j, x_i) n_j |u'_j| off the diagonal and zero on it, applied
-    by blades as sum_b e_b K^b h, K^b the real (N, N) matrix of blade b and
-    h_j = n_j |u'_j| g_j, and B_i = u'_i n_i / |u'_i| the diagonal limit (G ~
-    u'/(s |u'|^2), data ~ s d').
+    to h_j = n_j |u'_j| g_j by _blade_apply, and B_i = u'_i n_i / |u'_i| the
+    diagonal limit (G ~ u'/(s |u'|^2), data ~ s d').
 
     Every per-node quantity is evaluated once; the N-point rule gives parts and
     the N/2-point rule on the even nodes (step 2h) gives half, which is the
@@ -364,19 +360,16 @@ def plemelj_projections(
     c, gw = gp_batch(dim, clifford_group_inverse(dim, wc), gc), np.hstack([gc, wc])
 
     nw = vectors(REPRODUCING_NORMAL_SIGN * geo.normal * geo.weight[:, None], dim)
-    hw = gp_batch(dim, nw[:, None], gw.reshape(nn, 2, -1)).reshape(nn, -1)  # h = n |u'| [g | W]
+    hw = gp_batch(dim, nw[:, None], gw.reshape(nn, 2, -1))  # h = n |u'| [g | W], (N, 2, 2^dim)
     x, off = geo.point.coord, ~np.eye(nn, dtype=bool)
+    # K^b, the real (N, N) matrix of blade b, target i by node j
     kb, _ = _kernel_pairs(m, ManifoldPoint(s.chart, x[None]), ManifoldPoint(s.chart, x[:, None]), off)
-    kb = np.moveaxis(kb, -1, 0)  # K^b, the real (N, N) matrix of blade b
-    perm, sign = _product_tables(dim)
     bvec = gp_batch(dim, vectors(geo.tangents[:, :, 0] / geo.weight[:, None] ** 2, dim), nw)
 
     def apply(rows: slice, step: float) -> np.ndarray:
         """(g_plus, g_minus, g) by the rule with the given step on the nodes rows."""
         gr, cr = gc[rows], c[rows]
-        # K^b h for every blade at once, then A = sum_b e_b K^b with e_b from the product table
-        kh = (kb[:, rows, rows] @ hw[rows]).reshape(dim, len(gr), 2, 1 << dim)
-        a_g, a_w = np.moveaxis(sum(sign[1 << bl] * kh[bl][..., perm[1 << bl]] for bl in range(dim)), 1, 0)
+        a_g, a_w = np.moveaxis(_blade_apply(dim, kb[:, rows, rows], hw[rows]), 1, 0)
         dg, dw = np.split(_fft_derivative(gw[rows], period), 2, axis=1)
         cs = gr + (2.0 * step / unit_sphere_area(m.n)) * (
             a_g - gp_batch(dim, a_w, cr) + gp_batch(dim, bvec[rows], dg - gp_batch(dim, dw, cr))

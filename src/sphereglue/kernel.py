@@ -1,12 +1,13 @@
 """The piecewise Cauchy kernel on a glued manifold.
 
 The kernel value is the representative with x read in its own chart's
-embedding and y read in its own chart's bundle trivialization: when the two
-charts differ, the base kernel G(x_s - y_s) is computed in x's chart (with y
-carried over through the continued transition) and left-multiplied by the
-conformal weight of the sphere-level transfer map evaluated at y. With the
-matching section convention this makes the reproducing integral exact; it is
-the weight-placement convention validated by the Cauchy-formula suite.
+embedding and y in its own chart's bundle trivialization: when the charts
+differ, the base kernel G(x_s - y_s) is computed in x's chart (y carried over
+through the continued transition) and left-multiplied by the conformal
+weight J_y of the sphere-level transfer map at y (_target_weight). The
+sections carry the same weight, so the reproducing integral is exact.
+_kernel_pairs fills G blade-major: the real matrices K^b, each contiguous,
+that the quadrature's one boundary operator applies.
 """
 from __future__ import annotations
 
@@ -51,18 +52,24 @@ def kernel_CM(m: GluedManifold, x: ManifoldPoint, y: ManifoldPoint) -> KernelVal
     point is inadmissible.
     """
     base, tag = _kernel_pairs(m, x, y)
-    base = vectors(base, m.n + 1)
+    base = vectors(np.moveaxis(base, 0, -1), m.n + 1)
     if x.chart != y.chart:
-        base = gp_batch(m.n + 1, weight_J(chart_transfer(m, x.chart, y.chart), embed(m, y)), base)
+        base = gp_batch(m.n + 1, _target_weight(m, x.chart, y), base)
     return KernelValue(base, tag)
 
 
+def _target_weight(m: GluedManifold, chart: int, y: ManifoldPoint) -> np.ndarray:
+    """J_y: the conformal weight at y of the transfer from y's chart to `chart`,
+    on the left of G and of the chart-2 section representatives."""
+    return weight_J(chart_transfer(m, chart, y.chart), embed(m, y))
+
+
 def _kernel_pairs(m: GluedManifold, x: ManifoldPoint, y: ManifoldPoint, pairs=True):
-    """The pair stage of kernel_CM: the components (..., n+1) of G(E(x) - E(y)),
-    y read in x's chart, and the case tag. Points are classified, carried over
-    and embedded on their own shapes, pairs differenced on the broadcast shape.
-    Pairs where the mask `pairs` is False read zero and skip the diagonal and
-    origin checks."""
+    """The pair stage of kernel_CM: the components (n+1, ...) of G(E(x) - E(y))
+    over the broadcast shape, each blade contiguous, y read in x's chart, and
+    the case tag. Points are classified, carried over and embedded on their
+    own shapes. Pairs where the mask `pairs` is False read zero and skip the
+    diagonal and origin checks."""
     if np.any(diagonal := equivalent(m, x, y) & pairs):
         xs, ys = (f"{first_point(p.coord, diagonal)} in chart {p.chart}" for p in (x, y))
         raise DiagonalError(f"Cauchy kernel undefined on the diagonal: x = {xs}, y = {ys}")
@@ -74,17 +81,16 @@ def _kernel_pairs(m: GluedManifold, x: ManifoldPoint, y: ManifoldPoint, pairs=Tr
         tag = np.where(classify(m, y) == NECK, OVERLAP_REP, CROSS_GLUE)
         tag = tag if tag.ndim else str(tag)
         y_in_j = apply_transition(m, y.coord)
-    d = embed(m, x) - embed(m, ManifoldPoint(j, y_in_j))
-    # G(d) = d / |d|^n in place, as moebius.cauchy_kernel_G, one blade at a time
-    r = np.zeros(d.shape[:-1])
-    for b in range(m.n + 1):
-        r += d[..., b] * d[..., b]
+    ex, ey = np.broadcast_arrays(embed(m, x), embed(m, ManifoldPoint(j, y_in_j)))
+    d = np.subtract(np.moveaxis(ex, -1, 0), np.moveaxis(ey, -1, 0), order="C")
+    # G(d) = d / |d|^n in place, as moebius.cauchy_kernel_G, with one norm buffer
+    r = np.einsum("b...,b...->...", d, d, out=np.empty(d.shape[1:]))
     np.sqrt(r, out=r)
-    if ((r == 0.0) & pairs).any():
+    np.copyto(r, np.inf, where=~np.asarray(pairs))
+    if (r == 0.0).any():
         raise SingularPointError("Cauchy kernel singular at the origin")
     r **= m.n
-    np.copyto(r, np.inf, where=~np.asarray(pairs))
-    d /= r[..., None]
+    d /= r
     return d, tag
 
 

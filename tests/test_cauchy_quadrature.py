@@ -1,24 +1,31 @@
 """cauchy_integrals: many Cauchy integrals over one surface in one pass.
 
-One call evaluates node geometry once, the kernel per target, values per
-section and their product per (target, section) pair, each over the nodes of
-the orders it uses; every integral it gives must equal a standalone
-cauchy_integral bit for bit. The call counts pin what verify-cauchy shares,
-and that cauchy_integral keeps nothing between calls.
+One call evaluates node geometry once, the weighted h = w n f per section and
+the kernel per target, each over the nodes of the orders it uses, and applies
+the kernel to h by blades (_blade_apply); every integral it gives must equal
+a standalone cauchy_integral bit for bit and a node-by-node rule sum of
+kernel_CM(x_j, y) n_j f_j to rounding. The call counts pin what verify-cauchy
+shares, and that cauchy_integral keeps nothing between calls.
 """
 import numpy as np
 import pytest
 
 from sphereglue import cli, integration
+from sphereglue.algebra import gp_batch, vectors
 from sphereglue.fields import constant_field, g_translate
 from sphereglue.integration import (
     Section,
+    _blade_apply,
+    _gauss_nodes,
     cauchy_integral,
     cauchy_integrals,
     chart_circle,
     chart_sphere,
+    node_geometry,
     section_from_germ,
+    unit_sphere_area,
 )
+from sphereglue.kernel import kernel_CM
 from sphereglue.manifold import ManifoldError, ManifoldPoint, plane_sphere, two_spheres
 
 TARGETS = {
@@ -61,6 +68,55 @@ def test_shared_quadrature_matches_standalone_calls_bit_for_bit(n, kind, normal_
                 assert rep.nodes_used == alone.nodes_used
 
 
+def _rule_sum(m, surf, f, y, order, normal_sign):
+    """(1/omega_n) sum_j w_j kernel_CM(x_j, y) n_j f(x_j) over the order's
+    nodes, one node at a time."""
+    dim = m.n + 1
+    t, w = _gauss_nodes(surf.bounds, order)
+    geo = node_geometry(m, surf, t)
+    total = np.zeros(1 << dim)
+    for j, x in enumerate(geo.point.coord):
+        xj = ManifoldPoint(surf.chart, x)
+        kn = gp_batch(dim, kernel_CM(m, xj, y).coeffs, vectors(normal_sign * geo.normal[j], dim))
+        total += w[j] * geo.weight[j] * gp_batch(dim, kn, f.value_at(xj).coeffs)
+    return total / unit_sphere_area(m.n)
+
+
+@pytest.mark.parametrize("normal_sign", [-1.0, 1.0])
+@pytest.mark.parametrize("kind", ["two_spheres", "plane_sphere"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_blade_apply_matches_the_node_by_node_rule_sum(n, kind, normal_sign):
+    """The one boundary operator (kernel blades applied to h = w n f, J_y on
+    the left afterwards) gives the rule sum of C_M(x_j, y) n_j f_j, and its
+    error estimate is the distance to the half-order sum, for every kernel
+    case (same-chart, overlap-rep, cross-glue)."""
+    m, surf, sections, targets = _setup(kind, n)
+    order = 16 if n == 2 else 8
+    for f in sections:
+        for y in targets:
+            (rep,) = cauchy_integrals(m, surf, [(f, y, order)], normal_sign)
+            full, half = (_rule_sum(m, surf, f, y, od, normal_sign) for od in (order, order // 2))
+            scale = np.linalg.norm(full)
+            assert np.linalg.norm(rep.value.coeffs - full) <= 1e-13 * scale
+            assert abs(rep.estimated_error - np.linalg.norm(full - half)) <= 1e-13 * scale
+            assert rep.nodes_used == order ** (n - 1)
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+def test_blade_apply_is_the_sum_of_grade_1_products(dim):
+    """_blade_apply(dim, kb, h)[t] = sum_j (sum_b kb[b, t, j] e_b) h_j, for
+    node rows of one element (the Cauchy sum) and of two (Plemelj's [g | W])."""
+    rng = np.random.default_rng(dim)
+    kb = rng.normal(size=(dim, 5, 7))
+    for h in (rng.normal(size=(7, 1 << dim)), rng.normal(size=(7, 2, 1 << dim))):
+        got = _blade_apply(dim, kb, h)
+        assert got.shape == (5,) + h.shape[1:]
+        for t in range(5):
+            k_rows = vectors(kb[:, t].T, dim).reshape((7,) + (1,) * (h.ndim - 2) + (1 << dim,))
+            want = gp_batch(dim, k_rows, h).sum(axis=0)
+            assert np.allclose(got[t], want, rtol=0.0, atol=1e-13 * np.abs(want).max())
+
+
 def test_default_order_is_the_surface_order():
     m, surf, (f, _), targets = _setup("two_spheres", 2)
     (shared,) = cauchy_integrals(m, surf, [(f, targets[0], None)])
@@ -75,17 +131,17 @@ class Counts:
     def __init__(self, monkeypatch):
         self.geometry = self.kernel = self.section = 0
         self.nodes = {"geometry": [], "kernel": [], "section": []}
-        geometry, kernel, value_at = integration.node_geometry, integration.kernel_CM, Section.value_at
+        geometry, kernel, value_at = integration.node_geometry, integration._kernel_pairs, Section.value_at
 
         def count_geometry(m, s, t):
             self.geometry += 1
             self.nodes["geometry"].append(len(t))
             return geometry(m, s, t)
 
-        def count_kernel(m, x, y):
+        def count_kernel(m, x, y, *pairs):
             self.kernel += 1
             self.nodes["kernel"].append(len(x.coord))
-            return kernel(m, x, y)
+            return kernel(m, x, y, *pairs)
 
         def count_value_at(sec, p):
             if np.ndim(p.coord) > 1:
@@ -94,7 +150,7 @@ class Counts:
             return value_at(sec, p)
 
         monkeypatch.setattr(integration, "node_geometry", count_geometry)
-        monkeypatch.setattr(integration, "kernel_CM", count_kernel)
+        monkeypatch.setattr(integration, "_kernel_pairs", count_kernel)
         monkeypatch.setattr(Section, "value_at", count_value_at)
 
 

@@ -441,9 +441,11 @@ def test_plemelj_at_rounding_for_large_n(kind):
 
 
 def test_plemelj_operator_size_at_1024(m2):
-    """At N = 1024 the largest array holds the kernel's 3 N^2 grade-1
-    components: the traced allocation peak stays below one (N, N, 8) array,
-    and the projections run in a fraction of a second."""
+    """At N = 1024 the largest arrays are the kernel's three (N, N) blade
+    matrices, filled in place, and one (N, N) norm buffer (33.6 MB): the
+    traced allocation peak (37.4 MB) stays below five (N, N) float arrays,
+    where a pair-major fill with a temporary per blade read 44.6 MB, and the
+    projections run in a fraction of a second."""
     nn = 1024
     sec, s = section_from_germ(m2, _germ(m2)), _surf(m2, 3.0, nn)
     start = time.perf_counter()
@@ -455,7 +457,7 @@ def test_plemelj_operator_size_at_1024(m2):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert 3 * nn * nn * 8 <= peak < nn * nn * 8 * 8, peak
+    assert 4 * nn * nn * 8 <= peak < 5 * nn * nn * 8, peak
     assert max(v.norm() for v in res.g_minus) <= 1e-14
     assert seconds < 0.6, seconds
 
