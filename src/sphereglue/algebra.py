@@ -104,7 +104,7 @@ def clifford_group_inverse_rows(dim: int, a: np.ndarray):
     p = gp_batch(dim, a, ar)
     s, scale = p[..., 0], (a * a).sum(-1)
     ok = (scale > 0.0) & (abs(s) > DEFAULT_RTOL * scale)
-    ok &= np.sqrt((p[..., 1:] ** 2).sum(-1)) <= DEFAULT_RTOL * np.maximum(abs(s), scale)
+    ok &= row_norms(p[..., 1:]) <= DEFAULT_RTOL * np.maximum(abs(s), scale)
     return ar / np.where(ok, s, 1.0)[..., None], ok
 
 

@@ -16,11 +16,12 @@ import functools
 import math
 import os
 import sys
+import typing
 
 import numpy as np
 
 from .algebra import gp_batch, reversion, row_norms, vectors
-from .fields import constant_field, dirac_from_stencil, fd_stencil, g_translate
+from .fields import DEFAULT_FD_STEP, constant_field, dirac_from_stencil, fd_stencil, g_translate
 from .integration import cauchy_integrals, chart_circle, chart_sphere, plemelj_projections, section_from_germ
 from .kernel import DiagonalError, kernel_CM, overlap_consistency_residual
 from .manifold import ManifoldPoint, embed, plane_sphere, two_spheres
@@ -33,12 +34,16 @@ from .moebius import (
     compose,
     covariance_residual,
     neck_inversion,
+    translation_map,
     weight_J_rows,
 )
 
 
 @dataclasses.dataclass
 class RunConfig:
+    """The run's settings; the fields, in order, are the config schema: the
+    keys a config file may set, their types, and the report's config line."""
+
     kind: str = "two_spheres"
     n: int = 2
     r: float = 2.0
@@ -53,8 +58,7 @@ class RunConfig:
     corrupt_vahlen: int = 0
 
 
-_INT_KEYS = {"n", "seed", "order", "break_weight", "break_normal", "corrupt_vahlen"}
-_FLOAT_KEYS = {"r", "scale1", "scale2"}
+_FIELDS = typing.get_type_hints(RunConfig)
 _KINDS = ("two_spheres", "plane_sphere")
 
 
@@ -76,16 +80,15 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
     if args.config:
         for key, val in parse_config_file(args.config).items():
-            if key in _INT_KEYS or key in _FLOAT_KEYS:
-                convert, what = (int, "an integer") if key in _INT_KEYS else (float, "a number")
-                try:
-                    setattr(cfg, key, convert(val))
-                except ValueError:
-                    raise ValueError(f"{key} must be {what}, got {val!r}") from None
-            elif key in ("kind", "out"):
-                setattr(cfg, key, val)
-            else:
+            if key not in _FIELDS:
                 raise ValueError(f"unknown config key {key!r}")
+            if _FIELDS[key] in (int, float):
+                try:
+                    val = _FIELDS[key](val)
+                except ValueError:
+                    what = "an integer" if _FIELDS[key] is int else "a number"
+                    raise ValueError(f"{key} must be {what}, got {val!r}") from None
+            setattr(cfg, key, val)
     for key in ("seed", "order", "out"):
         if getattr(args, key) is not None:
             setattr(cfg, key, getattr(args, key))
@@ -127,47 +130,32 @@ def make_manifold(cfg: RunConfig):
     return plane_sphere(cfg.n, cfg.r, cfg.scale2, cfg.break_weight)
 
 
-@dataclasses.dataclass
-class Record:
-    name: str
-    residual: float
-    threshold: float
-
-    @property
-    def verdict(self) -> str:
-        return "pass" if self.residual <= self.threshold else "fail"
-
-    def line(self) -> str:
-        res, thr = self.residual, self.threshold
-        return f"property={self.name} residual={res:.6e} threshold={thr:.6e} verdict={self.verdict}"
-
-
 def config_line(cfg: RunConfig) -> str:
-    return (
-        f"config kind={cfg.kind} n={cfg.n} r={cfg.r:g} "
-        f"scale1={cfg.scale1:g} scale2={cfg.scale2:g} "
-        f"seed={cfg.seed} order={cfg.order} "
-        f"break_weight={cfg.break_weight} break_normal={cfg.break_normal} "
-        f"corrupt_vahlen={cfg.corrupt_vahlen}"
+    """Every RunConfig field but out, in order, floats in %g form."""
+    return "config " + " ".join(
+        f"{key}={getattr(cfg, key):{'g' if hint is float else ''}}" for key, hint in _FIELDS.items() if key != "out"
     )
 
 
 class Report:
+    """A suite's report: its title and config lines, then one line per property."""
+
     def __init__(self, title: str, cfg: RunConfig):
         self.lines = [f"# sphereglue {title}", config_line(cfg)]
-        self.records: list[Record] = []
+        self.passed: list[bool] = []
 
     def add(self, name: str, residual: float, threshold: float):
-        rec = Record(name, residual, threshold)
-        self.records.append(rec)
-        self.lines.append(rec.line())
+        """The property's line; it passes when residual <= threshold (NaN fails)."""
+        self.passed.append(bool(residual <= threshold))
+        verdict = "pass" if self.passed[-1] else "fail"
+        self.lines.append(f"property={name} residual={residual:.6e} threshold={threshold:.6e} verdict={verdict}")
 
     def add_csv(self, title: str, header: str, rows: list[str]):
         self.lines += [f"csv {title}", header, *rows]
 
     def finish(self) -> tuple[str, int]:
-        ok = all(r.verdict == "pass" for r in self.records)
-        self.lines.append(f"summary properties={len(self.records)} result={'pass' if ok else 'fail'}")
+        ok = all(self.passed)
+        self.lines.append(f"summary properties={len(self.passed)} result={'pass' if ok else 'fail'}")
         return "\n".join(self.lines) + "\n", 0 if ok else 1
 
 
@@ -176,15 +164,13 @@ def _random_maps(rng, n: int, count: int, corrupt: bool = False) -> dict:
     compositions T_s N T_t; the kinds and the offsets (t, s) are drawn in one
     block each. The pool as stacks, per (ambient_dim, kernel_exponent) in
     order of first appearance: the pool indices of its maps and their stack
-    (maps, 2, 2, 2^k). Every T_t and T_s is built in one coefficient block,
-    and the compositions by two stacked compose calls."""
+    (maps, 2, 2, 2^k). Every T_t and T_s is built by one translation_map
+    call, and the compositions by two stacked compose calls."""
     kinds = rng.integers(0, 4, count)
     offsets = rng.uniform(-2.0, 2.0, (count, 2, n))
-    shifts = np.zeros((2, count, 2, 2, 1 << n))  # T_t and T_s of every draw
-    shifts[..., 0, 0, 0] = shifts[..., 1, 1, 0] = 1.0
-    shifts[..., 0, 1, :] = vectors(np.moveaxis(offsets, 1, 0), n)
+    shifts = translation_map(np.moveaxis(offsets, 1, 0)).coeffs  # T_t and T_s of every draw
     t_maps, s_maps = (VahlenMap(c[kinds == 3], n) for c in shifts)
-    flat = shifts[0]  # every map of Cl_n, over T_t's rows
+    flat = shifts[0].copy()  # every map of Cl_n, over T_t's rows
     flat[kinds == 1] = neck_inversion(n).coeffs
     flat[kinds == 3] = compose(s_maps, compose(neck_inversion(n), t_maps)).coeffs
     cayleys = np.broadcast_to(cayley(n).coeffs, (count, 2, 2, 2 << n))
@@ -282,13 +268,12 @@ def _pullback_samples(rng, pool, count: int = 10):
         stack = VahlenMap(coeffs[:, None, None, None, None], k)
         f = g_translate(poles[members, None, None, None, None, :k], n=k, dim_alg=k)
         draw = functools.partial(rng.uniform, -1.8, 1.8, (len(members), _BLOCK, k))
-        stacks.append((members, stack, f, *_first_accepted(draw, _stencil_samples(stack, f, 1e-4))))
+        stacks.append((members, stack, f, *_first_accepted(draw, _stencil_samples(stack, f, DEFAULT_FD_STEP))))
     return poles, stacks
 
 
-def cmd_verify_algebra(cfg: RunConfig) -> tuple[str, int]:
+def cmd_verify_algebra(rep: Report, cfg: RunConfig):
     rng = np.random.default_rng(cfg.seed)
-    rep = Report("verify-algebra report", cfg)
 
     # product laws over Cl_2..Cl_4: 300 samples of random algebra dimension,
     # drawn in one block per dimension and evaluated in two stacked products
@@ -330,7 +315,7 @@ def cmd_verify_algebra(cfg: RunConfig) -> tuple[str, int]:
         # draw, or, as a translation at n = 2, a pseudo-determinant that is
         # not scalar in its stack's evaluation
         rep.add("kernel-covariance", float("inf"), 1e-9)
-        return rep.finish()
+        return
     rep.add("kernel-covariance", worst_cov, 1e-9)
 
     # pullback monogenicity suite over the first ten maps: each map is used as
@@ -340,9 +325,8 @@ def cmd_verify_algebra(cfg: RunConfig) -> tuple[str, int]:
     # five points whose whole stencil the judge accepts, and the residuals
     # are differenced from the pullback values the judge computed there
     _, samples = _pullback_samples(rng, pool)
-    worst_fd = max(float(row_norms(dirac_from_stencil(values, 1e-4)).max()) for *_, values in samples)
+    worst_fd = max(float(row_norms(dirac_from_stencil(values, DEFAULT_FD_STEP)).max()) for *_, values in samples)
     rep.add("pullback-monogenicity-fd", worst_fd, 1e-5)
-    return rep.finish()
 
 
 def _worst(diff: np.ndarray, scale) -> float:
@@ -369,9 +353,8 @@ def _neck_pairs(rng, n: int, r: float, count: int) -> np.ndarray:
     return _first_accepted(draw, judge, count)[0][0]
 
 
-def cmd_verify_kernel(cfg: RunConfig) -> tuple[str, int]:
+def cmd_verify_kernel(rep: Report, cfg: RunConfig):
     rng = np.random.default_rng(cfg.seed)
-    rep = Report("verify-kernel report", cfg)
     m = make_manifold(cfg)
 
     # overlap consistency; residual relative to the direct evaluation norm so
@@ -388,7 +371,7 @@ def cmd_verify_kernel(cfg: RunConfig) -> tuple[str, int]:
     eps = 1e-7
     v_in = kernel_CM(m, x, ManifoldPoint(2, (m.r - eps) * direction)).coeffs
     v_out = kernel_CM(m, x, ManifoldPoint(2, (m.r + eps) * direction)).coeffs
-    rep.add("case-coherence-seam-jump", np.linalg.norm(v_in - v_out), 1e-6)
+    rep.add("case-coherence-seam-jump", float(row_norms(v_in - v_out)), 1e-6)
 
     # the diagonal itself raises DiagonalError; near it the kernel must blow
     # up as 1/d^(n-1), checked at distances d of 1e-2 and 1e-3
@@ -402,7 +385,6 @@ def cmd_verify_kernel(cfg: RunConfig) -> tuple[str, int]:
     near = ManifoldPoint(1, x.coord + np.array([[1e-2], [1e-3]]) * direction)
     d, val = row_norms(embed(m, x) - embed(m, near)), row_norms(kernel_CM(m, x, near).coeffs)
     rep.add("diagonal-blowup-strength", float(np.max(abs(val * d ** (m.n - 1) - 1.0))), 1e-3)
-    return rep.finish()
 
 
 def cross_glue_target(n: int, r: float) -> np.ndarray:
@@ -411,12 +393,11 @@ def cross_glue_target(n: int, r: float) -> np.ndarray:
     in chart 2's body (|y| >= r), where the kernel takes its cross-glue case."""
     y = np.pad([2.5, 1.0], (0, n - 2))
     if r > 2.15:
-        y *= 1.25 * r / np.linalg.norm(y)
+        y *= 1.25 * r / row_norms(y)
     return y
 
 
-def cmd_verify_cauchy(cfg: RunConfig) -> tuple[str, int]:
-    rep = Report("verify-cauchy report", cfg)
+def cmd_verify_cauchy(rep: Report, cfg: RunConfig):
     m = make_manifold(cfg)
     nsign = -1.0 if not cfg.break_normal else 1.0
 
@@ -457,11 +438,9 @@ def cmd_verify_cauchy(cfg: RunConfig) -> tuple[str, int]:
     # hugging the neck
     combined = 2.0 * (res.estimated_error + r_b.estimated_error) + 1e-12
     rep.add("contour-independence", (res.value - r_b.value).norm() / combined, 1.0)
-    return rep.finish()
 
 
-def cmd_hardy(cfg: RunConfig) -> tuple[str, int]:
-    rep = Report("hardy report", cfg)
+def cmd_hardy(rep: Report, cfg: RunConfig):
     m = make_manifold(cfg)
     sec = section_from_germ(m, g_translate(np.array([4.0, 0.0]), n=2, dim_alg=3))
     surf = chart_circle(m, 1, np.zeros(2), 3.0, cfg.order, interior=ManifoldPoint(1, np.array([0.6, 0.0])))
@@ -475,7 +454,6 @@ def cmd_hardy(cfg: RunConfig) -> tuple[str, int]:
     # doubling must at least halve the defect, unless already at rounding
     ok = ratio <= 0.5 or defect <= 1e-12
     rep.add("defect-halving-on-doubling", 0.0 if ok else ratio, 0.5)
-    return rep.finish()
 
 
 COMMANDS = {
@@ -484,6 +462,14 @@ COMMANDS = {
     "verify-cauchy": cmd_verify_cauchy,
     "hardy": cmd_hardy,
 }
+
+
+def run_suite(command: str, cfg: RunConfig) -> tuple[str, int]:
+    """Run one suite on the report titled "<command> report": the report's
+    text and the exit status, 0 exactly when every property passes."""
+    rep = Report(f"{command} report", cfg)
+    COMMANDS[command](rep, cfg)
+    return rep.finish()
 
 
 @functools.cache
@@ -508,7 +494,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
-        text, status = COMMANDS[args.command](cfg)
+        text, status = run_suite(args.command, cfg)
     except Exception as exc:  # one line naming suite, config and exception
         print(f"{args.command} error: {config_line(cfg)}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

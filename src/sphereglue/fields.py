@@ -7,7 +7,7 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import gp_batch, vectors
+from .algebra import gp_batch, row_norms, vectors
 from .moebius import VahlenMap, apply, cauchy_kernel_G, first_point, weight_J
 
 # Step for finite-difference Dirac residuals.
@@ -59,7 +59,7 @@ def g_translate(a: np.ndarray, n: int | None = None, dim_alg: int | None = None)
         a.shape[-1],
         dim_alg,
         lambda x: cauchy_kernel_G(x - a, n, dim_alg),
-        domain=lambda x: np.sqrt(((x - a) ** 2).sum(-1)) > 1e-12,
+        domain=lambda x: row_norms(x - a) > 1e-12,
     )
 
 

@@ -32,7 +32,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .algebra import Multivector, _product_tables, clifford_group_inverse, gp_batch, row_norms, vectors
-from .fields import CliffordField, constant_field
+from .fields import CliffordField
 from .kernel import _kernel_pairs, _target_weight
 from .manifold import (
     INADMISSIBLE,
@@ -216,16 +216,23 @@ def section_from_germ(m: GluedManifold, germ: CliffordField) -> Section:
     if germ.dim_alg != m.n + 1:
         raise ValueError("germ must take values in Cl_{n+1}")
     dim = germ.dim_alg
-    chart1_inv = chart_map(m, -1) if m.chart(1).has_sphere else None
 
     def rep(chart: int, coord) -> np.ndarray:
         if chart == 1:
-            if chart1_inv is None:
-                return germ.values(coord)
-            return gp_batch(dim, weight_J(chart1_inv, embed(m, ManifoldPoint(1, coord))), germ.values(coord))
+            w = _lift_weight(m, coord)
+            return germ.values(coord) if w is None else gp_batch(dim, w, germ.values(coord))
         return gp_batch(dim, _target_weight(m, 1, ManifoldPoint(2, coord)), rep(1, apply_transition(m, coord)))
 
     return Section(m, rep)
+
+
+def _lift_weight(m: GluedManifold, coord) -> np.ndarray | None:
+    """W at chart-1 coordinates (..., n): the weight of the inverse chart-1
+    map, which lifts a germ f to the chart-1 representative W f of its
+    section; None when chart 1 is a plane chart, where W = 1."""
+    if m.chart(1).has_sphere:
+        return weight_J(chart_map(m, -1), embed(m, ManifoldPoint(1, coord)))
+    return None
 
 
 def cauchy_integrals(
@@ -315,7 +322,7 @@ def plemelj_projections(
     m: GluedManifold, s: Hypersurface, g: Callable[[ManifoldPoint], np.ndarray], n_nodes: int | None = None
 ) -> PlemeljResult:
     """Discrete Hardy-space splitting g = g_plus + g_minus on a smooth closed
-    curve (n = 2), with g_plus the approximate trace of the interior Cauchy
+    curve in chart 1 (n = 2), with g_plus the approximate trace of the interior Cauchy
     extension: P_pm = (I pm C_S) / 2. The data g is a callable that takes
     the node point array and returns its coefficients (N, 2^(n+1)), such as
     Section.value_at. N must be even and at least 4.
@@ -340,8 +347,8 @@ def plemelj_projections(
     """
     if m.n != 2:
         raise SurfaceError("Plemelj projections are implemented for n = 2 curves")
-    if not s.closed:
-        raise SurfaceError("need a closed curve")
+    if not s.closed or s.chart != 1:
+        raise SurfaceError("need a closed curve in chart 1")
     (a, b) = s.bounds[0]
     period = b - a
     nn = s.quad_order if n_nodes is None else n_nodes
@@ -356,7 +363,9 @@ def plemelj_projections(
         raise SurfaceError(f"boundary data must be coefficients ({nn}, {1 << dim}) for the node array")
 
     # W_j c is the constant-germ section with germ c, evaluated at node j
-    wc = section_from_germ(m, constant_field(np.eye(1 << dim)[0], m.n)).value_at(geo.point)
+    wc = _lift_weight(m, geo.point.coord)
+    if wc is None:
+        wc = np.broadcast_to(np.eye(1 << dim)[0], gc.shape)
     c, gw = gp_batch(dim, clifford_group_inverse(dim, wc), gc), np.hstack([gc, wc])
 
     nw = vectors(REPRODUCING_NORMAL_SIGN * geo.normal * geo.weight[:, None], dim)

@@ -14,6 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .algebra import row_norms
 from .moebius import (
     INFINITY,
     VahlenMap,
@@ -110,7 +111,7 @@ def classify(m: GluedManifold, p: ManifoldPoint):
     """body / neck / inadmissible for the point's chart coordinates (an array for a point array)."""
     if is_infinity(p.coord):
         return BODY if m.chart(p.chart).has_sphere else INADMISSIBLE
-    rho = np.sqrt((p.coord * p.coord).sum(-1))
+    rho = row_norms(p.coord)
     out = np.where(rho >= m.r, BODY, np.where(rho > 1.0 / m.r, NECK, INADMISSIBLE))
     return out if out.ndim else str(out)
 
@@ -152,7 +153,7 @@ def equivalent(m: GluedManifold, p: ManifoldPoint, q: ManifoldPoint):
         d *= d
         dist += d
     np.sqrt(dist, out=dist)
-    out = both_neck & (dist <= 1e-10 * np.maximum(1.0, np.sqrt((img * img).sum(-1))))
+    out = both_neck & (dist <= 1e-10 * np.maximum(1.0, row_norms(img)))
     return out if np.ndim(out) else bool(out)
 
 

@@ -27,6 +27,7 @@ from .algebra import (
     clifford_group_inverse_rows,
     gp_batch,
     reversion,
+    row_norms,
     vectors,
 )
 
@@ -86,7 +87,7 @@ class VahlenMap:
         a, b, c, d = self.rows
         delta = gp_batch(k, a, reversion(k, d)) - gp_batch(k, b, reversion(k, c))
         s = delta[..., 0]
-        if (_norms(delta[..., 1:]) > DEFAULT_RTOL * np.maximum(abs(s), 1.0)).any():
+        if (row_norms(delta[..., 1:]) > DEFAULT_RTOL * np.maximum(abs(s), 1.0)).any():
             raise VahlenError("a~d - b~c is not scalar: not a valid Vahlen matrix")
         return float(s) if s.ndim == 0 else s
 
@@ -110,11 +111,13 @@ def identity_map(k: int, m: int | None = None) -> VahlenMap:
 
 
 def translation_map(t: np.ndarray, k: int | None = None, m: int | None = None) -> VahlenMap:
+    """x -> x + t for an offset t (m,), or the stack of these maps for a
+    stack of offsets (..., m); k defaults to m."""
     t = np.asarray(t, dtype=np.float64)
     if k is None:
-        k = t.size
-    coeffs = _scalar_matrix(1.0, 0.0, 0.0, 1.0, k)
-    coeffs[0, 1] = vectors(t, k)
+        k = t.shape[-1]
+    coeffs = np.broadcast_to(_scalar_matrix(1.0, 0.0, 0.0, 1.0, k), t.shape[:-1] + (2, 2, 1 << k)).copy()
+    coeffs[..., 0, 1, :] = vectors(t, k)
     return VahlenMap(coeffs, m if m is not None else k)
 
 
@@ -171,18 +174,14 @@ def apply(psi: VahlenMap, x, raise_invalid: bool = True) -> Images:
         xv = vectors(_points(x, k), k)
         num = gp_batch(k, a, xv) + b
         den = gp_batch(k, c, xv) + d
-        tiny = 1e-12 * np.maximum(_norms(c) * _norms(xv) + _norms(d), 1.0)
+        tiny = 1e-12 * np.maximum(row_norms(c) * row_norms(xv) + row_norms(d), 1.0)
     dinv, invertible = clifford_group_inverse_rows(k, den)
-    finite = (_norms(den) > tiny) & invertible
+    finite = (row_norms(den) > tiny) & invertible
     points, dev, valid = _grade1(k, gp_batch(k, num, dinv))
     valid |= ~finite
     if raise_invalid and not valid.all():
         raise VahlenError(f"image of {first_point(x, ~valid)} is off grade 1 by {dev[~valid].max():.3e}")
     return Images(np.where(finite[..., None], points, np.nan), finite, valid)
-
-
-def _norms(a: np.ndarray) -> np.ndarray:
-    return np.sqrt((a * a).sum(-1))
 
 
 def _grade1(k: int, res: np.ndarray):
@@ -191,8 +190,8 @@ def _grade1(k: int, res: np.ndarray):
     blades = [1 << j for j in range(k)]
     rest = np.ones(res.shape[-1], dtype=bool)
     rest[blades] = False
-    dev = _norms(res[..., rest])
-    return res[..., blades], dev, dev <= np.maximum(DEFAULT_RTOL * np.maximum(_norms(res), 1.0), 1e-9)
+    dev = row_norms(res[..., rest])
+    return res[..., blades], dev, dev <= np.maximum(DEFAULT_RTOL * np.maximum(row_norms(res), 1.0), 1e-9)
 
 
 def first_point(x, mask=True) -> str:
@@ -228,8 +227,8 @@ def weight_J_rows(psi: VahlenMap, x):
     _, _, c, d = psi.rows
     nu = psi.weight_scale[..., None]
     den = (gp_batch(k, c, vectors(x, k)) + d) / nu
-    s = _norms(den)[..., None]
-    scale = np.maximum((_norms(c) * _norms(x) + _norms(d))[..., None] / nu, 1.0)
+    s = row_norms(den)[..., None]
+    scale = np.maximum((row_norms(c) * row_norms(x) + row_norms(d))[..., None] / nu, 1.0)
     regular = s > 1e-12 * scale
     return reversion(k, den) / np.where(regular, s, 1.0) ** psi.kernel_exponent, regular[..., 0]
 
@@ -262,7 +261,11 @@ def inverse(psi: VahlenMap) -> VahlenMap:
 
 def cauchy_kernel_G(x, n: int, dim: int | None = None) -> np.ndarray:
     """x / ||x||^n for every vector of an array (..., m), as coefficient
-    arrays in Cl_dim (dim = m unless given); raises if any vector is zero."""
+    arrays in Cl_dim (dim = m unless given); raises if any vector is zero.
+
+    ||x|| sums the squares along the row, in the order of kernel._kernel_pairs'
+    blade-major einsum, so both evaluations of G agree bit for bit;
+    algebra.row_norms rounds differently on about one row in ten."""
     x = np.asarray(x, dtype=np.float64)
     r = np.sqrt((x * x).sum(-1, keepdims=True))
     if (r == 0.0).any():
@@ -288,8 +291,7 @@ def covariance_residual(psi: VahlenMap, x, y, px, py):
     jx_inv = clifford_group_inverse(k, reversion(k, weight_J(psi, x)))
     mid = cauchy_kernel_G(np.subtract(x, y), m, k)
     sgn = np.where(psi.pseudo_determinant > 0, 1.0, -1.0)[..., None]
-    diff = lhs - sgn * gp_batch(k, gp_batch(k, jy_inv, mid), jx_inv)
-    return np.sqrt((diff * diff).sum(-1))
+    return row_norms(lhs - sgn * gp_batch(k, gp_batch(k, jy_inv, mid), jx_inv))
 
 
 def cayley_embed(x, n: int) -> np.ndarray:

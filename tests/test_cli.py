@@ -1,5 +1,7 @@
 """Command-line driver: config parsing, determinism, exit codes, and the
 falsification controls."""
+import argparse
+import ast
 import dataclasses
 import itertools
 import os
@@ -66,19 +68,42 @@ def test_config_parsing(tmp_path):
     values = parse_config_file(str(cfg_file))
     assert values["r"] == "2.5"
 
-    import argparse
-
     ns = argparse.Namespace(config=str(cfg_file), seed=None, order=None, out=None)
     cfg = build_config(ns)
     assert cfg.r == 2.5 and cfg.seed == 7
+
+
+def test_config_line_names_every_field_but_out_in_order():
+    """The config line lists the RunConfig fields, out excepted, in field
+    order, with floats in %g form."""
+    cfg = cli.RunConfig(kind="plane_sphere", r=1.05, scale2=0.7, out="report.txt", break_normal=1)
+    line = cli.config_line(cfg)
+    keys = [item.partition("=")[0] for item in line.split()[1:]]
+    assert keys == [f.name for f in dataclasses.fields(cli.RunConfig) if f.name != "out"]
+    assert line == (
+        "config kind=plane_sphere n=2 r=1.05 scale1=1 scale2=0.7 seed=0 order=256 "
+        "break_weight=0 break_normal=1 corrupt_vahlen=0"
+    )
+
+
+def test_config_file_sets_every_field_with_its_type(tmp_path):
+    """Every RunConfig field is a config key, read with the field's type."""
+    cfg_file = tmp_path / "run.cfg"
+    out = tmp_path / "report.txt"
+    cfg_file.write_text(
+        f"kind=plane_sphere\nn=3\nr=2.5\nscale1=1.5\nscale2=0.7\nseed=7\norder=64\nout={out}\n"
+        "break_weight=1\nbreak_normal=1\ncorrupt_vahlen=1\n"
+    )
+    ns = argparse.Namespace(config=str(cfg_file), seed=None, order=None, out=None)
+    got = dataclasses.astuple(build_config(ns))
+    want = ("plane_sphere", 3, 2.5, 1.5, 0.7, 7, 64, str(out), 1, 1, 1)
+    assert got == want and [type(v) for v in got] == [type(v) for v in want]
 
 
 @pytest.mark.parametrize("line", ["bogus=1", "tol_overlap-consistency=1e-8"])
 def test_config_rejects_bad_key(tmp_path, line):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text(line + "\n")
-    import argparse
-
     ns = argparse.Namespace(config=str(cfg_file), seed=None, order=None, out=None)
     with pytest.raises(ValueError):
         build_config(ns)
@@ -214,6 +239,27 @@ def test_hardy_passes(tmp_path):
     status, text = run(tmp_path, "hardy", "--seed", "0", "--order", "128")
     assert status == 0
     assert "monogenic-trace-defect" in text
+
+
+def _benchmark_properties() -> dict:
+    """PROPERTIES of perfbench/workloads.py, read from its source."""
+    source = (pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py").read_text()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "PROPERTIES":
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/workloads.py has no PROPERTIES table")
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_suite_properties_match_the_benchmark_table(command):
+    """Each suite reports, in order, the properties that the benchmark's
+    verdict table names for it; the benchmark counts a renamed or reordered
+    property as an unexpected outcome."""
+    table = _benchmark_properties()
+    text, status = cli.run_suite(command, cli.RunConfig())
+    names = [line.split()[0].removeprefix("property=") for line in text.splitlines() if line.startswith("property=")]
+    assert list(table) == list(cli.COMMANDS)
+    assert status == 0 and tuple(names) == table[command]
 
 
 def test_determinism(tmp_path):
@@ -360,13 +406,13 @@ def test_pool_draws_match_map_by_map(monkeypatch, n, seed):
     own candidate rows, map by map."""
     calls = _recording_first_accepted(monkeypatch)
     pools = _recording_random_maps(monkeypatch)
-    _, status = cli.cmd_verify_algebra(cli.RunConfig(n=n, seed=seed))
+    _, status = cli.run_suite("verify-algebra", cli.RunConfig(n=n, seed=seed))
     assert status == 0 and len(calls) >= 3
     for (rows, _, _, kept), (members, _) in zip(calls, _as_pool(pools[0]).values()):
         for i, own, pairs in zip(members, rows, kept):
             accepted, raising, _ = cli._admissible_pairs(pools[0][i], n)(own)
             assert not raising.any() and np.array_equal(pairs, own[accepted][:5]), i
-    _, status = cli.cmd_verify_kernel(cli.RunConfig(n=n, seed=seed))
+    _, status = cli.run_suite("verify-kernel", cli.RunConfig(n=n, seed=seed))
     assert status == 0 and calls[-1][3].shape == (1, 200, 2 * n)
     for rows, judge, count, kept in calls:
         _assert_first_accepted(rows, judge, count, kept, 250 if count == 200 else _BLOCK)
@@ -389,7 +435,7 @@ def test_short_maps_draw_another_block(monkeypatch):
         return strict_judge
 
     monkeypatch.setattr(cli, "_admissible_pairs", strict)
-    _, status = cli.cmd_verify_algebra(cli.RunConfig(n=2, seed=0))
+    _, status = cli.run_suite("verify-algebra", cli.RunConfig(n=2, seed=0))
     covariance = [call for call in calls if call[0].shape[-1] == 4]
     assert status == 0 and covariance
     for rows, judge, count, kept in covariance:
@@ -423,7 +469,7 @@ def test_pool_raises_exactly_when_map_by_map_does(n):
         with pytest.MonkeyPatch.context() as mp:
             pools = _recording_random_maps(mp, corrupt_at)
             calls = _recording_first_accepted(mp)
-            text, status = cli.cmd_verify_algebra(cli.RunConfig(n=n, seed=seed, corrupt_vahlen=1))
+            text, status = cli.run_suite("verify-algebra", cli.RunConfig(n=n, seed=seed, corrupt_vahlen=1))
         assert status == 1 and "property=kernel-covariance residual=inf" in text, (seed, corrupt_at)
         maps, raising = pools[0], []
         for (rows, *_), (members, _) in zip(calls, _as_pool(pools[0]).values()):
@@ -446,7 +492,7 @@ def test_pool_judges_each_covariance_suite_in_few_calls(monkeypatch):
     pools = _recording_random_maps(monkeypatch)
     for n, seed in itertools.product((2, 3), range(10)):
         judged.clear()
-        _, status = cli.cmd_verify_algebra(cli.RunConfig(n=n, seed=seed))
+        _, status = cli.run_suite("verify-algebra", cli.RunConfig(n=n, seed=seed))
         assert status == 0 and len(judged) == len(_as_pool(pools[-1])), (n, seed)
         for stack, rows in judged:
             assert rows.shape == (len(stack.coeffs), _BLOCK, 2 * n)
@@ -614,7 +660,7 @@ def test_unwritable_out_exits_before_the_suite_runs(tmp_path, capsys, monkeypatc
     directory, or a directory itself, exits 2 with one config-error line and
     the suite is never called."""
 
-    def suite(cfg):
+    def suite(rep, cfg):
         raise AssertionError("the suite ran before the --out check")
 
     monkeypatch.setitem(cli.COMMANDS, "verify-kernel", suite)
@@ -665,14 +711,14 @@ def test_neck_pairs_match_one_pair_loop(monkeypatch, n, r):
 @pytest.mark.parametrize("order", [4, 16, 64, 256])
 @pytest.mark.parametrize("kind", ["two_spheres", "plane_sphere"])
 def test_hardy_residuals_match_row_loops(monkeypatch, kind, order):
-    """cmd_hardy's three residuals, reduced over the coefficient arrays of
+    """hardy's three residuals, reduced over the coefficient arrays of
     its one Plemelj call (the N rule and the half rule), equal those of
     loops over the Multivector rows bit for bit."""
     results, residuals = [], []
     project, add = cli.plemelj_projections, cli.Report.add
     monkeypatch.setattr(cli, "plemelj_projections", lambda *a, **kw: results.append(project(*a, **kw)) or results[-1])
     monkeypatch.setattr(cli.Report, "add", lambda self, name, res, thr: residuals.append(res) or add(self, name, res, thr))
-    cli.cmd_hardy(cli.RunConfig(kind=kind, order=order))
+    cli.run_suite("hardy", cli.RunConfig(kind=kind, order=order))
     (full,) = results
     defect = max(v.norm() for v in full.g_minus)
     part = max((full.g_plus[i] + full.g_minus[i] - full.g[i]).norm() for i in range(order))
@@ -695,7 +741,7 @@ def test_hardy_evaluates_each_node_once(monkeypatch):
     monkeypatch.setattr(integration, "_kernel_pairs", pairs)
     project = cli.plemelj_projections
     monkeypatch.setattr(cli, "plemelj_projections", lambda m, s, g, **kw: project(m, s, counted("data", g), **kw))
-    _, status = cli.cmd_hardy(cli.RunConfig(order=64))
+    _, status = cli.run_suite("hardy", cli.RunConfig(order=64))
     assert status == 0 and calls == {"node_geometry": 1, "_kernel_pairs": 1, "data": 1}
 
 

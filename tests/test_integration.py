@@ -15,6 +15,7 @@ from sphereglue.integration import (
     Hypersurface,
     SurfaceError,
     _gauss_nodes,
+    _lift_weight,
     cauchy_integral,
     chart_circle,
     chart_sphere,
@@ -474,6 +475,31 @@ def test_plemelj_requires_closed_curve(m2):
     )
     with pytest.raises(SurfaceError):
         plemelj_projections(m2, s, lambda p: Multivector(3, np.eye(8)[0]))
+
+
+def test_plemelj_requires_a_chart_1_curve(m2):
+    """The regularizing section W c is read in chart 1, so a curve in chart 2
+    is refused."""
+    s = chart_circle(m2, 2, np.zeros(2), 3.0, 16, interior=ManifoldPoint(2, np.array([0.6, 0.0])))
+    with pytest.raises(SurfaceError, match="chart 1"):
+        plemelj_projections(m2, s, lambda p: np.tile(np.eye(8)[0], (len(p.coord), 1)))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("kind", [two_spheres, plane_sphere])
+def test_lift_weight_is_the_constant_germ_section(kind, n):
+    """The weight W that Plemelj reads at chart-1 nodes equals the chart-1
+    representative W 1 of the section with the constant germ 1, every
+    coefficient exactly (the product only turns W's negative zeros into
+    positive ones); on a plane chart 1, where W = 1, it is None."""
+    m = kind(n, 2.0)
+    coord = np.random.default_rng(n).uniform(-3.0, 3.0, (64, n))
+    want = section_from_germ(m, constant_field(np.eye(2 << n)[0], n)).value_at(ManifoldPoint(1, coord))
+    w = _lift_weight(m, coord)
+    if kind is plane_sphere:
+        assert w is None and np.array_equal(want, np.tile(np.eye(2 << n)[0], (64, 1)))
+    else:
+        assert w.shape == want.shape and np.array_equal(w, want)
 
 
 def test_plemelj_needs_two_nodes(m2):

@@ -11,17 +11,19 @@ from sphereglue.kernel import (
     OVERLAP_REP,
     SAME_CHART,
     DiagonalError,
+    _kernel_pairs,
     kernel_CM,
     overlap_consistency_residual,
 )
 from sphereglue.manifold import (
     ManifoldError,
     ManifoldPoint,
+    apply_transition,
     embed,
     plane_sphere,
     two_spheres,
 )
-from sphereglue.moebius import cayley, weight_J
+from sphereglue.moebius import cauchy_kernel_G, cayley, weight_J
 
 
 @pytest.fixture
@@ -95,6 +97,28 @@ def test_batch_rows_are_single_point_kernels(m2):
     for row, yc in zip(values, ys):
         want = kernel_CM(m2, x, ManifoldPoint(2, yc)).coeffs
         assert np.allclose(row, want, rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("build", [two_spheres, plane_sphere])
+@pytest.mark.parametrize("target_chart", [1, 2])
+def test_kernel_pairs_are_cauchy_kernel_G_bit_for_bit(build, n, target_chart):
+    """cauchy_kernel_G of the embedded differences equals the blades that
+    _kernel_pairs fills, bit for bit: both sum the squares in the same order,
+    for same-chart and cross-chart targets (neck and body)."""
+    m, rng = build(n, 2.0), np.random.default_rng(n)
+    x = ManifoldPoint(1, rng.uniform(0.6, 4.0, (400, 1)) * _unit_rows(rng, 400, n))
+    y = ManifoldPoint(target_chart, rng.uniform(0.6, 4.0, (1, 300, 1)) * _unit_rows(rng, 300, n))
+    blades, _ = _kernel_pairs(m, ManifoldPoint(1, x.coord[:, None]), y)
+    y_in_1 = y.coord if target_chart == 1 else apply_transition(m, y.coord)
+    want = cauchy_kernel_G(embed(m, ManifoldPoint(1, x.coord[:, None])) - embed(m, ManifoldPoint(1, y_in_1)), n, n + 1)
+    assert blades.shape == (n + 1, 400, 300)
+    assert np.array_equal(vectors(np.moveaxis(blades, 0, -1), n + 1), want)
+
+
+def _unit_rows(rng, count, n):
+    v = rng.normal(size=(count, n))
+    return v / np.sqrt((v * v).sum(-1, keepdims=True))
 
 
 def test_batch_raises_for_any_diagonal_pair(m2):

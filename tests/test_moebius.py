@@ -70,6 +70,18 @@ def test_translation():
     assert not apply(psi, INFINITY).finite
 
 
+@pytest.mark.parametrize("k, m", [(2, 2), (3, 2), (3, 3)])
+def test_translation_stack_is_each_offsets_map(k, m):
+    """translation_map on a stack of offsets (4, 5, n) is the stack of each
+    offset's own map, byte for byte."""
+    offsets = np.random.default_rng(k + m).uniform(-2.0, 2.0, (4, 5, 2))
+    stack = translation_map(offsets, k, m)
+    assert stack.coeffs.shape == (4, 5, 2, 2, 1 << k) and stack.kernel_exponent == m
+    for i, j in np.ndindex(4, 5):
+        assert stack.coeffs[i, j].tobytes() == translation_map(offsets[i, j], k, m).coeffs.tobytes()
+    assert translation_map(offsets[0]).coeffs.tobytes() == translation_map(offsets[0], 2, 2).coeffs.tobytes()
+
+
 # -- weight_J ----------------------------------------------------------------
 
 
@@ -478,7 +490,7 @@ def _verify_algebra_pool(n, seed):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "_random_maps", record)
-        cli.cmd_verify_algebra(cli.RunConfig(n=n, seed=seed))
+        cli.run_suite("verify-algebra", cli.RunConfig(n=n, seed=seed))
     return _pool_maps(pools[0])
 
 
