@@ -1,8 +1,30 @@
 """Dense multivector arithmetic for the Clifford algebra Cl_k with e_j^2 = -1.
 
 Blades are indexed by bitmask: bit j set means the factor e_{j+1} is present,
-factors in increasing order. Coefficients live in a dense numpy vector of
-length 2^k.
+factors in increasing order (the bitmap blades of Dorst, Fontijne & Mann,
+Geometric Algebra for Computer Science, 2007). Coefficients live in a dense
+numpy vector of length 2^k.
+
+gp_batch, the one product, evaluates (ab)[l] = sum_i sign[i, l] a[i] b[i ^ l]
+as one signed gather of b through _product_tables, b[..., perm] * sign, and
+one np.einsum contraction over the blades of a. The contraction adds a's
+blades into a zeroed output in increasing order, the order of a loop over
+the blades, and the products are bit-identical to such a loop only because
+numpy's einsum kernels keep that order (CI pins the numpy version); a matmul
+sums in another order and moves last bits. The size rule counts elements of
+the gather (2^k per element of b and contracted blade of a):
+- up to _SKIP_FROM (2048) every blade of a is contracted, since finding a's
+  zero blades (about 4 us) costs more than gathering them;
+- above it, blades of a that are zero in every row are skipped where b is
+  finite (a grade-1 a keeps k of its 2^k blades): their terms are then
+  zeros, which leave the bits of a sum begun at +0 unchanged, whereas
+  0 * inf would have made them NaN;
+- above _BLOCK (16384 elements, 128 KB) the contraction runs in row blocks
+  of at most that size, so no (rows, 2^k, 2^k) table is formed.
+Measured at k = 4 on 2 CPUs, median per call: one 128 KB block beat 64 KB
+and 256 KB ones on 436 and 8320 rows, and 512 KB ones by 2x on 436 rows;
+one contraction over a whole (8320, 16, 16) gather took 5.5 ms where the
+loop over a grade-1 a's blades took 3.4 ms.
 """
 from __future__ import annotations
 
@@ -15,6 +37,10 @@ MAX_DIM = 12
 
 # The relative tolerance of the Clifford-group, Vahlen-matrix and grade-1 checks.
 DEFAULT_RTOL = 1e-10
+
+# gp_batch's size rule, in elements of b's signed gather (module docstring)
+_SKIP_FROM = 1 << 11
+_BLOCK = 1 << 14
 
 
 class AlgebraError(ValueError):
@@ -130,15 +156,24 @@ def vectors(x, dim: int) -> np.ndarray:
 def gp_batch(dim: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Geometric product of coefficient arrays of shape (..., 2^dim),
     broadcast over the leading axes: the one product of the package, which
-    Multivector.__mul__ applies to single elements. Blades of a that are zero
-    in every row are skipped; all terms share one buffer, not a temporary each."""
+    Multivector.__mul__ applies to single elements. One signed gather of b
+    and one contraction over the blades of a in increasing order, under the
+    size rule of the module docstring."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     perm, sign = _product_tables(dim)
-    out = np.zeros(np.broadcast(a, b).shape)
-    term = np.empty_like(out)
-    for i in a.reshape(-1, 1 << dim).any(axis=0).nonzero()[0]:
-        signed = b[..., perm[i]]
-        signed *= sign[i]
-        out += np.multiply(a[..., i, None], signed, term)
+    if b.size << dim > _SKIP_FROM and np.isfinite(b).all():
+        blades = a.reshape(-1, 1 << dim).any(axis=0).nonzero()[0]
+        a, perm, sign = a[..., blades], perm[blades], sign[blades]
+    if b.size * len(perm) <= _BLOCK:
+        return np.einsum("...i,...il->...l", a, b.take(perm, axis=-1) * sign)
+    shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
+    out = np.empty(shape + (1 << dim,))
+    rows_a = np.broadcast_to(a, shape + a.shape[-1:]).reshape(-1, len(perm))
+    rows_b = np.broadcast_to(b, shape + b.shape[-1:]).reshape(-1, 1 << dim)
+    rows_out = out.reshape(-1, 1 << dim)
+    step = max(_BLOCK // perm.size, 1)
+    for start in range(0, len(rows_out), step):
+        block = slice(start, start + step)
+        np.einsum("ri,ril->rl", rows_a[block], rows_b[block].take(perm, axis=-1) * sign, out=rows_out[block])
     return out

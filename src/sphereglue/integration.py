@@ -138,13 +138,18 @@ def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
     return rule
 
 
+@lru_cache(maxsize=None)
 def _gauss_nodes(bounds, order) -> tuple[np.ndarray, np.ndarray]:
-    """Tensor-product Gauss nodes (N, len(bounds)) and weights (N,) on a box."""
+    """Tensor-product Gauss nodes (N, len(bounds)) and weights (N,) on a box,
+    computed once per (bounds, order), read-only."""
     xs, ws = _leggauss(order)
     axes = [((b - a) / 2.0 * xs + (a + b) / 2.0, (b - a) / 2.0 * ws) for a, b in bounds]
     grids = np.meshgrid(*[ax[0] for ax in axes], indexing="ij")
     wgrids = np.meshgrid(*[ax[1] for ax in axes], indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=-1), np.prod([w.ravel() for w in wgrids], axis=0)
+    rule = np.stack([g.ravel() for g in grids], axis=-1), np.prod([w.ravel() for w in wgrids], axis=0)
+    for arr in rule:
+        arr.setflags(write=False)
+    return rule
 
 
 class _Stack(NamedTuple):

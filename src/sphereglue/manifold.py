@@ -29,9 +29,9 @@ from .moebius import (
     neck_inversion,
 )
 
-BODY = "body"
-NECK = "neck"
-INADMISSIBLE = "inadmissible"
+# classify's region codes: how many of the neck's bounds a point has passed
+# (|x| > 1/r, then |x| >= r)
+INADMISSIBLE, NECK, BODY = 0, 1, 2
 
 
 class ManifoldError(ValueError):
@@ -108,12 +108,12 @@ class ManifoldPoint:
 
 
 def classify(m: GluedManifold, p: ManifoldPoint):
-    """body / neck / inadmissible for the point's chart coordinates (an array for a point array)."""
+    """The region code BODY, NECK or INADMISSIBLE of the point's chart
+    coordinates (an int8 array for a point array)."""
     if is_infinity(p.coord):
         return BODY if m.chart(p.chart).has_sphere else INADMISSIBLE
     rho = row_norms(p.coord)
-    out = np.where(rho >= m.r, BODY, np.where(rho > 1.0 / m.r, NECK, INADMISSIBLE))
-    return out if out.ndim else str(out)
+    return np.add(rho > 1.0 / m.r, rho >= m.r, dtype=np.int8)
 
 
 def apply_transition(m: GluedManifold, coord):

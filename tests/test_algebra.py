@@ -1,6 +1,7 @@
 """Multivector arithmetic: defining relations, reversion, inverses, and an
 independent rewrite-table oracle for the low-dimensional products."""
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sphereglue.algebra import (
+    _BLOCK,
+    _SKIP_FROM,
     AlgebraError,
     Multivector,
     NotInvertibleError,
@@ -68,19 +71,73 @@ def test_product_matches_rewrite_table(dim):
         assert np.array_equal(got.coeffs, want), (i, j)
 
 
+def _reference_product(dim, a, b):
+    """(ab)[..., l] as a sum written out: sign * a_i * b_{i^l} added to zero
+    over every blade i in increasing order, with each sign read off the
+    rewrite-table oracle."""
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64))
+    out = np.zeros(a.shape)
+    for i, l in itertools.product(range(2**dim), repeat=2):
+        idx, sign = _oracle_blade_product(i, i ^ l, dim)
+        assert idx == l
+        with np.errstate(invalid="ignore"):  # 0 * inf is NaN
+            out[..., l] += a[..., i] * (b[..., i ^ l] * sign)
+    return out
+
+
+def _product_cases(dim, rng):
+    """Operand pairs on both sides of gp_batch's size rule: one row, a few,
+    just past _SKIP_FROM and past three _BLOCKs of gathered elements; each
+    operand broadcast against the other; a blade of a zero in every row; a
+    grade-1 a, which keeps dim of its blades; NaN rows, as the stencil
+    judge passes in; an infinite b entry, which a's zero blade turns into
+    NaN wherever the two meet."""
+    d = 2**dim
+    for rows in (1, 3, _SKIP_FROM // d // d + 1, 3 * _BLOCK // d // d + 1):
+        a, b = rng.uniform(-1.0, 1.0, (2, rows, d))
+        yield a, b
+        yield a[0], b
+        yield a, b[0]
+        yield a[:, None], b[None, :4]
+        yield a[:4, None], b[None]
+        hole = a.copy()
+        hole[:, d - 1] = 0.0
+        yield hole, b
+        yield vectors(a[:, :dim], dim), b
+        nan_a, nan_b = a.copy(), b.copy()
+        nan_a[0], nan_b[rows // 2] = np.nan, np.nan
+        yield nan_a, nan_b
+        yield hole, nan_b
+        inf_b = b.copy()
+        inf_b[rows // 2, 0] = np.inf
+        yield hole, inf_b
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
 def test_gp_batch_matches_product(dim):
-    """Rows of (3, 1, 2^k) times (4, 2^k) broadcast to (3, 4, 2^k); each row
-    is the scalar product of its operands, computed in the same order."""
-    rng = np.random.default_rng(dim)
-    a = rng.uniform(-1.0, 1.0, (3, 1, 2**dim))
-    b = rng.uniform(-1.0, 1.0, (4, 2**dim))
-    a[0, 0, 1] = 0.0  # a zero coefficient, which the scalar product skips
-    got = gp_batch(dim, a, b)
-    assert got.shape == (3, 4, 2**dim)
-    for p, q in itertools.product(range(3), range(4)):
-        want = Multivector(dim, a[p, 0]) * Multivector(dim, b[q])
-        assert np.array_equal(got[p, q], want.coeffs), (p, q)
+    """Every product equals the written-out sum bit for bit, NaNs and the
+    signs of zeros included."""
+    for a, b in _product_cases(dim, np.random.default_rng(dim)):
+        got, want = gp_batch(dim, a, b), _reference_product(dim, a, b)
+        assert got.shape == want.shape, (a.shape, b.shape)
+        assert np.array_equal(got, want, equal_nan=True), (a.shape, b.shape)
+        assert np.array_equal(np.signbit(got), np.signbit(want)), (a.shape, b.shape)
+
+
+@pytest.mark.parametrize("a_shape", [(8320, 16), (16,)])
+def test_gp_batch_memory_of_a_large_stack(a_shape):
+    """At k = 4, the (8320, 16) products of verify-cauchy at n = 3 (times a
+    stack and times one element) peak below three output arrays: no
+    (rows, 16, 16) gather, sixteen outputs in size, is formed."""
+    rng = np.random.default_rng(4)
+    a, b = rng.uniform(-1.0, 1.0, a_shape), rng.uniform(-1.0, 1.0, (8320, 16))
+    tracemalloc.start()
+    try:
+        out = gp_batch(4, a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * out.nbytes, peak
 
 
 # -- defining relations ------------------------------------------------------
