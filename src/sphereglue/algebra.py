@@ -164,7 +164,8 @@ def gp_batch(dim: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     perm, sign = _product_tables(dim)
     if b.size << dim > _SKIP_FROM and np.isfinite(b).all():
         blades = a.reshape(-1, 1 << dim).any(axis=0).nonzero()[0]
-        a, perm, sign = a[..., blades], perm[blades], sign[blades]
+        if len(blades) < 1 << dim:
+            a, perm, sign = a[..., blades], perm[blades], sign[blades]
     if b.size * len(perm) <= _BLOCK:
         return np.einsum("...i,...il->...l", a, b.take(perm, axis=-1) * sign)
     shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])

@@ -3,9 +3,10 @@ discrete Plemelj (Hardy) projections.
 
 Quadrature runs on the embedded picture (sphere embedding for sphere charts,
 the coordinate plane otherwise): Gauss-Legendre product rules with the
-surface measure taken from the Gram determinant of the embedded
-parametrization. Normals are unit vectors tangent to the embedded manifold
-and orthogonal to the surface, oriented outward from the bounded subdomain.
+surface measure lambda^(n-1) |nu| of the embedded parametrization, where nu
+is the chart normal and lambda the conformal factor of the chart embedding.
+Normals are unit vectors tangent to the embedded manifold and orthogonal to
+the surface, oriented outward from the bounded subdomain.
 
 Everything is evaluated over whole node arrays: a surface's parametrization,
 node geometry, sections, germs and the kernel take arrays of shape (N, ...)
@@ -43,7 +44,7 @@ from .manifold import (
     chart_map,
     classify,
     embed,
-    embed_jacobian,
+    embed_differential,
 )
 from .moebius import first_point, is_infinity, weight_J
 
@@ -85,48 +86,42 @@ class QuadratureReport:
 
 class NodeGeometry(NamedTuple):
     """What the nodes of a surface need, one row per node: the chart point
-    array, the sqrt-Gram weights (N,), the outward unit normals (N, n+1) and
-    the embedded tangents (N, n+1, n-1), one column per surface parameter."""
+    array, the surface-measure weights (N,) and the outward unit normals
+    (N, n+1)."""
 
     point: ManifoldPoint
     weight: np.ndarray
     normal: np.ndarray
-    tangents: np.ndarray
-
-
-def _generalized_cross(rows: np.ndarray) -> np.ndarray:
-    """Vectors in R^m orthogonal to the m-1 rows of each (..., m-1, m) stack
-    (cofactor expansion)."""
-    m = rows.shape[-1]
-    return np.stack([(-1.0) ** i * np.linalg.det(np.delete(rows, i, axis=-1)) for i in range(m)], axis=-1)
 
 
 def node_geometry(m: GluedManifold, s: Hypersurface, t: np.ndarray) -> NodeGeometry:
     """Geometry of the surface nodes at parameters t of shape (N, n-1).
 
-    The chart normal is oriented away from the bounded subdomain in flat
-    chart coordinates (valid for surfaces star-shaped around the interior
-    point). The chart maps are conformal, so embed_jacobian carries it to a
-    vector tangent to the embedded manifold and orthogonal to the embedded
-    surface tangents: the embedded normal.
+    The chart normal nu is the rotation (u_1, -u_0) of the parameter tangent
+    u at n = 2 and the cross product of the two parameter tangents at n = 3,
+    oriented away from the bounded subdomain in flat chart coordinates (valid
+    for surfaces star-shaped around the interior point). The chart embedding
+    E is conformal with factor lambda, so e = E' nu is tangent to the
+    embedded manifold and orthogonal to the embedded surface: the normal is
+    e / |e|, and the weight lambda^(n-1) |nu| of the embedded surface measure
+    is |e|^(n-1) / |nu|^(n-2).
     """
     x = np.asarray(s.param(t), dtype=np.float64)
-    jac_chart = np.asarray(s.param_jac(t), dtype=np.float64)
-    nc = _generalized_cross(np.swapaxes(jac_chart, -1, -2))
-    if np.any(degenerate := row_norms(nc) <= 1e-13):
+    jac = np.asarray(s.param_jac(t), dtype=np.float64)
+    u = jac[..., 0]
+    nc = np.stack((u[..., 1], -u[..., 0]), axis=-1) if m.n == 2 else np.cross(u, jac[..., 1])
+    nc_norm = row_norms(nc)
+    if np.any(degenerate := nc_norm <= 1e-13):
         raise SurfaceError(f"degenerate tangent frame at the quadrature node {first_point(x, degenerate)}")
     p = s.interior_point
     interior = p.coord if p.chart == s.chart else apply_transition(m, p.coord)
     if is_infinity(interior):
         raise SurfaceError("interior point maps to infinity in the surface chart")
     inward = np.sum(nc * (x - interior), axis=-1) <= 0
-    nc = np.where(inward[..., None], -nc, nc)
-    ejac = embed_jacobian(m, s.chart, x)
-    tangents = ejac @ jac_chart
-    gram = np.linalg.det(np.swapaxes(tangents, -1, -2) @ tangents)
-    normal = (ejac @ nc[..., None])[..., 0]
-    normal = normal / row_norms(normal)[..., None]
-    return NodeGeometry(ManifoldPoint(s.chart, x), np.sqrt(np.maximum(gram, 0.0)), normal, tangents)
+    e = embed_differential(m, s.chart, x, np.where(inward[..., None], -nc, nc))
+    e_norm = row_norms(e)
+    weight = e_norm ** (m.n - 1) / nc_norm ** (m.n - 2)
+    return NodeGeometry(ManifoldPoint(s.chart, x), weight, e / e_norm[..., None])
 
 
 @lru_cache(maxsize=None)
@@ -361,7 +356,8 @@ def plemelj_projections(
         raise SurfaceError(f"Plemelj projections need an even number of nodes >= 4, got {nn}")
     h = period / nn
     dim = m.n + 1
-    geo = node_geometry(m, s, a + (np.arange(nn)[:, None] + 0.5) * h)
+    t = a + (np.arange(nn)[:, None] + 0.5) * h
+    geo = node_geometry(m, s, t)
 
     gc = g(geo.point)
     if np.shape(gc) != (nn, 1 << dim):
@@ -378,7 +374,8 @@ def plemelj_projections(
     x, off = geo.point.coord, ~np.eye(nn, dtype=bool)
     # K^b, the real (N, N) matrix of blade b, target i by node j
     kb, _ = _kernel_pairs(m, ManifoldPoint(s.chart, x[None]), ManifoldPoint(s.chart, x[:, None]), off)
-    bvec = gp_batch(dim, vectors(geo.tangents[:, :, 0] / geo.weight[:, None] ** 2, dim), nw)
+    tangent = embed_differential(m, s.chart, x, s.param_jac(t)[..., 0])
+    bvec = gp_batch(dim, vectors(tangent / geo.weight[:, None] ** 2, dim), nw)
 
     def apply(rows: slice, step: float) -> np.ndarray:
         """(g_plus, g_minus, g) by the rule with the given step on the nodes rows."""

@@ -20,7 +20,6 @@ from .moebius import (
     VahlenMap,
     cayley,
     cayley_embed,
-    cayley_embed_jacobian,
     compose,
     first_point,
     identity_map,
@@ -169,12 +168,19 @@ def embed(m: GluedManifold, p: ManifoldPoint) -> np.ndarray:
     return np.concatenate((p.coord, np.zeros_like(p.coord[..., :1])), axis=-1)
 
 
-def embed_jacobian(m: GluedManifold, chart: int, coord: np.ndarray) -> np.ndarray:
-    """(..., n+1, n) Jacobians of the chart embedding at coordinates (..., n)."""
+def embed_differential(m: GluedManifold, chart: int, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """E'(x) v as (..., n+1): the differential of the chart embedding at chart
+    coordinates x (..., n), applied to vectors v (..., n). A sphere chart of
+    scale s is conformal with factor 2s / D, D = |x|^2 + 1:
+    E'(x) v = (2s / D) (-v + 2x (x.v) / D, 2 (x.v) / D). The plane chart's
+    is v with a last component 0."""
+    v = np.asarray(v, dtype=np.float64)
     ch = m.chart(chart)
-    if ch.has_sphere:
-        return ch.scale * cayley_embed_jacobian(coord)
-    return np.broadcast_to(np.eye(m.n + 1, m.n), np.shape(coord)[:-1] + (m.n + 1, m.n))
+    if not ch.has_sphere:
+        return np.concatenate((v, np.zeros_like(v[..., :1])), axis=-1)
+    d = (x * x).sum(-1, keepdims=True) + 1.0
+    xv = 2.0 * (x * v).sum(-1, keepdims=True) / d
+    return (2.0 * ch.scale / d) * np.concatenate((x * xv - v, xv), axis=-1)
 
 
 def chart_map(m: GluedManifold, j: int) -> VahlenMap:

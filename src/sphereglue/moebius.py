@@ -305,15 +305,3 @@ def cayley_embed(x, n: int) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     rho2 = (x * x).sum(-1, keepdims=True)
     return np.concatenate((-2.0 * x, rho2 - 1.0), axis=-1) / (rho2 + 1.0)
-
-
-def cayley_embed_jacobian(x) -> np.ndarray:
-    """(..., n+1, n) Jacobians of cayley_embed at finite points (..., n)."""
-    x = np.asarray(x, dtype=np.float64)
-    n = x.shape[-1]
-    rho2 = (x * x).sum(-1)[..., None, None]
-    num = np.concatenate((-2.0 * x, rho2[..., 0] - 1.0), axis=-1)
-    dnum = np.concatenate(
-        (np.broadcast_to(-2.0 * np.eye(n), x.shape[:-1] + (n, n)), 2.0 * x[..., None, :]), axis=-2
-    )
-    return dnum / (rho2 + 1.0) - num[..., :, None] * (2.0 * x[..., None, :]) / (rho2 + 1.0) ** 2

@@ -127,8 +127,9 @@ def test_gp_batch_matches_product(dim):
 @pytest.mark.parametrize("a_shape", [(8320, 16), (16,)])
 def test_gp_batch_memory_of_a_large_stack(a_shape):
     """At k = 4, the (8320, 16) products of verify-cauchy at n = 3 (times a
-    stack and times one element) peak below three output arrays: no
-    (rows, 16, 16) gather, sixteen outputs in size, is formed."""
+    stack and times one element) peak below two output arrays: no
+    (rows, 16, 16) gather, sixteen outputs in size, is formed, and a dense a
+    is not copied to skip blades it does not have."""
     rng = np.random.default_rng(4)
     a, b = rng.uniform(-1.0, 1.0, a_shape), rng.uniform(-1.0, 1.0, (8320, 16))
     tracemalloc.start()
@@ -137,7 +138,7 @@ def test_gp_batch_memory_of_a_large_stack(a_shape):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3 * out.nbytes, peak
+    assert peak < 2 * out.nbytes, peak
 
 
 # -- defining relations ------------------------------------------------------

@@ -25,7 +25,7 @@ from sphereglue.integration import (
     unit_sphere_area,
 )
 from sphereglue.kernel import DiagonalError, kernel_CM
-from sphereglue.manifold import ManifoldPoint, embed, plane_sphere, two_spheres
+from sphereglue.manifold import ManifoldPoint, embed, embed_differential, plane_sphere, two_spheres
 from sphereglue.moebius import cauchy_kernel_G, cayley, weight_J
 
 
@@ -337,7 +337,9 @@ def _plemelj_g_minus_per_target(m, s, g, nn):
     each target node, with its own FFT derivative of the subtracted data."""
     (a, b) = s.bounds[0]
     h = (b - a) / nn
-    geo = node_geometry(m, s, a + (np.arange(nn)[:, None] + 0.5) * h)
+    t = a + (np.arange(nn)[:, None] + 0.5) * h
+    geo = node_geometry(m, s, t)
+    tangent = embed_differential(m, s.chart, geo.point.coord, s.param_jac(t)[:, :, 0])
     pts = [ManifoldPoint(s.chart, c) for c in geo.point.coord]
     gvals = g(geo.point)
     unit_sec = section_from_germ(m, constant_field(np.eye(8)[0], 2))
@@ -355,7 +357,7 @@ def _plemelj_g_minus_per_target(m, s, g, nn):
         for j in range(nn):
             wj = geo.weight[j]
             if j == i:
-                tvec = vectors(geo.tangents[i, :, 0] / wj**2, 3)
+                tvec = vectors(tangent[i] / wj**2, 3)
                 acc = acc + _gp(tvec, nhat[i], dprime[i]) * wj
             else:
                 acc = acc + _gp(kernel_CM(m, pts[j], pts[i]).coeffs, nhat[j], dvals[j]) * wj

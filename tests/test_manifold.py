@@ -19,7 +19,7 @@ from sphereglue.manifold import (
     chart_map,
     classify,
     embed,
-    embed_jacobian,
+    embed_differential,
     equivalent,
     plane_sphere,
     two_spheres,
@@ -170,17 +170,28 @@ def test_plane_chart_embedding():
         embed(mp, ManifoldPoint(1, INFINITY))
 
 
-def test_embed_jacobian_fd(m2):
-    x = e1(0.8, -0.3)
-    jac = embed_jacobian(m2, 1, x)
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("kind", ["two_spheres", "plane_sphere"])
+def test_embed_differential_fd(kind, n):
+    """E'(x) v on stacks of points and vectors, in both charts (a sphere
+    chart of scale 1.5), against central differences of embed; and the
+    conformal identity |E'(x) v| = lambda |v| that node_geometry relies on,
+    with lambda = 2s / (1 + |x|^2) on a sphere chart of scale s and 1 on the
+    plane chart."""
+    if kind == "two_spheres":
+        m = two_spheres(n, 2.0, scales=(1.5, 1.0))
+    else:
+        m = plane_sphere(n, 2.0, sphere_scale=1.5)
+    x, v = np.random.default_rng(n).uniform(-1.5, 1.5, (2, 20, n))
     h = 1e-6
-    for j in range(2):
-        step = np.zeros(2)
-        step[j] = h
-        fd = (
-            embed(m2, ManifoldPoint(1, x + step)) - embed(m2, ManifoldPoint(1, x - step))
-        ) / (2 * h)
-        assert np.allclose(jac[:, j], fd, atol=1e-8)
+    for chart in (1, 2):
+        d = embed_differential(m, chart, x, v)
+        fd = (embed(m, ManifoldPoint(chart, x + h * v)) - embed(m, ManifoldPoint(chart, x - h * v))) / (2 * h)
+        assert d.shape == (20, n + 1)
+        assert np.allclose(d, fd, atol=1e-8)
+        ch = m.chart(chart)
+        lam = 2.0 * ch.scale / (1.0 + (x * x).sum(-1)) if ch.has_sphere else 1.0
+        assert np.allclose(np.linalg.norm(d, axis=-1), lam * np.linalg.norm(v, axis=-1), rtol=1e-12, atol=0.0)
 
 
 def test_scaled_chart_embedding():

@@ -17,7 +17,6 @@ from sphereglue.moebius import (
     cauchy_kernel_G,
     cayley,
     cayley_embed,
-    cayley_embed_jacobian,
     compose,
     covariance_residual,
     identity_map,
@@ -248,18 +247,6 @@ def test_cayley_embed_matches_apply():
         x = rng.uniform(-4, 4, 2)
         assert np.allclose(cayley_embed(x, 2), apply(c, x).points, atol=1e-12)
     assert np.allclose(cayley_embed(INFINITY, 2), [0, 0, 1])
-
-
-def test_cayley_embed_jacobian_fd():
-    rng = np.random.default_rng(9)
-    x = rng.uniform(-1.5, 1.5, 3)
-    jac = cayley_embed_jacobian(x)
-    h = 1e-6
-    for j in range(3):
-        e = np.zeros(3)
-        e[j] = h
-        fd = (cayley_embed(x + e, 3) - cayley_embed(x - e, 3)) / (2 * h)
-        assert np.allclose(jac[:, j], fd, atol=1e-8)
 
 
 # -- Cauchy kernel G ---------------------------------------------------------
