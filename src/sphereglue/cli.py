@@ -11,6 +11,7 @@ exception, when a suite raises.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import math
@@ -20,6 +21,7 @@ import typing
 
 import numpy as np
 
+from . import integration, moebius
 from .algebra import gp_batch, reversion, row_norms, vectors
 from .fields import DEFAULT_FD_STEP, constant_field, dirac_from_stencil, fd_stencil, g_translate
 from .integration import cauchy_integrals, chart_circle, chart_sphere, plemelj_projections, section_from_germ
@@ -52,7 +54,7 @@ class RunConfig:
     seed: int = 0
     order: int = 256
     out: str | None = None
-    # falsification controls
+    # falsification controls, each a row of CONTROLS that run_suite applies
     break_weight: int = 0
     break_normal: int = 0
     corrupt_vahlen: int = 0
@@ -115,6 +117,9 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         raise ValueError("order must be >= 4")
     if cfg.n + cfg.break_weight < 1:
         raise ValueError("break_weight must exceed -n")
+    for key in ("break_normal", "corrupt_vahlen"):
+        if getattr(cfg, key) not in (0, 1):
+            raise ValueError(f"{key} must be 0 or 1, got {getattr(cfg, key)}")
     # the set-up of a run may build a config without naming a command
     if getattr(args, "command", None) == "hardy" and cfg.n != 2:
         raise ValueError(f"n must be 2 for hardy, got {cfg.n}")
@@ -124,10 +129,10 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 
 
 def make_manifold(cfg: RunConfig):
-    """The configured manifold; break_weight shifts every chart-map weight."""
+    """The configured manifold; no control reaches it (see CONTROLS)."""
     if cfg.kind == "two_spheres":
-        return two_spheres(cfg.n, cfg.r, (cfg.scale1, cfg.scale2), cfg.break_weight)
-    return plane_sphere(cfg.n, cfg.r, cfg.scale2, cfg.break_weight)
+        return two_spheres(cfg.n, cfg.r, (cfg.scale1, cfg.scale2))
+    return plane_sphere(cfg.n, cfg.r, cfg.scale2)
 
 
 def config_line(cfg: RunConfig) -> str:
@@ -159,7 +164,7 @@ class Report:
         return "\n".join(self.lines) + "\n", 0 if ok else 1
 
 
-def _random_maps(rng, n: int, count: int, corrupt: bool = False) -> dict:
+def _random_maps(rng, n: int, count: int) -> dict:
     """Sample from translations T_t, the neck inversion N, Cayley, and
     compositions T_s N T_t; the kinds and the offsets (t, s) are drawn in one
     block each. The pool as stacks, per (ambient_dim, kernel_exponent) in
@@ -176,11 +181,23 @@ def _random_maps(rng, n: int, count: int, corrupt: bool = False) -> dict:
     cayleys = np.broadcast_to(cayley(n).coeffs, (count, 2, 2, 2 << n))
     stacks = {(n, n): flat[kinds != 2], (n + 1, n): cayleys[kinds == 2]}
     members = {(n, n): (kinds != 2).nonzero()[0], (n + 1, n): (kinds == 2).nonzero()[0]}
-    if corrupt and count:
-        # a bivector 0.25 e1e2 in `a` leaves no map of the pool a valid Vahlen matrix
-        stacks[(n + 1, n) if kinds[0] == 2 else (n, n)][0, 0, 0, 0b11] += 0.25
     keys = sorted((key for key in stacks if members[key].size), key=lambda key: members[key][0])
     return {key: (members[key], VahlenMap(stacks[key], key[1])) for key in keys}
+
+
+def _corrupted(random_maps, _):
+    """random_maps with the bivector 0.25 e1e2 added to `a` of the pool's
+    first map, which leaves it no valid Vahlen matrix whatever its kind."""
+
+    def corrupted(rng, n: int, count: int) -> dict:
+        pool = random_maps(rng, n, count)
+        key, (members, psi) = next(iter(pool.items()))
+        coeffs = psi.coeffs.copy()
+        coeffs[0, 0, 0, 0b11] += 0.25
+        pool[key] = (members, VahlenMap(coeffs, psi.kernel_exponent))
+        return pool
+
+    return corrupted
 
 
 # Candidate rows drawn per map in one block; well above the five kept, since
@@ -299,7 +316,7 @@ def cmd_verify_algebra(rep: Report, cfg: RunConfig):
     # covariance suite: per stack of one (k, m), each map's first five
     # admissible pairs of its candidate blocks, judged once per stack; the
     # residual reads the images the judge computed
-    pool = _random_maps(rng, cfg.n, 40, corrupt=bool(cfg.corrupt_vahlen))
+    pool = _random_maps(rng, cfg.n, 40)
     worst_cov = 0.0
     try:
         for (k, m), (_, psi) in pool.items():
@@ -399,7 +416,6 @@ def cross_glue_target(n: int, r: float) -> np.ndarray:
 
 def cmd_verify_cauchy(rep: Report, cfg: RunConfig):
     m = make_manifold(cfg)
-    nsign = -1.0 if not cfg.break_normal else 1.0
 
     sec = section_from_germ(m, g_translate(np.pad([4.0], (0, m.n - 1)), n=m.n, dim_alg=m.n + 1))
     interior = ManifoldPoint(1, np.pad([0.6], (0, m.n - 1)))
@@ -415,8 +431,8 @@ def cmd_verify_cauchy(rep: Report, cfg: RunConfig):
     orders = [16, 32, 64] if m.n == 3 else sorted({32, 64, 128, final})
     # one pass per contour: its integrals share node sets, kernels and section values
     requests = [(sec, y_same, None), (csec, y_same, None), *((sec, y_cross, od) for od in orders)]
-    res, res_c, *r_ods = cauchy_integrals(m, wide, requests, nsign)
-    (r_b,) = cauchy_integrals(m, near_neck, [(sec, y_same, None)], nsign)
+    res, res_c, *r_ods = cauchy_integrals(m, wide, requests)
+    (r_b,) = cauchy_integrals(m, near_neck, [(sec, y_same, None)])
 
     # same-chart reproduction
     rep.add("same-chart-reproduction", (res.value - sec.value_at(y_same)).norm(), 1e-6)
@@ -464,11 +480,42 @@ COMMANDS = {
 }
 
 
+# The falsification controls: per config key, the binding (owner, attribute)
+# that a run rebinds while the key is nonzero, and its replacement, built from
+# the bound value and the key's value. Each binding is read at call time.
+CONTROLS = {
+    # every conformal weight J takes exponent m + shift; the kernel keeps m
+    "break_weight": (
+        moebius,
+        "weight_J_rows",
+        lambda rows, shift: lambda psi, x: rows(
+            dataclasses.replace(psi, kernel_exponent=psi.kernel_exponent + shift), x
+        ),
+    ),
+    "break_normal": (integration, "REPRODUCING_NORMAL_SIGN", lambda sign, _: -sign),
+    "corrupt_vahlen": (sys.modules[__name__], "_random_maps", _corrupted),
+}
+
+
+@contextlib.contextmanager
+def patched(patches):
+    """Rebind each (owner, attribute, replace, *args) of patches, in order,
+    to replace(current value, *args), so that later patches wrap earlier
+    ones; every binding is restored on exit, also when the body raises."""
+    with contextlib.ExitStack() as restore:
+        for owner, attr, replace, *args in patches:
+            restore.callback(setattr, owner, attr, getattr(owner, attr))
+            setattr(owner, attr, replace(getattr(owner, attr), *args))
+        yield
+
+
 def run_suite(command: str, cfg: RunConfig) -> tuple[str, int]:
-    """Run one suite on the report titled "<command> report": the report's
-    text and the exit status, 0 exactly when every property passes."""
+    """Run one suite on the report titled "<command> report", under the
+    CONTROLS rows that cfg switches on: the report's text and the exit
+    status, 0 exactly when every property passes."""
     rep = Report(f"{command} report", cfg)
-    COMMANDS[command](rep, cfg)
+    with patched((*CONTROLS[key], getattr(cfg, key)) for key in CONTROLS if getattr(cfg, key)):
+        COMMANDS[command](rep, cfg)
     return rep.finish()
 
 

@@ -19,8 +19,9 @@ h_j = w_j n_j f_j, per target in cauchy_integrals (then J_y on the left for
 a target in another chart) and over all node pairs in plemelj_projections.
 
 Sign convention: with e_j^2 = -1 the reproducing pairing uses the inward
-normal; cauchy_integral applies REPRODUCING_NORMAL_SIGN to the outward
-normal so that the formula returns +f(y).
+normal; both quadratures apply REPRODUCING_NORMAL_SIGN to the outward
+normal so that the formula returns +f(y). They read it at call time, so
+the CLI's break_normal control negates it for the run of a suite.
 """
 from __future__ import annotations
 
@@ -239,7 +240,6 @@ def cauchy_integrals(
     m: GluedManifold,
     s: Hypersurface,
     requests: Sequence[tuple[Section, ManifoldPoint, int | None]],
-    normal_sign: float = REPRODUCING_NORMAL_SIGN,
 ) -> list[QuadratureReport]:
     """For each request (f, y, order), (1/omega_n) * integral of C_M(x, y)
     n(x) f(x) over S at that order (None: the surface's); converges to the
@@ -249,8 +249,7 @@ def cauchy_integrals(
     The requests share one pass: node geometry over every order they use
     (each order and its half), h = w n f once per section and G once per
     target over only the orders each uses, applied by blades (_blade_apply)
-    per request, then J_y on the left for a target in another chart.
-    normal_sign is a falsification control; leave it at the default."""
+    per request, then J_y on the left for a target in another chart."""
     for _, y, _ in requests:
         if classify(m, y) == INADMISSIBLE:
             raise ManifoldError(f"evaluation point {first_point(y.coord)} in chart {y.chart} is inadmissible")
@@ -263,7 +262,7 @@ def cauchy_integrals(
         for used in (by_target[ty], by_section[f]):
             used.update((od, max(od // 2, 1)))
     st = _stack(m, s, sorted(set().union(*by_target.values())))
-    pts, nw = st.geo.point, vectors(normal_sign * st.geo.normal * st.geo.weight[:, None], dim)
+    pts, nw = st.geo.point, vectors(REPRODUCING_NORMAL_SIGN * st.geo.normal * st.geo.weight[:, None], dim)
     hs, reports, omega = {}, {}, unit_sphere_area(m.n)
     for f, used in by_section.items():
         rows = st.take(used)
@@ -282,11 +281,10 @@ def cauchy_integrals(
 
 
 def cauchy_integral(
-    m: GluedManifold, s: Hypersurface, f: Section, y: ManifoldPoint, order: int | None = None,
-    normal_sign: float = REPRODUCING_NORMAL_SIGN,
+    m: GluedManifold, s: Hypersurface, f: Section, y: ManifoldPoint, order: int | None = None
 ) -> QuadratureReport:
     """The one-request case of cauchy_integrals."""
-    return cauchy_integrals(m, s, [(f, y, order)], normal_sign)[0]
+    return cauchy_integrals(m, s, [(f, y, order)])[0]
 
 
 # -- Plemelj / Hardy projections -------------------------------------------

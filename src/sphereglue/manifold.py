@@ -48,8 +48,6 @@ class GluedManifold:
     n: int
     r: float
     charts: tuple[Chart, Chart]
-    # falsification control: added to the weight exponent of every chart map
-    weight_shift: int = 0
 
     def __post_init__(self):
         if not self.r > 1.0:
@@ -65,9 +63,9 @@ class GluedManifold:
         """The manifold's Vahlen maps in Cl_{n+1}, built on first use: chart
         maps keyed by chart j, the inverse of a sphere chart's map by -j,
         transfers keyed by (to_chart, from_chart). Every map has weight
-        exponent n + weight_shift; moebius.inverse checks each inverse by
-        the matrix identity inv psi = I."""
-        k, exponent = self.n + 1, self.n + self.weight_shift
+        exponent n; moebius.inverse checks each inverse by the matrix
+        identity inv psi = I."""
+        k, exponent = self.n + 1, self.n
         maps = {}
         for j, ch in enumerate(self.charts, start=1):
             if not ch.has_sphere:
@@ -81,15 +79,12 @@ class GluedManifold:
         return maps
 
 
-def two_spheres(
-    n: int, r: float, scales: tuple[float, float] = (1.0, 1.0), weight_shift: int = 0
-) -> GluedManifold:
-    charts = (Chart(True, scales[0]), Chart(True, scales[1]))
-    return GluedManifold(n, r, charts, weight_shift)
+def two_spheres(n: int, r: float, scales: tuple[float, float] = (1.0, 1.0)) -> GluedManifold:
+    return GluedManifold(n, r, (Chart(True, scales[0]), Chart(True, scales[1])))
 
 
-def plane_sphere(n: int, r: float, sphere_scale: float = 1.0, weight_shift: int = 0) -> GluedManifold:
-    return GluedManifold(n, r, (Chart(False), Chart(True, sphere_scale)), weight_shift)
+def plane_sphere(n: int, r: float, sphere_scale: float = 1.0) -> GluedManifold:
+    return GluedManifold(n, r, (Chart(False), Chart(True, sphere_scale)))
 
 
 @dataclass(frozen=True)

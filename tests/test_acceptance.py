@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from sphereglue import moebius
+from sphereglue import cli
 from sphereglue.algebra import Multivector, gp_batch, reversion, vectors
 from sphereglue.fields import dirac_left_fd, g_translate, moebius_pullback
 from sphereglue.integration import (
@@ -343,27 +343,20 @@ def test_criterion_8_plemelj():
 # -- 9: negative controls ----------------------------------------------------
 
 
-def _shifted_covariance_worst(monkeypatch, shift):
-    """_covariance_worst with the exponent of the J factors shifted by shift,
-    leaving the kernel exponent alone."""
-    unshifted = moebius.weight_J
-    with monkeypatch.context() as patch:
-        patch.setattr(
-            moebius,
-            "weight_J",
-            lambda psi, x: unshifted(dataclasses.replace(psi, kernel_exponent=psi.kernel_exponent + shift), x),
-        )
+def _shifted_covariance_worst(shift):
+    """_covariance_worst under the break_weight control: the exponent of the
+    J factors shifted by shift, the kernel exponent left alone."""
+    with cli.patched([(*cli.CONTROLS["break_weight"], shift)]):
         return _covariance_worst(np.random.default_rng(SEED), 2, 100)
 
 
-def test_criterion_9_negative_controls(monkeypatch):
+def test_criterion_9_negative_controls():
     """Wrong weight exponent (by one) or flipped normal sign break the
     covariance and Theorem-1 criteria by at least two orders of magnitude."""
     t0 = time.time()
-    rng = np.random.default_rng(SEED)
 
     # covariance with the J exponent off by one
-    bad_cov = min(_shifted_covariance_worst(monkeypatch, shift) for shift in (1, -1))
+    bad_cov = min(_shifted_covariance_worst(shift) for shift in (1, -1))
     assert bad_cov >= 100 * 1e-9, f"covariance control too weak: {bad_cov:.2e}"
 
     m = two_spheres(2, 2.0)
@@ -372,17 +365,11 @@ def test_criterion_9_negative_controls(monkeypatch):
     y5 = ManifoldPoint(1, np.array([1.2, 0.4]))
     y6 = ManifoldPoint(2, np.array([2.5, 1.0]))
 
-    m_bad = two_spheres(2, 2.0, weight_shift=1)
-    bad_sec = _setup_cauchy(m_bad)[0]
     for y, tol, label in ((y5, 1e-6, "same-chart"), (y6, 1e-4, "cross-glue")):
-        err_w = (
-            cauchy_integral(m_bad, surf, bad_sec, y).value - bad_sec.value_at(y)
-        ).norm()
-        err_n = (
-            cauchy_integral(m, surf, sec, y, normal_sign=1.0).value - sec.value_at(y)
-        ).norm()
-        assert err_w >= 100 * tol, f"{label} weight control too weak: {err_w:.2e}"
-        assert err_n >= 100 * tol, f"{label} normal control too weak: {err_n:.2e}"
+        for key in ("break_weight", "break_normal"):
+            with cli.patched([(*cli.CONTROLS[key], 1)]):
+                err = (cauchy_integral(m, surf, sec, y).value - sec.value_at(y)).norm()
+            assert err >= 100 * tol, f"{label} {key} control too weak: {err:.2e}"
 
     report(
         9,

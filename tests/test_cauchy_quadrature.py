@@ -50,6 +50,12 @@ def _setup(kind, n, scale1=1.0):
     return m, surf, sections, targets
 
 
+def _normal_sign(sign):
+    """The patches that run the quadratures with the reproducing normal sign
+    `sign`: none for the true sign -1, the break_normal row for +1."""
+    return [(*cli.CONTROLS["break_normal"], 1)] if sign > 0 else []
+
+
 @pytest.mark.parametrize("normal_sign", [-1.0, 1.0])
 @pytest.mark.parametrize("kind", ["two_spheres", "plane_sphere"])
 @pytest.mark.parametrize("n", [2, 3])
@@ -59,9 +65,10 @@ def test_shared_quadrature_matches_standalone_calls_bit_for_bit(n, kind, normal_
         # the surface order and the whole ladder, sections and targets
         # interleaved and every request twice, in one call
         requests = [(f, y, od) for od in (None, *LADDERS[n][1]) for y in targets for f in sections]
-        shared = cauchy_integrals(m, surf, requests * 2, normal_sign)
-        for i, (f, y, od) in enumerate(requests):
-            alone = cauchy_integral(m, surf, f, y, order=od, normal_sign=normal_sign)
+        with cli.patched(_normal_sign(normal_sign)):
+            shared = cauchy_integrals(m, surf, requests * 2)
+            standalone = [cauchy_integral(m, surf, f, y, order=od) for f, y, od in requests]
+        for i, alone in enumerate(standalone):
             for rep in (shared[i], shared[i + len(requests)]):
                 assert np.array_equal(rep.value.coeffs, alone.value.coeffs)
                 assert rep.estimated_error == alone.estimated_error
@@ -94,7 +101,8 @@ def test_blade_apply_matches_the_node_by_node_rule_sum(n, kind, normal_sign):
     order = 16 if n == 2 else 8
     for f in sections:
         for y in targets:
-            (rep,) = cauchy_integrals(m, surf, [(f, y, order)], normal_sign)
+            with cli.patched(_normal_sign(normal_sign)):
+                (rep,) = cauchy_integrals(m, surf, [(f, y, order)])
             full, half = (_rule_sum(m, surf, f, y, od, normal_sign) for od in (order, order // 2))
             scale = np.linalg.norm(full)
             assert np.linalg.norm(rep.value.coeffs - full) <= 1e-13 * scale

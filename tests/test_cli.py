@@ -300,21 +300,24 @@ def _recording_first_accepted(monkeypatch):
     return calls
 
 
-def _recording_random_maps(monkeypatch, corrupt_at=None):
-    """Patch cli._random_maps to record each pool it returns, as a list of
-    maps; corrupt_at moves the corrupted map of a corrupt_vahlen pool to that
-    position."""
-    pools, random_maps = [], cli._random_maps
+def _recording_random_maps(corrupt_at=None):
+    """A cli.patched row that makes cli._random_maps record each pool it
+    returns, as a list of maps, and that list of pools. corrupt_at moves the
+    pool's first map to that position: the map that the corrupt_vahlen row,
+    patched beneath this one, corrupted."""
+    pools = []
 
-    def recording(*args, **kwargs):
-        maps = _pool_maps(random_maps(*args, **kwargs))
-        if corrupt_at is not None:
-            maps.insert(corrupt_at, maps.pop(0))
-        pools.append(maps)
-        return _as_pool(maps)
+    def record(random_maps):
+        def recording(*args):
+            maps = _pool_maps(random_maps(*args))
+            if corrupt_at is not None:
+                maps.insert(corrupt_at, maps.pop(0))
+            pools.append(maps)
+            return _as_pool(maps)
 
-    monkeypatch.setattr(cli, "_random_maps", recording)
-    return pools
+        return recording
+
+    return (cli, "_random_maps", record), pools
 
 
 def _assert_first_accepted(rows, judge, count, kept, block):
@@ -373,7 +376,8 @@ def test_random_maps_match_per_map_construction(n, corrupt):
     leaves the generator in the same state."""
     for seed in range(10):
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        pool = _random_maps(rng, n, 40, corrupt=corrupt)
+        with cli.patched([(*cli.CONTROLS["corrupt_vahlen"], 1)] if corrupt else []):
+            pool = cli._random_maps(rng, n, 40)
         kinds, offsets = ref_rng.integers(0, 4, 40), ref_rng.uniform(-2.0, 2.0, (40, 2, n))
         ref = []
         for kind, (t, s) in zip(kinds, offsets):
@@ -405,8 +409,9 @@ def test_pool_draws_match_map_by_map(monkeypatch, n, seed):
     covariance pool's pairs equal those each map's own judge keeps from its
     own candidate rows, map by map."""
     calls = _recording_first_accepted(monkeypatch)
-    pools = _recording_random_maps(monkeypatch)
-    _, status = cli.run_suite("verify-algebra", cli.RunConfig(n=n, seed=seed))
+    row, pools = _recording_random_maps()
+    with cli.patched([row]):
+        _, status = cli.run_suite("verify-algebra", cli.RunConfig(n=n, seed=seed))
     assert status == 0 and len(calls) >= 3
     for (rows, _, _, kept), (members, _) in zip(calls, _as_pool(pools[0]).values()):
         for i, own, pairs in zip(members, rows, kept):
@@ -466,10 +471,10 @@ def test_pool_raises_exactly_when_map_by_map_does(n):
     and, of the maps whose stacks were drawn, the suite run on each map alone
     on its own candidate rows raises for the corrupted map and no other."""
     for seed, corrupt_at in itertools.product(range(24), (0, 17, 39)):
-        with pytest.MonkeyPatch.context() as mp:
-            pools = _recording_random_maps(mp, corrupt_at)
+        row, pools = _recording_random_maps(corrupt_at)
+        with pytest.MonkeyPatch.context() as mp, cli.patched([(*cli.CONTROLS["corrupt_vahlen"], 1), row]):
             calls = _recording_first_accepted(mp)
-            text, status = cli.run_suite("verify-algebra", cli.RunConfig(n=n, seed=seed, corrupt_vahlen=1))
+            text, status = cli.run_suite("verify-algebra", cli.RunConfig(n=n, seed=seed))
         assert status == 1 and "property=kernel-covariance residual=inf" in text, (seed, corrupt_at)
         maps, raising = pools[0], []
         for (rows, *_), (members, _) in zip(calls, _as_pool(pools[0]).values()):
@@ -489,10 +494,11 @@ def test_pool_judges_each_covariance_suite_in_few_calls(monkeypatch):
         return lambda rows: judged.append((psi, rows)) or judge(rows)
 
     monkeypatch.setattr(cli, "_admissible_pairs", recording)
-    pools = _recording_random_maps(monkeypatch)
+    row, pools = _recording_random_maps()
     for n, seed in itertools.product((2, 3), range(10)):
         judged.clear()
-        _, status = cli.run_suite("verify-algebra", cli.RunConfig(n=n, seed=seed))
+        with cli.patched([row]):
+            _, status = cli.run_suite("verify-algebra", cli.RunConfig(n=n, seed=seed))
         assert status == 0 and len(judged) == len(_as_pool(pools[-1])), (n, seed)
         for stack, rows in judged:
             assert rows.shape == (len(stack.coeffs), _BLOCK, 2 * n)
@@ -574,6 +580,63 @@ def test_corrupt_vahlen_fails_at_every_seed(tmp_path, n, seed):
     assert "property=kernel-covariance" in text and "verdict=fail" in text
 
 
+# Per CONTROLS row, the runs (suite, kind, n) it must fail; each passes
+# without the control
+CONTROL_TARGETS = {
+    "break_weight": [("verify-cauchy", "two_spheres", n) for n in (2, 3)],
+    "break_normal": [("verify-cauchy", kind, n) for kind in ("two_spheres", "plane_sphere") for n in (2, 3)],
+    "corrupt_vahlen": [("verify-algebra", "two_spheres", n) for n in (2, 3)],
+}
+
+
+@pytest.mark.parametrize("key", sorted(CONTROL_TARGETS))
+def test_each_control_row_fails_the_suites_it_targets(key):
+    """Every CONTROLS row has targets, and run_suite, switched on by the
+    config key alone, fails each target that passes without it."""
+    assert sorted(CONTROL_TARGETS) == sorted(cli.CONTROLS)
+    for suite, kind, n in CONTROL_TARGETS[key]:
+        plain = cli.RunConfig(kind=kind, n=n)
+        assert cli.run_suite(suite, plain)[1] == 0, (suite, kind, n)
+        text, status = cli.run_suite(suite, dataclasses.replace(plain, **{key: 1}))
+        assert status == 1 and "result=fail" in text, (suite, kind, n)
+
+
+def _control_bindings():
+    return [getattr(owner, attr) for owner, attr, _ in cli.CONTROLS.values()]
+
+
+def test_controls_are_restored_after_a_run_that_returns_or_raises(monkeypatch):
+    """Every binding a control patches is its original object again after a
+    run under all the controls, and after one whose suite raises while they
+    are patched in."""
+    originals = _control_bindings()
+    every = {key: 1 for key in cli.CONTROLS}
+    _, status = cli.run_suite("verify-cauchy", cli.RunConfig(order=32, **every))
+    assert status == 1 and all(now is was for now, was in zip(_control_bindings(), originals))
+
+    seen = []
+
+    def raising(rep, cfg):
+        seen.extend(now is not was for now, was in zip(_control_bindings(), originals))
+        raise RuntimeError("suite raised")
+
+    monkeypatch.setitem(cli.COMMANDS, "verify-kernel", raising)
+    with pytest.raises(RuntimeError, match="suite raised"):
+        cli.run_suite("verify-kernel", cli.RunConfig(**every))
+    assert seen == [True] * len(cli.CONTROLS)
+    assert all(now is was for now, was in zip(_control_bindings(), originals))
+
+
+def test_plain_runs_after_control_runs_match_their_goldens():
+    """A control run leaves nothing behind in the process: the plain runs
+    that follow reproduce their golden reports."""
+    golden = pathlib.Path(__file__).parent / "golden"
+    cli.run_suite("verify-cauchy", cli.RunConfig(order=32, break_weight=1, break_normal=1))
+    assert cli.run_suite("verify-cauchy", cli.RunConfig(order=32))[0] == (golden / "cauchy-two_spheres.txt").read_text()
+    cli.run_suite("verify-algebra", cli.RunConfig(corrupt_vahlen=1, break_weight=1))
+    assert cli.run_suite("verify-algebra", cli.RunConfig())[0] == (golden / "algebra-n2.txt").read_text()
+
+
 BAD_CONFIGS = [
     ("verify-algebra", "n=5\n", "n"),
     ("verify-kernel", "kind=torus\n", "kind"),
@@ -596,6 +659,10 @@ BAD_CONFIGS = [
     ("verify-algebra", "seed=-1\n", "seed"),
     ("verify-cauchy", "seed=-1\n", "seed"),
     ("verify-cauchy", "break_weight=-2\n", "break_weight"),
+    ("verify-cauchy", "break_normal=2\n", "break_normal"),
+    ("hardy", "break_normal=-1\n", "break_normal"),
+    ("verify-algebra", "corrupt_vahlen=-1\n", "corrupt_vahlen"),
+    ("verify-algebra", "corrupt_vahlen=2\n", "corrupt_vahlen"),
     ("hardy", "n=3\n", "n"),
     ("hardy", "order=63\n", "order"),
     ("verify-algebra", "n=2.0\n", "n"),

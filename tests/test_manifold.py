@@ -1,11 +1,13 @@
 """Glued manifolds: region classification, transitions and their
 continuations, point equivalence, embeddings, and the sphere-level chart
 transfer."""
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from sphereglue import cli
 from sphereglue.manifold import (
     BODY,
     INADMISSIBLE,
@@ -24,7 +26,7 @@ from sphereglue.manifold import (
     plane_sphere,
     two_spheres,
 )
-from sphereglue.moebius import INFINITY, apply, is_infinity, neck_inversion
+from sphereglue.moebius import INFINITY, apply, is_infinity, neck_inversion, weight_J
 
 
 @pytest.fixture
@@ -281,9 +283,14 @@ def test_vahlen_maps_built_once(m2):
 
 
 def test_weight_shift_reaches_every_map():
-    m = plane_sphere(2, 2.0, weight_shift=1)
-    maps = [chart_map(m, 1), chart_map(m, 2)] + [
+    """Every chart map and transfer has weight exponent n, and under the
+    break_weight control its weight J takes exponent n + 1 at every point."""
+    m = plane_sphere(2, 2.0)
+    maps = [chart_map(m, 1), chart_map(m, 2), chart_map(m, -2)] + [
         chart_transfer(m, a, b) for a in (1, 2) for b in (1, 2)
     ]
-    assert {psi.kernel_exponent for psi in maps} == {3}
-    assert chart_map(two_spheres(2, 2.0), 1).kernel_exponent == 2
+    assert {psi.kernel_exponent for psi in maps} == {2}
+    x = np.array([[0.3, -1.2, 0.7], [2.0, 0.5, -0.4]])
+    shifted = [weight_J(dataclasses.replace(psi, kernel_exponent=3), x) for psi in maps]
+    with cli.patched([(*cli.CONTROLS["break_weight"], 1)]):
+        assert all(np.array_equal(weight_J(psi, x), want) for psi, want in zip(maps, shifted))
