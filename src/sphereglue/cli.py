@@ -100,12 +100,12 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         raise ValueError("n must be 2 or 3")
     if not cfg.r > 1.0:
         raise ValueError("r must exceed 1")
+    if not math.isfinite(cfg.r):
+        raise ValueError("r must be finite")
+    # a scale of about 1e-14 or 1e14 leaves a chart's or the neck's Vahlen map unbuildable
     for key in ("scale1", "scale2"):
-        if not getattr(cfg, key) > 0.0:
-            raise ValueError(f"{key} must be > 0")
-    for key in ("r", "scale1", "scale2"):
-        if not math.isfinite(getattr(cfg, key)):
-            raise ValueError(f"{key} must be finite")
+        if not 1e-12 <= getattr(cfg, key) <= 1e12:
+            raise ValueError(f"{key} must be within [1e-12, 1e12]")
     # from about 1e77 on, the neck's Vahlen maps overflow in verify-kernel at n = 3
     if cfg.r > 1e50:
         raise ValueError("r must be at most 1e50")

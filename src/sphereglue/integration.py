@@ -126,19 +126,10 @@ def node_geometry(m: GluedManifold, s: Hypersurface, t: np.ndarray) -> NodeGeome
 
 
 @lru_cache(maxsize=None)
-def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1], computed once per order, read-only."""
-    rule = np.polynomial.legendre.leggauss(order)
-    for arr in rule:
-        arr.setflags(write=False)
-    return rule
-
-
-@lru_cache(maxsize=None)
 def _gauss_nodes(bounds, order) -> tuple[np.ndarray, np.ndarray]:
     """Tensor-product Gauss nodes (N, len(bounds)) and weights (N,) on a box,
     computed once per (bounds, order), read-only."""
-    xs, ws = _leggauss(order)
+    xs, ws = np.polynomial.legendre.leggauss(order)
     axes = [((b - a) / 2.0 * xs + (a + b) / 2.0, (b - a) / 2.0 * ws) for a, b in bounds]
     grids = np.meshgrid(*[ax[0] for ax in axes], indexing="ij")
     wgrids = np.meshgrid(*[ax[1] for ax in axes], indexing="ij")

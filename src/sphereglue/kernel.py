@@ -7,7 +7,8 @@ through the continued transition) and left-multiplied by the conformal
 weight J_y of the sphere-level transfer map at y (_target_weight). The
 sections carry the same weight, so the reproducing integral is exact.
 _kernel_pairs fills G blade-major: the real matrices K^b, each contiguous,
-that the quadrature's one boundary operator applies.
+that the quadrature's one boundary operator applies. It raises
+DiagonalError on the diagonal x = y, read off the distance G divides by.
 """
 from __future__ import annotations
 
@@ -15,8 +16,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import gp_batch, vectors
+from .algebra import gp_batch, row_norms, vectors
 from .manifold import (
+    INADMISSIBLE,
     NECK,
     GluedManifold,
     ManifoldPoint,
@@ -25,9 +27,8 @@ from .manifold import (
     chart_transfer,
     classify,
     embed,
-    equivalent,
 )
-from .moebius import SingularPointError, covariance_residual, first_point, weight_J
+from .moebius import covariance_residual, first_point, weight_J
 
 SAME_CHART = "same-chart"
 OVERLAP_REP = "overlap-rep"
@@ -48,8 +49,8 @@ def kernel_CM(m: GluedManifold, x: ManifoldPoint, y: ManifoldPoint) -> KernelVal
 
     Returns the coefficient array (..., 2^(n+1)) and the case tag: a str
     when the charts agree or y is one point, else an array over y's shape.
-    Raises DiagonalError if any pair is equivalent and ManifoldError if any
-    point is inadmissible.
+    Raises DiagonalError if an embedded pair distance is at most 1e-10 of
+    the larger embedded norm and ManifoldError if any point is inadmissible.
     """
     base, tag = _kernel_pairs(m, x, y)
     base = vectors(np.moveaxis(base, 0, -1), m.n + 1)
@@ -69,26 +70,30 @@ def _kernel_pairs(m: GluedManifold, x: ManifoldPoint, y: ManifoldPoint, pairs=Tr
     over the broadcast shape, each blade contiguous, y read in x's chart, and
     the case tag. Points are classified, carried over and embedded on their
     own shapes. Pairs where the mask `pairs` is False read zero and skip the
-    diagonal and origin checks."""
-    if np.any(diagonal := equivalent(m, x, y) & pairs):
-        xs, ys = (f"{first_point(p.coord, diagonal)} in chart {p.chart}" for p in (x, y))
-        raise DiagonalError(f"Cauchy kernel undefined on the diagonal: x = {xs}, y = {ys}")
+    diagonal test."""
+    codes = classify(m, x), classify(m, y)
+    for p, code in zip((x, y), codes):
+        if np.any(bad := code == INADMISSIBLE):
+            raise ManifoldError(f"inadmissible point in chart {p.chart} at {first_point(p.coord, bad)}")
     j, k = x.chart, y.chart
     if j == k:
         tag, y_in_j = SAME_CHART, y.coord
     else:
         # y may map to the far pole of chart j (INFINITY); embed handles it
-        tag = np.where(classify(m, y) == NECK, OVERLAP_REP, CROSS_GLUE)
+        tag = np.where(codes[1] == NECK, OVERLAP_REP, CROSS_GLUE)
         tag = tag if tag.ndim else str(tag)
         y_in_j = apply_transition(m, y.coord)
-    ex, ey = np.broadcast_arrays(embed(m, x), embed(m, ManifoldPoint(j, y_in_j)))
+    ex, ey = embed(m, x), embed(m, ManifoldPoint(j, y_in_j))
+    tx, ty = (1e-10 * row_norms(e) for e in (ex, ey))
+    ex, ey = np.broadcast_arrays(ex, ey)
     d = np.subtract(np.moveaxis(ex, -1, 0), np.moveaxis(ey, -1, 0), order="C")
     # G(d) = d / |d|^n in place, as moebius.cauchy_kernel_G, with one norm buffer
     r = np.einsum("b...,b...->...", d, d, out=np.empty(d.shape[1:]))
     np.sqrt(r, out=r)
     np.copyto(r, np.inf, where=~np.asarray(pairs))
-    if (r == 0.0).any():
-        raise SingularPointError("Cauchy kernel singular at the origin")
+    if np.any(diagonal := (r <= tx) | (r <= ty)):
+        xs, ys = (f"{first_point(p.coord, diagonal)} in chart {p.chart}" for p in (x, y))
+        raise DiagonalError(f"Cauchy kernel undefined on the diagonal: x = {xs}, y = {ys}")
     r **= m.n
     d /= r
     return d, tag

@@ -21,7 +21,6 @@ from .moebius import (
     cayley,
     cayley_embed,
     compose,
-    first_point,
     identity_map,
     inverse,
     is_infinity,
@@ -120,35 +119,6 @@ def apply_transition(m: GluedManifold, coord):
     if coord.ndim == 1 and n2[0] == 0.0:
         return INFINITY
     return coord / n2
-
-
-def equivalent(m: GluedManifold, p: ManifoldPoint, q: ManifoldPoint):
-    """Whether p and q are the same manifold point; for point arrays, an
-    array over their broadcast shape, to a relative distance of 1e-10.
-    Raises on any inadmissible point."""
-    for pt in (p, q):
-        if np.any(bad := classify(m, pt) == INADMISSIBLE):
-            raise ManifoldError(f"inadmissible point in chart {pt.chart} at {first_point(pt.coord, bad)}")
-    if p.chart == q.chart:
-        if is_infinity(p.coord) or is_infinity(q.coord):
-            return is_infinity(p.coord) and is_infinity(q.coord)
-        img, both_neck = p.coord, True
-    else:
-        img = apply_transition(m, p.coord)
-        both_neck = (classify(m, p) == NECK) & (classify(m, q) == NECK)
-        if not np.any(both_neck):
-            return False
-    # the squared distance summed one component at a time, as kernel._kernel_pairs
-    # does, so no (..., n) difference array over the broadcast shape is formed
-    shape = np.broadcast_shapes(np.shape(img)[:-1], q.coord.shape[:-1])
-    dist, d = np.zeros(shape), np.empty(shape)
-    for j in range(m.n):
-        np.subtract(img[..., j], q.coord[..., j], out=d)
-        d *= d
-        dist += d
-    np.sqrt(dist, out=dist)
-    out = both_neck & (dist <= 1e-10 * np.maximum(1.0, row_norms(img)))
-    return out if np.ndim(out) else bool(out)
 
 
 def embed(m: GluedManifold, p: ManifoldPoint) -> np.ndarray:

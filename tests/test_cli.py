@@ -668,6 +668,14 @@ BAD_CONFIGS = [
     ("verify-algebra", "n=2.0\n", "n"),
     ("verify-kernel", "r=abc\n", "r"),
     ("verify-cauchy", "order=\n", "order"),
+    ("verify-kernel", "scale1=9.9e-13\n", "scale1"),
+    ("hardy", "scale1=1e-300\n", "scale1"),
+    ("verify-cauchy", "scale1=1.01e12\n", "scale1"),
+    ("verify-algebra", "scale1=1e308\n", "scale1"),
+    ("verify-cauchy", "kind=plane_sphere\nscale2=9.9e-13\n", "scale2"),
+    ("verify-kernel", "scale2=1e-300\n", "scale2"),
+    ("hardy", "scale2=1.01e12\n", "scale2"),
+    ("verify-kernel", "kind=plane_sphere\nscale2=1e308\n", "scale2"),
 ]
 
 
@@ -833,13 +841,15 @@ def _python(*args):
     ids=["hardy", "verify-kernel", "verify-cauchy-plane"],
 )
 def test_extreme_chart_scale_terminates(tmp_path, command, text):
-    """Extreme chart scales end within 60 s with an exit status: at 1e200 the
-    neck transfer has no valid inverse, and plane_sphere at 1e-14 runs to a
-    verdict."""
+    """Chart scales whose Vahlen maps cannot be built are config errors: a
+    fresh interpreter exits 2 with one stderr line naming the key. Before the
+    bound, scale2 = 1e200 exited 1 after a VahlenError, and scale2 = 1e308
+    after several lines of overflow warnings."""
     cfg = tmp_path / "scale.cfg"
     cfg.write_text(text)
     done = _python("-m", "sphereglue.cli", command, "--config", str(cfg))
-    assert done.returncode in (0, 1, 2), done.stderr
+    assert done.returncode == 2, done.stderr
+    assert done.stderr == "config error: scale2 must be within [1e-12, 1e12]\n", done.stderr
 
 
 def test_hardy_and_verify_cauchy_do_not_load_numpy_random(tmp_path):

@@ -1,6 +1,10 @@
-"""The piecewise Cauchy kernel: case dispatch, the overlap consistency
-identity, cross-glue continuity, singularity strength, and monogenicity of
-the chart-coordinate representatives."""
+"""The piecewise Cauchy kernel: case dispatch, the diagonal and admissibility
+checks of its pair stage, the overlap consistency identity, cross-glue
+continuity, singularity strength, and monogenicity of the chart-coordinate
+representatives."""
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -23,7 +27,7 @@ from sphereglue.manifold import (
     plane_sphere,
     two_spheres,
 )
-from sphereglue.moebius import cauchy_kernel_G, cayley, weight_J
+from sphereglue.moebius import INFINITY, cauchy_kernel_G, cayley, weight_J
 
 
 @pytest.fixture
@@ -146,14 +150,94 @@ def test_case_tag_is_str_for_one_target_and_an_array_over_targets(m2):
 def test_diagonal_raises(m2):
     with pytest.raises(DiagonalError):
         kernel_CM(m2, pt(1, 3.0, 0.0), pt(1, 3.0, 0.0))
-    # equivalent neck representatives count as the diagonal too
+    # two neck representatives of one point are the diagonal too
     with pytest.raises(DiagonalError):
         kernel_CM(m2, pt(1, 1.0, 0.0), pt(2, 1.0, 0.0))
+
+
+def test_neck_representatives_are_the_diagonal(m2):
+    """A neck point and its other-chart representative are one point of M, in
+    either argument order, and so is INFINITY against itself in a sphere
+    chart."""
+    for p, q in ((pt(1, 1.0, 0.0), pt(2, 1.0, 0.0)), (pt(1, 1.5, 0.0), pt(2, 2.0 / 3.0, 0.0))):
+        for x, y in ((p, q), (q, p)):
+            with pytest.raises(DiagonalError):
+                kernel_CM(m2, x, y)
+    with pytest.raises(DiagonalError, match="x = INFINITY in chart 1, y = INFINITY in chart 1"):
+        kernel_CM(m2, ManifoldPoint(1, INFINITY), ManifoldPoint(1, INFINITY))
 
 
 def test_inadmissible_raises(m2):
     with pytest.raises(ManifoldError):
         kernel_CM(m2, pt(1, 0.1, 0.0), pt(1, 3.0, 0.0))
+
+
+def test_inadmissible_error_names_the_first_inadmissible_point(m2):
+    with pytest.raises(ManifoldError, match=r"inadmissible point in chart 2 at \[0\.1, 0\.2\]"):
+        kernel_CM(m2, pt(1, 3.0, 0.0), pt(2, 0.1, 0.2))
+    pts = ManifoldPoint(1, np.array([[3.0, 0.0], [0.25, -0.125], [0.0, 0.1]]))
+    with pytest.raises(ManifoldError, match=r"inadmissible point in chart 1 at \[0\.25, -0\.125\]"):
+        kernel_CM(m2, pts, pt(1, 3.0, 1.0))
+    plane = plane_sphere(2, 2.0)
+    with pytest.raises(ManifoldError, match="inadmissible point in chart 1 at INFINITY"):
+        kernel_CM(plane, ManifoldPoint(1, INFINITY), pt(2, 3.0, 0.0))
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("build", [two_spheres, plane_sphere])
+@pytest.mark.parametrize("y_chart", [2, 1])
+def test_diagonal_tolerance_is_relative_to_the_embedding(build, n, scale, y_chart):
+    """A pair is on the diagonal when its embedded distance is at most 1e-10
+    of the larger embedded norm, whatever the chart scale: at a relative
+    distance of 1e-11 the kernel raises and names both points, at 1e-9 it is
+    finite. x is a chart-2 neck point; y is read in chart 2 or, through the
+    transition, in chart 1."""
+    m = build(n, 2.0, (scale, scale)) if build is two_spheres else build(n, 2.0, scale)
+    x = np.array([1.5, 0.2, -0.1][:n])
+    u = np.array([0.6, -0.8, 0.0][:n])
+
+    def embedded_ratio(y2):
+        ex, ey = embed(m, ManifoldPoint(2, x)), embed(m, ManifoldPoint(2, y2))
+        return np.linalg.norm(ex - ey) / max(np.linalg.norm(ex), np.linalg.norm(ey))
+
+    per_step = embedded_ratio(x + 1e-6 * u) / 1e-6
+    for rel in (1e-11, 1e-9):
+        y2 = x + (rel / per_step) * u
+        assert abs(embedded_ratio(y2) / rel - 1.0) <= 1e-3
+        y = ManifoldPoint(y_chart, y2 if y_chart == 2 else apply_transition(m, y2))
+        if rel < 1e-10:
+            names = f"x = {x.tolist()} in chart 2, y = {y.coord.tolist()} in chart {y_chart}"
+            with pytest.raises(DiagonalError, match=re.escape(names)):
+                kernel_CM(m, ManifoldPoint(2, x), y)
+        else:
+            assert np.isfinite(kernel_CM(m, ManifoldPoint(2, x), y).coeffs).all()
+
+
+@pytest.mark.parametrize("other_chart", [1, 2])
+def test_kernel_pairs_pair_array_memory(m2, other_chart):
+    """Over (N, N) neck pairs at N = 1024 the diagonal is tested on the norm
+    buffer G divides by, with boolean masks only: the traced peak stays below
+    the returned (3, N, N) blades plus two (N, N) float arrays. Left in, the
+    pairs of one point are the first diagonal pair; masked out, no other
+    pair is diagonal."""
+    nn = 1024
+    t = 2.0 * np.pi * np.arange(nn) / nn
+    pts = 1.5 * np.stack((np.cos(t), np.sin(t)), axis=-1)  # neck points
+    other = pts if other_chart == 1 else pts / (pts * pts).sum(-1, keepdims=True)
+    x, y = ManifoldPoint(1, pts[:, None]), ManifoldPoint(other_chart, other[None])
+    first = re.escape(f"x = {pts[0].tolist()} in chart 1, y = {other[0].tolist()} in chart {other_chart}")
+    with pytest.raises(DiagonalError, match=first):
+        _kernel_pairs(m2, x, y)
+    off = ~np.eye(nn, dtype=bool)
+    tracemalloc.start()
+    try:
+        blades, _ = _kernel_pairs(m2, x, y, off)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert blades.shape == (3, nn, nn)
+    assert peak < blades.nbytes + 2 * nn * nn * 8, peak
 
 
 def test_diagonal_error_names_the_first_diagonal_pair(m2):

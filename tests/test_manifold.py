@@ -1,8 +1,6 @@
 """Glued manifolds: region classification, transitions and their
-continuations, point equivalence, embeddings, and the sphere-level chart
-transfer."""
+continuations, embeddings, and the sphere-level chart transfer."""
 import dataclasses
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +20,6 @@ from sphereglue.manifold import (
     classify,
     embed,
     embed_differential,
-    equivalent,
     plane_sphere,
     two_spheres,
 )
@@ -102,51 +99,6 @@ def test_transition_norm_reciprocal(m2):
         assert abs(
             np.linalg.norm(apply_transition(m2, x)) - 1.0 / np.linalg.norm(x)
         ) <= 1e-12
-
-
-# -- equivalence -------------------------------------------------------------
-
-
-def test_equivalent_neck_points(m2):
-    assert equivalent(m2, ManifoldPoint(1, e1(1.0, 0.0)), ManifoldPoint(2, e1(1.0, 0.0)))
-    assert equivalent(
-        m2, ManifoldPoint(1, e1(1.5, 0.0)), ManifoldPoint(2, e1(2.0 / 3.0, 0.0))
-    )
-
-
-def test_inadmissible_error_names_the_first_inadmissible_point(m2):
-    with pytest.raises(ManifoldError, match=r"inadmissible point in chart 2 at \[0\.1, 0\.2\]"):
-        equivalent(m2, ManifoldPoint(1, e1(3.0, 0.0)), ManifoldPoint(2, e1(0.1, 0.2)))
-    pts = ManifoldPoint(1, np.array([[3.0, 0.0], [0.25, -0.125], [0.0, 0.1]]))
-    with pytest.raises(ManifoldError, match=r"inadmissible point in chart 1 at \[0\.25, -0\.125\]"):
-        equivalent(m2, pts, ManifoldPoint(1, e1(3.0, 1.0)))
-    plane = plane_sphere(2, 2.0)
-    with pytest.raises(ManifoldError, match="inadmissible point in chart 1 at INFINITY"):
-        equivalent(plane, ManifoldPoint(1, INFINITY), ManifoldPoint(2, e1(3.0, 0.0)))
-
-
-@pytest.mark.parametrize("other_chart", [1, 2])
-def test_equivalent_pair_array_memory(m2, other_chart):
-    """Over (N, N) pairs at N = 1024 the squared distance is summed one
-    component at a time: the traced peak stays below three (N, N) float
-    arrays (the (N, N, 2) difference, its squares and the norms peaked at
-    41.9 MB), and exactly the pairs of one point are equivalent."""
-    nn = 1024
-    t = 2.0 * np.pi * np.arange(nn) / nn
-    pts = 1.5 * np.stack((np.cos(t), np.sin(t)), axis=-1)  # neck points
-    other = pts if other_chart == 1 else pts / (pts * pts).sum(-1, keepdims=True)
-    tracemalloc.start()
-    try:
-        same = equivalent(m2, ManifoldPoint(1, pts[:, None]), ManifoldPoint(other_chart, other[None]))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 3 * nn * nn * 8 < 32e6, peak
-    assert np.array_equal(same, np.eye(nn, dtype=bool))
-
-
-def test_body_points_single_chart(m2):
-    assert not equivalent(m2, ManifoldPoint(1, e1(3.0, 0.0)), ManifoldPoint(2, e1(3.0, 0.0)))
 
 
 # -- embeddings --------------------------------------------------------------
