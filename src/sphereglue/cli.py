@@ -113,11 +113,11 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         raise ValueError(f"cannot write {cfg.out!r}: a directory, or its directory is missing or read-only")
     if cfg.seed < 0:
         raise ValueError("seed must be >= 0")
-    if cfg.order < 4:
-        raise ValueError("order must be >= 4")
-    if cfg.n + cfg.break_weight < 1:
-        raise ValueError("break_weight must exceed -n")
-    for key in ("break_normal", "corrupt_vahlen"):
+    # leggauss is cubic in the order and hardy's operator quadratic: at 2048
+    # both order-driven suites still run in about a second
+    if not 4 <= cfg.order <= 2048:
+        raise ValueError("order must be within [4, 2048]")
+    for key in ("break_weight", "break_normal", "corrupt_vahlen"):
         if getattr(cfg, key) not in (0, 1):
             raise ValueError(f"{key} must be 0 or 1, got {getattr(cfg, key)}")
     # the set-up of a run may build a config without naming a command
@@ -429,20 +429,21 @@ def cmd_verify_cauchy(rep: Report, cfg: RunConfig):
     y_cross = ManifoldPoint(2, cross_glue_target(m.n, m.r))
     final = 64 if m.n == 3 else min(cfg.order, 256)
     orders = [16, 32, 64] if m.n == 3 else sorted({32, 64, 128, final})
-    # one pass per contour: its integrals share node sets, kernels and section values
-    requests = [(sec, y_same, None), (csec, y_same, None), *((sec, y_cross, od) for od in orders)]
-    res, res_c, *r_ods = cauchy_integrals(m, wide, requests)
-    (r_b,) = cauchy_integrals(m, near_neck, [(sec, y_same, None)])
+    # one grid per target and contour: each shares its node sets, kernel and section values
+    same = cauchy_integrals(m, wide, y_same, [sec, csec], [order_same])
+    cross = cauchy_integrals(m, wide, y_cross, [sec], orders)
+    near = cauchy_integrals(m, near_neck, y_same, [sec], [order_same])
 
     # same-chart reproduction
-    rep.add("same-chart-reproduction", (res.value - sec.value_at(y_same)).norm(), 1e-6)
+    exact = [f.rep(y_same.chart, y_same.coord) for f in (sec, csec)]
+    rep.add("same-chart-reproduction", float(row_norms(same.value[0, 0] - exact[0])), 1e-6)
     # constant-germ section reproduction
-    rep.add("constant-germ-reproduction", (res_c.value - csec.value_at(y_same)).norm(), 1e-8)
+    rep.add("constant-germ-reproduction", float(row_norms(same.value[1, 0] - exact[1])), 1e-8)
 
     # cross-glue reproduction with convergence table
-    exact = sec.value_at(y_cross)
-    errs = [(r_od.value - exact).norm() for r_od in r_ods]
-    rows = [f"{od},{e:.6e},{r.estimated_error:.6e},{r.nodes_used}" for od, e, r in zip(orders, errs, r_ods)]
+    errs = row_norms(cross.value[0] - sec.rep(y_cross.chart, y_cross.coord)).tolist()
+    table = zip(orders, errs, cross.estimated_error[0].tolist(), cross.nodes_used.tolist())
+    rows = [f"{od},{e:.6e},{est:.6e},{nodes}" for od, e, est, nodes in table]
     rep.add("cross-glue-reproduction", errs[orders.index(final)], 1e-4)
     # monotone decay until the rounding plateau
     plateau = 1e-12
@@ -452,8 +453,8 @@ def cmd_verify_cauchy(rep: Report, cfg: RunConfig):
 
     # contour independence: the same-chart integral above against a contour
     # hugging the neck
-    combined = 2.0 * (res.estimated_error + r_b.estimated_error) + 1e-12
-    rep.add("contour-independence", (res.value - r_b.value).norm() / combined, 1.0)
+    combined = 2.0 * float(same.estimated_error[0, 0] + near.estimated_error[0, 0]) + 1e-12
+    rep.add("contour-independence", float(row_norms(same.value[0, 0] - near.value[0, 0])) / combined, 1.0)
 
 
 def cmd_hardy(rep: Report, cfg: RunConfig):

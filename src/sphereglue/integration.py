@@ -15,8 +15,10 @@ Every check of the one-point path (diagonal, admissibility, germ domain,
 degenerate frame, singular weight) applies to every node and node pair.
 Both suites apply one boundary operator, _blade_apply: sum_b e_b (K^b @ h)
 for the real blade matrices K^b of G(E(x_j) - E(y_i)) and node rows
-h_j = w_j n_j f_j, per target in cauchy_integrals (then J_y on the left for
-a target in another chart) and over all node pairs in plemelj_projections.
+h_j = w_j n_j f_j: in cauchy_integrals to one target and the rows of every
+section at once, one block of stacked nodes per order (then J_y on the left
+for a target in another chart), and over all node pairs in
+plemelj_projections.
 
 Sign convention: with e_j^2 = -1 the reproducing pairing uses the inward
 normal; both quadratures apply REPRODUCING_NORMAL_SIGN to the outward
@@ -25,7 +27,6 @@ the CLI's break_normal control negates it for the run of a suite.
 """
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import gamma, pi
@@ -139,32 +140,6 @@ def _gauss_nodes(bounds, order) -> tuple[np.ndarray, np.ndarray]:
     return rule
 
 
-class _Stack(NamedTuple):
-    """A surface's nodes at several orders, stacked order after order: their
-    geometry, with each node's rule weight folded into geo.weight, and each
-    order's rows. take and split read a set of used orders in one order."""
-
-    geo: NodeGeometry
-    rows: dict[int, np.ndarray]
-
-    def take(self, used) -> np.ndarray:
-        """The rows of the used orders' nodes."""
-        return np.concatenate([self.rows[od] for od in used])
-
-    def split(self, used, values: np.ndarray, axis: int = 0) -> dict[int, np.ndarray]:
-        """Values over take(used) along the axis, as one block per order."""
-        return dict(zip(used, np.split(values, np.cumsum([self.rows[od].size for od in used])[:-1], axis=axis)))
-
-
-def _stack(m: GluedManifold, s: Hypersurface, orders) -> _Stack:
-    """The surface's nodes at every given order, from one node_geometry call."""
-    rules = [_gauss_nodes(s.bounds, od) for od in orders]
-    ends = np.cumsum([w.size for _, w in rules]).tolist()
-    geo = node_geometry(m, s, np.concatenate([t for t, _ in rules]))
-    rows = {od: np.arange(end - w.size, end) for od, (_, w), end in zip(orders, rules, ends)}
-    return _Stack(geo._replace(weight=geo.weight * np.concatenate([w for _, w in rules])), rows)
-
-
 def _blade_apply(dim: int, kb: np.ndarray, h: np.ndarray) -> np.ndarray:
     """sum_b e_b (K^b @ h) as (T, ..., 2^dim) for the real blade matrices kb
     (n+1, T, N) of a grade-1 kernel and the node rows h (N, ..., 2^dim)."""
@@ -227,55 +202,59 @@ def _lift_weight(m: GluedManifold, coord) -> np.ndarray | None:
     return None
 
 
-def cauchy_integrals(
-    m: GluedManifold,
-    s: Hypersurface,
-    requests: Sequence[tuple[Section, ManifoldPoint, int | None]],
-) -> list[QuadratureReport]:
-    """For each request (f, y, order), (1/omega_n) * integral of C_M(x, y)
-    n(x) f(x) over S at that order (None: the surface's); converges to the
-    representative f(y) in y's chart for y inside the bounded subdomain. The
-    error estimate is the distance to the half-order integral.
+class CauchyIntegrals(NamedTuple):
+    """The Cauchy integrals of F sections at O orders for one target,
+    indexed [section, order]: value (F, O, 2^(n+1)), estimated_error (F, O)
+    and nodes_used (O,)."""
 
-    The requests share one pass: node geometry over every order they use
-    (each order and its half), h = w n f once per section and G once per
-    target over only the orders each uses, applied by blades (_blade_apply)
-    per request, then J_y on the left for a target in another chart."""
-    for _, y, _ in requests:
-        if classify(m, y) == INADMISSIBLE:
-            raise ManifoldError(f"evaluation point {first_point(y.coord)} in chart {y.chart} is inadmissible")
+    value: np.ndarray
+    estimated_error: np.ndarray
+    nodes_used: np.ndarray
+
+
+def cauchy_integrals(
+    m: GluedManifold, s: Hypersurface, y: ManifoldPoint, sections: Sequence[Section], orders: Sequence[int]
+) -> CauchyIntegrals:
+    """(1/omega_n) * integral of C_M(x, y) n(x) f(x) over S for each section
+    f and order; converges to the representative f(y) in y's chart for y
+    inside the bounded subdomain. The error estimate is the distance to the
+    half-order integral.
+
+    The grid is one pass: the Gauss nodes of every order and its half,
+    stacked as one contiguous block each, take one node_geometry call,
+    h = w n f is formed for every section over the stack as (N, F, 2^(n+1))
+    and G once over the stack; each block is applied by blades
+    (_blade_apply), then J_y goes on the left once for a target in another
+    chart."""
+    if classify(m, y) == INADMISSIBLE:
+        raise ManifoldError(f"evaluation point {first_point(y.coord)} in chart {y.chart} is inadmissible")
     dim = m.n + 1
-    keys = [(y.chart, y.coord if is_infinity(y.coord) else y.coord.tobytes()) for _, y, _ in requests]
-    targets = {ty: y for ty, (_, y, _) in zip(keys, requests)}
-    keyed = [(f, ty, od or s.quad_order) for ty, (f, _, od) in zip(keys, requests)]
-    by_target, by_section = defaultdict(set), defaultdict(set)  # the orders each uses
-    for f, ty, od in keyed:
-        for used in (by_target[ty], by_section[f]):
-            used.update((od, max(od // 2, 1)))
-    st = _stack(m, s, sorted(set().union(*by_target.values())))
-    pts, nw = st.geo.point, vectors(REPRODUCING_NORMAL_SIGN * st.geo.normal * st.geo.weight[:, None], dim)
-    hs, reports, omega = {}, {}, unit_sphere_area(m.n)
-    for f, used in by_section.items():
-        rows = st.take(used)
-        hs[f] = st.split(used, gp_batch(dim, nw[rows], f.value_at(ManifoldPoint(s.chart, pts.coord[rows]))))
-    for ty, used in by_target.items():
-        y = targets[ty]
-        kb = st.split(used, _kernel_pairs(m, ManifoldPoint(s.chart, pts.coord[st.take(used)]), y)[0], axis=-1)
-        jy = _target_weight(m, s.chart, y) if y.chart != s.chart else None
-        for f, od in {(f, od) for f, t, od in keyed if t == ty}:
-            sums = np.concatenate([_blade_apply(dim, kb[o][:, None], hs[f][o]) for o in (od, max(od // 2, 1))])
-            full, half = (sums if jy is None else gp_batch(dim, jy, sums)) / omega
-            reports[ty, f, od] = QuadratureReport(
-                Multivector(dim, full), float(row_norms(full - half)), st.rows[od].size
-            )
-    return [reports[ty, f, od] for f, ty, od in keyed]
+    halves = [max(od // 2, 1) for od in orders]
+    used = sorted({*orders, *halves})
+    rules = [_gauss_nodes(s.bounds, od) for od in used]
+    edges = np.cumsum([0] + [w.size for _, w in rules]).tolist()
+    geo = node_geometry(m, s, np.concatenate([t for t, _ in rules]))
+    weight = geo.weight * np.concatenate([w for _, w in rules])
+    nw = vectors(REPRODUCING_NORMAL_SIGN * geo.normal * weight[:, None], dim)
+    h = gp_batch(dim, nw[:, None], np.stack([f.value_at(geo.point) for f in sections], axis=1))
+    kb, _ = _kernel_pairs(m, geo.point, y)
+    sums = np.stack([_blade_apply(dim, kb[:, None, a:b], h[a:b])[0] for a, b in zip(edges, edges[1:])])
+    if y.chart != s.chart:
+        sums = gp_batch(dim, _target_weight(m, s.chart, y), sums)
+    full, half = (sums[[used.index(od) for od in ods]] / unit_sphere_area(m.n) for ods in (orders, halves))
+    nodes = np.diff(edges)[[used.index(od) for od in orders]]
+    return CauchyIntegrals(full.swapaxes(0, 1), row_norms(full - half).T, nodes)
 
 
 def cauchy_integral(
     m: GluedManifold, s: Hypersurface, f: Section, y: ManifoldPoint, order: int | None = None
 ) -> QuadratureReport:
-    """The one-request case of cauchy_integrals."""
-    return cauchy_integrals(m, s, [(f, y, order)])[0]
+    """The one-integral case of cauchy_integrals, at the given order (None:
+    the surface's)."""
+    grid = cauchy_integrals(m, s, y, [f], [s.quad_order if order is None else order])
+    return QuadratureReport(
+        Multivector(m.n + 1, grid.value[0, 0]), float(grid.estimated_error[0, 0]), int(grid.nodes_used[0])
+    )
 
 
 # -- Plemelj / Hardy projections -------------------------------------------

@@ -1,9 +1,11 @@
-"""cauchy_integrals: many Cauchy integrals over one surface in one pass.
+"""cauchy_integrals: the Cauchy integrals of several sections at several
+orders for one target, over one surface in one pass.
 
-One call evaluates node geometry once, the weighted h = w n f per section and
-the kernel per target, each over the nodes of the orders it uses, and applies
-the kernel to h by blades (_blade_apply); every integral it gives must equal
-a standalone cauchy_integral bit for bit and a node-by-node rule sum of
+One call stacks the nodes of its orders and their halves, evaluates node
+geometry, the weighted h = w n f of every section and the kernel once each
+over that stack, and applies the kernel to h by blades (_blade_apply), one
+block of the stack at a time; every integral of its grid must equal a
+standalone cauchy_integral bit for bit and a node-by-node rule sum of
 kernel_CM(x_j, y) n_j f_j to rounding. The call counts pin what verify-cauchy
 shares, and that cauchy_integral keeps nothing between calls.
 """
@@ -62,17 +64,20 @@ def _normal_sign(sign):
 def test_shared_quadrature_matches_standalone_calls_bit_for_bit(n, kind, normal_sign):
     for scale1 in (1.0, 1.5) if kind == "two_spheres" else (1.0,):
         m, surf, sections, targets = _setup(kind, n, scale1)
-        # the surface order and the whole ladder, sections and targets
-        # interleaved and every request twice, in one call
-        requests = [(f, y, od) for od in (None, *LADDERS[n][1]) for y in targets for f in sections]
-        with cli.patched(_normal_sign(normal_sign)):
-            shared = cauchy_integrals(m, surf, requests * 2)
-            standalone = [cauchy_integral(m, surf, f, y, order=od) for f, y, od in requests]
-        for i, alone in enumerate(standalone):
-            for rep in (shared[i], shared[i + len(requests)]):
-                assert np.array_equal(rep.value.coeffs, alone.value.coeffs)
-                assert rep.estimated_error == alone.estimated_error
-                assert rep.nodes_used == alone.nodes_used
+        # the surface order and the whole ladder (at n = 2 the surface order
+        # is on it too), and a section given twice, in one grid per target
+        orders = (surf.quad_order, *LADDERS[n][1])
+        grid_sections = (*sections, sections[0])
+        for y in targets:
+            with cli.patched(_normal_sign(normal_sign)):
+                grid = cauchy_integrals(m, surf, y, grid_sections, orders)
+                standalone = [[cauchy_integral(m, surf, f, y, order=od) for od in orders] for f in grid_sections]
+            assert grid.value.shape == (len(grid_sections), len(orders), 1 << (n + 1))
+            for i, row in enumerate(standalone):
+                for o, alone in enumerate(row):
+                    assert np.array_equal(grid.value[i, o], alone.value.coeffs)
+                    assert grid.estimated_error[i, o] == alone.estimated_error
+                    assert grid.nodes_used[o] == alone.nodes_used
 
 
 def _rule_sum(m, surf, f, y, order, normal_sign):
@@ -99,15 +104,15 @@ def test_blade_apply_matches_the_node_by_node_rule_sum(n, kind, normal_sign):
     case (same-chart, overlap-rep, cross-glue)."""
     m, surf, sections, targets = _setup(kind, n)
     order = 16 if n == 2 else 8
-    for f in sections:
-        for y in targets:
-            with cli.patched(_normal_sign(normal_sign)):
-                (rep,) = cauchy_integrals(m, surf, [(f, y, order)])
+    for y in targets:
+        with cli.patched(_normal_sign(normal_sign)):
+            grid = cauchy_integrals(m, surf, y, sections, [order])
+        assert grid.nodes_used.tolist() == [order ** (n - 1)]
+        for f, value, error in zip(sections, grid.value[:, 0], grid.estimated_error[:, 0]):
             full, half = (_rule_sum(m, surf, f, y, od, normal_sign) for od in (order, order // 2))
             scale = np.linalg.norm(full)
-            assert np.linalg.norm(rep.value.coeffs - full) <= 1e-13 * scale
-            assert abs(rep.estimated_error - np.linalg.norm(full - half)) <= 1e-13 * scale
-            assert rep.nodes_used == order ** (n - 1)
+            assert np.linalg.norm(value - full) <= 1e-13 * scale
+            assert abs(error - np.linalg.norm(full - half)) <= 1e-13 * scale
 
 
 @pytest.mark.parametrize("dim", [3, 4])
@@ -127,9 +132,10 @@ def test_blade_apply_is_the_sum_of_grade_1_products(dim):
 
 def test_default_order_is_the_surface_order():
     m, surf, (f, _), targets = _setup("two_spheres", 2)
-    (shared,) = cauchy_integrals(m, surf, [(f, targets[0], None)])
-    alone = cauchy_integral(m, surf, f, targets[0], order=surf.quad_order)
-    assert np.array_equal(shared.value.coeffs, alone.value.coeffs)
+    alone = cauchy_integral(m, surf, f, targets[0])
+    grid = cauchy_integrals(m, surf, targets[0], [f], [surf.quad_order])
+    assert np.array_equal(alone.value.coeffs, grid.value[0, 0])
+    assert alone.nodes_used == surf.quad_order
 
 
 class Counts:
@@ -163,34 +169,36 @@ class Counts:
 
 
 def test_inadmissible_target_is_named(monkeypatch):
-    """An inadmissible target in any request fails the call before anything
-    is evaluated."""
-    m, surf, (f, _), targets = _setup("two_spheres", 2)
+    """An inadmissible target fails the call before anything is evaluated."""
+    m, surf, sections, _ = _setup("two_spheres", 2)
     counts = Counts(monkeypatch)
-    requests = [(f, targets[0], None), (f, ManifoldPoint(2, [0.1, 0.0]), 32)]
     with pytest.raises(ManifoldError, match=r"evaluation point \[0\.1, 0\.0\] in chart 2 is inadmissible"):
-        cauchy_integrals(m, surf, requests)
+        cauchy_integrals(m, surf, ManifoldPoint(2, [0.1, 0.0]), sections, [32, 64])
     assert (counts.geometry, counts.kernel, counts.section) == (0, 0, 0)
 
 
-def test_each_evaluation_covers_only_the_orders_it_uses(monkeypatch):
-    """One node set stacks orders 64, 32, 16 and 8; the kernel and values of
-    a request at 64 cover 64 + 32 nodes, those of one at 16 cover 16 + 8."""
-    m, surf, (f, g), (y, z, _) = _setup("two_spheres", 2)
+def test_each_evaluation_covers_every_order_and_half_once(monkeypatch):
+    """Orders 64, 16 and 32 and their halves 32, 8 and 16 are the node sets
+    8, 16, 32 and 64: one stack of 120 nodes, over which the geometry, the
+    kernel and each of the two sections are evaluated once."""
+    m, surf, (f, g), (y, _, _) = _setup("two_spheres", 2)
     counts = Counts(monkeypatch)
-    cauchy_integrals(m, surf, [(f, y, 64), (g, z, 16)])
-    assert counts.nodes == {"geometry": [120], "kernel": [96, 24], "section": [96, 24]}
+    grid = cauchy_integrals(m, surf, y, [f, g], [64, 16, 32])
+    assert counts.nodes == {"geometry": [120], "kernel": [120], "section": [120, 120]}
+    assert grid.nodes_used.tolist() == [64, 16, 32]
 
 
 @pytest.mark.parametrize(
     "n, order, expected",
     [
-        # one call per contour, so one node set each; kernels for two targets
-        # on the radius-3 contour and one on the radius-2.4 one, values for
-        # two sections and for one
-        (2, "128", (2, 3, 3)),
-        # n = 3 at the default config (order 48 for the same-chart integrals)
-        (3, "256", (2, 3, 3)),
+        # one call per target and contour, so one node set, kernel and
+        # section array each, but two section arrays for the two sections of
+        # the radius-3 same-chart call; that call and the radius-2.4 one
+        # stack orders 128 and 64, the cross-glue ladder 16, 32, 64 and 128
+        (2, "128", ((3, 3, 4), [192, 240, 192])),
+        # n = 3 at the default config: order 48 (and 24) for the same-chart
+        # calls, the ladder 16, 32, 64 and its halves for the cross-glue one
+        (3, "256", ((3, 3, 4), [2880, 5440, 2880])),
     ],
 )
 def test_verify_cauchy_shares_nodes_kernels_and_sections(tmp_path, monkeypatch, n, order, expected):
@@ -199,7 +207,10 @@ def test_verify_cauchy_shares_nodes_kernels_and_sections(tmp_path, monkeypatch, 
     counts = Counts(monkeypatch)
     status = cli.main(["verify-cauchy", "--config", str(cfg), "--order", order, "--out", str(tmp_path / "r.txt")])
     assert status == 0
-    assert (counts.geometry, counts.kernel, counts.section) == expected
+    calls, nodes = expected
+    assert (counts.geometry, counts.kernel, counts.section) == calls
+    assert counts.nodes["geometry"] == counts.nodes["kernel"] == nodes
+    assert counts.nodes["section"] == [nodes[0], *nodes]
 
 
 def test_cauchy_integral_keeps_nothing_between_calls(monkeypatch):

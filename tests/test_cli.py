@@ -109,6 +109,15 @@ def test_config_rejects_bad_key(tmp_path, line):
         build_config(ns)
 
 
+@pytest.mark.parametrize("command", ["verify-cauchy", "hardy"])
+def test_order_is_bounded_at_2048(capsys, command):
+    """Order 2048 builds a config; 4096 is rejected before any suite runs."""
+    ns = argparse.Namespace(config=None, seed=None, order=2048, out=None, command=command)
+    assert build_config(ns).order == 2048
+    assert main([command, "--order", "4096"]) == 2
+    assert capsys.readouterr().err == "config error: order must be within [4, 2048]\n"
+
+
 def test_verify_algebra_passes(tmp_path):
     status, text = run(tmp_path, "verify-algebra", "--seed", "0")
     assert status == 0
@@ -676,6 +685,9 @@ BAD_CONFIGS = [
     ("verify-kernel", "scale2=1e-300\n", "scale2"),
     ("hardy", "scale2=1.01e12\n", "scale2"),
     ("verify-kernel", "kind=plane_sphere\nscale2=1e308\n", "scale2"),
+    ("verify-cauchy", "order=2049\n", "order"),
+    ("hardy", "order=2050\n", "order"),
+    ("verify-cauchy", "break_weight=2\n", "break_weight"),
 ]
 
 
