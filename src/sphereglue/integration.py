@@ -34,9 +34,10 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
+from . import kernel
 from .algebra import Multivector, _product_tables, clifford_group_inverse, gp_batch, row_norms, vectors
 from .fields import CliffordField
-from .kernel import _kernel_pairs, _target_weight
+from .kernel import _kernel_pairs
 from .manifold import (
     INADMISSIBLE,
     GluedManifold,
@@ -48,7 +49,7 @@ from .manifold import (
     embed,
     embed_differential,
 )
-from .moebius import first_point, is_infinity, weight_J
+from .moebius import first_point, weight_J
 
 REPRODUCING_NORMAL_SIGN = -1.0
 
@@ -116,9 +117,11 @@ def node_geometry(m: GluedManifold, s: Hypersurface, t: np.ndarray) -> NodeGeome
     if np.any(degenerate := nc_norm <= 1e-13):
         raise SurfaceError(f"degenerate tangent frame at the quadrature node {first_point(x, degenerate)}")
     p = s.interior_point
-    interior = p.coord if p.chart == s.chart else apply_transition(m, p.coord)
-    if is_infinity(interior):
-        raise SurfaceError("interior point maps to infinity in the surface chart")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        interior = p.coord if p.chart == s.chart else apply_transition(m, p.coord)
+    if not np.isfinite(interior).all():
+        where = f"{first_point(p.coord)} in chart {p.chart}"
+        raise SurfaceError(f"interior point {where} has no finite coordinates in chart {s.chart}")
     inward = np.sum(nc * (x - interior), axis=-1) <= 0
     e = embed_differential(m, s.chart, x, np.where(inward[..., None], -nc, nc))
     e_norm = row_norms(e)
@@ -188,7 +191,7 @@ def section_from_germ(m: GluedManifold, germ: CliffordField) -> Section:
         if chart == 1:
             w = _lift_weight(m, coord)
             return germ.values(coord) if w is None else gp_batch(dim, w, germ.values(coord))
-        return gp_batch(dim, _target_weight(m, 1, ManifoldPoint(2, coord)), rep(1, apply_transition(m, coord)))
+        return gp_batch(dim, kernel._target_weight(m, 1, ManifoldPoint(2, coord)), rep(1, apply_transition(m, coord)))
 
     return Section(m, rep)
 
@@ -240,7 +243,7 @@ def cauchy_integrals(
     kb, _ = _kernel_pairs(m, geo.point, y)
     sums = np.stack([_blade_apply(dim, kb[:, None, a:b], h[a:b])[0] for a, b in zip(edges, edges[1:])])
     if y.chart != s.chart:
-        sums = gp_batch(dim, _target_weight(m, s.chart, y), sums)
+        sums = gp_batch(dim, kernel._target_weight(m, s.chart, y), sums)
     full, half = (sums[[used.index(od) for od in ods]] / unit_sphere_area(m.n) for ods in (orders, halves))
     nodes = np.diff(edges)[[used.index(od) for od in orders]]
     return CauchyIntegrals(full.swapaxes(0, 1), row_norms(full - half).T, nodes)

@@ -79,7 +79,7 @@ def _kernel_pairs(m: GluedManifold, x: ManifoldPoint, y: ManifoldPoint, pairs=Tr
     if j == k:
         tag, y_in_j = SAME_CHART, y.coord
     else:
-        # y may map to the far pole of chart j (INFINITY); embed handles it
+        # y is admissible, |y| > 1/r, so its image in chart j is finite
         tag = np.where(codes[1] == NECK, OVERLAP_REP, CROSS_GLUE)
         tag = tag if tag.ndim else str(tag)
         y_in_j = apply_transition(m, y.coord)

@@ -3,9 +3,9 @@
 (plane_sphere).
 
 Chart coordinates (the pre-Cayley planes) are the source of truth; sphere
-embeddings are derived on demand. Chart j admits ||x|| > 1/r plus infinity
-(sphere charts only); coordinates with 1/r < ||x|| < r form the neck, which
-is shared between the charts through the involution x -> -x^{-1}.
+embeddings are derived on demand. Chart j admits ||x|| > 1/r; coordinates
+with 1/r < ||x|| < r form the neck, which is shared between the charts
+through the involution x -> -x^{-1}.
 """
 from __future__ import annotations
 
@@ -16,14 +16,12 @@ import numpy as np
 
 from .algebra import row_norms
 from .moebius import (
-    INFINITY,
     VahlenMap,
     cayley,
     cayley_embed,
     compose,
     identity_map,
     inverse,
-    is_infinity,
     neck_inversion,
 )
 
@@ -70,7 +68,7 @@ class GluedManifold:
             if not ch.has_sphere:
                 maps[j] = identity_map(k, exponent)
                 continue
-            maps[j] = cayley(self.n, exponent, ch.scale)
+            maps[j] = cayley(self.n, ch.scale)
             maps[-j] = inverse(maps[j])
         maps[1, 1] = maps[2, 2] = identity_map(k, exponent)
         maps[1, 2] = compose(maps[1], compose(neck_inversion(k, exponent), maps[-2]))
@@ -89,36 +87,29 @@ def plane_sphere(n: int, r: float, sphere_scale: float = 1.0) -> GluedManifold:
 @dataclass(frozen=True)
 class ManifoldPoint:
     chart: int
-    coord: object  # coordinates (n,), a point array (..., n), or INFINITY
+    coord: np.ndarray  # coordinates (n,) or a point array (..., n), read-only
 
     def __post_init__(self):
         if self.chart not in (1, 2):
             raise ManifoldError("chart must be 1 or 2")
-        if not is_infinity(self.coord):
-            c = np.asarray(self.coord, dtype=np.float64)
-            c.setflags(write=False)
-            object.__setattr__(self, "coord", c)
+        c = np.asarray(self.coord, dtype=np.float64)
+        c.setflags(write=False)
+        object.__setattr__(self, "coord", c)
 
 
 def classify(m: GluedManifold, p: ManifoldPoint):
     """The region code BODY, NECK or INADMISSIBLE of the point's chart
     coordinates (an int8 array for a point array)."""
-    if is_infinity(p.coord):
-        return BODY if m.chart(p.chart).has_sphere else INADMISSIBLE
     rho = row_norms(p.coord)
     return np.add(rho > 1.0 / m.r, rho >= m.r, dtype=np.int8)
 
 
 def apply_transition(m: GluedManifold, coord):
-    """Evaluate the (continued) transition at chart coordinates (n,) or
-    (..., n), total on the compactified plane for one point."""
-    if is_infinity(coord):
-        return np.zeros(m.n)
+    """Evaluate the (continued) transition x -> x / |x|^2 at chart
+    coordinates (n,) or (..., n); the origin, inadmissible in both charts,
+    reads NaN."""
     coord = np.asarray(coord, dtype=np.float64)
-    n2 = (coord * coord).sum(-1, keepdims=True)
-    if coord.ndim == 1 and n2[0] == 0.0:
-        return INFINITY
-    return coord / n2
+    return coord / (coord * coord).sum(-1, keepdims=True)
 
 
 def embed(m: GluedManifold, p: ManifoldPoint) -> np.ndarray:
@@ -127,9 +118,7 @@ def embed(m: GluedManifold, p: ManifoldPoint) -> np.ndarray:
     charts."""
     ch = m.chart(p.chart)
     if ch.has_sphere:
-        return ch.scale * cayley_embed(p.coord, m.n)
-    if is_infinity(p.coord):
-        raise ManifoldError("plane chart has no point at infinity")
+        return ch.scale * cayley_embed(p.coord)
     return np.concatenate((p.coord, np.zeros_like(p.coord[..., :1])), axis=-1)
 
 

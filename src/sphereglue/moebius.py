@@ -1,13 +1,13 @@
 """Moebius transformations in Vahlen form, conformal weights and the
 Euclidean Cauchy kernel.
 
-A VahlenMap is the map (ax+b)(cx+d)^{-1} of R^k plus the point at infinity,
-stored as one read-only coefficient array (2, 2, 2^k) of the Cl_k rows
-[[a, b], [c, d]] and a kernel exponent; k = ambient_dim is read off the
-array's shape. An array (..., 2, 2, 2^k) is a stack of maps of one k and
-exponent: apply, weight_J(_rows), covariance_residual and compose take
-stacks, whose axes broadcast (numpy rules) against the batch axes (...) of
-the points; pseudo_determinant is then an array; inverse takes one map.
+A VahlenMap is the map (ax+b)(cx+d)^{-1} of R^k, stored as one read-only
+coefficient array (2, 2, 2^k) of the Cl_k rows [[a, b], [c, d]] and a
+kernel exponent; k = ambient_dim is read off the array's shape. An array
+(..., 2, 2, 2^k) is a stack of maps of one k and exponent: apply,
+weight_J(_rows), covariance_residual and compose take stacks, whose axes
+broadcast (numpy rules) against the batch axes (...) of the points;
+pseudo_determinant is then an array; inverse takes one map.
 
 The conformal weight J(psi, x) = ~(cx+d) / ||cx+d||^m uses the per-map
 exponent m (kernel_exponent); for every map constructed here m equals the
@@ -30,20 +30,6 @@ from .algebra import (
     row_norms,
     vectors,
 )
-
-
-class _Infinity:
-    """The distinguished point of the one-point compactification."""
-
-    def __repr__(self):
-        return "INFINITY"
-
-
-INFINITY = _Infinity()
-
-
-def is_infinity(p) -> bool:
-    return p is INFINITY
 
 
 class VahlenError(ValueError):
@@ -126,16 +112,16 @@ def neck_inversion(k: int, m: int | None = None) -> VahlenMap:
     return VahlenMap(_scalar_matrix(0.0, -1.0, 1.0, 0.0, k), m if m is not None else k)
 
 
-def cayley(n: int, m: int | None = None, scale: float = 1.0) -> VahlenMap:
+def cayley(n: int, scale: float = 1.0) -> VahlenMap:
     """scale (e_{n+1} x + 1)(x + e_{n+1})^{-1}: R^n onto the sphere of radius
     scale in R^{n+1} minus scale e_{n+1}. Lives in Cl_{n+1} with weight
-    exponent n unless m is given."""
+    exponent n."""
     if n < 1:
         raise VahlenError("n must be >= 1")
     coeffs = _scalar_matrix(0.0, 1.0, 1.0, 0.0, n + 1)
     coeffs[0, 0, 1 << n] = coeffs[1, 1, 1 << n] = 1.0
     coeffs[0] *= scale
-    return VahlenMap(coeffs, m if m is not None else n)
+    return VahlenMap(coeffs, n)
 
 
 def _points(x, k: int) -> np.ndarray:
@@ -148,9 +134,9 @@ def _points(x, k: int) -> np.ndarray:
 
 class Images(NamedTuple):
     """apply's result for a point array (..., m): the images (..., k), NaN
-    where the map sends the point to INFINITY; finite (...), False exactly
+    where the map sends the point to infinity; finite (...), False exactly
     there; valid (...), False where a finite image fails the grade-1 check of
-    a Vahlen map. A single point or INFINITY gives 0-d masks."""
+    a Vahlen map. A single point (m,) gives 0-d masks."""
 
     points: np.ndarray
     finite: np.ndarray
@@ -158,23 +144,19 @@ class Images(NamedTuple):
 
 
 def apply(psi: VahlenMap, x, raise_invalid: bool = True) -> Images:
-    """(ax+b)(cx+d)^{-1} at every point of an array (..., m), m <= ambient_dim,
-    or ac^{-1} at INFINITY.
+    """(ax+b)(cx+d)^{-1} at every point of an array (..., m), m <= ambient_dim.
 
-    A point maps to INFINITY where cx+d is negligible or not invertible. With
-    raise_invalid (the default) a finite image that is not grade-1 raises
-    VahlenError; callers that judge rows one by one pass False and read
-    Images.valid instead.
+    A point maps to infinity, a NaN image row, where cx+d is negligible or
+    not invertible. With raise_invalid (the default) a finite image that is
+    not grade-1 raises VahlenError; callers that judge rows one by one pass
+    False and read Images.valid instead.
     """
     k = psi.ambient_dim
     a, b, c, d = psi.rows
-    if is_infinity(x):
-        num, den, tiny = a, c, 0.0
-    else:
-        xv = vectors(_points(x, k), k)
-        num = gp_batch(k, a, xv) + b
-        den = gp_batch(k, c, xv) + d
-        tiny = 1e-12 * np.maximum(row_norms(c) * row_norms(xv) + row_norms(d), 1.0)
+    xv = vectors(_points(x, k), k)
+    num = gp_batch(k, a, xv) + b
+    den = gp_batch(k, c, xv) + d
+    tiny = 1e-12 * np.maximum(row_norms(c) * row_norms(xv) + row_norms(d), 1.0)
     dinv, invertible = clifford_group_inverse_rows(k, den)
     finite = (row_norms(den) > tiny) & invertible
     points, dev, valid = _grade1(k, gp_batch(k, num, dinv))
@@ -196,9 +178,7 @@ def _grade1(k: int, res: np.ndarray):
 
 def first_point(x, mask=True) -> str:
     """For error messages: the first point of x (..., m), or of its broadcast
-    against mask (...), where mask holds; INFINITY names itself."""
-    if is_infinity(x):
-        return repr(x)
+    against mask (...), where mask holds."""
     x, mask = np.asarray(x, dtype=np.float64), np.asarray(mask)
     return str(np.broadcast_to(x, mask.shape + x.shape[-1:])[mask][0].tolist())
 
@@ -207,8 +187,6 @@ def weight_J(psi: VahlenMap, x) -> np.ndarray:
     """~(cx+d)/||cx+d||^m, m the map's kernel exponent, at every point of an
     array (..., m), m <= ambient_dim, as coefficient arrays
     (..., 2^ambient_dim); raises if it is singular at any point."""
-    if is_infinity(x):
-        raise SingularPointError("weight undefined at INFINITY")
     w, regular = weight_J_rows(psi, x)
     if not regular.all():
         raise SingularPointError(f"cx+d vanishes: conformal weight singular at {first_point(x, ~regular)}")
@@ -294,14 +272,10 @@ def covariance_residual(psi: VahlenMap, x, y, px, py):
     return row_norms(lhs - sgn * gp_batch(k, gp_batch(k, jy_inv, mid), jx_inv))
 
 
-def cayley_embed(x, n: int) -> np.ndarray:
+def cayley_embed(x) -> np.ndarray:
     """Closed form of the Cayley image of points x of shape (..., n): the
     unit-sphere points (-2x + (||x||^2 - 1) e_{n+1}) / (||x||^2 + 1). Agrees
-    with apply(cayley(n), x).points; INFINITY maps to e_{n+1}."""
-    if is_infinity(x):
-        out = np.zeros(n + 1)
-        out[n] = 1.0
-        return out
+    with apply(cayley(n), x).points."""
     x = np.asarray(x, dtype=np.float64)
     rho2 = (x * x).sum(-1, keepdims=True)
     return np.concatenate((-2.0 * x, rho2 - 1.0), axis=-1) / (rho2 + 1.0)

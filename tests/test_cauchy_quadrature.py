@@ -12,7 +12,7 @@ shares, and that cauchy_integral keeps nothing between calls.
 import numpy as np
 import pytest
 
-from sphereglue import cli, integration
+from sphereglue import cli, integration, kernel
 from sphereglue.algebra import gp_batch, vectors
 from sphereglue.fields import constant_field, g_translate
 from sphereglue.integration import (
@@ -221,3 +221,23 @@ def test_cauchy_integral_keeps_nothing_between_calls(monkeypatch):
     second = cauchy_integral(m, surf, f, targets[0], order=32)
     assert (counts.geometry, counts.kernel, counts.section) == (2, 2, 2)
     assert np.array_equal(first.value.coeffs, second.value.coeffs)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("kind", ["two_spheres", "plane_sphere"])
+def test_target_weight_is_read_through_one_binding(kind, n):
+    """J_y has one binding, kernel._target_weight: a patch that doubles it
+    doubles, bit for bit, the cross-chart kernel, the chart-2 representative
+    of a section and the Cauchy integral at a chart-2 target."""
+    m, surf, (sec, _), targets = _setup(kind, n)
+    x, y = ManifoldPoint(1, np.eye(n)[0] * 3.0), targets[2]
+
+    def values():
+        grid = cauchy_integrals(m, surf, y, [sec], [16])
+        return kernel_CM(m, x, y).coeffs, sec.rep(2, y.coord), grid.value[0, 0]
+
+    before = values()
+    with cli.patched([(kernel, "_target_weight", lambda weight: lambda *args: 2.0 * weight(*args))]):
+        after = values()
+    for name, old, new in zip(("kernel", "section", "integral"), before, after):
+        assert np.array_equal(new, 2.0 * old), name

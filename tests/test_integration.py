@@ -5,6 +5,7 @@ import functools
 import re
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -124,6 +125,22 @@ def test_normal_orthogonality(m2):
             - embed(m2, ManifoldPoint(1, s.param(tv - h)[0]))
         ) / (2 * h)
         assert abs(nrm @ du / np.linalg.norm(du)) <= 1e-9
+
+
+@pytest.mark.parametrize("kind", ["two_spheres", "plane_sphere"])
+def test_interior_point_at_infinity_is_rejected(kind):
+    """A chart-1 circle whose interior point is the origin of chart 2, which
+    has no coordinates in chart 1: node geometry raises a SurfaceError that
+    names the point, and no RuntimeWarning escapes on the way there."""
+    m = two_spheres(2, 2.0) if kind == "two_spheres" else plane_sphere(2, 2.0)
+    s = chart_circle(m, 1, np.zeros(2), 3.0, 16, interior=ManifoldPoint(2, np.zeros(2)))
+    msg = r"interior point \[0\.0, 0\.0\] in chart 2 has no finite coordinates in chart 1"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(SurfaceError, match=msg):
+            node_geometry(m, s, _gauss_nodes(s.bounds, 16)[0])
+        with pytest.raises(SurfaceError, match=msg):
+            cauchy_integral(m, s, section_from_germ(m, _germ(m)), ManifoldPoint(1, np.array([1.2, 0.4])))
 
 
 # -- Cauchy integral ---------------------------------------------------------

@@ -23,7 +23,7 @@ from sphereglue.manifold import (
     plane_sphere,
     two_spheres,
 )
-from sphereglue.moebius import INFINITY, apply, is_infinity, neck_inversion, weight_J
+from sphereglue.moebius import apply, cayley_embed, neck_inversion, weight_J
 
 
 @pytest.fixture
@@ -57,13 +57,6 @@ def test_classify_regions(m2):
     assert classify(m2, ManifoldPoint(1, e1(3.0, 0.0))) == BODY
     assert classify(m2, ManifoldPoint(1, e1(1.0, 0.0))) == NECK
     assert classify(m2, ManifoldPoint(1, e1(0.3, 0.0))) == INADMISSIBLE
-    assert classify(m2, ManifoldPoint(1, INFINITY)) == BODY
-
-
-def test_classify_plane_chart_infinity():
-    mp = plane_sphere(2, 2.0)
-    assert classify(mp, ManifoldPoint(1, INFINITY)) == INADMISSIBLE
-    assert classify(mp, ManifoldPoint(2, INFINITY)) == BODY
 
 
 # -- transition and continuation ---------------------------------------------
@@ -88,8 +81,7 @@ def test_transition_involution(m2):
 def test_continuation_extends_to_cap(m2):
     psi = neck_inversion(m2.n)
     assert np.allclose(apply(psi, e1(0.25, 0.0)).points, [4.0, 0.0])
-    assert is_infinity(apply_transition(m2, np.zeros(2)))
-    assert np.allclose(apply_transition(m2, INFINITY), np.zeros(2))
+    assert np.allclose(apply_transition(m2, e1(0.25, 0.0)), [4.0, 0.0])
 
 
 def test_transition_norm_reciprocal(m2):
@@ -106,7 +98,7 @@ def test_transition_norm_reciprocal(m2):
 
 def test_embed_poles(m2):
     assert np.allclose(embed(m2, ManifoldPoint(1, np.zeros(2))), [0, 0, -1])
-    assert np.allclose(embed(m2, ManifoldPoint(1, INFINITY)), [0, 0, 1])
+    assert np.allclose(embed(m2, ManifoldPoint(1, e1(1e9, 0.0))), [0, 0, 1])
 
 
 def test_embed_unit_norm(m2):
@@ -120,8 +112,6 @@ def test_plane_chart_embedding():
     mp = plane_sphere(2, 2.0)
     u = embed(mp, ManifoldPoint(1, e1(1.5, -2.0)))
     assert np.allclose(u, [1.5, -2.0, 0.0])
-    with pytest.raises(ManifoldError):
-        embed(mp, ManifoldPoint(1, INFINITY))
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -225,8 +215,27 @@ def test_chart_map_matches_embed(make, n):
             assert np.allclose(apply(psi, x).points, u, atol=1e-12)
             if m.chart(j).has_sphere:
                 assert np.allclose(apply(chart_map(m, -j), u).points, np.append(x, 0.0), atol=1e-10)
-        if m.chart(j).has_sphere:
-            assert np.allclose(apply(psi, INFINITY).points, embed(m, ManifoldPoint(j, INFINITY)))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("kind", ["two_spheres", "plane_sphere"])
+def test_one_point_is_its_row_of_a_point_array(kind, n):
+    """A single point (n,) takes the path of a point array: classify, embed,
+    apply_transition and cayley_embed at chart coordinates, and weight_J of
+    every chart map and transfer at embedded points, give each point what
+    they give its row of a (3, 4) array, bit for bit."""
+    m = two_spheres(n, 2.0, (1.5, 1.0)) if kind == "two_spheres" else plane_sphere(n, 2.0)
+    x = np.random.default_rng(9).uniform(-3.0, 3.0, (3, 4, n))
+    u = embed(m, ManifoldPoint(1, x))
+    maps = [chart_map(m, 1), chart_map(m, 2)] + [chart_transfer(m, a, b) for a in (1, 2) for b in (1, 2)]
+    cases = [(x, lambda p, j=j: classify(m, ManifoldPoint(j, p))) for j in (1, 2)]
+    cases += [(x, lambda p, j=j: embed(m, ManifoldPoint(j, p))) for j in (1, 2)]
+    cases += [(x, lambda p: apply_transition(m, p)), (x, cayley_embed)]
+    cases += [(u, lambda p, psi=psi: weight_J(psi, p)) for psi in maps]
+    for case, (points, f) in enumerate(cases):
+        whole = f(points)
+        for idx in np.ndindex(3, 4):
+            assert np.array_equal(whole[idx], f(points[idx])), (case, idx)
 
 
 def test_vahlen_maps_built_once(m2):
