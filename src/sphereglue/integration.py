@@ -20,6 +20,10 @@ section at once, one block of stacked nodes per order (then J_y on the left
 for a target in another chart), and over all node pairs in
 plemelj_projections.
 
+A section is data, its manifold and its germ; one function,
+representatives, evaluates the representatives of any number of sections
+at a point array, with each weight evaluated once for all of them.
+
 Sign convention: with e_j^2 = -1 the reproducing pairing uses the inward
 normal; both quadratures apply REPRODUCING_NORMAL_SIGN to the outward
 normal so that the formula returns +f(y). They read it at call time, so
@@ -156,53 +160,49 @@ def _blade_apply(dim: int, kb: np.ndarray, h: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Section:
-    """A left Clifford holomorphic section in per-chart representatives.
-
-    rep(chart, coord) returns the Cl_{n+1} coefficients (..., 2^(n+1)) of the
-    representative at chart coordinates (..., n); on the neck the two
-    representatives are related by the conformal weight of the chart
-    transfer map.
-    """
+    """A left Clifford holomorphic section, given by its germ: its chart-1
+    pullback to the coordinate plane, with values in Cl_{n+1}."""
 
     manifold: GluedManifold
-    rep: Callable[[int, np.ndarray], np.ndarray]
+    germ: CliffordField
 
     def value_at(self, p: ManifoldPoint):
         """The section at p: a Multivector for one point, the coefficient
         array (..., 2^(n+1)) for a point array."""
-        v = self.rep(p.chart, p.coord)
+        v = representatives(self.manifold, p, [self.germ])[..., 0, :]
         return Multivector(self.manifold.n + 1, v) if v.ndim == 1 else v
 
 
 def section_from_germ(m: GluedManifold, germ: CliffordField) -> Section:
-    """Build the section whose chart-1 pullback to the coordinate plane is
-    the given field (values in Cl_{n+1}).
-
-    Chart 1: the germ lifted with the weight of the inverse chart-1 map.
-    Chart 2: the additional transfer-weighted pullback through the continued
-    transition, so the two representatives agree on the neck under the
-    bundle identification.
-    """
+    """The section of the germ, whose values must lie in Cl_{n+1}."""
     if germ.dim_alg != m.n + 1:
         raise ValueError("germ must take values in Cl_{n+1}")
-    dim = germ.dim_alg
-
-    def rep(chart: int, coord) -> np.ndarray:
-        if chart == 1:
-            w = _lift_weight(m, coord)
-            return germ.values(coord) if w is None else gp_batch(dim, w, germ.values(coord))
-        return gp_batch(dim, kernel._target_weight(m, 1, ManifoldPoint(2, coord)), rep(1, apply_transition(m, coord)))
-
-    return Section(m, rep)
+    return Section(m, germ)
 
 
-def _lift_weight(m: GluedManifold, coord) -> np.ndarray | None:
-    """W at chart-1 coordinates (..., n): the weight of the inverse chart-1
-    map, which lifts a germ f to the chart-1 representative W f of its
-    section; None when chart 1 is a plane chart, where W = 1."""
+def representatives(m: GluedManifold, p: ManifoldPoint, germs: Sequence[CliffordField]) -> np.ndarray:
+    """The representatives in p's chart of the sections of F germs, as
+    (..., F, 2^(n+1)) for p's coordinates (..., n). Chart 1: W f, the germ
+    lifted by the weight W of the inverse chart-1 map. Chart 2: J_y (W f),
+    with W f read at the continued transition of p and J_y the weight of the
+    chart transfer, so the representatives agree on the neck under the bundle
+    identification. W and J_y are evaluated once for all germs; an
+    inadmissible point raises ManifoldError before either is."""
+    if np.any(bad := classify(m, p) == INADMISSIBLE):
+        raise ManifoldError(f"section point {first_point(p.coord, bad)} in chart {p.chart} is inadmissible")
+    coord = p.coord if p.chart == 1 else apply_transition(m, p.coord)
+    values = np.stack([germ.values(coord) for germ in germs], axis=-2)
+    rows = gp_batch(m.n + 1, _lift_weight(m, coord)[..., None, :], values)
+    return rows if p.chart == 1 else gp_batch(m.n + 1, kernel._target_weight(m, 1, p)[..., None, :], rows)
+
+
+def _lift_weight(m: GluedManifold, coord) -> np.ndarray:
+    """W at chart-1 coordinates (..., n) as rows (..., 2^(n+1)): the weight of
+    the inverse chart-1 map, which lifts a germ f to the chart-1
+    representative W f of its section; the scalar 1 on a plane chart 1."""
     if m.chart(1).has_sphere:
         return weight_J(chart_map(m, -1), embed(m, ManifoldPoint(1, coord)))
-    return None
+    return np.broadcast_to(np.eye(2 << m.n)[0], np.shape(coord)[:-1] + (2 << m.n,))
 
 
 class CauchyIntegrals(NamedTuple):
@@ -239,7 +239,7 @@ def cauchy_integrals(
     geo = node_geometry(m, s, np.concatenate([t for t, _ in rules]))
     weight = geo.weight * np.concatenate([w for _, w in rules])
     nw = vectors(REPRODUCING_NORMAL_SIGN * geo.normal * weight[:, None], dim)
-    h = gp_batch(dim, nw[:, None], np.stack([f.value_at(geo.point) for f in sections], axis=1))
+    h = gp_batch(dim, nw[:, None], representatives(m, geo.point, [f.germ for f in sections]))
     kb, _ = _kernel_pairs(m, geo.point, y)
     sums = np.stack([_blade_apply(dim, kb[:, None, a:b], h[a:b])[0] for a, b in zip(edges, edges[1:])])
     if y.chart != s.chart:
@@ -336,8 +336,6 @@ def plemelj_projections(
 
     # W_j c is the constant-germ section with germ c, evaluated at node j
     wc = _lift_weight(m, geo.point.coord)
-    if wc is None:
-        wc = np.broadcast_to(np.eye(1 << dim)[0], gc.shape)
     c, gw = gp_batch(dim, clifford_group_inverse(dim, wc), gc), np.hstack([gc, wc])
 
     nw = vectors(REPRODUCING_NORMAL_SIGN * geo.normal * geo.weight[:, None], dim)

@@ -16,7 +16,6 @@ from sphereglue import cli, integration, kernel
 from sphereglue.algebra import gp_batch, vectors
 from sphereglue.fields import constant_field, g_translate
 from sphereglue.integration import (
-    Section,
     _blade_apply,
     _gauss_nodes,
     cauchy_integral,
@@ -139,13 +138,16 @@ def test_default_order_is_the_surface_order():
 
 
 class Counts:
-    """Counts node-geometry, kernel and section-array evaluations, and keeps
-    the number of nodes each one covers."""
+    """Counts node-geometry, kernel and section-array evaluations (calls of
+    representatives on a point array, each for any number of sections), and
+    keeps the number of nodes each one covers, for a section array with its
+    number of sections."""
 
     def __init__(self, monkeypatch):
         self.geometry = self.kernel = self.section = 0
         self.nodes = {"geometry": [], "kernel": [], "section": []}
-        geometry, kernel, value_at = integration.node_geometry, integration._kernel_pairs, Section.value_at
+        geometry, kernel = integration.node_geometry, integration._kernel_pairs
+        representatives = integration.representatives
 
         def count_geometry(m, s, t):
             self.geometry += 1
@@ -157,15 +159,15 @@ class Counts:
             self.nodes["kernel"].append(len(x.coord))
             return kernel(m, x, y, *pairs)
 
-        def count_value_at(sec, p):
+        def count_representatives(m, p, germs):
             if np.ndim(p.coord) > 1:
                 self.section += 1
-                self.nodes["section"].append(len(p.coord))
-            return value_at(sec, p)
+                self.nodes["section"].append((len(p.coord), len(germs)))
+            return representatives(m, p, germs)
 
         monkeypatch.setattr(integration, "node_geometry", count_geometry)
         monkeypatch.setattr(integration, "_kernel_pairs", count_kernel)
-        monkeypatch.setattr(Section, "value_at", count_value_at)
+        monkeypatch.setattr(integration, "representatives", count_representatives)
 
 
 def test_inadmissible_target_is_named(monkeypatch):
@@ -179,12 +181,12 @@ def test_inadmissible_target_is_named(monkeypatch):
 
 def test_each_evaluation_covers_every_order_and_half_once(monkeypatch):
     """Orders 64, 16 and 32 and their halves 32, 8 and 16 are the node sets
-    8, 16, 32 and 64: one stack of 120 nodes, over which the geometry, the
-    kernel and each of the two sections are evaluated once."""
+    8, 16, 32 and 64: one stack of 120 nodes, over which the geometry and
+    the kernel are evaluated once each, and the two sections in one array."""
     m, surf, (f, g), (y, _, _) = _setup("two_spheres", 2)
     counts = Counts(monkeypatch)
     grid = cauchy_integrals(m, surf, y, [f, g], [64, 16, 32])
-    assert counts.nodes == {"geometry": [120], "kernel": [120], "section": [120, 120]}
+    assert counts.nodes == {"geometry": [120], "kernel": [120], "section": [(120, 2)]}
     assert grid.nodes_used.tolist() == [64, 16, 32]
 
 
@@ -192,13 +194,13 @@ def test_each_evaluation_covers_every_order_and_half_once(monkeypatch):
     "n, order, expected",
     [
         # one call per target and contour, so one node set, kernel and
-        # section array each, but two section arrays for the two sections of
-        # the radius-3 same-chart call; that call and the radius-2.4 one
-        # stack orders 128 and 64, the cross-glue ladder 16, 32, 64 and 128
-        (2, "128", ((3, 3, 4), [192, 240, 192])),
+        # section array each, the radius-3 same-chart call's array holding
+        # both of its sections; that call and the radius-2.4 one stack
+        # orders 128 and 64, the cross-glue ladder 16, 32, 64 and 128
+        (2, "128", ((3, 3, 3), [192, 240, 192])),
         # n = 3 at the default config: order 48 (and 24) for the same-chart
         # calls, the ladder 16, 32, 64 and its halves for the cross-glue one
-        (3, "256", ((3, 3, 4), [2880, 5440, 2880])),
+        (3, "256", ((3, 3, 3), [2880, 5440, 2880])),
     ],
 )
 def test_verify_cauchy_shares_nodes_kernels_and_sections(tmp_path, monkeypatch, n, order, expected):
@@ -210,7 +212,7 @@ def test_verify_cauchy_shares_nodes_kernels_and_sections(tmp_path, monkeypatch, 
     calls, nodes = expected
     assert (counts.geometry, counts.kernel, counts.section) == calls
     assert counts.nodes["geometry"] == counts.nodes["kernel"] == nodes
-    assert counts.nodes["section"] == [nodes[0], *nodes]
+    assert counts.nodes["section"] == list(zip(nodes, (2, 1, 1)))
 
 
 def test_cauchy_integral_keeps_nothing_between_calls(monkeypatch):
@@ -234,10 +236,27 @@ def test_target_weight_is_read_through_one_binding(kind, n):
 
     def values():
         grid = cauchy_integrals(m, surf, y, [sec], [16])
-        return kernel_CM(m, x, y).coeffs, sec.rep(2, y.coord), grid.value[0, 0]
+        return kernel_CM(m, x, y).coeffs, sec.value_at(y).coeffs, grid.value[0, 0]
 
     before = values()
     with cli.patched([(kernel, "_target_weight", lambda weight: lambda *args: 2.0 * weight(*args))]):
         after = values()
     for name, old, new in zip(("kernel", "section", "integral"), before, after):
         assert np.array_equal(new, 2.0 * old), name
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("kind", ["two_spheres", "plane_sphere"])
+def test_lift_weight_is_evaluated_once_per_point_set(kind, n, monkeypatch):
+    """verify-cauchy evaluates W once per point set: on the node stacks of
+    its three grids, once at y_same for both of its sections and once at
+    y_cross, also on a plane chart 1, where W is the scalar 1. hardy
+    evaluates it twice on the same nodes, once in its data (a callable) and
+    once for the regularizing section of plemelj_projections."""
+    lift, calls = integration._lift_weight, []
+    monkeypatch.setattr(integration, "_lift_weight", lambda m, coord: calls.append(1) or lift(m, coord))
+    # hardy runs at n = 2 only
+    for suite, expected in {"verify-cauchy": 5, "hardy": 2}.items() if n == 2 else [("verify-cauchy", 5)]:
+        calls.clear()
+        assert cli.run_suite(suite, cli.RunConfig(kind=kind, n=n))[1] == 0
+        assert len(calls) == expected, suite

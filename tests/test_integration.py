@@ -10,8 +10,8 @@ import warnings
 import numpy as np
 import pytest
 
-from sphereglue import cli
-from sphereglue.algebra import Multivector, clifford_group_inverse, gp_batch, vectors
+from sphereglue import cli, integration, kernel
+from sphereglue.algebra import Multivector, clifford_group_inverse, gp_batch, row_norms, vectors
 from sphereglue.fields import CliffordField, DomainError, constant_field, dirac_left_fd, g_translate
 from sphereglue.integration import (
     Hypersurface,
@@ -23,11 +23,12 @@ from sphereglue.integration import (
     chart_sphere,
     node_geometry,
     plemelj_projections,
+    representatives,
     section_from_germ,
     unit_sphere_area,
 )
 from sphereglue.kernel import DiagonalError, kernel_CM
-from sphereglue.manifold import ManifoldPoint, embed, embed_differential, plane_sphere, two_spheres
+from sphereglue.manifold import ManifoldError, ManifoldPoint, embed, embed_differential, plane_sphere, two_spheres
 from sphereglue.moebius import cauchy_kernel_G, cayley, weight_J
 
 
@@ -276,7 +277,8 @@ def test_section_neck_agreement(m2):
     trans = chart_transfer(m2, 1, 2)
     rng = np.random.default_rng(1)
     for _ in range(20):
-        y2 = rng.uniform(0.6, 1.8, 2) * rng.choice([-1, 1], 2)
+        # |y2| within [0.85, 1.98], inside the neck (1/r, r) = (0.5, 2)
+        y2 = rng.uniform(0.6, 1.4, 2) * rng.choice([-1, 1], 2)
         y1 = apply_transition(m2, y2)
         w = Multivector(3, weight_J(trans, embed(m2, ManifoldPoint(2, y2))))
         lhs = sec.value_at(ManifoldPoint(2, y2))
@@ -287,6 +289,63 @@ def test_section_neck_agreement(m2):
 def test_germ_algebra_dim_checked(m2):
     with pytest.raises(ValueError):
         section_from_germ(m2, g_translate(np.array([4.0, 0.0])))  # Cl_2 values
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("kind", [two_spheres, plane_sphere])
+def test_representatives_of_several_germs_are_each_germ_alone(kind, n):
+    """representatives of F germs holds, in column i, the representatives of
+    germ i alone and the section's value_at, bit for bit, for chart-1 and
+    chart-2 point arrays (body and neck) and for one point. The arrays of 5
+    and 300 points take gp_batch's plain, skipping and blocked paths."""
+    m = kind(n, 2.0)
+    germs = [
+        _germ(m),
+        constant_field(np.eye(2 << n)[0], n),
+        g_translate(-3.5 * np.eye(n)[n - 1], n=n, dim_alg=n + 1),
+    ]
+    rng = np.random.default_rng(n)
+    for size in (5, 300):
+        v = rng.normal(size=(size, n))
+        coord = v / row_norms(v)[:, None] * rng.uniform(0.6, 3.5, (size, 1))
+        for chart in (1, 2):
+            p = ManifoldPoint(chart, coord)
+            rows = representatives(m, p, germs)
+            assert rows.shape == (size, 3, 2 << n)
+            for i, germ in enumerate(germs):
+                assert rows[:, i].tobytes() == representatives(m, p, [germ])[:, 0].tobytes()
+                assert rows[:, i].tobytes() == section_from_germ(m, germ).value_at(p).tobytes()
+            one = representatives(m, ManifoldPoint(chart, coord[0]), germs)
+            assert one.shape == (3, 2 << n) and one.tobytes() == rows[0].tobytes()
+
+
+@pytest.mark.parametrize("kind", [two_spheres, plane_sphere])
+def test_sections_reject_inadmissible_points(kind, monkeypatch):
+    """A section evaluated at a point with |x| <= 1/r, in either chart, raises
+    a ManifoldError naming the first such point and its chart, for one point
+    and for arrays, before any transition or weight is evaluated and
+    without a RuntimeWarning."""
+    m = kind(2, 2.0)
+    sec = section_from_germ(m, _germ(m))
+    refuse = lambda *args: pytest.fail("a weight was evaluated")
+    monkeypatch.setattr(integration, "_lift_weight", refuse)
+    monkeypatch.setattr(kernel, "_target_weight", refuse)
+    cases = [
+        (2, [0.0, 0.0], "[0.0, 0.0]"),
+        (1, [0.1, 0.0], "[0.1, 0.0]"),
+        (1, [0.0, 0.5], "[0.0, 0.5]"),
+        (2, [[3.0, 0.0], [0.1, 0.2], [0.0, 0.0]], "[0.1, 0.2]"),
+        (1, [[[3.0, 0.0]], [[0.0, -0.3]]], "[0.0, -0.3]"),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for chart, coord, named in cases:
+            p = ManifoldPoint(chart, coord)
+            message = re.escape(f"section point {named} in chart {chart} is inadmissible")
+            with pytest.raises(ManifoldError, match=message):
+                sec.value_at(p)
+            with pytest.raises(ManifoldError, match=message):
+                representatives(m, p, [sec.germ, constant_field(np.eye(8)[0], 2)])
 
 
 # -- Plemelj projections -----------------------------------------------------
@@ -509,15 +568,16 @@ def test_lift_weight_is_the_constant_germ_section(kind, n):
     """The weight W that Plemelj reads at chart-1 nodes equals the chart-1
     representative W 1 of the section with the constant germ 1, every
     coefficient exactly (the product only turns W's negative zeros into
-    positive ones); on a plane chart 1, where W = 1, it is None."""
+    positive ones); on a plane chart 1 it is the scalar 1 on every row. The
+    points are admissible in chart 1: |coord| >= 0.6 sqrt(n) > 1/r."""
     m = kind(n, 2.0)
-    coord = np.random.default_rng(n).uniform(-3.0, 3.0, (64, n))
+    rng = np.random.default_rng(n)
+    coord = rng.uniform(0.6, 3.0, (64, n)) * rng.choice([-1.0, 1.0], (64, n))
     want = section_from_germ(m, constant_field(np.eye(2 << n)[0], n)).value_at(ManifoldPoint(1, coord))
     w = _lift_weight(m, coord)
+    assert w.shape == want.shape and np.array_equal(w, want)
     if kind is plane_sphere:
-        assert w is None and np.array_equal(want, np.tile(np.eye(2 << n)[0], (64, 1)))
-    else:
-        assert w.shape == want.shape and np.array_equal(w, want)
+        assert np.array_equal(w, np.tile(np.eye(2 << n)[0], (64, 1)))
 
 
 def test_plemelj_needs_two_nodes(m2):

@@ -40,9 +40,10 @@ MUTANTS = {
         (integration, "_fft_derivative", lambda _: lambda values, period: np.zeros_like(values)),
         _runs("hardy", ns=(2,)),
     ),
-    # on plane_sphere chart 1 is the plane, where the lift weight is 1 already
+    # W := 1, the scalar-1 rows; on plane_sphere chart 1 is the plane, where
+    # the lift weight is 1 already
     "lift-weight-dropped": (
-        (integration, "_lift_weight", lambda _: lambda m, coord: None),
+        (integration, "_lift_weight", lambda _: lambda m, coord: np.tile(np.eye(2 << m.n)[0], (*coord.shape[:-1], 1))),
         _runs("verify-cauchy", kinds=("two_spheres",)),
     ),
 }
