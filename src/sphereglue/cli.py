@@ -120,8 +120,9 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     # the set-up of a run may build a config without naming a command
     if getattr(args, "command", None) == "hardy" and cfg.n != 2:
         raise ValueError(f"n must be 2 for hardy, got {cfg.n}")
-    if getattr(args, "command", None) == "hardy" and cfg.order % 2:
-        raise ValueError(f"order must be even for hardy, got {cfg.order}")
+    # the offset rule's half on every other node needs an even count of its own
+    if getattr(args, "command", None) == "hardy" and cfg.order % 4:
+        raise ValueError(f"order must be a multiple of 4 for hardy, got {cfg.order}")
     return cfg
 
 
@@ -457,7 +458,9 @@ def cmd_verify_cauchy(rep: Report, cfg: RunConfig):
 def cmd_hardy(rep: Report, cfg: RunConfig):
     m = make_manifold(cfg)
     sec = section_from_germ(m, g_translate(np.array([4.0, 0.0]), n=2, dim_alg=3))
-    surf = chart_circle(m, 1, np.zeros(2), 3.0, cfg.order, interior=ManifoldPoint(1, np.array([0.6, 0.0])))
+    # off-centre, so that the weights' magnitudes vary along it; the hole |x| <= 1/r stays inside
+    interior = ManifoldPoint(1, np.array([0.6, 0.0]))
+    surf = chart_circle(m, 1, np.array([-0.3, 0.2]), (3.0, 2.6), cfg.order, interior=interior)
 
     res = plemelj_projections(m, surf, sec.value_at)
     g_plus, g_minus, g = res.parts

@@ -17,7 +17,7 @@ Both suites apply one boundary operator, _blade_apply: sum_b e_b (K^b @ h)
 for the real blade matrices K^b of G(E(x_j) - E(y_i)) and node rows
 h_j = w_j n_j f_j: in cauchy_integrals to one target and the rows of every
 section at once, one block of stacked nodes per order (then J_y on the left
-for a target in another chart), and over all node pairs in
+for a target in another chart), and over the odd-offset node pairs in
 plemelj_projections.
 
 A section is data, its manifold and its germ; one function,
@@ -183,16 +183,18 @@ def section_from_germ(m: GluedManifold, germ: CliffordField) -> Section:
 def representatives(m: GluedManifold, p: ManifoldPoint, germs: Sequence[CliffordField]) -> np.ndarray:
     """The representatives in p's chart of the sections of F germs, as
     (..., F, 2^(n+1)) for p's coordinates (..., n). Chart 1: W f, the germ
-    lifted by the weight W of the inverse chart-1 map. Chart 2: J_y (W f),
-    with W f read at the continued transition of p and J_y the weight of the
-    chart transfer, so the representatives agree on the neck under the bundle
-    identification. W and J_y are evaluated once for all germs; an
-    inadmissible point raises ManifoldError before either is."""
+    lifted by the weight W of the inverse chart-1 map, or f itself on a plane
+    chart 1, where W is 1. Chart 2: J_y (W f), with W f read at the continued
+    transition of p and J_y the weight of the chart transfer, so the
+    representatives agree on the neck under the bundle identification. W and
+    J_y are evaluated once for all germs; an inadmissible point raises
+    ManifoldError before either is."""
     if np.any(bad := classify(m, p) == INADMISSIBLE):
         raise ManifoldError(f"section point {first_point(p.coord, bad)} in chart {p.chart} is inadmissible")
     coord = p.coord if p.chart == 1 else apply_transition(m, p.coord)
-    values = np.stack([germ.values(coord) for germ in germs], axis=-2)
-    rows = gp_batch(m.n + 1, _lift_weight(m, coord)[..., None, :], values)
+    rows = np.stack([germ.values(coord) for germ in germs], axis=-2)
+    if m.chart(1).has_sphere:
+        rows = gp_batch(m.n + 1, _lift_weight(m, coord)[..., None, :], rows)
     return rows if p.chart == 1 else gp_batch(m.n + 1, kernel._target_weight(m, 1, p)[..., None, :], rows)
 
 
@@ -280,15 +282,6 @@ class PlemeljResult:
     g = cached_property(lambda self: self._rows(2))
 
 
-def _fft_derivative(values: np.ndarray, period: float) -> np.ndarray:
-    """Spectral derivative along axis 0 of equispaced periodic samples."""
-    nn = values.shape[0]
-    freqs = np.fft.fftfreq(nn, d=1.0 / nn) * (2.0 * np.pi / period)
-    if nn % 2 == 0:
-        freqs[nn // 2] = 0.0
-    return np.real(np.fft.ifft(1j * freqs[:, None] * np.fft.fft(values, axis=0), axis=0))
-
-
 def plemelj_projections(
     m: GluedManifold, s: Hypersurface, g: Callable[[ManifoldPoint], np.ndarray], n_nodes: int | None = None
 ) -> PlemeljResult:
@@ -296,39 +289,35 @@ def plemelj_projections(
     curve in chart 1 (n = 2), with g_plus the approximate trace of the interior Cauchy
     extension: P_pm = (I pm C_S) / 2. The data g is a callable that takes
     the node point array and returns its coefficients (N, 2^(n+1)), such as
-    Section.value_at. N must be even and at least 4.
+    Section.value_at. N must be a multiple of 4, so that the half rule's
+    N/2 nodes split evenly into its own offset pairs.
 
-    The singular integral C_S is regularized at each target node i by
-    subtracting the constant-germ section W c_i that matches g there
-    (c_i = W_i^{-1} g_i): its principal value is known exactly from the jump
-    relation, and the remaining integrand is smooth and periodic, so the
-    trapezoid rule is spectrally accurate once the removable diagonal value
-    is filled in from the FFT derivative of the data. The regularized sum is
-    linear in c_i, so all targets share one kernel fill and one FFT of [g | W] per rule:
+    C_S is the offset trapezoid rule, which at node i sums the nodes j with
+    j - i odd (Sidi & Israeli, J. Sci. Comput. 3, 1988), regularized at each
+    target by the constant-germ section W c_i that matches g there
+    (c_i = W_i^{-1} g_i), whose principal value is g_i by the jump relation.
+    The sum is linear in c_i, so all targets share one kernel fill:
 
-        C_S g = g + (2h / omega_n) [A g - (A W) c + B (g' - W' c)]
+        C_S g_i = g_i + (4h / omega_n) sum_{j - i odd} A_ij (h_j - (n w W)_j c_i)
 
-    with A_ij = C_M(x_j, x_i) n_j |u'_j| off the diagonal and zero on it, applied
-    to h_j = n_j |u'_j| g_j by _blade_apply, and B_i = u'_i n_i / |u'_i| the
-    diagonal limit (G ~ u'/(s |u'|^2), data ~ s d').
-
-    Every per-node quantity is evaluated once; the N-point rule gives parts and
-    the N/2-point rule on the even nodes (step 2h) gives half, which is the
-    N/2-point rule of the curve with its bounds shifted by -h/2.
+    with A_ij = C_M(x_j, x_i) applied by _blade_apply to h = n w [g | W].
+    The fill is the even targets by all N nodes, diagonal masked, so every
+    pair either rule uses is checked; G is odd, so the odd targets' block is
+    minus the transpose of its odd columns. half is the N/2-point rule on the
+    even nodes, which reads the 0 mod 4 x 2 mod 4 block of the even columns
+    alike: the N/2-point rule of the curve with its bounds shifted by -h/2.
     """
     if m.n != 2:
         raise SurfaceError("Plemelj projections are implemented for n = 2 curves")
     if not s.closed or s.chart != 1:
         raise SurfaceError("need a closed curve in chart 1")
     (a, b) = s.bounds[0]
-    period = b - a
     nn = s.quad_order if n_nodes is None else n_nodes
-    if nn < 4 or nn % 2:
-        raise SurfaceError(f"Plemelj projections need an even number of nodes >= 4, got {nn}")
-    h = period / nn
+    if nn < 4 or nn % 4:
+        raise SurfaceError(f"Plemelj projections need a multiple of 4 nodes >= 4, got {nn}")
+    h = (b - a) / nn
     dim = m.n + 1
-    t = a + (np.arange(nn)[:, None] + 0.5) * h
-    geo = node_geometry(m, s, t)
+    geo = node_geometry(m, s, a + (np.arange(nn)[:, None] + 0.5) * h)
 
     gc = g(geo.point)
     if np.shape(gc) != (nn, 1 << dim):
@@ -336,27 +325,26 @@ def plemelj_projections(
 
     # W_j c is the constant-germ section with germ c, evaluated at node j
     wc = _lift_weight(m, geo.point.coord)
-    c, gw = gp_batch(dim, clifford_group_inverse(dim, wc), gc), np.hstack([gc, wc])
-
+    c = gp_batch(dim, clifford_group_inverse(dim, wc), gc)
     nw = vectors(REPRODUCING_NORMAL_SIGN * geo.normal * geo.weight[:, None], dim)
-    hw = gp_batch(dim, nw[:, None], gw.reshape(nn, 2, -1))  # h = n |u'| [g | W], (N, 2, 2^dim)
-    x, off = geo.point.coord, ~np.eye(nn, dtype=bool)
-    # K^b, the real (N, N) matrix of blade b, target i by node j
-    kb, _ = _kernel_pairs(m, ManifoldPoint(s.chart, x[None]), ManifoldPoint(s.chart, x[:, None]), off)
-    tangent = embed_differential(m, s.chart, x, s.param_jac(t)[..., 0])
-    bvec = gp_batch(dim, vectors(tangent / geo.weight[:, None] ** 2, dim), nw)
+    hw = gp_batch(dim, nw[:, None], np.stack((gc, wc), axis=1))  # h = n w [g | W], (N, 2, 2^dim)
+    x, half = geo.point.coord, nn // 2
+    # K^b, the real (N/2, N) matrix of blade b: target 2i by node x_0, x_2, ..., x_1, x_3, ...
+    nodes = ManifoldPoint(s.chart, np.concatenate((x[0::2], x[1::2]))[None])
+    kb, _ = _kernel_pairs(m, nodes, ManifoldPoint(s.chart, x[0::2, None]), ~np.eye(half, nn, dtype=bool))
 
-    def apply(rows: slice, step: float) -> np.ndarray:
-        """(g_plus, g_minus, g) by the rule with the given step on the nodes rows."""
-        gr, cr = gc[rows], c[rows]
-        a_g, a_w = np.moveaxis(_blade_apply(dim, kb[:, rows, rows], hw[rows]), 1, 0)
-        dg, dw = np.split(_fft_derivative(gw[rows], period), 2, axis=1)
-        cs = gr + (2.0 * step / unit_sphere_area(m.n)) * (
-            a_g - gp_batch(dim, a_w, cr) + gp_batch(dim, bvec[rows], dg - gp_batch(dim, dw, cr))
-        )
+    def apply(k: np.ndarray, rows: slice, spacing: float) -> np.ndarray:
+        """(g_plus, g_minus, g) by the offset rule on the nodes rows, spaced
+        by spacing, from the block k of its even targets by its odd nodes."""
+        gr, hr = gc[rows], hw[rows]
+        sums = np.stack((_blade_apply(dim, k, hr[1::2]), -_blade_apply(dim, k.swapaxes(1, 2), hr[0::2])), axis=1)
+        a_g, a_w = np.moveaxis(sums.reshape(hr.shape), 1, 0)  # targets back in node order
+        cs = gr + (4.0 * spacing / unit_sphere_area(m.n)) * (a_g - gp_batch(dim, a_w, c[rows]))
         return np.stack(((gr + cs) * 0.5, (gr - cs) * 0.5, gr))
 
-    return PlemeljResult(apply(slice(None), h), apply(slice(None, None, 2), 2.0 * h))
+    return PlemeljResult(
+        apply(kb[:, :, half:], slice(None), h), apply(kb[:, 0::2, 1:half:2], slice(None, None, 2), 2.0 * h)
+    )
 
 
 # -- built-in surface families ----------------------------------------------
@@ -366,20 +354,22 @@ def chart_circle(
     m: GluedManifold,
     chart: int,
     center: np.ndarray,
-    radius: float,
+    radius: float | tuple[float, float],
     quad_order: int,
     interior: ManifoldPoint | None = None,
 ) -> Hypersurface:
-    """Circle in a chart coordinate plane (n = 2)."""
+    """Circle in a chart coordinate plane (n = 2); a pair of radii gives the
+    ellipse with those semi-axes along the coordinate axes."""
     if m.n != 2:
         raise SurfaceError("chart_circle requires n = 2")
     center = np.asarray(center, dtype=np.float64)
+    radius = np.asarray(radius, dtype=np.float64)
 
     def param(t):
         return center + radius * np.stack([np.cos(t[..., 0]), np.sin(t[..., 0])], axis=-1)
 
     def jac(t):
-        return radius * np.stack([-np.sin(t[..., 0]), np.cos(t[..., 0])], axis=-1)[..., None]
+        return (radius * np.stack([-np.sin(t[..., 0]), np.cos(t[..., 0])], axis=-1))[..., None]
 
     interior = interior or ManifoldPoint(chart, center)
     return Hypersurface(chart, ((0.0, 2.0 * np.pi),), param, jac, quad_order, interior, closed=True)

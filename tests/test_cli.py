@@ -558,6 +558,37 @@ def test_negative_control_weight(tmp_path):
     assert "verdict=fail" in text
 
 
+@pytest.mark.parametrize("order", [64, 256])
+def test_break_weight_fails_hardy_on_two_spheres(order):
+    """On hardy's off-centre ellipse the Cayley weight's magnitude varies
+    along the contour, so a wrong weight exponent moves the trace out of H+:
+    monogenic-trace-defect reads 9.2e-2 at both orders. On plane_sphere the
+    control is equivalent for hardy: chart 1 is the plane, where W is 1 and
+    a same-chart computation reads no weight, so the report is the plain one."""
+    for kind in ("two_spheres", "plane_sphere"):
+        plain = cli.RunConfig(kind=kind, order=order)
+        text, status = cli.run_suite("hardy", plain)
+        broken, broken_status = cli.run_suite("hardy", dataclasses.replace(plain, break_weight=1))
+        assert status == 0, kind
+        if kind == "two_spheres":
+            defect = next(line for line in broken.splitlines() if "property=monogenic-trace-defect" in line)
+            assert broken_status == 1 and "verdict=fail" in defect and "result=fail" in broken
+        else:
+            assert broken_status == 0 and broken.splitlines()[2:] == text.splitlines()[2:]
+
+
+@pytest.mark.parametrize("order, scale1", [(64, 0.05), (64, 0.01), (64, 1e-3), (256, 0.05), (256, 0.01)])
+def test_hardy_passes_at_small_chart_1_scales(order, scale1):
+    """The trace grows as scale1^(-1/2), and hardy's residuals are absolute.
+    On the off-centre ellipse the defect is 2.9e-6 of max|g| at order 64, so
+    hardy passes: the defect reads 2.0e-5, 4.5e-5 and 1.4e-4 for
+    scale1 = 0.05, 0.01 and 1e-3, where the centred circle with the
+    FFT-regularised rule read 1.1e-3, 2.5e-3 and 8.0e-3, and exact-partition
+    1.4e-14 at 1e-3."""
+    text, status = cli.run_suite("hardy", cli.RunConfig(kind="two_spheres", order=order, scale1=scale1))
+    assert status == 0, text
+
+
 @pytest.mark.parametrize("scales", MATRIX_SCALES, ids=["default", "scaled"])
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("kind", ["two_spheres", "plane_sphere"])
@@ -674,6 +705,8 @@ BAD_CONFIGS = [
     ("verify-algebra", "corrupt_vahlen=2\n", "corrupt_vahlen"),
     ("hardy", "n=3\n", "n"),
     ("hardy", "order=63\n", "order"),
+    ("hardy", "order=66\n", "order"),
+    ("hardy", "order=6\n", "order"),
     ("verify-algebra", "n=2.0\n", "n"),
     ("verify-kernel", "r=abc\n", "r"),
     ("verify-cauchy", "order=\n", "order"),

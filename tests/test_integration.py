@@ -28,7 +28,7 @@ from sphereglue.integration import (
     unit_sphere_area,
 )
 from sphereglue.kernel import DiagonalError, kernel_CM
-from sphereglue.manifold import ManifoldError, ManifoldPoint, embed, embed_differential, plane_sphere, two_spheres
+from sphereglue.manifold import ManifoldError, ManifoldPoint, embed, plane_sphere, two_spheres
 from sphereglue.moebius import cauchy_kernel_G, cayley, weight_J
 
 
@@ -408,35 +408,27 @@ def test_plemelj_rows_are_the_parts_array(m2):
 
 
 def _plemelj_g_minus_per_target(m, s, g, nn):
-    """Reference: the regularized singular integral summed separately for
-    each target node, with its own FFT derivative of the subtracted data."""
+    """Reference: the regularized offset rule summed separately for each
+    target node i, one kernel_CM pair at a time: the nodes j with j - i odd
+    at step 2h, each with the constant-germ section that matches g at node
+    i subtracted from its data."""
     (a, b) = s.bounds[0]
     h = (b - a) / nn
-    t = a + (np.arange(nn)[:, None] + 0.5) * h
-    geo = node_geometry(m, s, t)
-    tangent = embed_differential(m, s.chart, geo.point.coord, s.param_jac(t)[:, :, 0])
+    geo = node_geometry(m, s, a + (np.arange(nn)[:, None] + 0.5) * h)
     pts = [ManifoldPoint(s.chart, c) for c in geo.point.coord]
     gvals = g(geo.point)
     unit_sec = section_from_germ(m, constant_field(np.eye(8)[0], 2))
     wsec = [unit_sec.value_at(p).coeffs for p in pts]
     nhat = vectors(-geo.normal, 3)
-    freqs = np.fft.fftfreq(nn, d=1.0 / nn) * (2.0 * np.pi / (b - a))
-    freqs[nn // 2] = 0.0
     out = []
     for i in range(nn):
         ci = _gp(clifford_group_inverse(3, wsec[i]), gvals[i])
-        dvals = [gvals[j] - _gp(wsec[j], ci) for j in range(nn)]
-        coeff = np.array(dvals)
-        dprime = np.real(np.fft.ifft(1j * freqs[:, None] * np.fft.fft(coeff, axis=0), axis=0))
         acc = np.zeros(8)
-        for j in range(nn):
-            wj = geo.weight[j]
-            if j == i:
-                tvec = vectors(tangent[i] / wj**2, 3)
-                acc = acc + _gp(tvec, nhat[i], dprime[i]) * wj
-            else:
-                acc = acc + _gp(kernel_CM(m, pts[j], pts[i]).coeffs, nhat[j], dvals[j]) * wj
-        cs = acc * (2.0 * h / unit_sphere_area(2)) + gvals[i]
+        for j in range(i + 1, i + nn, 2):
+            j %= nn
+            dvals = gvals[j] - _gp(wsec[j], ci)
+            acc = acc + _gp(kernel_CM(m, pts[j], pts[i]).coeffs, nhat[j], dvals) * geo.weight[j]
+        cs = acc * (4.0 * h / unit_sphere_area(2)) + gvals[i]
         out.append(Multivector(3, (gvals[i] - cs) * 0.5))
     return out
 
@@ -519,11 +511,11 @@ def test_plemelj_at_rounding_for_large_n(kind):
 
 
 def test_plemelj_operator_size_at_1024(m2):
-    """At N = 1024 the largest arrays are the kernel's three (N, N) blade
-    matrices, filled in place, and one (N, N) norm buffer (33.6 MB): the
-    traced allocation peak (37.4 MB) stays below five (N, N) float arrays,
-    where a pair-major fill with a temporary per blade read 44.6 MB, and the
-    projections run in a fraction of a second."""
+    """At N = 1024 the largest arrays are the kernel's one fill, three
+    (N/2, N) blade matrices filled in place, and its (N/2, N) norm buffer:
+    two (N, N) float arrays (16.8 MB). The traced allocation peak (18.9 MB)
+    stays below two and a half, where a fill of all N^2 pairs read 37.4 MB,
+    and the projections run in a fraction of a second."""
     nn = 1024
     sec, s = section_from_germ(m2, _germ(m2)), _surf(m2, 3.0, nn)
     start = time.perf_counter()
@@ -535,7 +527,7 @@ def test_plemelj_operator_size_at_1024(m2):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert 4 * nn * nn * 8 <= peak < 5 * nn * nn * 8, peak
+    assert 2 * nn * nn * 8 <= peak < 2.5 * nn * nn * 8, peak
     assert max(v.norm() for v in res.g_minus) <= 1e-14
     assert seconds < 0.6, seconds
 
@@ -583,10 +575,11 @@ def test_lift_weight_is_the_constant_germ_section(kind, n):
 def test_plemelj_needs_two_nodes(m2):
     """With one node the kernel matrix is empty and g_minus vanishes for any
     data, so fewer than two nodes are refused, also when asked for 0. The
-    half rule on the even nodes must keep two, so N must be even and >= 4.
-    The data is well formed, so only the node count can be refused."""
+    half rule on the even nodes must keep two, and an offset rule needs an
+    even count, so N must be a multiple of 4 (N = 6 or 66 leaves the half an
+    odd count). The data is well formed, so only the node count can be refused."""
     data = lambda p: np.tile(np.eye(8)[0], (len(p.coord), 1))
-    for order, nodes in ((1, None), (64, 1), (64, 0), (2, None), (64, 63)):
+    for order, nodes in ((1, None), (64, 1), (64, 0), (2, None), (64, 63), (64, 6), (66, None)):
         s = _surf(m2, 3.0, order)
         with pytest.raises(SurfaceError, match="nodes"):
             plemelj_projections(m2, s, data, n_nodes=nodes)
