@@ -103,6 +103,9 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     for key in ("scale1", "scale2"):
         if not 1e-12 <= getattr(cfg, key) <= 1e12:
             raise ValueError(f"{key} must be within [1e-12, 1e12]")
+    # the neck transfer's pseudo-determinant is scale1/scale2; from 1e-14 down it has no inverse
+    if cfg.kind == "two_spheres" and cfg.scale1 / cfg.scale2 < 1e-13:
+        raise ValueError(f"scale1/scale2 must be at least 1e-13, got {cfg.scale1 / cfg.scale2:g}")
     # from about 1e77 on, the neck's Vahlen maps overflow in verify-kernel at n = 3; this also rejects inf
     if cfg.r > 1e50:
         raise ValueError("r must be at most 1e50")

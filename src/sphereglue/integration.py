@@ -194,7 +194,8 @@ def representatives(m: GluedManifold, p: ManifoldPoint, germs: Sequence[Clifford
     coord = p.coord if p.chart == 1 else apply_transition(m, p.coord)
     rows = np.stack([germ.values(coord) for germ in germs], axis=-2)
     if m.chart(1).has_sphere:
-        rows = gp_batch(m.n + 1, _lift_weight(m, coord)[..., None, :], rows)
+        x, w = m._lift
+        rows = gp_batch(m.n + 1, (w if x is coord else _lift_weight(m, coord))[..., None, :], rows)
     return rows if p.chart == 1 else gp_batch(m.n + 1, kernel._target_weight(m, 1, p)[..., None, :], rows)
 
 
@@ -318,17 +319,19 @@ def plemelj_projections(
     h = (b - a) / nn
     dim = m.n + 1
     geo = node_geometry(m, s, a + (np.arange(nn)[:, None] + 0.5) * h)
+    x, half = geo.point.coord, nn // 2
 
-    gc = g(geo.point)
+    # W_j c is the constant-germ section with germ c at node j; a section as the data reads W
+    m._lift[:] = x, (wc := _lift_weight(m, x))
+    try:
+        gc = g(geo.point)
+    finally:
+        m._lift[:] = None, None
     if np.shape(gc) != (nn, 1 << dim):
         raise SurfaceError(f"boundary data must be coefficients ({nn}, {1 << dim}) for the node array")
-
-    # W_j c is the constant-germ section with germ c, evaluated at node j
-    wc = _lift_weight(m, geo.point.coord)
     c = gp_batch(dim, clifford_group_inverse(dim, wc), gc)
     nw = vectors(REPRODUCING_NORMAL_SIGN * geo.normal * geo.weight[:, None], dim)
     hw = gp_batch(dim, nw[:, None], np.stack((gc, wc), axis=1))  # h = n w [g | W], (N, 2, 2^dim)
-    x, half = geo.point.coord, nn // 2
     # K^b, the real (N/2, N) matrix of blade b: target 2i by node x_0, x_2, ..., x_1, x_3, ...
     nodes = ManifoldPoint(s.chart, np.concatenate((x[0::2], x[1::2]))[None])
     kb, _ = _kernel_pairs(m, nodes, ManifoldPoint(s.chart, x[0::2, None]), ~np.eye(half, nn, dtype=bool))
@@ -337,10 +340,10 @@ def plemelj_projections(
         """(g_plus, g_minus, g) by the offset rule on the nodes rows, spaced
         by spacing, from the block k of its even targets by its odd nodes."""
         gr, hr = gc[rows], hw[rows]
-        sums = np.stack((_blade_apply(dim, k, hr[1::2]), -_blade_apply(dim, k.swapaxes(1, 2), hr[0::2])), axis=1)
-        a_g, a_w = np.moveaxis(sums.reshape(hr.shape), 1, 0)  # targets back in node order
-        cs = gr + (4.0 * spacing / unit_sphere_area(m.n)) * (a_g - gp_batch(dim, a_w, c[rows]))
-        return np.stack(((gr + cs) * 0.5, (gr - cs) * 0.5, gr))
+        sums = np.empty(hr.shape)  # A [g | W] at each target, in node order
+        sums[0::2], sums[1::2] = _blade_apply(dim, k, hr[1::2]), -_blade_apply(dim, k.swapaxes(1, 2), hr[0::2])
+        cs = gr + (4.0 * spacing / unit_sphere_area(m.n)) * (sums[:, 0] - gp_batch(dim, sums[:, 1], c[rows]))
+        return np.array(((gr + cs) * 0.5, (gr - cs) * 0.5, gr))
 
     return PlemeljResult(
         apply(kb[:, :, half:], slice(None), h), apply(kb[:, 0::2, 1:half:2], slice(None, None, 2), 2.0 * h)

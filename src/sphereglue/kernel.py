@@ -85,8 +85,8 @@ def _kernel_pairs(m: GluedManifold, x: ManifoldPoint, y: ManifoldPoint, pairs=Tr
         y_in_j = apply_transition(m, y.coord)
     ex, ey = embed(m, x), embed(m, ManifoldPoint(j, y_in_j))
     tx, ty = (1e-10 * row_norms(e) for e in (ex, ey))
-    ex, ey = np.broadcast_arrays(ex, ey)
-    d = np.subtract(np.moveaxis(ex, -1, 0), np.moveaxis(ey, -1, 0), order="C")
+    d = np.empty(ex.shape[-1:] + np.broadcast(ex, ey).shape[:-1])
+    np.subtract(ex, ey, out=d.transpose(*range(1, d.ndim), 0))
     # G(d) = d / |d|^n in place, as moebius.cauchy_kernel_G, with one norm buffer
     r = np.einsum("b...,b...->...", d, d, out=np.empty(d.shape[1:]))
     np.sqrt(r, out=r)

@@ -10,7 +10,6 @@ through the involution x -> -x^{-1}.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -22,6 +21,7 @@ from .moebius import (
     compose,
     identity_map,
     inverse,
+    invertible,
     neck_inversion,
 )
 
@@ -51,29 +51,32 @@ class GluedManifold:
             raise ManifoldError("gluing radius r must exceed 1")
         if len(self.charts) != 2:
             raise ManifoldError("need exactly two charts")
+        # the Vahlen maps built so far (_vahlen_map), and [node coordinates, W]
+        # while integration's Plemelj splitting shares its lift weight W with its data
+        object.__setattr__(self, "_maps", {})
+        object.__setattr__(self, "_lift", [None, None])
 
     def chart(self, j: int) -> Chart:
         return self.charts[j - 1]
 
-    @cached_property
-    def _vahlen_maps(self) -> dict:
-        """The manifold's Vahlen maps in Cl_{n+1}, built on first use: chart
-        maps keyed by chart j, the inverse of a sphere chart's map by -j,
-        transfers keyed by (to_chart, from_chart). Every map has weight
-        exponent n; moebius.inverse checks each inverse by the matrix
-        identity inv psi = I."""
-        k, exponent = self.n + 1, self.n
-        maps = {}
-        for j, ch in enumerate(self.charts, start=1):
-            if not ch.has_sphere:
-                maps[j] = identity_map(k, exponent)
-                continue
-            maps[j] = cayley(self.n, ch.scale)
-            maps[-j] = inverse(maps[j])
-        maps[1, 1] = maps[2, 2] = identity_map(k, exponent)
-        maps[1, 2] = compose(maps[1], compose(neck_inversion(k, exponent), maps[-2]))
-        maps[2, 1] = inverse(maps[1, 2])
-        return maps
+    def _vahlen_map(self, key):
+        """The Vahlen map (Cl_{n+1}, exponent n) under key, built and validated on
+        first read: chart j's map by j, a sphere chart's inverse by -j, transfers
+        by (to_chart, from_chart), the neck's (1, 2) invertible; else KeyError."""
+        maps, k, exponent = self._maps, self.n + 1, self.n
+        if key not in maps:
+            if key in ((1, 1), (2, 2)) or key in (1, 2) and not self.chart(key).has_sphere:
+                maps[key] = identity_map(k, exponent)
+            elif key in (1, 2):
+                maps[key] = cayley(self.n, self.chart(key).scale)
+            elif key == (1, 2):
+                neck = compose(neck_inversion(k, exponent), self._vahlen_map(-2))
+                maps[key] = invertible(compose(self._vahlen_map(1), neck))
+            elif key == (2, 1) or key in (-1, -2) and self.chart(-key).has_sphere:
+                maps[key] = inverse(self._vahlen_map((1, 2) if key == (2, 1) else -key))
+            else:
+                raise KeyError(key)
+        return maps[key]
 
 
 def two_spheres(n: int, r: float, scales: tuple[float, float] = (1.0, 1.0)) -> GluedManifold:
@@ -142,7 +145,7 @@ def chart_map(m: GluedManifold, j: int) -> VahlenMap:
     matrix: the scaled Cayley map for a sphere chart, the identity for the
     plane chart. Agrees pointwise with embed. For a sphere chart,
     chart_map(m, -j) is the inverse map."""
-    return m._vahlen_maps[j]
+    return m._vahlen_map(j)
 
 
 def chart_transfer(m: GluedManifold, to_chart: int, from_chart: int) -> VahlenMap:
@@ -150,4 +153,4 @@ def chart_transfer(m: GluedManifold, to_chart: int, from_chart: int) -> VahlenMa
     onto that of to_chart (c_to o psi' o c_from^{-1}), as a Cl_{n+1} matrix.
     transfer(1<-2) and transfer(2<-1) are exact matrix inverses of each
     other."""
-    return m._vahlen_maps[to_chart, from_chart]
+    return m._vahlen_map((to_chart, from_chart))

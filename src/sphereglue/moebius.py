@@ -220,15 +220,20 @@ def compose(psi2: VahlenMap, psi1: VahlenMap) -> VahlenMap:
     return VahlenMap(blocks.sum(-3), psi1.kernel_exponent)
 
 
+def invertible(psi: VahlenMap) -> VahlenMap:
+    """psi, once its pseudo-determinant clears the floor 1e-14 that inverse needs."""
+    if abs(psi.pseudo_determinant) <= 1e-14:
+        raise VahlenError("Vahlen matrix has vanishing pseudo-determinant")
+    return psi
+
+
 def inverse(psi: VahlenMap) -> VahlenMap:
     """Exact matrix inverse (~d, -~b; -~c, ~a)/(a~d - b~c) of one map,
     checked by the matrix identity inv psi = I: every entry within
     DEFAULT_RTOL of the identity's, so inv(psi(x)) = x at every point."""
     if psi.coeffs.ndim != 3:
         raise VahlenError(f"inverse takes one map, got a stack of shape {psi.coeffs.shape[:-3]}")
-    delta = psi.pseudo_determinant
-    if abs(delta) <= 1e-14:
-        raise VahlenError("Vahlen matrix has vanishing pseudo-determinant")
+    delta = invertible(psi).pseudo_determinant
     k = psi.ambient_dim
     (a, b), (c, d) = reversion(k, psi.coeffs) / delta
     inv = VahlenMap(np.array([[d, -b], [-c, a]]), psi.kernel_exponent)

@@ -250,13 +250,13 @@ def test_target_weight_is_read_through_one_binding(kind, n):
 def test_lift_weight_is_evaluated_once_per_point_set(kind, n, monkeypatch):
     """verify-cauchy evaluates W once per point set: on the node stacks of
     its three grids, once at y_same for both of its sections and once at
-    y_cross. hardy evaluates it twice on the same nodes, once in its data (a
-    callable) and once for the regularizing section of plemelj_projections.
-    On a plane chart 1, where W is the scalar 1, the sections read no W, and
-    only the regularizing section evaluates it."""
+    y_cross. hardy evaluates it once on its nodes, for the regularizing
+    section of plemelj_projections, and its data (a section's value_at)
+    reads that W. On a plane chart 1, where W is the scalar 1, the sections
+    read no W, and only the regularizing section evaluates it."""
     lift, calls = integration._lift_weight, []
     monkeypatch.setattr(integration, "_lift_weight", lambda m, coord: calls.append(1) or lift(m, coord))
-    counts = {"verify-cauchy": 5, "hardy": 2} if kind == "two_spheres" else {"verify-cauchy": 0, "hardy": 1}
+    counts = {"verify-cauchy": 5, "hardy": 1} if kind == "two_spheres" else {"verify-cauchy": 0, "hardy": 1}
     # hardy runs at n = 2 only
     for suite, expected in counts.items() if n == 2 else [("verify-cauchy", counts["verify-cauchy"])]:
         calls.clear()

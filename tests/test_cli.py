@@ -721,6 +721,10 @@ BAD_CONFIGS = [
     ("verify-cauchy", "order=2049\n", "order"),
     ("hardy", "order=2050\n", "order"),
     ("verify-cauchy", "break_weight=2\n", "break_weight"),
+    ("verify-algebra", "scale1=1e-7\nscale2=1e7\n", "scale1/scale2"),
+    ("verify-kernel", "scale1=1e-7\nscale2=1e7\n", "scale1/scale2"),
+    ("verify-cauchy", "scale1=1e-12\nscale2=20\n", "scale1/scale2"),
+    ("hardy", "n=2\nscale1=1e-3\nscale2=1.01e10\n", "scale1/scale2"),
 ]
 
 

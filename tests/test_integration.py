@@ -591,6 +591,28 @@ def test_plemelj_rejects_per_point_data(m2):
         plemelj_projections(m2, _surf(m2, 3.0, 16), lambda p: Multivector(3, np.eye(8)[0]))
 
 
+def test_plemelj_shares_its_lift_weight_only_while_it_reads_its_data(m2):
+    """A section as the data reads the W that plemelj_projections evaluated
+    at its nodes. Once the splitting returns, or its data raises, the section
+    at those nodes lifts afresh, so a control patched in later reaches it."""
+    sec, nodes = section_from_germ(m2, _germ(m2)), []
+
+    def data(p, fail=False):
+        nodes.append(p)
+        if fail:
+            raise ValueError("data")
+        return sec.value_at(p)
+
+    shared = plemelj_projections(m2, _surf(m2, 3.0, 16), data).g
+    assert np.array_equal(np.array([v.coeffs for v in shared]), sec.value_at(nodes[-1]))
+    with pytest.raises(ValueError, match="data"):
+        plemelj_projections(m2, _surf(m2, 3.0, 16), functools.partial(data, fail=True))
+    for p in nodes:
+        with cli.patched([(*cli.CONTROLS["break_weight"], 1)]):
+            broken = sec.value_at(p)
+        assert not np.allclose(broken, sec.value_at(p))
+
+
 def test_plemelj_requires_n2(m3):
     s = _surf(m3, 3.0, 8)
     with pytest.raises(SurfaceError):

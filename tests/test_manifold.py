@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from sphereglue import cli
+from sphereglue import cli, manifold, moebius
 from sphereglue.manifold import (
     BODY,
     INADMISSIBLE,
@@ -23,7 +23,7 @@ from sphereglue.manifold import (
     plane_sphere,
     two_spheres,
 )
-from sphereglue.moebius import apply, cayley_embed, neck_inversion, weight_J
+from sphereglue.moebius import VahlenError, apply, cayley_embed, inverse, neck_inversion, weight_J
 
 
 @pytest.fixture
@@ -241,6 +241,57 @@ def test_one_point_is_its_row_of_a_point_array(kind, n):
 def test_vahlen_maps_built_once(m2):
     assert chart_transfer(m2, 1, 2) is chart_transfer(m2, 1, 2)
     assert chart_map(m2, 1) is chart_map(m2, 1)
+
+
+def test_unknown_map_keys_raise_key_error(m2):
+    """Only the maps a manifold has are keys: no chart 3, no inverse of a
+    plane chart's map, no transfer from chart 0."""
+    plane = plane_sphere(2, 2.0)
+    for read in (lambda: chart_map(m2, 3), lambda: chart_map(plane, -1), lambda: chart_transfer(m2, 1, 0)):
+        with pytest.raises(KeyError):
+            read()
+
+
+def test_degenerate_neck_raises_where_it_is_read():
+    """At scale1/scale2 = 1e-14 the neck transfer has no inverse: reading
+    either transfer raises VahlenError, every time, while the chart maps and
+    their inverses, which do not need it, are built."""
+    m = two_spheres(2, 2.0, (1e-7, 1e7))
+    assert all(chart_map(m, j).kernel_exponent == 2 for j in (1, 2, -1, -2))
+    for to, frm in ((1, 2), (1, 2), (2, 1)):
+        with pytest.raises(VahlenError, match="vanishing pseudo-determinant"):
+            chart_transfer(m, to, frm)
+
+
+# (suite, kind) -> the moebius.inverse calls of one run at order 64
+INVERSES = {
+    ("hardy", "two_spheres"): 1,
+    ("hardy", "plane_sphere"): 0,
+    ("verify-cauchy", "two_spheres"): 2,
+    ("verify-cauchy", "plane_sphere"): 1,
+    ("verify-kernel", "two_spheres"): 1,
+    ("verify-kernel", "plane_sphere"): 1,
+}
+
+
+@pytest.mark.parametrize("suite, kind", sorted(INVERSES))
+def test_a_run_inverts_only_the_maps_it_reads(suite, kind, monkeypatch):
+    """Each Vahlen map is built when first read: hardy reads the inverse of
+    chart 1's map where chart 1 is a sphere, verify-kernel the neck transfer
+    (1, 2) and verify-cauchy both; no suite reads (2, 1)."""
+    calls = []
+    monkeypatch.setattr(manifold, "inverse", lambda psi: calls.append(1) or inverse(psi))
+    assert cli.run_suite(suite, cli.RunConfig(kind=kind, order=64))[1] == 0
+    assert len(calls) == INVERSES[suite, kind]
+
+
+def test_hardy_evaluates_one_conformal_weight(monkeypatch):
+    """hardy on two_spheres evaluates one conformal weight, W at its nodes,
+    which its data and the regularizing section share."""
+    rows, calls = moebius.weight_J_rows, []
+    monkeypatch.setattr(moebius, "weight_J_rows", lambda psi, x: calls.append(1) or rows(psi, x))
+    assert cli.run_suite("hardy", cli.RunConfig(order=64))[1] == 0
+    assert len(calls) == 1
 
 
 def test_weight_shift_reaches_every_map():
