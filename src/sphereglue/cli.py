@@ -430,10 +430,13 @@ def cmd_verify_cauchy(rep: Report, cfg: RunConfig):
     y_cross = ManifoldPoint(2, cross_glue_target(m.n, m.r))
     final = 64 if m.n == 3 else min(cfg.order, 256)
     orders = [16, 32, 64] if m.n == 3 else sorted({32, 64, 128, final})
-    # one grid per target and contour: each shares its node sets, kernel and section values
-    same = cauchy_integrals(m, wide, y_same, [sec, csec], [order_same])
-    cross = cauchy_integrals(m, wide, y_cross, [sec], orders)
-    near = cauchy_integrals(m, near_neck, y_same, [sec], [order_same])
+    # one node table: each node set, section list and target evaluated once
+    jobs = [
+        (wide, y_same, [sec, csec], [order_same]),
+        (wide, y_cross, [sec], orders),
+        (near_neck, y_same, [sec], [order_same]),
+    ]
+    same, cross, near = cauchy_integrals(m, jobs)
 
     # same-chart reproduction
     exact = integration.representatives(m, y_same, [sec.germ, csec.germ])

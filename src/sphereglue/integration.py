@@ -13,12 +13,13 @@ node geometry, sections, germs and the kernel take arrays of shape (N, ...)
 and return coefficient arrays (N, 2^(n+1)), which the rule sums at once.
 Every check of the one-point path (diagonal, admissibility, germ domain,
 degenerate frame, singular weight) applies to every node and node pair.
-Both suites apply one boundary operator, _blade_apply: sum_b e_b (K^b @ h)
-for the real blade matrices K^b of G(E(x_j) - E(y_i)) and node rows
-h_j = w_j n_j f_j: in cauchy_integrals to one target and the rows of every
-section at once, one block of stacked nodes per order (then J_y on the left
-for a target in another chart), and over the odd-offset node pairs in
-plemelj_projections.
+Both suites apply one boundary operator, sum_b e_b (K^b @ h) for the real
+blade matrices K^b of G(E(x_j) - E(y_i)) and node rows h_j = w_j n_j f_j,
+whose blades _blade_sum adds: in cauchy_integrals, for each job of a call
+that shares one node table, one product per node set with the rows of the
+sections it carries and one blade sum over all of them (then J_y on the
+left for a target in another chart); in plemelj_projections, by
+_blade_apply over the odd-offset node pairs.
 
 A section is data, its manifold and its germ; one function,
 representatives, evaluates the representatives of any number of sections
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import accumulate
 from math import gamma, pi
 from typing import Callable, NamedTuple, Sequence
 
@@ -147,12 +149,17 @@ def _gauss_nodes(bounds, order) -> tuple[np.ndarray, np.ndarray]:
     return rule
 
 
+def _blade_sum(dim: int, kh: np.ndarray) -> np.ndarray:
+    """sum_b e_b kh[b] as (..., 2^dim) for the products kh (n+1, ..., 2^dim)
+    of the real blade matrices of a grade-1 kernel with node rows."""
+    perm, sign = _product_tables(dim)
+    return sum(sign[1 << b] * kh[b][..., perm[1 << b]] for b in range(len(kh)))
+
+
 def _blade_apply(dim: int, kb: np.ndarray, h: np.ndarray) -> np.ndarray:
     """sum_b e_b (K^b @ h) as (T, ..., 2^dim) for the real blade matrices kb
     (n+1, T, N) of a grade-1 kernel and the node rows h (N, ..., 2^dim)."""
-    perm, sign = _product_tables(dim)
-    kh = (kb @ h.reshape(len(h), -1)).reshape(kb.shape[:-1] + h.shape[1:])
-    return sum(sign[1 << b] * kh[b][..., perm[1 << b]] for b in range(len(kb)))
+    return _blade_sum(dim, (kb @ h.reshape(len(h), -1)).reshape(kb.shape[:-1] + h.shape[1:]))
 
 
 # -- sections ---------------------------------------------------------------
@@ -209,9 +216,9 @@ def _lift_weight(m: GluedManifold, coord) -> np.ndarray:
 
 
 class CauchyIntegrals(NamedTuple):
-    """The Cauchy integrals of F sections at O orders for one target,
-    indexed [section, order]: value (F, O, 2^(n+1)), estimated_error (F, O)
-    and nodes_used (O,)."""
+    """The Cauchy integrals of one job's F sections at its O orders, indexed
+    [section, order]: value (F, O, 2^(n+1)), estimated_error (F, O) and
+    nodes_used (O,)."""
 
     value: np.ndarray
     estimated_error: np.ndarray
@@ -219,45 +226,94 @@ class CauchyIntegrals(NamedTuple):
 
 
 def cauchy_integrals(
-    m: GluedManifold, s: Hypersurface, y: ManifoldPoint, sections: Sequence[Section], orders: Sequence[int]
-) -> CauchyIntegrals:
-    """(1/omega_n) * integral of C_M(x, y) n(x) f(x) over S for each section
-    f and order; converges to the representative f(y) in y's chart for y
-    inside the bounded subdomain. The error estimate is the distance to the
-    half-order integral.
+    m: GluedManifold, jobs: Sequence[tuple[Hypersurface, ManifoldPoint, Sequence[Section], Sequence[int]]]
+) -> list[CauchyIntegrals]:
+    """For each job (s, y, sections, orders), (1/omega_n) * integral of
+    C_M(x, y) n(x) f(x) over S for each section f and order; converges to
+    the representative f(y) in y's chart for y inside the bounded subdomain.
+    The error estimate is the distance to the half-order integral.
 
-    The grid is one pass: the Gauss nodes of every order and its half,
-    stacked as one contiguous block each, take one node_geometry call,
-    h = w n f is formed for every section over the stack as (N, F, 2^(n+1))
-    and G once over the stack; each block is applied by blades
-    (_blade_apply), then J_y goes on the left once for a target in another
-    chart."""
-    if classify(m, y) == INADMISSIBLE:
-        raise ManifoldError(f"evaluation point {first_point(y.coord)} in chart {y.chart} is inadmissible")
-    dim = m.n + 1
-    halves = [max(od // 2, 1) for od in orders]
-    used = sorted({*orders, *halves})
-    rules = [_gauss_nodes(s.bounds, od) for od in used]
-    edges = np.cumsum([0] + [w.size for _, w in rules]).tolist()
-    geo = node_geometry(m, s, np.concatenate([t for t, _ in rules]))
-    weight = geo.weight * np.concatenate([w for _, w in rules])
-    nw = vectors(REPRODUCING_NORMAL_SIGN * geo.normal * weight[:, None], dim)
-    h = gp_batch(dim, nw[:, None], representatives(m, geo.point, [f.germ for f in sections]))
-    kb, _ = _kernel_pairs(m, geo.point, y)
-    sums = np.stack([_blade_apply(dim, kb[:, None, a:b], h[a:b])[0] for a, b in zip(edges, edges[1:])])
-    if y.chart != s.chart:
-        sums = gp_batch(dim, kernel._target_weight(m, s.chart, y), sums)
-    full, half = (sums[[used.index(od) for od in ods]] / unit_sphere_area(m.n) for ods in (orders, halves))
-    nodes = np.diff(edges)[[used.index(od) for od in orders]]
-    return CauchyIntegrals(full.swapaxes(0, 1), row_norms(full - half).T, nodes)
+    The jobs, over surfaces of one chart, share one node table: each node
+    set (surface, order) that a job uses, its orders and their halves, once.
+    Each surface takes one node_geometry call. The sets that carry the same
+    sections lie end to end, the lists of more sections first, and one
+    representatives call per list forms h = w n f there as (N, F, 2^(n+1)).
+    Each target takes one _kernel_pairs fill over the sets its jobs use. A
+    job applies each of its sets by one matrix product and sums the blades
+    of all of them at once (_blade_sum), then J_y goes on the left for a
+    target in another chart."""
+    for _, y, _, _ in jobs:
+        if classify(m, y) == INADMISSIBLE:
+            raise ManifoldError(f"evaluation point {first_point(y.coord)} in chart {y.chart} is inadmissible")
+    chart, dim = jobs[0][0].chart, m.n + 1
+    if any(s.chart != chart for s, *_ in jobs):
+        raise SurfaceError("the surfaces of one cauchy_integrals call must lie in one chart")
+    surfaces = {id(s): s for s, *_ in jobs}
+    # each job's node sets (surface id, order): its orders and their halves
+    uses = [[(id(s), od) for od in sorted({*ods, *(max(od // 2, 1) for od in ods)})] for s, _, _, ods in jobs]
+    germs = {id(f): f.germ for _, _, sections, _ in jobs for f in sections}  # in order of first use
+    carried = {}  # node set -> the ids of the sections its jobs integrate, in order of first use
+    for (_, _, sections, _), keys in zip(jobs, uses):
+        for key in keys:
+            carried.setdefault(key, set()).update(map(id, sections))
+    carried = {key: tuple(fid for fid in germs if fid in ids) for key, ids in carried.items()}
+    lists = sorted(dict.fromkeys(carried.values()), key=len, reverse=True)  # stable: ties in order of first use
+    rules = {key: _gauss_nodes(surfaces[key[0]].bounds, key[1]) for key in carried}
+
+    def blocks(keys):
+        """Each node set's slice of an array over the sets `keys`, laid end to end."""
+        at = list(accumulate((rules[key][1].size for key in keys), initial=0))
+        return {key: slice(a, b) for key, a, b in zip(keys, at, at[1:])}
+
+    nodes = {}  # node set -> its chart points, weights and normals
+    for sid, s in surfaces.items():
+        mine = blocks([key for key in carried if key[0] == sid])
+        geo = node_geometry(m, s, np.concatenate([rules[key][0] for key in mine]))
+        for key, b in mine.items():
+            nodes[key] = geo.point.coord[b], geo.weight[b] * rules[key][1], geo.normal[b]
+    h = {}  # node set -> its rows of h = w n f and the section ids of their columns
+    for ids in lists:
+        mine = blocks([key for key in carried if carried[key] == ids])
+        x, weight, normal = map(np.concatenate, zip(*(nodes[key] for key in mine)))
+        values = representatives(m, ManifoldPoint(chart, x), [germs[fid] for fid in ids])
+        hs = gp_batch(dim, vectors(REPRODUCING_NORMAL_SIGN * normal * weight[:, None], dim)[:, None], values)
+        h.update((key, (hs[b], ids)) for key, b in mine.items())
+
+    reach = {}  # target -> its point and the node sets its jobs use
+    for (_, y, _, _), keys in zip(jobs, uses):
+        reach.setdefault(id(y), (y, set()))[1].update(keys)
+    fills = {}  # target -> its kernel rows (n+1, 1, N) by node set, and J_y in another chart
+    for yid, (y, used) in reach.items():
+        mine = blocks([key for key in carried if key in used])
+        kb, _ = _kernel_pairs(m, ManifoldPoint(chart, np.concatenate([nodes[key][0] for key in mine])), y)
+        jy = kernel._target_weight(m, chart, y) if y.chart != chart else None
+        fills[yid] = {key: kb[:, None, b] for key, b in mine.items()}, jy
+    out = []
+    for (s, y, sections, orders), keys in zip(jobs, uses):
+        kb, jy = fills[id(y)]
+        kh = []
+        for key in keys:
+            hk, ids = h[key]
+            product = (kb[key] @ hk.reshape(len(hk), -1)).reshape(dim, len(ids), 1 << dim)
+            kh.append(product[:, [ids.index(id(f)) for f in sections]])
+        sums = _blade_sum(dim, np.stack(kh, axis=1))
+        if jy is not None:
+            sums = gp_batch(dim, jy, sums)
+        full, half = (
+            sums[[keys.index((id(s), od)) for od in ods]] / unit_sphere_area(m.n)
+            for ods in (orders, [max(od // 2, 1) for od in orders])
+        )
+        size = np.array([rules[(id(s), od)][1].size for od in orders])
+        out.append(CauchyIntegrals(full.swapaxes(0, 1), row_norms(full - half).T, size))
+    return out
 
 
 def cauchy_integral(
     m: GluedManifold, s: Hypersurface, f: Section, y: ManifoldPoint, order: int | None = None
 ) -> QuadratureReport:
-    """The one-integral case of cauchy_integrals, at the given order (None:
-    the surface's)."""
-    grid = cauchy_integrals(m, s, y, [f], [s.quad_order if order is None else order])
+    """The one-integral case of cauchy_integrals: one job of one section at
+    the given order (None: the surface's)."""
+    (grid,) = cauchy_integrals(m, [(s, y, [f], [s.quad_order if order is None else order])])
     return QuadratureReport(
         Multivector(m.n + 1, grid.value[0, 0]), float(grid.estimated_error[0, 0]), int(grid.nodes_used[0])
     )

@@ -1,11 +1,12 @@
-"""cauchy_integrals: the Cauchy integrals of several sections at several
-orders for one target, over one surface in one pass.
+"""cauchy_integrals: the Cauchy integrals of jobs (surface, target, sections,
+orders) over surfaces of one chart, in one pass over one node table.
 
-One call stacks the nodes of its orders and their halves, evaluates node
-geometry, the weighted h = w n f of every section and the kernel once each
-over that stack, and applies the kernel to h by blades (_blade_apply), one
-block of the stack at a time; every integral of its grid must equal a
-standalone cauchy_integral bit for bit and a node-by-node rule sum of
+One call lays out the nodes of every job's orders and their halves once per
+surface, evaluates each surface's node geometry, each section list's
+weighted h = w n f and each target's kernel once, and applies the kernel to
+h by one matrix product per node set and one blade sum per job; every
+integral must equal a standalone cauchy_integral and the same job in a call
+of its own bit for bit, and a node-by-node rule sum of
 kernel_CM(x_j, y) n_j f_j to rounding. The call counts pin what verify-cauchy
 shares, and that cauchy_integral keeps nothing between calls.
 """
@@ -23,6 +24,7 @@ from sphereglue.integration import (
     chart_circle,
     chart_sphere,
     node_geometry,
+    SurfaceError,
     section_from_germ,
     unit_sphere_area,
 )
@@ -69,7 +71,7 @@ def test_shared_quadrature_matches_standalone_calls_bit_for_bit(n, kind, normal_
         grid_sections = (*sections, sections[0])
         for y in targets:
             with cli.patched(_normal_sign(normal_sign)):
-                grid = cauchy_integrals(m, surf, y, grid_sections, orders)
+                (grid,) = cauchy_integrals(m, [(surf, y, grid_sections, orders)])
                 standalone = [[cauchy_integral(m, surf, f, y, order=od) for od in orders] for f in grid_sections]
             assert grid.value.shape == (len(grid_sections), len(orders), 1 << (n + 1))
             for i, row in enumerate(standalone):
@@ -105,7 +107,7 @@ def test_blade_apply_matches_the_node_by_node_rule_sum(n, kind, normal_sign):
     order = 16 if n == 2 else 8
     for y in targets:
         with cli.patched(_normal_sign(normal_sign)):
-            grid = cauchy_integrals(m, surf, y, sections, [order])
+            (grid,) = cauchy_integrals(m, [(surf, y, sections, [order])])
         assert grid.nodes_used.tolist() == [order ** (n - 1)]
         for f, value, error in zip(sections, grid.value[:, 0], grid.estimated_error[:, 0]):
             full, half = (_rule_sum(m, surf, f, y, od, normal_sign) for od in (order, order // 2))
@@ -132,7 +134,7 @@ def test_blade_apply_is_the_sum_of_grade_1_products(dim):
 def test_default_order_is_the_surface_order():
     m, surf, (f, _), targets = _setup("two_spheres", 2)
     alone = cauchy_integral(m, surf, f, targets[0])
-    grid = cauchy_integrals(m, surf, targets[0], [f], [surf.quad_order])
+    (grid,) = cauchy_integrals(m, [(surf, targets[0], [f], [surf.quad_order])])
     assert np.array_equal(alone.value.coeffs, grid.value[0, 0])
     assert alone.nodes_used == surf.quad_order
 
@@ -171,11 +173,25 @@ class Counts:
 
 
 def test_inadmissible_target_is_named(monkeypatch):
-    """An inadmissible target fails the call before anything is evaluated."""
-    m, surf, sections, _ = _setup("two_spheres", 2)
+    """An inadmissible target fails the call before anything is evaluated,
+    alone or as the last of three jobs."""
+    m, surf, sections, targets = _setup("two_spheres", 2)
     counts = Counts(monkeypatch)
-    with pytest.raises(ManifoldError, match=r"evaluation point \[0\.1, 0\.0\] in chart 2 is inadmissible"):
-        cauchy_integrals(m, surf, ManifoldPoint(2, [0.1, 0.0]), sections, [32, 64])
+    bad = (surf, ManifoldPoint(2, [0.1, 0.0]), sections, [32, 64])
+    for jobs in ([bad], [(surf, targets[0], sections, [16]), (surf, targets[2], sections[:1], [32]), bad]):
+        with pytest.raises(ManifoldError, match=r"evaluation point \[0\.1, 0\.0\] in chart 2 is inadmissible"):
+            cauchy_integrals(m, jobs)
+        assert (counts.geometry, counts.kernel, counts.section) == (0, 0, 0)
+
+
+def test_surfaces_of_two_charts_are_rejected(monkeypatch):
+    """The jobs of one call share a node table in one chart; a surface in
+    another chart fails the call before anything is evaluated."""
+    m, surf, sections, targets = _setup("two_spheres", 2)
+    other = chart_circle(m, 2, np.zeros(2), 3.0, 16, interior=ManifoldPoint(2, [0.6, 0.0]))
+    counts = Counts(monkeypatch)
+    with pytest.raises(SurfaceError, match="one chart"):
+        cauchy_integrals(m, [(surf, targets[0], sections, [16]), (other, targets[0], sections, [16])])
     assert (counts.geometry, counts.kernel, counts.section) == (0, 0, 0)
 
 
@@ -185,7 +201,7 @@ def test_each_evaluation_covers_every_order_and_half_once(monkeypatch):
     the kernel are evaluated once each, and the two sections in one array."""
     m, surf, (f, g), (y, _, _) = _setup("two_spheres", 2)
     counts = Counts(monkeypatch)
-    grid = cauchy_integrals(m, surf, y, [f, g], [64, 16, 32])
+    (grid,) = cauchy_integrals(m, [(surf, y, [f, g], [64, 16, 32])])
     assert counts.nodes == {"geometry": [120], "kernel": [120], "section": [(120, 2)]}
     assert grid.nodes_used.tolist() == [64, 16, 32]
 
@@ -193,14 +209,16 @@ def test_each_evaluation_covers_every_order_and_half_once(monkeypatch):
 @pytest.mark.parametrize(
     "n, order, expected",
     [
-        # one call per target and contour, so one node set, kernel and
-        # section array each, the radius-3 same-chart call's array holding
-        # both of its sections; that call and the radius-2.4 one stack
-        # orders 128 and 64, the cross-glue ladder 16, 32, 64 and 128
-        (2, "128", ((3, 3, 3), [192, 240, 192])),
+        # one call for the three jobs: the radius-3 contour's node sets are
+        # the same-chart orders 128 and 64 and the cross-glue ladder's 16, 32,
+        # 64 and 128, the radius-2.4 contour's 128 and 64. The same-chart
+        # target's fill covers both contours' 128 and 64, the cross-glue
+        # target's the ladder. Orders 128 and 64 of radius 3 carry both
+        # sections, and the other sets of both contours the germ section.
+        (2, "128", {"geometry": [240, 192], "kernel": [384, 240], "section": [(192, 2), (240, 1)]}),
         # n = 3 at the default config: order 48 (and 24) for the same-chart
-        # calls, the ladder 16, 32, 64 and its halves for the cross-glue one
-        (3, "256", ((3, 3, 3), [2880, 5440, 2880])),
+        # jobs, the ladder 16, 32, 64 and its halves for the cross-glue one
+        (3, "256", {"geometry": [8320, 2880], "kernel": [5760, 5440], "section": [(2880, 2), (8320, 1)]}),
     ],
 )
 def test_verify_cauchy_shares_nodes_kernels_and_sections(tmp_path, monkeypatch, n, order, expected):
@@ -209,10 +227,47 @@ def test_verify_cauchy_shares_nodes_kernels_and_sections(tmp_path, monkeypatch, 
     counts = Counts(monkeypatch)
     status = cli.main(["verify-cauchy", "--config", str(cfg), "--order", order, "--out", str(tmp_path / "r.txt")])
     assert status == 0
-    calls, nodes = expected
-    assert (counts.geometry, counts.kernel, counts.section) == calls
-    assert counts.nodes["geometry"] == counts.nodes["kernel"] == nodes
-    assert counts.nodes["section"] == list(zip(nodes, (2, 1, 1)))
+    assert (counts.geometry, counts.kernel, counts.section) == (2, 2, 2)
+    assert counts.nodes == expected
+
+
+def _verify_cauchy_jobs(m, surf, sections, targets):
+    """verify-cauchy's three jobs on the test surface: both sections at the
+    same-chart target, the germ section over the ladder at the cross-glue
+    target, and the germ section at the same-chart target on the radius-2.4
+    contour."""
+    near = (chart_circle if m.n == 2 else chart_sphere)(
+        m, 1, np.zeros(m.n), 2.4, surf.quad_order, interior=surf.interior_point
+    )
+    y_same, _, y_cross = targets
+    return [
+        (surf, y_same, list(sections), [surf.quad_order]),
+        (surf, y_cross, [sections[0]], list(LADDERS[m.n][1])),
+        (near, y_same, [sections[0]], [surf.quad_order]),
+    ]
+
+
+def _assert_same_bits(together, alone):
+    assert len(together) == len(alone)
+    for grid, own in zip(together, alone):
+        assert np.array_equal(grid.value, own.value)
+        assert np.array_equal(grid.estimated_error, own.estimated_error)
+        assert grid.nodes_used.tolist() == own.nodes_used.tolist()
+
+
+@pytest.mark.parametrize("normal_sign", [-1.0, 1.0])
+@pytest.mark.parametrize("kind", ["two_spheres", "plane_sphere"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_jobs_in_one_call_match_calls_of_their_own_bit_for_bit(n, kind, normal_sign):
+    """verify-cauchy's three jobs in one call, where they share node sets,
+    section arrays and a kernel fill, equal each job in a call of its own."""
+    for scale1 in (1.0, 1.5) if kind == "two_spheres" else (1.0,):
+        m, surf, sections, targets = _setup(kind, n, scale1)
+        jobs = _verify_cauchy_jobs(m, surf, sections, targets)
+        with cli.patched(_normal_sign(normal_sign)):
+            together = cauchy_integrals(m, jobs)
+            alone = [cauchy_integrals(m, [job])[0] for job in jobs]
+        _assert_same_bits(together, alone)
 
 
 def test_cauchy_integral_keeps_nothing_between_calls(monkeypatch):
@@ -225,6 +280,24 @@ def test_cauchy_integral_keeps_nothing_between_calls(monkeypatch):
     assert np.array_equal(first.value.coeffs, second.value.coeffs)
 
 
+@pytest.mark.parametrize("kind", ["two_spheres", "plane_sphere"])
+def test_interleaved_surfaces_match_calls_of_their_own_bit_for_bit(kind, monkeypatch):
+    """Both surfaces have node sets in both section lists, so each list is
+    one slice of the table while neither surface's sets are: the geometry
+    and the same-chart target's kernel fill gather their rows. A
+    section list is a set, whatever order its jobs give it in. Every job
+    still equals its own call bit for bit."""
+    m, surf, (f, g), (y, _, y_cross) = _setup(kind, 2)
+    near = chart_circle(m, 1, np.zeros(2), 2.4, 16, interior=surf.interior_point)
+    jobs = [(surf, y, [f, g], [16]), (surf, y_cross, [f], [64]), (near, y, [g, f], [16]), (near, y, [f], [64])]
+    alone = [cauchy_integrals(m, [job])[0] for job in jobs]
+    counts = Counts(monkeypatch)
+    together = cauchy_integrals(m, jobs)
+    # [f, g] on orders 8 and 16 of both surfaces, [f] on their 32 and 64
+    assert counts.nodes == {"geometry": [120, 120], "kernel": [144, 96], "section": [(48, 2), (192, 1)]}
+    _assert_same_bits(together, alone)
+
+
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("kind", ["two_spheres", "plane_sphere"])
 def test_target_weight_is_read_through_one_binding(kind, n):
@@ -235,7 +308,7 @@ def test_target_weight_is_read_through_one_binding(kind, n):
     x, y = ManifoldPoint(1, np.eye(n)[0] * 3.0), targets[2]
 
     def values():
-        grid = cauchy_integrals(m, surf, y, [sec], [16])
+        (grid,) = cauchy_integrals(m, [(surf, y, [sec], [16])])
         return kernel_CM(m, x, y).coeffs, sec.value_at(y).coeffs, grid.value[0, 0]
 
     before = values()
@@ -248,15 +321,15 @@ def test_target_weight_is_read_through_one_binding(kind, n):
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("kind", ["two_spheres", "plane_sphere"])
 def test_lift_weight_is_evaluated_once_per_point_set(kind, n, monkeypatch):
-    """verify-cauchy evaluates W once per point set: on the node stacks of
-    its three grids, once at y_same for both of its sections and once at
-    y_cross. hardy evaluates it once on its nodes, for the regularizing
-    section of plemelj_projections, and its data (a section's value_at)
-    reads that W. On a plane chart 1, where W is the scalar 1, the sections
+    """verify-cauchy evaluates W once per point set: on the node table's two
+    section arrays (one per section list), once at y_same for both of its
+    sections and once at y_cross. hardy evaluates it once on its nodes, for
+    the regularizing section of plemelj_projections, and its data (a
+    section's value_at) reads that W. On a plane chart 1, where W is the scalar 1, the sections
     read no W, and only the regularizing section evaluates it."""
     lift, calls = integration._lift_weight, []
     monkeypatch.setattr(integration, "_lift_weight", lambda m, coord: calls.append(1) or lift(m, coord))
-    counts = {"verify-cauchy": 5, "hardy": 1} if kind == "two_spheres" else {"verify-cauchy": 0, "hardy": 1}
+    counts = {"verify-cauchy": 4, "hardy": 1} if kind == "two_spheres" else {"verify-cauchy": 0, "hardy": 1}
     # hardy runs at n = 2 only
     for suite, expected in counts.items() if n == 2 else [("verify-cauchy", counts["verify-cauchy"])]:
         calls.clear()
