@@ -201,28 +201,29 @@ def _corrupted(random_maps, _):
     return corrupted
 
 
-# Candidate rows drawn per map in one block; well above the five kept, since
-# at most a third of a block was rejected over seeds 0-199
-_BLOCK = 12
+# Candidate rows drawn per map in one block, and rows kept per map; the block
+# is well above the five kept, since at most a third of a block was rejected
+# over seeds 0-199
+_BLOCK, _KEPT = 12, 5
 
 
-def _first_accepted(draw, judge, count: int = 5) -> list[np.ndarray]:
-    """Each map's first `count` rows, in draw order, that judge accepts,
-    (maps, count, w), followed by the judge's payloads picked at the same
-    rows, (maps, count, ...). draw() returns a block of candidate rows
-    (maps, C, w); judge(rows) returns per row whether it is accepted and
-    whether it raises, then any payload arrays (maps, C, ...) it computed.
-    While a map has fewer than `count`, another block is drawn and judged for
-    every map. Raises VahlenError if a judged row raises."""
+def _first_accepted(draw, judge) -> list[np.ndarray]:
+    """Each map's first five rows, in draw order, that judge accepts,
+    (maps, 5, w), followed by the judge's payloads picked at the same rows,
+    (maps, 5, ...). draw() returns a block of candidate rows (maps, C, w);
+    judge(rows) returns per row whether it is accepted and whether it
+    raises, then any payload arrays (maps, C, ...) it computed. While a map
+    has fewer than five, another block is drawn and judged for every map.
+    Raises VahlenError if a judged row raises."""
     blocks, marks = [], []
-    while not marks or (np.concatenate(marks, axis=1).sum(1) < count).any():
+    while not marks or (np.concatenate(marks, axis=1).sum(1) < _KEPT).any():
         rows = draw()
         accepted, raising, *payloads = judge(rows)
         if raising.any():
             raise VahlenError("invalid Vahlen coefficients: image is not grade-1")
         marks.append(accepted)
         blocks.append((rows, *payloads))
-    first = np.argsort(~np.concatenate(marks, axis=1), axis=1, kind="stable")[:, :count]
+    first = np.argsort(~np.concatenate(marks, axis=1), axis=1, kind="stable")[:, :_KEPT]
     return [np.concatenate(parts, axis=1)[np.arange(len(first))[:, None], first] for parts in zip(*blocks)]
 
 
@@ -352,23 +353,18 @@ def _worst(diff: np.ndarray, scale) -> float:
     return float(np.max(row_norms(diff) / np.maximum(scale, 1e-30)))
 
 
-def _neck_pairs(rng, n: int, r: float, count: int) -> np.ndarray:
-    """`count` rows (x, y) of neck points at least 0.05 apart: the first such
-    pairs of blocks of 1.25 count candidate pairs, with radii uniform across
-    the neck and directions uniform on the sphere."""
+def _neck_pairs(rng, n: int, r: float) -> np.ndarray:
+    """200 rows (x, y) of neck points at least 0.05 apart: the first such
+    rows of blocks of 250 candidate pairs, with radii uniform across the neck
+    and directions uniform on the sphere."""
     margin = min(0.02, (r - 1.0 / r) / 4.0)  # keeps the draw inside (1/r, r)
-    rows = count + count // 4
-
-    def draw() -> np.ndarray:
-        rho = rng.uniform(1.0 / r + margin, r - margin, (1, rows, 2, 1))
-        v = rng.normal(size=(1, rows, 2, n))
-        return (rho * (v / row_norms(v)[..., None])).reshape(1, rows, 2 * n)
-
-    def judge(pairs):
-        apart = row_norms(pairs[..., :n] - pairs[..., n:]) >= 0.05
-        return apart, np.zeros_like(apart)
-
-    return _first_accepted(draw, judge, count)[0][0]
+    kept = np.empty((0, 2 * n))
+    while len(kept) < 200:
+        rho = rng.uniform(1.0 / r + margin, r - margin, (250, 2, 1))
+        v = rng.normal(size=(250, 2, n))
+        pairs = (rho * (v / row_norms(v)[..., None])).reshape(250, 2 * n)
+        kept = np.concatenate((kept, pairs[row_norms(pairs[:, :n] - pairs[:, n:]) >= 0.05]))
+    return kept[:200]
 
 
 def cmd_verify_kernel(rep: Report, cfg: RunConfig):
@@ -377,7 +373,7 @@ def cmd_verify_kernel(rep: Report, cfg: RunConfig):
 
     # overlap consistency; residual relative to the direct evaluation norm so
     # the bound is meaningful for thin necks where the kernel is large
-    px, py = (ManifoldPoint(2, c) for c in np.split(_neck_pairs(rng, m.n, m.r, 200), 2, axis=1))
+    px, py = (ManifoldPoint(2, c) for c in np.split(_neck_pairs(rng, m.n, m.r), 2, axis=1))
     res = overlap_consistency_residual(m, px, py)
     ref = row_norms(cauchy_kernel_G(embed(m, px) - embed(m, py), m.n, m.n + 1))
     rep.add("overlap-consistency", float(np.max(res / np.maximum(ref, 1e-30))), 1e-9)

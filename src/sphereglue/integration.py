@@ -285,7 +285,7 @@ def cauchy_integrals(
     fills = {}  # target -> its kernel rows (n+1, 1, N) by node set, and J_y in another chart
     for yid, (y, used) in reach.items():
         mine = blocks([key for key in carried if key in used])
-        kb, _ = _kernel_pairs(m, ManifoldPoint(chart, np.concatenate([nodes[key][0] for key in mine])), y)
+        kb = _kernel_pairs(m, ManifoldPoint(chart, np.concatenate([nodes[key][0] for key in mine])), y)
         jy = kernel._target_weight(m, chart, y) if y.chart != chart else None
         fills[yid] = {key: kb[:, None, b] for key, b in mine.items()}, jy
     out = []
@@ -390,7 +390,7 @@ def plemelj_projections(
     hw = gp_batch(dim, nw[:, None], np.stack((gc, wc), axis=1))  # h = n w [g | W], (N, 2, 2^dim)
     # K^b, the real (N/2, N) matrix of blade b: target 2i by node x_0, x_2, ..., x_1, x_3, ...
     nodes = ManifoldPoint(s.chart, np.concatenate((x[0::2], x[1::2]))[None])
-    kb, _ = _kernel_pairs(m, nodes, ManifoldPoint(s.chart, x[0::2, None]), ~np.eye(half, nn, dtype=bool))
+    kb = _kernel_pairs(m, nodes, ManifoldPoint(s.chart, x[0::2, None]), ~np.eye(half, nn, dtype=bool))
 
     def apply(k: np.ndarray, rows: slice, spacing: float) -> np.ndarray:
         """(g_plus, g_minus, g) by the offset rule on the nodes rows, spaced

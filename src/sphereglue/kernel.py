@@ -9,6 +9,7 @@ sections carry the same weight, so the reproducing integral is exact.
 _kernel_pairs fills G blade-major: the real matrices K^b, each contiguous,
 that the quadrature's one boundary operator applies. It raises
 DiagonalError on the diagonal x = y, read off the distance G divides by.
+kernel_CM, the one-point view, labels the case of each pair itself.
 """
 from __future__ import annotations
 
@@ -52,11 +53,12 @@ def kernel_CM(m: GluedManifold, x: ManifoldPoint, y: ManifoldPoint) -> KernelVal
     Raises DiagonalError if an embedded pair distance is at most 1e-10 of
     the larger embedded norm and ManifoldError if any point is inadmissible.
     """
-    base, tag = _kernel_pairs(m, x, y)
-    base = vectors(np.moveaxis(base, 0, -1), m.n + 1)
-    if x.chart != y.chart:
-        base = gp_batch(m.n + 1, _target_weight(m, x.chart, y), base)
-    return KernelValue(base, tag)
+    base = vectors(np.moveaxis(_kernel_pairs(m, x, y), 0, -1), m.n + 1)
+    if x.chart == y.chart:
+        return KernelValue(base, SAME_CHART)
+    tag = np.where(classify(m, y) == NECK, OVERLAP_REP, CROSS_GLUE)
+    base = gp_batch(m.n + 1, _target_weight(m, x.chart, y), base)
+    return KernelValue(base, tag if tag.ndim else str(tag))
 
 
 def _target_weight(m: GluedManifold, chart: int, y: ManifoldPoint) -> np.ndarray:
@@ -65,25 +67,18 @@ def _target_weight(m: GluedManifold, chart: int, y: ManifoldPoint) -> np.ndarray
     return weight_J(chart_transfer(m, chart, y.chart), embed(m, y))
 
 
-def _kernel_pairs(m: GluedManifold, x: ManifoldPoint, y: ManifoldPoint, pairs=True):
+def _kernel_pairs(m: GluedManifold, x: ManifoldPoint, y: ManifoldPoint, pairs=True) -> np.ndarray:
     """The pair stage of kernel_CM: the components (n+1, ...) of G(E(x) - E(y))
-    over the broadcast shape, each blade contiguous, y read in x's chart, and
-    the case tag. Points are classified, carried over and embedded on their
-    own shapes. Pairs where the mask `pairs` is False read zero and skip the
-    diagonal test."""
-    codes = classify(m, x), classify(m, y)
-    for p, code in zip((x, y), codes):
-        if np.any(bad := code == INADMISSIBLE):
+    over the broadcast shape, each blade contiguous, y read in x's chart.
+    Points are classified, carried over and embedded on their own shapes.
+    Pairs where the mask `pairs` is False read zero and skip the diagonal
+    test."""
+    for p in (x, y):
+        if np.any(bad := classify(m, p) == INADMISSIBLE):
             raise ManifoldError(f"inadmissible point in chart {p.chart} at {first_point(p.coord, bad)}")
-    j, k = x.chart, y.chart
-    if j == k:
-        tag, y_in_j = SAME_CHART, y.coord
-    else:
-        # y is admissible, |y| > 1/r, so its image in chart j is finite
-        tag = np.where(codes[1] == NECK, OVERLAP_REP, CROSS_GLUE)
-        tag = tag if tag.ndim else str(tag)
-        y_in_j = apply_transition(m, y.coord)
-    ex, ey = embed(m, x), embed(m, ManifoldPoint(j, y_in_j))
+    # y is admissible, |y| > 1/r, so its image in x's chart is finite
+    y_in_x = ManifoldPoint(x.chart, y.coord if x.chart == y.chart else apply_transition(m, y.coord))
+    ex, ey = embed(m, x), embed(m, y_in_x)
     tx, ty = (1e-10 * row_norms(e) for e in (ex, ey))
     d = np.empty(ex.shape[-1:] + np.broadcast(ex, ey).shape[:-1])
     np.subtract(ex, ey, out=d.transpose(*range(1, d.ndim), 0))
@@ -96,7 +91,7 @@ def _kernel_pairs(m: GluedManifold, x: ManifoldPoint, y: ManifoldPoint, pairs=Tr
         raise DiagonalError(f"Cauchy kernel undefined on the diagonal: x = {xs}, y = {ys}")
     r **= m.n
     d /= r
-    return d, tag
+    return d
 
 
 def overlap_consistency_residual(m: GluedManifold, x: ManifoldPoint, y: ManifoldPoint):

@@ -118,6 +118,14 @@ def test_order_is_bounded_at_2048(capsys, command):
     assert capsys.readouterr().err == "config error: order must be within [4, 2048]\n"
 
 
+@pytest.mark.parametrize("order", [63, 66])
+def test_hardy_order_flag_off_a_multiple_of_4_is_a_config_error(capsys, order):
+    """--order 63 or 66 leaves hardy's half rule on every other node an odd
+    count: exit 2 with one stderr line naming order."""
+    assert main(["hardy", "--order", str(order)]) == 2
+    assert capsys.readouterr().err == f"config error: order must be a multiple of 4 for hardy, got {order}\n"
+
+
 def test_verify_algebra_passes(tmp_path):
     status, text = run(tmp_path, "verify-algebra", "--seed", "0")
     assert status == 0
@@ -250,6 +258,17 @@ def test_hardy_passes(tmp_path):
     assert "monogenic-trace-defect" in text
 
 
+@pytest.mark.parametrize("kind", ["two_spheres", "plane_sphere"])
+def test_hardy_passes_at_its_default_order(tmp_path, capsys, kind):
+    """hardy without --order runs at order 256 and passes on both kinds,
+    with nothing on stderr."""
+    cfg = tmp_path / "kind.cfg"
+    cfg.write_text(f"kind={kind}\n")
+    status, text = run(tmp_path, "hardy", "--config", str(cfg))
+    assert status == 0 and f"kind={kind} " in text and " order=256" in text and "result=pass" in text
+    assert capsys.readouterr().err == ""
+
+
 def _benchmark_properties() -> dict:
     """PROPERTIES of perfbench/workloads.py, read from its source."""
     source = (pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py").read_text()
@@ -293,20 +312,38 @@ def _judge_on_first_column(rows):
 
 def _recording_first_accepted(monkeypatch):
     """Patch cli._first_accepted to record, per call, the candidate rows it
-    drew (maps, blocks x C, w), its judge, its count and the rows it kept
-    (None if it raised)."""
+    drew (maps, blocks x C, w), its judge and the rows it kept (None if it
+    raised)."""
     calls, first_accepted = [], cli._first_accepted
 
-    def recording(draw, judge, count=5):
+    def recording(draw, judge):
         blocks, kept = [], None
         try:
-            kept = first_accepted(lambda: blocks.append(draw()) or blocks[-1], judge, count)
+            kept = first_accepted(lambda: blocks.append(draw()) or blocks[-1], judge)
         finally:
-            calls.append((np.concatenate(blocks, axis=1), judge, count, kept and kept[0]))
+            calls.append((np.concatenate(blocks, axis=1), judge, kept and kept[0]))
         return kept
 
     monkeypatch.setattr(cli, "_first_accepted", recording)
     return calls
+
+
+def _neck_candidates(seed, n, r):
+    """verify-kernel's neck draw replayed from the seed: blocks of 250
+    candidate rows (x, y), radii then directions per block, until 200 of them
+    lie 0.05 apart. Returns those rows (1, blocks x 250, 2n), the judge of
+    that spacing and the generator after the last block."""
+    rng, margin, blocks = np.random.default_rng(seed), min(0.02, (r - 1.0 / r) / 4.0), []
+
+    def judge(pairs):
+        apart = row_norms(pairs[..., :n] - pairs[..., n:]) >= 0.05
+        return apart, np.zeros_like(apart)
+
+    while sum(judge(block)[0].sum() for block in blocks) < 200:
+        rho = rng.uniform(1.0 / r + margin, r - margin, (250, 2, 1))
+        v = rng.normal(size=(250, 2, n))
+        blocks.append((rho * (v / row_norms(v)[..., None])).reshape(250, 2 * n))
+    return np.concatenate(blocks)[None], judge, rng
 
 
 def _recording_random_maps(corrupt_at=None):
@@ -414,22 +451,27 @@ def test_random_maps_match_per_map_construction(n, corrupt):
 def test_pool_draws_match_map_by_map(monkeypatch, n, seed):
     """In verify-algebra's covariance and pullback draws and verify-kernel's
     neck pairs, every map keeps exactly its first five (neck: 200) rows in
-    draw order that its judge accepts, and no judged row raises. The
-    covariance pool's pairs equal those each map's own judge keeps from its
-    own candidate rows, map by map."""
+    draw order that its judge accepts, and no judged row raises; the neck's
+    candidate rows are replayed from the seed. The covariance pool's pairs
+    equal those each map's own judge keeps from its own candidate rows, map
+    by map."""
     calls = _recording_first_accepted(monkeypatch)
     row, pools = _recording_random_maps()
     with cli.patched([row]):
         _, status = cli.run_suite("verify-algebra", cli.RunConfig(n=n, seed=seed))
     assert status == 0 and len(calls) >= 3
-    for (rows, _, _, kept), (members, _) in zip(calls, _as_pool(pools[0]).values()):
+    for (rows, _, kept), (members, _) in zip(calls, _as_pool(pools[0]).values()):
         for i, own, pairs in zip(members, rows, kept):
             accepted, raising, _ = cli._admissible_pairs(pools[0][i], n)(own)
             assert not raising.any() and np.array_equal(pairs, own[accepted][:5]), i
+    for rows, judge, kept in calls:
+        _assert_first_accepted(rows, judge, 5, kept, _BLOCK)
+    necks, neck_pairs = [], cli._neck_pairs
+    monkeypatch.setattr(cli, "_neck_pairs", lambda *a: necks.append(neck_pairs(*a)) or necks[-1])
     _, status = cli.run_suite("verify-kernel", cli.RunConfig(n=n, seed=seed))
-    assert status == 0 and calls[-1][3].shape == (1, 200, 2 * n)
-    for rows, judge, count, kept in calls:
-        _assert_first_accepted(rows, judge, count, kept, 250 if count == 200 else _BLOCK)
+    rows, judge, _ = _neck_candidates(seed, n, 2.0)
+    assert status == 0 and len(necks) == 1 and necks[0].shape == (200, 2 * n)
+    _assert_first_accepted(rows, judge, 200, necks[0][None], 250)
 
 
 def test_short_maps_draw_another_block(monkeypatch):
@@ -452,9 +494,9 @@ def test_short_maps_draw_another_block(monkeypatch):
     _, status = cli.run_suite("verify-algebra", cli.RunConfig(n=2, seed=0))
     covariance = [call for call in calls if call[0].shape[-1] == 4]
     assert status == 0 and covariance
-    for rows, judge, count, kept in covariance:
+    for rows, judge, kept in covariance:
         assert rows.shape[1] > _BLOCK and (kept[..., 0] > 1.2).all()
-        _assert_first_accepted(rows, judge, count, kept, _BLOCK)
+        _assert_first_accepted(rows, judge, 5, kept, _BLOCK)
 
 
 def _raises_alone(psi, n, rows):
@@ -616,14 +658,15 @@ def test_corrupt_vahlen_fails_at_every_seed(tmp_path, n, seed):
     cfg = tmp_path / "cv.cfg"
     cfg.write_text(f"corrupt_vahlen=1\nn={n}\n")
     status, text = run(tmp_path, "verify-algebra", "--config", str(cfg), "--seed", str(seed))
-    assert status != 0
+    assert status == 1 and "result=fail" in text
     assert "property=kernel-covariance" in text and "verdict=fail" in text
 
 
 # Per CONTROLS row, the runs (suite, kind, n) it must fail; each passes
 # without the control
 CONTROL_TARGETS = {
-    "break_weight": [("verify-cauchy", "two_spheres", n) for n in (2, 3)],
+    "break_weight": [("verify-cauchy", "two_spheres", n) for n in (2, 3)]
+    + [("verify-kernel", "plane_sphere", n) for n in (2, 3)],
     "break_normal": [("verify-cauchy", kind, n) for kind in ("two_spheres", "plane_sphere") for n in (2, 3)],
     "corrupt_vahlen": [("verify-algebra", "two_spheres", n) for n in (2, 3)],
 }
@@ -725,6 +768,8 @@ BAD_CONFIGS = [
     ("verify-kernel", "scale1=1e-7\nscale2=1e7\n", "scale1/scale2"),
     ("verify-cauchy", "scale1=1e-12\nscale2=20\n", "scale1/scale2"),
     ("hardy", "n=2\nscale1=1e-3\nscale2=1.01e10\n", "scale1/scale2"),
+    ("hardy", "scale1=1e-7\nscale2=1e7\n", "scale1/scale2"),
+    *((command, "r=1e200\n", "r") for command in ("verify-algebra", "verify-kernel", "verify-cauchy", "hardy")),
 ]
 
 
@@ -818,16 +863,19 @@ def test_exception_in_a_suite_is_one_line_naming_suite_and_config(tmp_path, caps
 
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("r", [1.0001, 1.05, 2.0, 10.0, 1e6])
-def test_neck_pairs_match_one_pair_loop(monkeypatch, n, r):
+def test_neck_pairs_match_one_pair_loop(n, r):
     """verify-kernel's 200 neck pairs, at seeds 0-7, equal bit for bit the
-    pairs of a loop that walks the same candidate pairs one at a time and
-    keeps those 0.05 apart, and both points of each lie inside the neck
+    pairs of a loop that walks the candidate pairs replayed from the seed one
+    at a time and keeps those 0.05 apart, the draw leaves the generator where
+    the replay does, and both points of each lie inside the neck
     1/r < |x| < r."""
-    calls = _recording_first_accepted(monkeypatch)
     for seed in range(8):
-        pairs = cli._neck_pairs(np.random.default_rng(seed), n, r, 200)
-        kept = [row for row in calls[-1][0][0] if np.linalg.norm(row[:n] - row[n:]) >= 0.05]
+        rng = np.random.default_rng(seed)
+        pairs = cli._neck_pairs(rng, n, r)
+        rows, _, replayed = _neck_candidates(seed, n, r)
+        kept = [row for row in rows[0] if np.linalg.norm(row[:n] - row[n:]) >= 0.05]
         assert pairs.shape == (200, 2 * n) and np.array_equal(pairs, kept[:200]), seed
+        assert rng.uniform() == replayed.uniform(), seed
         radii = row_norms(np.concatenate((pairs[:, :n], pairs[:, n:])))
         assert ((1.0 / r < radii) & (radii < r)).all(), seed
 

@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from sphereglue import kernel
 from sphereglue.algebra import gp_batch, reversion, vectors
 from sphereglue.fields import CliffordField, dirac_left_fd
 from sphereglue.kernel import (
@@ -113,11 +114,26 @@ def test_kernel_pairs_are_cauchy_kernel_G_bit_for_bit(build, n, target_chart):
     m, rng = build(n, 2.0), np.random.default_rng(n)
     x = ManifoldPoint(1, rng.uniform(0.6, 4.0, (400, 1)) * _unit_rows(rng, 400, n))
     y = ManifoldPoint(target_chart, rng.uniform(0.6, 4.0, (1, 300, 1)) * _unit_rows(rng, 300, n))
-    blades, _ = _kernel_pairs(m, ManifoldPoint(1, x.coord[:, None]), y)
+    blades = _kernel_pairs(m, ManifoldPoint(1, x.coord[:, None]), y)
     y_in_1 = y.coord if target_chart == 1 else apply_transition(m, y.coord)
     want = cauchy_kernel_G(embed(m, ManifoldPoint(1, x.coord[:, None])) - embed(m, ManifoldPoint(1, y_in_1)), n, n + 1)
     assert blades.shape == (n + 1, 400, 300)
     assert np.array_equal(vectors(np.moveaxis(blades, 0, -1), n + 1), want)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_cross_chart_fill_classifies_each_point_array_once(monkeypatch, n):
+    """A cross-chart fill over (40, 1) sources and (1, 30) targets classifies
+    the source array and the target array once each, and returns the one
+    blade-major array (n+1, 40, 30), with no case labels."""
+    m, rng, seen = two_spheres(n, 2.0), np.random.default_rng(n), []
+    classify = kernel.classify
+    monkeypatch.setattr(kernel, "classify", lambda m, p: seen.append(p) or classify(m, p))
+    x = ManifoldPoint(1, rng.uniform(0.6, 4.0, (40, 1, 1)) * _unit_rows(rng, 40, n)[:, None])
+    y = ManifoldPoint(2, rng.uniform(0.6, 4.0, (1, 30, 1)) * _unit_rows(rng, 30, n))
+    blades = _kernel_pairs(m, x, y)
+    assert len(seen) == 2 and seen[0] is x and seen[1] is y
+    assert isinstance(blades, np.ndarray) and blades.shape == (n + 1, 40, 30)
 
 
 def _unit_rows(rng, count, n):
@@ -226,7 +242,7 @@ def test_kernel_pairs_pair_array_memory(m2, other_chart):
     off = ~np.eye(nn, dtype=bool)
     tracemalloc.start()
     try:
-        blades, _ = _kernel_pairs(m2, x, y, off)
+        blades = _kernel_pairs(m2, x, y, off)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
